@@ -18,11 +18,16 @@ Memory boundedness is asserted two ways, both machine-portable:
   memory image) is common to both sides, so replay may only add O(chunk)
   of reader state on top — never a resident copy of the trace.
 
-The drift-gated ratio is ``replay_vs_live``: continuous replay wall
-seconds vs a live ``run_app`` of the identical workload, measured in the
-same session on the same box (the replay digest is asserted equal to the
-live digest first, so the ratio always compares identical work). CI
-fails on >20% drift against the committed BENCH_harness.json.
+The drift-gated ratio is ``replay_vs_live``: the wall seconds of a
+*cold* live ``run_app`` divided by the wall seconds of a continuous
+replay of the identical workload, both measured in the same session on
+the same box. The live run is the first to use its traces, so it pays
+trace synthesis and the replay does not; a value above 1 means replay is
+*faster*. (The replay digest is asserted equal to the live digest, so
+the ratio always compares identical simulated work.) CI fails when the
+ratio falls below 0.8x the committed BENCH_harness.json value. Faster
+synthesis shrinks the live side and so lowers the ratio without any
+change to replay; re-baseline the committed value when it does.
 """
 
 import os

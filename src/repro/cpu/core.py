@@ -85,7 +85,12 @@ class Core:
         self.cache = cache
         self.config = config
         self.barrier = barrier
-        self.result = CoreResult(node)
+        self._result = CoreResult(node)
+        #: L1 hits retired since the last fold into ``_result`` (see
+        #: :attr:`result`): a hit's latency is the constant
+        #: ``_hit_latency``, so counting it is enough.
+        self._load_hits = 0
+        self._store_hits = 0
         self._issue_width = config.core.issue_width
         self._max_loads = config.core.max_outstanding_misses
         self._wb_capacity = config.core.write_buffer_entries
@@ -107,17 +112,17 @@ class Core:
         self._wakeup: Optional[Callable[[], bool]] = None
         self._on_finish: Optional[Callable[["Core"], None]] = None
         self._finished = False
-        # Counter objects bumped via direct ``.value +=``:
-        # ``_count_instructions`` runs once per trace op and even the bound
-        # ``Counter.add`` call was visible in profiles.
+        # Counter objects bumped via direct ``.value +=``: instructions are
+        # counted once per trace op and even the bound ``Counter.add`` call
+        # was visible in profiles.
         self._instr = stats.counter(f"core.{node}.instructions")
         self._instr_total = stats.counter("core.total.instructions")
         # More hot-path bindings: one attribute hop instead of two or three
         # in the per-operation issue/complete closures.
         self._schedule = sim.schedule
-        self._load_record = self.result.load_latency.record
-        self._store_record = self.result.store_latency.record
-        self._hist_record = self.result.latency_hist.record
+        self._load_record = self._result.load_latency.record
+        self._store_record = self._result.store_latency.record
+        self._hist_record = self._result.latency_hist.record
         #: L1 hit round trip — the constant latency of the probe fast
         #: paths in ``_issue_load`` / ``_issue_store``.
         self._hit_latency = config.l1.round_trip_cycles
@@ -177,6 +182,28 @@ class Core:
     def finished(self) -> bool:
         return self._finished
 
+    @property
+    def result(self) -> CoreResult:
+        """This core's accumulators, with every L1 hit so far folded in.
+
+        The hit fast paths only count hits; reading the result through
+        this property folds the counts into the latency collectors first,
+        so the finish path, snapshot capture and every harvest see exactly
+        the values per-hit recording would have produced.
+        """
+        if self._load_hits or self._store_hits:
+            self._fold_hits()
+        return self._result
+
+    def _fold_hits(self) -> None:
+        latency = self._hit_latency
+        result = self._result
+        result.load_latency.record_many(latency, self._load_hits)
+        result.store_latency.record_many(latency, self._store_hits)
+        result.latency_hist.record_many(latency, self._load_hits + self._store_hits)
+        self._load_hits = 0
+        self._store_hits = 0
+
     # ------------------------------------------------------------ execution
 
     def _step(self) -> None:
@@ -199,7 +226,7 @@ class Core:
                 if kind == OP_THINK:
                     self._pc = pc + 1
                     arg = self._args[pc]
-                    self.result.instructions += arg
+                    self._result.instructions += arg
                     self._instr.value += arg
                     self._instr_total.value += arg
                     cycles = max(1, -(-arg // self._issue_width))
@@ -244,14 +271,9 @@ class Core:
         if self._finished:
             return
         self._finished = True
-        self.result.finish_cycle = self.sim.now
+        self.result.finish_cycle = self.sim.now  # folds the pending hits
         if self._on_finish is not None:
             self._on_finish(self)
-
-    def _count_instructions(self, count: int) -> None:
-        self.result.instructions += count
-        self._instr.value += count
-        self._instr_total.value += count
 
     # --------------------------------------------------------------- stalls
 
@@ -276,9 +298,9 @@ class Core:
         waited = self.sim.now - started
         waited = max(0, waited - self._stall_grace)
         if self._stall_bucket == "sync":
-            self.result.sync_stall_cycles += waited
+            self._result.sync_stall_cycles += waited
         else:
-            self.result.memory_stall_cycles += waited
+            self._result.memory_stall_cycles += waited
         self._wakeup = None
         self._stall_started = None
         self._stall_bucket = None
@@ -295,18 +317,20 @@ class Core:
             self._block("memory", lambda: self._outstanding_loads < self._max_loads)
             return False
         self._pc += 1
-        self._count_instructions(1)
+        self._result.instructions += 1
+        self._instr.value += 1
+        self._instr_total.value += 1
         value = self._load_probe(address)
         if value is not None:
             # L1 read hit: the latency is the constant L1 round trip and
-            # the wake-up target is known now, so record at issue (latency
-            # records are order-free sums) and schedule the wake directly —
-            # no completion closure. The wake event occupies the same
-            # ``(time, seq)`` slot the general path's completion would
-            # have, so downstream event ordering is unchanged.
+            # the wake-up target is known now, so count the hit at issue
+            # (latency records are order-free sums; :attr:`result` folds
+            # the count in) and schedule the wake directly — no completion
+            # closure. The wake event occupies the same ``(time, seq)``
+            # slot the general path's completion would have, so downstream
+            # event ordering is unchanged.
+            self._load_hits += 1
             latency = self._hit_latency
-            self._load_record(latency)
-            self._hist_record(latency)
             if blocking:
                 # The general path blocks with ``grace == hit latency`` and
                 # therefore charges zero stall for a hit; skipping the
@@ -336,7 +360,7 @@ class Core:
         return True
 
     def _nb_hit_done(self) -> None:
-        """Completion of a non-blocking L1 hit load (latency was recorded
+        """Completion of a non-blocking L1 hit load (the hit was counted
         at issue): release the MLP slot and re-check any stall condition."""
         self._outstanding_loads -= 1
         self._maybe_wake()
@@ -348,15 +372,15 @@ class Core:
             self._block("memory", lambda: self._wb_occupancy < self._wb_capacity)
             return False
         self._pc += 1
-        self._count_instructions(1)
+        self._result.instructions += 1
+        self._instr.value += 1
+        self._instr_total.value += 1
         self._wb_occupancy += 1
         if self._store_probe(address, value):
-            # M/E write hit: same record-at-issue + direct wake-up pattern
+            # M/E write hit: same count-at-issue + direct wake-up pattern
             # as the load fast path (see ``_issue_load``).
-            latency = self._hit_latency
-            self._store_record(latency)
-            self._hist_record(latency)
-            self._schedule(latency, self._st_hit_done)
+            self._store_hits += 1
+            self._schedule(self._hit_latency, self._st_hit_done)
             return True
         issued = self.sim.now
 
@@ -371,7 +395,7 @@ class Core:
         return True
 
     def _st_hit_done(self) -> None:
-        """Completion of an M/E store hit (latency recorded at issue):
+        """Completion of an M/E store hit (the hit was counted at issue):
         drain the write-buffer slot and re-check any stall condition."""
         self._wb_occupancy -= 1
         self._maybe_wake()
@@ -385,7 +409,9 @@ class Core:
             self._block("memory", self._no_outstanding)
             return False
         self._pc += 1
-        self._count_instructions(1)
+        self._result.instructions += 1
+        self._instr.value += 1
+        self._instr_total.value += 1
         issued = self.sim.now
         completed = [False]
 

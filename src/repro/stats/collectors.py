@@ -57,6 +57,17 @@ class LatencyStat:
         if self.max is None or value > self.max:
             self.max = value
 
+    def record_many(self, value: int, count: int) -> None:
+        """``count`` records of one ``value`` (the sums are order-free)."""
+        if count <= 0:
+            return
+        self.count += count
+        self.total += value * count
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -107,6 +118,20 @@ class Histogram:
         self.buckets[value.bit_length()] += 1
         self.count += 1
         self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+
+    def record_many(self, value: int, count: int) -> None:
+        """``count`` records of one ``value`` (bucket counts are order-free)."""
+        if count <= 0:
+            return
+        if value < 0:
+            value = 0
+        self.buckets[value.bit_length()] += count
+        self.count += count
+        self.total += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

@@ -14,26 +14,27 @@ think gaps between references realize the profile's memory intensity.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.cpu.trace import OP_LOAD, TraceChunk, TraceOp
+from repro.cpu.trace import OP_LOAD, TraceChunk
 from repro.engine.rng import DeterministicRng
-from repro.workloads.layout import AddressLayout
+from repro.workloads.layout import WORD, AddressLayout
 from repro.workloads.patterns import (
     emit_barrier_episode,
-    emit_hot_access,
     emit_lock_section,
     emit_migratory_access,
     emit_shared_access,
     emit_streaming_access,
-    emit_think,
 )
 from repro.workloads.profiles import AppProfile
 
+#: ``randint(0, 1 << 30)`` as one modulus: the value a hot-set store writes.
+_STORE_VALUE_SPAN = (1 << 30) + 1
 
-def _pick_group_size(profile: AppProfile, rng: DeterministicRng) -> int:
-    weights = profile.sharing_weights()
+
+def _pick_group_size(weights: Dict[int, float], rng: DeterministicRng) -> int:
     if not weights:
         return 8
     roll = rng.random()
@@ -54,15 +55,21 @@ def build_core_trace(
 ) -> TraceChunk:
     """Synthesize one core's trace with ``memops`` memory-reference slots.
 
-    Returns a struct-of-arrays :class:`~repro.cpu.trace.TraceChunk` (the
-    batched front end's native format; iterating it yields the same
-    :class:`TraceOp` stream lists used to hold). The RNG is the buffered
-    (vectorized-refill) stream, which produces bit-for-bit the draws of
-    the scalar stream — traces are unchanged from the list-based builder.
+    Operations go straight into the columns of a struct-of-arrays
+    :class:`~repro.cpu.trace.TraceChunk`, the core's native format. The
+    RNG is the buffered (vectorized-refill) stream, which produces
+    bit-for-bit the draws of the scalar stream.
+
+    Every slot starts with a think gap, and most slots then reference the
+    core's private hot set. Both are written inline below rather than
+    through an emitter, with every per-core constant hoisted out of the
+    slot loop; the draws and their order are exactly those of
+    :meth:`~repro.engine.rng.DeterministicRng.geometric` followed by a
+    write roll, an index ``randint`` and, for a store, a value ``randint``.
     """
     rng = DeterministicRng(seed).split(f"{profile.name}-core{core}").buffered()
     layout = AddressLayout(num_cores)
-    ops: List[TraceOp] = []
+    chunk = TraceChunk()
     think_mean = max(1, round((1.0 - profile.mem_ratio) / max(profile.mem_ratio, 1e-6)))
     phases = max(1, profile.phases)
     per_phase = max(1, memops // phases)
@@ -74,61 +81,76 @@ def build_core_trace(
     f = profile.shared_fraction
     b = max(1, profile.shared_burst)
     shared_roll = f / (b * (1.0 - f) + f) if f > 0 else 0.0
+    cold_roll = shared_roll + profile.cold_fraction
+    sharing_weights = profile.sharing_weights()
+
+    rng_random = rng.random
+    next_u64 = rng.next_u64
+    append_think = chunk.append_think
+    append_load = chunk.append_load
+    append_store = chunk.append_store
+    # Think gaps: the geometric inverse CDF, with its constant denominator
+    # log(1 - 1/mean) computed once. A mean of 1 draws nothing.
+    log_keep = math.log(1.0 - 1.0 / think_mean) if think_mean > 1 else 0.0
+    hot_base = layout.private_hot(core, 0)
+    hot_words = max(1, profile.hot_words)
+    write_fraction = profile.write_fraction
 
     for phase in range(phases):
         emitted = 0
         while emitted < per_phase:
             emitted += 1
-            emit_think(ops, rng, think_mean)
-            roll = rng.random()
+            if log_keep:
+                append_think(max(1, math.ceil(math.log(1.0 - rng_random()) / log_keep)))
+            else:
+                append_think(1)
+            roll = rng_random()
             if roll < shared_roll:
                 if (
                     profile.migratory_fraction > 0.0
-                    and rng.random() < profile.migratory_fraction
+                    and rng_random() < profile.migratory_fraction
                 ):
                     emit_migratory_access(
-                        ops, rng, layout, core, cold_cursor[0], profile.shared_words
+                        chunk, rng, layout, core, cold_cursor[0], profile.shared_words
                     )
                     emitted += 1  # migratory visits emit two references
                 else:
                     emitted += emit_shared_access(
-                        ops,
+                        chunk,
                         rng,
                         layout,
                         core,
-                        _pick_group_size(profile, rng),
+                        _pick_group_size(sharing_weights, rng),
                         profile.shared_words,
                         profile.shared_write_fraction,
                         profile.shared_burst,
                     ) - 1
-            elif roll < shared_roll + profile.cold_fraction:
+            elif roll < cold_roll:
                 emit_streaming_access(
-                    ops, layout, core, cold_cursor, profile.cold_region_lines
+                    chunk, layout, core, cold_cursor, profile.cold_region_lines
                 )
             else:
-                emit_hot_access(
-                    ops,
-                    rng,
-                    layout,
-                    core,
-                    profile.hot_words,
-                    write=rng.random() < profile.write_fraction,
-                )
+                # One reference into the private hot set (expected L1 hit).
+                write = rng_random() < write_fraction
+                address = hot_base + next_u64() % hot_words * WORD
+                if write:
+                    append_store(address, next_u64() % _STORE_VALUE_SPAN)
+                else:
+                    append_load(address)
             if profile.lock_interval:
                 since_lock += 1
                 if since_lock >= profile.lock_interval:
                     since_lock = 0
                     emit_lock_section(
-                        ops,
+                        chunk,
                         rng,
                         layout,
                         rng.randint(0, max(0, profile.locks - 1)),
                         profile.lock_spin_reads,
                         profile.lock_critical_ops,
                     )
-        emit_barrier_episode(ops, layout, phase, profile.barrier_spin_reads)
+        emit_barrier_episode(chunk, layout, phase, profile.barrier_spin_reads)
 
-    chunk = TraceChunk.from_ops(ops)
     _apply_blocking_fractions(chunk, rng, profile.load_block_fraction)
     return chunk
 

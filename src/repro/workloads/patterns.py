@@ -1,9 +1,9 @@
 """Reusable access-pattern emitters.
 
-Each emitter appends :class:`~repro.cpu.trace.TraceOp` items to a list,
-modelling one archetypal sharing behaviour from the coherence literature:
+Each emitter appends operations straight to the columns of a
+:class:`~repro.cpu.trace.TraceChunk`, modelling one archetypal sharing
+behaviour from the coherence literature:
 
-* **hot-set** — repeated references to a small private working set (hits);
 * **streaming** — a sequential walk over a region far larger than the L1
   (pure capacity misses, read-mostly);
 * **group read/write sharing** — the pattern the paper targets: a group of
@@ -15,6 +15,11 @@ modelling one archetypal sharing behaviour from the coherence literature:
 * **barrier episode** — an RMW on the barrier counter, spin loads on it,
   and the cross-core alignment op.
 
+The commonest slot — a think gap followed by a reference into the core's
+private hot set — is written inline by
+:func:`~repro.workloads.generator.build_core_trace`, which runs it once per
+memory-reference slot.
+
 The emitters take a :class:`~repro.engine.rng.DeterministicRng` so a trace
 is a pure function of (profile, config, seed).
 """
@@ -23,36 +28,13 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cpu import trace as t
+from repro.cpu.trace import TraceChunk
 from repro.engine.rng import DeterministicRng
 from repro.workloads.layout import AddressLayout
 
 
-def emit_think(ops: List[t.TraceOp], rng: DeterministicRng, mean_instructions: int) -> None:
-    """A burst of non-memory instructions between references."""
-    if mean_instructions <= 0:
-        return
-    ops.append(t.think(rng.geometric(float(mean_instructions))))
-
-
-def emit_hot_access(
-    ops: List[t.TraceOp],
-    rng: DeterministicRng,
-    layout: AddressLayout,
-    core: int,
-    hot_words: int,
-    write: bool,
-) -> None:
-    """One reference into the core's private hot set (expected L1 hit)."""
-    address = layout.private_hot(core, rng.randint(0, max(0, hot_words - 1)))
-    if write:
-        ops.append(t.store(address, rng.randint(0, 1 << 30)))
-    else:
-        ops.append(t.load(address))
-
-
 def emit_streaming_access(
-    ops: List[t.TraceOp],
+    chunk: TraceChunk,
     layout: AddressLayout,
     core: int,
     cursor: List[int],
@@ -68,14 +50,14 @@ def emit_streaming_access(
     address = layout.private_cold(core, cursor[0] % region_lines)
     cursor[0] += 1
     if write:
-        ops.append(t.store(address, cursor[0]))
+        chunk.append_store(address, cursor[0])
     else:
         # Streaming loads are prefetch-friendly: model as non-blocking.
-        ops.append(t.load(address, blocking=False))
+        chunk.append_load(address, blocking=False)
 
 
 def emit_shared_access(
-    ops: List[t.TraceOp],
+    chunk: TraceChunk,
     rng: DeterministicRng,
     layout: AddressLayout,
     core: int,
@@ -105,14 +87,14 @@ def emit_shared_access(
     write_at = count - 1 if rng.random() < effective_write else -1
     for i in range(count):
         if i == write_at:
-            ops.append(t.store(address, rng.randint(0, 1 << 30)))
+            chunk.append_store(address, rng.randint(0, 1 << 30))
         else:
-            ops.append(t.load(address))
+            chunk.append_load(address)
     return count
 
 
 def emit_migratory_access(
-    ops: List[t.TraceOp],
+    chunk: TraceChunk,
     rng: DeterministicRng,
     layout: AddressLayout,
     core: int,
@@ -123,12 +105,12 @@ def emit_migratory_access(
     # Migratory data is modelled as pairwise-shared lines indexed by a
     # token that advances with program progress, so ownership migrates.
     address = layout.shared_word(2, token % 8, rng.randint(0, max(0, shared_words - 1)))
-    ops.append(t.load(address))
-    ops.append(t.store(address, token))
+    chunk.append_load(address)
+    chunk.append_store(address, token)
 
 
 def emit_lock_section(
-    ops: List[t.TraceOp],
+    chunk: TraceChunk,
     rng: DeterministicRng,
     layout: AddressLayout,
     lock_id: int,
@@ -142,28 +124,28 @@ def emit_lock_section(
     """
     lock_address = layout.lock(lock_id)
     for _ in range(spin_reads):
-        ops.append(t.load(lock_address))
-    ops.append(t.rmw(lock_address))
+        chunk.append_load(lock_address)
+    chunk.append_rmw(lock_address)
     # Critical section: touch the data the lock guards (its own line, so
     # these stores do not collide with other cores' lock acquisitions).
     for i in range(critical_ops):
         address = layout.lock_data(lock_id, i)
         if rng.random() < 0.5:
-            ops.append(t.load(address))
+            chunk.append_load(address)
         else:
-            ops.append(t.store(address, rng.randint(0, 1 << 20)))
-    ops.append(t.store(lock_address, 0))  # release
+            chunk.append_store(address, rng.randint(0, 1 << 20))
+    chunk.append_store(lock_address, 0)  # release
 
 
 def emit_barrier_episode(
-    ops: List[t.TraceOp],
+    chunk: TraceChunk,
     layout: AddressLayout,
     phase: int,
     spin_reads: int,
 ) -> None:
     """Arrive at a barrier: bump the counter, spin on it, then align."""
     barrier_address = layout.barrier_word(phase)
-    ops.append(t.rmw(barrier_address))
+    chunk.append_rmw(barrier_address)
     for _ in range(spin_reads):
-        ops.append(t.load(barrier_address))
-    ops.append(t.barrier(phase))
+        chunk.append_load(barrier_address)
+    chunk.append_barrier(phase)

@@ -1,51 +1,23 @@
-"""Unit tests for the workload pattern emitters."""
+"""Unit tests for the workload pattern emitters.
 
-from repro.cpu.trace import OP_BARRIER, OP_LOAD, OP_RMW, OP_STORE, OP_THINK
+The think gap and the private hot-set reference are written inline by the
+generator; their tests live with the generator's in ``test_workloads``.
+"""
+
+from repro.cpu.trace import OP_BARRIER, OP_LOAD, OP_RMW, OP_STORE, TraceChunk
 from repro.engine.rng import DeterministicRng
 from repro.workloads.layout import AddressLayout, LOCK_BASE, SHARED_BASE
 from repro.workloads.patterns import (
     emit_barrier_episode,
-    emit_hot_access,
     emit_lock_section,
     emit_migratory_access,
     emit_shared_access,
     emit_streaming_access,
-    emit_think,
 )
 
 
 def make():
-    return [], DeterministicRng(7), AddressLayout(16)
-
-
-class TestThink:
-    def test_emits_positive_instruction_burst(self):
-        ops, rng, _ = make()
-        emit_think(ops, rng, 10)
-        assert len(ops) == 1
-        assert ops[0].kind == OP_THINK
-        assert ops[0].arg >= 1
-
-    def test_zero_mean_emits_nothing(self):
-        ops, rng, _ = make()
-        emit_think(ops, rng, 0)
-        assert ops == []
-
-
-class TestHotAccess:
-    def test_read_and_write_variants(self):
-        ops, rng, layout = make()
-        emit_hot_access(ops, rng, layout, core=3, hot_words=8, write=False)
-        emit_hot_access(ops, rng, layout, core=3, hot_words=8, write=True)
-        assert [op.kind for op in ops] == [OP_LOAD, OP_STORE]
-
-    def test_addresses_stay_in_own_region(self):
-        ops, rng, layout = make()
-        for _ in range(50):
-            emit_hot_access(ops, rng, layout, core=2, hot_words=8, write=False)
-        low = layout.private_hot(2, 0)
-        high = layout.private_hot(2, 7)
-        assert all(low <= op.address <= high for op in ops)
+    return TraceChunk(), DeterministicRng(7), AddressLayout(16)
 
 
 class TestStreaming:
@@ -85,7 +57,7 @@ class TestSharedAccess:
         ops, rng, layout = make()
         visits = 40
         for _ in range(visits):
-            burst_ops = []
+            burst_ops = TraceChunk()
             emit_shared_access(
                 burst_ops, rng, layout, core=0, group_size=8, shared_words=16,
                 write_fraction=1.0, burst=3,
@@ -102,7 +74,7 @@ class TestSharedAccess:
         """Wider groups write less often per visit (8/size scaling)."""
         rng_a, rng_b = DeterministicRng(3), DeterministicRng(3)
         layout = AddressLayout(64)
-        narrow, wide = [], []
+        narrow, wide = TraceChunk(), TraceChunk()
         for _ in range(400):
             emit_shared_access(narrow, rng_a, layout, 0, 8, 16, 0.2, burst=1)
             emit_shared_access(wide, rng_b, layout, 0, 64, 16, 0.2, burst=1)

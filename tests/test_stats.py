@@ -71,6 +71,23 @@ class TestLatencyStat:
         assert stat.max == max(values)
         assert stat.total == sum(values)
 
+    @given(
+        st.lists(st.integers(0, 10**6), max_size=20),
+        st.integers(0, 10**6),
+        st.integers(0, 50),
+    )
+    def test_property_record_many_equals_repeated_record(self, values, value, count):
+        bulk, single = LatencyStat("bulk"), LatencyStat("single")
+        for earlier in values:
+            bulk.record(earlier)
+            single.record(earlier)
+        bulk.record_many(value, count)
+        for _ in range(count):
+            single.record(value)
+        assert (bulk.count, bulk.total, bulk.min, bulk.max) == (
+            single.count, single.total, single.min, single.max
+        )
+
 
 class TestBinnedHistogram:
     BINS = ((0, 5), (6, 10), (11, 25), (26, 49), (50, None))
@@ -205,6 +222,21 @@ class TestHistogram:
         if exact > 0:
             assert estimate <= 2 * exact + 1
             assert estimate >= exact / 2 - 1
+
+    @given(
+        st.lists(st.integers(-5, 10**6), max_size=20),
+        st.integers(-5, 10**6),
+        st.integers(0, 50),
+    )
+    def test_property_record_many_equals_repeated_record(self, values, value, count):
+        bulk, single = Histogram("h"), Histogram("h")
+        for earlier in values:
+            bulk.record(earlier)
+            single.record(earlier)
+        bulk.record_many(value, count)
+        for _ in range(count):
+            single.record(value)
+        assert bulk.to_dict() == single.to_dict()
 
 
 class TestExactHistogram:

@@ -1,6 +1,7 @@
 """Tests for the workload layout, profiles, and trace generator."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,18 @@ from repro.workloads import ALL_APPS, APP_PROFILES, AddressLayout, build_traces
 from repro.workloads.generator import build_core_trace
 from repro.workloads.layout import (
     BARRIER_BASE,
+    COLD_OFFSET,
     LOCK_BASE,
     PRIVATE_BASE,
+    PRIVATE_SPAN,
     SHARED_BASE,
 )
+
+
+def _in_hot_set(address: int, core: int) -> bool:
+    """Whether ``address`` lies below the core's streaming (cold) region."""
+    base = PRIVATE_BASE + core * PRIVATE_SPAN
+    return base <= address < base + COLD_OFFSET
 
 
 class TestLayout:
@@ -135,6 +144,44 @@ class TestGenerator:
         memops = sum(1 for op in trace if op.kind in (OP_LOAD, OP_STORE, OP_RMW))
         ratio = memops / (memops + think)
         assert 0.2 < ratio < 0.5
+
+    def test_think_bursts_are_positive(self):
+        """Every slot opens with a think burst of at least one instruction."""
+        trace = build_core_trace(APP_PROFILES["fft"], 0, 16, 300, seed=2)
+        bursts = [op.arg for op in trace if op.kind == OP_THINK]
+        assert bursts and min(bursts) >= 1
+        assert max(bursts) > 1  # fft's mean gap is 3, so the draws vary
+
+    def test_think_gap_floor_is_one_instruction(self):
+        """A profile with no non-memory work still issues one-instruction
+        gaps (a mean of 1 draws nothing from the RNG)."""
+        profile = replace(APP_PROFILES["fft"], mem_ratio=1.0)
+        trace = build_core_trace(profile, 0, 16, 200, seed=2)
+        assert {op.arg for op in trace if op.kind == OP_THINK} == {1}
+
+    def test_hot_set_reads_and_writes(self):
+        """Private hot-set references come as both loads and stores."""
+        profile = APP_PROFILES["blackscholes"]  # write_fraction 0.30
+        trace = build_core_trace(profile, 3, 16, 400, seed=2)
+        kinds = {
+            op.kind for op in trace
+            if op.kind in (OP_LOAD, OP_STORE) and _in_hot_set(op.address, 3)
+        }
+        assert kinds == {OP_LOAD, OP_STORE}
+
+    def test_hot_set_addresses_stay_in_own_region(self):
+        profile = replace(APP_PROFILES["blackscholes"], hot_words=8)
+        layout = AddressLayout(16)
+        trace = build_core_trace(profile, 2, 16, 400, seed=2)
+        low = layout.private_hot(2, 0)
+        high = layout.private_hot(2, 7)
+        private = [
+            op.address for op in trace
+            if op.kind in (OP_LOAD, OP_STORE) and op.address < SHARED_BASE
+        ]
+        hot = [address for address in private if _in_hot_set(address, 2)]
+        assert len(hot) > 0.9 * len(private)
+        assert all(low <= address <= high for address in hot)
 
     def test_build_traces_one_per_core(self):
         traces = build_traces(APP_PROFILES["lu-c"], 8, 100, seed=0)
