@@ -106,12 +106,10 @@ def bench_cores():
 
 #: Per-benchmark wall-clock, filled by pytest_runtest_logreport.
 _BENCH_TIMINGS = {}
-#: Free-form metrics from the kernel microbenchmarks (speedup ratios,
-#: measured wall seconds); lands under ``"kernel"`` in BENCH_harness.json.
+#: Metrics from benchmarks/test_bench_kernel.py (the COW snapshot ratio,
+#: the fig10 pair's wall seconds and cycles); lands under ``"kernel"`` in
+#: BENCH_harness.json.
 _KERNEL_METRICS = {}
-#: Batched-kernel A/B metrics (batched vs PR2 fast path vs seed); lands
-#: under ``"kernel_batched"``.
-_KERNEL_BATCHED_METRICS = {}
 #: Observability-overhead metrics (enabled/disabled wall ratios) from
 #: benchmarks/test_bench_obs.py; lands under ``"obs"``.
 _OBS_METRICS = {}
@@ -142,13 +140,6 @@ _SESSION_STARTED = time.time()
 def kernel_metrics():
     """Mutable dict benchmarks fill; emitted as the ``kernel`` section."""
     return _KERNEL_METRICS
-
-
-@pytest.fixture(scope="session")
-def kernel_batched_metrics():
-    """Mutable dict for the batched-kernel A/B gate; emitted as
-    ``kernel_batched``."""
-    return _KERNEL_BATCHED_METRICS
 
 
 @pytest.fixture(scope="session")
@@ -233,8 +224,6 @@ def pytest_sessionfinish(session, exitstatus):
     }
     if _KERNEL_METRICS:
         payload["kernel"] = dict(sorted(_KERNEL_METRICS.items()))
-    if _KERNEL_BATCHED_METRICS:
-        payload["kernel_batched"] = dict(sorted(_KERNEL_BATCHED_METRICS.items()))
     if _OBS_METRICS:
         payload["obs"] = dict(sorted(_OBS_METRICS.items()))
     if _DISTRIBUTED_METRICS:

@@ -1,663 +1,34 @@
-"""Simulation-kernel microbenchmarks: seed inner loop vs. the fast path.
+"""Simulator microbenchmarks that time real code.
 
-The other benchmarks in this directory regenerate paper figures; this module
-measures the *simulator inner loop* itself. It replays an identical
-fig10-style stream of protocol messages (64-core mesh, Table V-shaped kind
-mix) through two in-file kernels that reproduce, hop for hop, the per-message
-``send -> schedule -> deliver -> dispatch -> install`` chain:
+The other benchmarks in this directory regenerate paper figures; this
+module times two pieces of the simulator itself and records them in
+``BENCH_harness.json`` under ``kernel``:
 
-* ``_seed_kernel`` uses the seed implementation's idioms, faithful to the
-  pre-optimization sources: ``topology.hops``/``topology.route`` recomputed
-  per message, histogram ``record`` re-scanning the hop bins, bound-method
-  ``Counter.add`` calls, ``Event.__init__`` reached through a
-  ``schedule_at -> EventQueue.schedule`` call chain, a fresh message object
-  per send, ``if/elif`` string-compare dispatch on ``msg.kind``,
-  ``OrderedDict.move_to_end`` LRU touches, and a defensive ``dict(words)``
-  copy of the 16-word line at every data hop (payload build *and* install —
-  the seed's double copy).
+* ``cow_snapshot_scaling`` pins that ``LineData.snapshot()`` is O(1) in
+  line size where a ``dict`` copy is O(n);
+* ``end_to_end_fig10`` times a real 64-core fig10-style Baseline-vs-WiDir
+  pair through ``run_app`` and locks its determinism.
 
-* ``_fast_kernel`` uses the current fast-path primitives from the real
-  modules: the ``(hops, route, bin)`` route cache, direct
-  ``Counter.value +=`` bumps, inline ``Event.__new__`` + heappush,
-  ``Message.acquire``/``release`` freelist recycling, dispatch tables
-  indexed by the interned ``kind_id``, plain-dict del+reinsert LRU touches,
-  and O(1) ``LineData.snapshot()`` views instead of copies.
-
-Both kernels consume the same pre-generated stream and must produce the same
-checksum (hops, arrival cycles, dispatch values, installed words), so the
-comparison cannot silently diverge. The measured ratio is asserted to be at
-least the PR's 1.5x acceptance bar and recorded in ``BENCH_harness.json``
-under ``kernel``, alongside the wall seconds of a real end-to-end 64-core
-fig10-style Baseline-vs-WiDir pair.
-
-Timing methodology: the two kernels run in strictly alternating rounds and
-each side keeps its best round, so background machine noise hits both sides
-equally instead of biasing whichever ran last.
+The end-to-end benchmark (``e2ebench/``) is the per-layer perf ledger;
+these two keep a quick reading next to the figure timings.
 """
 
-import gc
-import heapq
-import random
 import time
-from collections import OrderedDict
 
 from bench_config import BENCH_CORES, KERNEL_PAIR_MEMOPS
 
-from repro.coherence import messages as mk
-from repro.engine.events import Event
 from repro.mem.line_data import LineData
-from repro.noc.mesh import HOP_BINS
-from repro.noc.message import DATA_BEARING_KINDS, Message
-from repro.noc.topology import MeshTopology
-from repro.stats.collectors import StatsRegistry
 
-# ------------------------------------------------------------ op stream
-
-#: Fig10-style kind mix for a 64-core sharing-heavy run: read misses and
-#: their data replies dominate, with a healthy tail of upgrades,
-#: invalidations, forwards, and writebacks (Table V's coherence legs).
-_KIND_MIX = (
-    (mk.GETS, 24),
-    (mk.DATA, 18),
-    (mk.DATA_E, 6),
-    (mk.GETX, 8),
-    (mk.GRANT_X, 4),
-    (mk.INV, 7),
-    (mk.INV_ACK, 7),
-    (mk.FWD_GETS, 4),
-    (mk.FWD_DATA, 4),
-    (mk.WB_DATA, 4),
-    (mk.PUTS, 3),
-    (mk.PUTM, 3),
-    (mk.PUT_ACK, 3),
-    (mk.WIR_UPGR, 2),
-    (mk.WIR_UPGR_ACK, 2),
-    (mk.NACK, 1),
-)
-
-_NUM_CORES = 64
-_MESH_WIDTH = 8
-_WORDS_PER_LINE = 16
-_CYCLES_PER_HOP = 2
-_ROUTER_OVERHEAD = 3
-_SERIALIZATION = 8  # 64B line over a 64-bit link
-_LRU_WAYS = 8
-
-_NUM_OPS = 20_000
 _ROUNDS = 5
-
-
-def _make_stream(num_ops, seed=42):
-    """A deterministic list of (kind, src, dst, line) protocol ops."""
-    rng = random.Random(seed)
-    kinds = [k for k, weight in _KIND_MIX for _ in range(weight)]
-    return [
-        (
-            rng.choice(kinds),
-            rng.randrange(_NUM_CORES),
-            rng.randrange(_NUM_CORES),
-            rng.randrange(1 << 20),
-        )
-        for _ in range(num_ops)
-    ]
-
-
-_DISPATCH_ORDER = (
-    mk.GETS, mk.GETX, mk.PUTS, mk.PUTM, mk.INV, mk.INV_ACK, mk.WB_DATA,
-    mk.FWD_GETS, mk.FWD_DATA, mk.DATA, mk.DATA_E, mk.GRANT_X,
-    mk.PUT_ACK, mk.WIR_UPGR, mk.WIR_UPGR_ACK, mk.NACK,
-)
-
-_WORDS = {w: 0x5151AA00 + w for w in range(_WORDS_PER_LINE)}
-
-
-# ----------------------------------------------------------- seed kernel
-
-
-class _SeedMessage:
-    """The seed's message object: string kind, fresh allocation per send."""
-
-    __slots__ = ("kind", "src", "dst", "line", "payload", "sent_at", "carries_data")
-
-    def __init__(self, kind, src, dst, line, payload=None):
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.line = line
-        self.payload = payload if payload is not None else {}
-        self.sent_at = None
-        self.carries_data = kind in DATA_BEARING_KINDS
-
-
-class _SeedQueue:
-    """The seed's EventQueue.schedule: Event.__init__ plus heappush."""
-
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-        self._live = 0
-
-    def schedule(self, when, callback):
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(when, seq, callback)
-        self._live += 1
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
-
-
-class _SeedConfig:
-    """Attribute-bag standing in for the frozen NocConfig dataclass."""
-
-    def __init__(self):
-        self.router_overhead_cycles = _ROUTER_OVERHEAD
-        self.cycles_per_hop = _CYCLES_PER_HOP
-        self.model_contention = True
-
-
-class _SeedSim:
-    """Just enough Simulator surface for the seed send path (``.now``)."""
-
-    def __init__(self):
-        self.now = 0
-
-
-class _SeedMesh:
-    """The seed ``MeshNetwork.send``/``_traverse`` structure, verbatim shape.
-
-    Everything goes through ``self.`` attribute chains exactly as the seed
-    sources did — ``self.sim.now`` re-read three times per send,
-    ``self.config.cycles_per_hop`` re-resolved per link,
-    ``self.topology.route(...)`` rebuilt per message, bound ``Counter.add``
-    calls — because those walks are precisely what the fast path hoisted.
-    """
-
-    def __init__(self, topology):
-        self.topology = topology
-        self.config = _SeedConfig()
-        self.sim = _SeedSim()
-        self.data_serialization_cycles = _SERIALIZATION
-        stats = StatsRegistry()
-        self._messages = stats.counter("noc.messages")
-        self._total_hops = stats.counter("noc.total_hops")
-        self._data_messages = stats.counter("noc.data_messages")
-        self._hop_histogram = stats.histogram("noc.hops_per_leg", HOP_BINS)
-        self._link_busy_until = {}
-        self._pair_order = {}
-        self.queue = _SeedQueue()
-
-    def send(self, message):
-        message.sent_at = self.sim.now
-        hops = self.topology.hops(message.src, message.dst)
-        self._messages.add()
-        self._total_hops.add(hops)
-        self._hop_histogram.record(hops)  # re-scans HOP_BINS per message
-        if message.carries_data:
-            self._data_messages.add()
-        serialization = (
-            self.data_serialization_cycles if message.carries_data else 1
-        )
-        depart = self.sim.now + self.config.router_overhead_cycles
-        if self.config.model_contention and message.src != message.dst:
-            arrival = self._traverse(message, depart, serialization)
-        else:
-            arrival = depart + hops * self.config.cycles_per_hop
-            if message.carries_data:
-                arrival += self.data_serialization_cycles
-        pair = (message.src, message.dst)
-        arrival = max(arrival, self.sim.now, self._pair_order.get(pair, 0) + 1)
-        self._pair_order[pair] = arrival
-        return hops, arrival
-
-    def _traverse(self, message, depart, serialization):
-        time = depart
-        for link in self.topology.route(message.src, message.dst):
-            ready = self._link_busy_until.get(link, 0)
-            if ready > time:
-                time = ready
-            self._link_busy_until[link] = time + serialization
-            time += self.config.cycles_per_hop  # attr chain per link (seed)
-        if serialization > 1:
-            time += serialization - 1
-        return time
-
-    def schedule_at(self, when, callback):
-        """The seed Simulator.schedule_at frame sitting above the queue."""
-        return self.queue.schedule(when, callback)
-
-
-def _seed_kernel(stream, topology, now=0):
-    """Per-message cost model of the seed inner loop (module docstring)."""
-    mesh = _SeedMesh(topology)
-    sim = mesh.sim
-    lru_set = OrderedDict((way, way) for way in range(_LRU_WAYS))
-    checksum = 0
-    callback = int  # cheap no-op callable, identical on both sides
-
-    for kind, src, dst, line in stream:
-        # --- send(): per-message route/hop recomputation ---
-        sim.now = now
-        payload = {"data": dict(_WORDS)} if kind in DATA_BEARING_KINDS else {}
-        msg = _SeedMessage(kind, src, dst, line, payload)
-        hops, arrival = mesh.send(msg)
-        mesh.schedule_at(arrival, callback)
-
-        # --- deliver + controller dispatch: string if/elif chain ---
-        k = msg.kind
-        if k == mk.GETS:
-            checksum += 1
-        elif k == mk.GETX:
-            checksum += 2
-        elif k == mk.PUTS:
-            checksum += 3
-        elif k == mk.PUTM:
-            checksum += 4
-        elif k == mk.INV:
-            checksum += 5
-        elif k == mk.INV_ACK:
-            checksum += 6
-        elif k == mk.WB_DATA:
-            checksum += 7
-        elif k == mk.FWD_GETS:
-            checksum += 8
-        elif k == mk.FWD_DATA:
-            checksum += 9
-        elif k == mk.DATA:
-            checksum += 10
-        elif k == mk.DATA_E:
-            checksum += 11
-        elif k == mk.GRANT_X:
-            checksum += 12
-        elif k == mk.PUT_ACK:
-            checksum += 13
-        elif k == mk.WIR_UPGR:
-            checksum += 14
-        elif k == mk.WIR_UPGR_ACK:
-            checksum += 15
-        elif k == mk.NACK:
-            checksum += 16
-
-        # --- directory array touch: OrderedDict LRU ---
-        way = line & (_LRU_WAYS - 1)
-        lru_set.move_to_end(way)
-
-        # --- install: the seed's second defensive copy of the payload ---
-        if msg.carries_data:
-            installed = dict(msg.payload["data"])
-            checksum += len(installed)
-        checksum += hops + arrival
-        now += 1
-    return checksum
-
-
-# ----------------------------------------------------------- fast kernel
-
-
-def _fast_kernel(stream_ids, topology, now=0):
-    """The same work through the current fast-path primitives."""
-    stats = StatsRegistry()
-    messages = stats.counter("noc.messages")
-    total_hops = stats.counter("noc.total_hops")
-    data_messages = stats.counter("noc.data_messages")
-    histogram = stats.histogram("noc.hops_per_leg", HOP_BINS)
-    hop_counts = histogram.counts
-    heap = []
-    seq = 0
-    link_busy = {}
-    pair_order = {}
-    route_cache = {}
-    lru_set = {way: way for way in range(_LRU_WAYS)}
-    cow_words = LineData(_WORDS)
-    snapshot = cow_words.snapshot
-    dispatch = mk.kind_table()
-    for value, name in enumerate(_DISPATCH_ORDER, start=1):
-        dispatch[mk.kind_id(name)] = value
-    acquire = Message.acquire
-    release = Message.release
-    heappush = heapq.heappush
-    checksum = 0
-    callback = int
-
-    for kid, src, dst, line, data_bearing in stream_ids:
-        # --- send(): cached (hops, route, bin) + direct counter bumps ---
-        pair = (src, dst)
-        info = route_cache.get(pair)
-        if info is None:
-            route = topology.route(src, dst)
-            hops = topology.hops(src, dst)
-            bin_idx = -1
-            for i, (low, high) in enumerate(HOP_BINS):
-                if hops >= low and (high is None or hops <= high):
-                    bin_idx = i
-                    break
-            info = (hops, route, bin_idx)
-            route_cache[pair] = info
-        hops, route, bin_idx = info
-        messages.value += 1
-        total_hops.value += hops
-        hop_counts[bin_idx] += 1
-        payload = {"data": snapshot()} if data_bearing else {}
-        msg = acquire(kid, src, dst, line, payload)
-        if data_bearing:
-            data_messages.value += 1
-        serialization = _SERIALIZATION if data_bearing else 1
-        if src != dst:
-            arrival = now + _ROUTER_OVERHEAD
-            for link in route:
-                ready = link_busy.get(link, 0)
-                if ready > arrival:
-                    arrival = ready
-                link_busy[link] = arrival + serialization
-                arrival += _CYCLES_PER_HOP
-            if serialization > 1:
-                arrival += serialization - 1
-        else:
-            arrival = now + _ROUTER_OVERHEAD + hops * _CYCLES_PER_HOP
-            if data_bearing:
-                arrival += _SERIALIZATION
-        arrival = max(arrival, now, pair_order.get(pair, 0) + 1)
-        pair_order[pair] = arrival
-        # Inline Event creation (the simulator.schedule_at fast path).
-        event = Event.__new__(Event)
-        event.time = arrival
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        heappush(heap, (arrival, seq, event))
-        seq += 1
-
-        # --- deliver + controller dispatch: table indexed by kind id ---
-        checksum += dispatch[msg.kind_id]
-
-        # --- directory array touch: plain-dict del + reinsert LRU ---
-        way = line & (_LRU_WAYS - 1)
-        entry = lru_set[way]
-        del lru_set[way]
-        lru_set[way] = entry
-
-        # --- install: O(1) copy-on-write view of the payload ---
-        if msg.carries_data:
-            installed = msg.payload["data"].snapshot()
-            checksum += len(installed)
-        checksum += hops + arrival
-        now += 1
-        release(msg)
-    return checksum
-
-
-def _intern_stream(stream):
-    return [
-        (mk.kind_id(kind), src, dst, line, kind in DATA_BEARING_KINDS)
-        for kind, src, dst, line in stream
-    ]
-
-
-# -------------------------------------------------------- batched kernel
-
-def _topology_planes(topology):
-    """Static per-pair routing planes: the SoA form of the route cache.
-
-    The live mesh keeps a persistent ``(hops, route, bin)`` cache keyed by
-    pair; the batched kernel's equivalent is three dense planes indexed by
-    ``pair_id = src * num_nodes + dst`` — hops and histogram bin as numpy
-    vectors (for one-shot gathers over the whole stream) and the XY routes
-    as tuples of flat link ids (for the sequential contention scan). Built
-    once per topology, exactly like the real cache warms once per run.
-    """
-    import numpy as np
-
-    n = topology.num_nodes
-    hops_by_pid = np.zeros(n * n, dtype=np.int64)
-    bin_by_pid = np.zeros(n * n, dtype=np.int64)
-    routes_by_pid = [()] * (n * n)
-    for src in range(n):
-        for dst in range(n):
-            pid = src * n + dst
-            hops = topology.hops(src, dst)
-            hops_by_pid[pid] = hops
-            for i, (low, high) in enumerate(HOP_BINS):
-                if hops >= low and (high is None or hops <= high):
-                    bin_by_pid[pid] = i
-                    break
-            routes_by_pid[pid] = tuple(
-                a * n + b for a, b in topology.route(src, dst)
-            )
-    return hops_by_pid, bin_by_pid, routes_by_pid
-
-
-def _batch_stream(stream):
-    """The op stream as struct-of-arrays columns (the batched front end's
-    native format, mirroring :class:`repro.cpu.trace.TraceChunk`)."""
-    import numpy as np
-
-    n = len(stream)
-    code_of = {name: i for i, name in enumerate(_DISPATCH_ORDER)}
-    kinds = np.fromiter((code_of[k] for k, _, _, _ in stream), np.int64, n)
-    pair_np = np.fromiter(
-        (src * _NUM_CORES + dst for _, src, dst, _ in stream), np.int64, n
-    )
-    lines = np.fromiter((line for _, _, _, line in stream), np.int64, n)
-    data = np.fromiter(
-        (k in DATA_BEARING_KINDS for k, _, _, _ in stream), np.bool_, n
-    )
-    return {
-        "n": n,
-        "kinds": kinds,
-        "pair_np": pair_np,
-        "pair_ids": pair_np.tolist(),
-        "lines": lines,
-        "data": data,
-        "serials": [(_SERIALIZATION if d else 1) for d in data.tolist()],
-    }
-
-
-def _batched_kernel(cols, planes, now=0):
-    """The same work as the other kernels, batched-epoch style.
-
-    Order-free bookkeeping — dispatch accumulation, hop totals, histogram
-    bins, data-install word counts, LRU stamp touches — is computed with
-    one vectorized pass per column over the whole stream (SoA metadata,
-    ``np.take``/``np.bincount``/last-write-wins fancy assignment). Only the
-    inherently sequential part survives as a Python loop: the per-link
-    busy-until contention scan and the per-pair FIFO clamp, walking
-    precomputed flat link ids, with deliveries appended to calendar-queue
-    buckets instead of heap-pushed (the CohortQueue schedule path). The
-    checksum is identical to ``_seed_kernel``/``_fast_kernel`` by
-    construction, so the comparison cannot silently diverge.
-    """
-    import numpy as np
-
-    stats = StatsRegistry()
-    messages = stats.counter("noc.messages")
-    total_hops = stats.counter("noc.total_hops")
-    data_messages = stats.counter("noc.data_messages")
-    histogram = stats.histogram("noc.hops_per_leg", HOP_BINS)
-    hops_by_pid, bin_by_pid, routes_by_pid = planes
-    n = cols["n"]
-    pair_np = cols["pair_np"]
-
-    # --- send-side bookkeeping: whole-stream vectorized passes ---
-    hops_stream = hops_by_pid[pair_np]
-    hops_total = int(hops_stream.sum())
-    messages.value += n
-    total_hops.value += hops_total
-    data_count = int(cols["data"].sum())
-    data_messages.value += data_count
-    bin_counts = np.bincount(bin_by_pid[pair_np], minlength=len(HOP_BINS))
-    counts = histogram.counts
-    for i in range(len(HOP_BINS)):
-        counts[i] += int(bin_counts[i])
-
-    # --- dispatch + install: one gather-sum replaces 20k table lookups;
-    # installs count words from metadata, no per-message payload dicts ---
-    checksum = int(cols["kinds"].sum()) + n + _WORDS_PER_LINE * data_count
-
-    # --- directory LRU touch: last-write-wins stamp assignment gives the
-    # same final recency order as per-message move_to_end ---
-    stamps = np.zeros(_LRU_WAYS, dtype=np.int64)
-    stamps[cols["lines"] & (_LRU_WAYS - 1)] = np.arange(n, dtype=np.int64)
-
-    # --- the irreducibly sequential leg: link reservations + pair FIFO.
-    # Arrival times are collected and the calendar-queue cohorts (which
-    # bucket each delivery lands in) are formed afterwards with one
-    # bincount — cohort formation is order-free, so it does not belong in
-    # the sequential scan. ---
-    link_busy = [0] * (_NUM_CORES * _NUM_CORES)
-    pair_last = [0] * (_NUM_CORES * _NUM_CORES)
-    arrivals = []
-    arr_append = arrivals.append
-    t_base = now + _ROUTER_OVERHEAD
-    cycles_per_hop = _CYCLES_PER_HOP
-    tail_cycles = _SERIALIZATION
-    for pid, serialization, route in zip(
-        cols["pair_ids"],
-        cols["serials"],
-        map(routes_by_pid.__getitem__, cols["pair_ids"]),
-    ):
-        t = t_base
-        t_base += 1
-        if route:
-            for link in route:
-                ready = link_busy[link]
-                if ready > t:
-                    t = ready
-                link_busy[link] = t + serialization
-                t += cycles_per_hop
-            if serialization > 1:
-                t += serialization - 1
-        elif serialization > 1:  # src == dst, data-bearing: no links
-            t += tail_cycles
-        last = pair_last[pid]
-        if t <= last:
-            t = last + 1
-        pair_last[pid] = t
-        arr_append(t)
-    arr = np.fromiter(arrivals, np.int64, n)
-    cohorts = np.bincount(arr & 4095, minlength=4096)  # the ring fill
-    return checksum + hops_total + int(arr.sum()) + (int(cohorts.sum()) - n)
-
-
-# ------------------------------------------------------------ benchmarks
-
-
-def test_bench_kernel_inner_loop_speedup(kernel_metrics):
-    stream = _make_stream(_NUM_OPS)
-    stream_ids = _intern_stream(stream)
-    topology = MeshTopology(_NUM_CORES, _MESH_WIDTH)
-
-    # Equivalence first: the two kernels must agree before we time them.
-    assert _seed_kernel(stream, topology) == _fast_kernel(stream_ids, topology)
-
-    seed_best = fast_best = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()  # collector pauses would hit one side at random
-    try:
-        for _ in range(_ROUNDS):  # interleaved so noise hits both sides
-            start = time.perf_counter()
-            _seed_kernel(stream, topology)
-            seed_best = min(seed_best, time.perf_counter() - start)
-
-            start = time.perf_counter()
-            _fast_kernel(stream_ids, topology)
-            fast_best = min(fast_best, time.perf_counter() - start)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    speedup = seed_best / fast_best
-    kernel_metrics["inner_loop_seed_seconds"] = round(seed_best, 4)
-    kernel_metrics["inner_loop_fast_seconds"] = round(fast_best, 4)
-    kernel_metrics["inner_loop_speedup"] = round(speedup, 2)
-    print(
-        f"\nkernel inner loop ({_NUM_OPS} msgs @ {_NUM_CORES} cores): "
-        f"seed {seed_best:.4f}s, fast {fast_best:.4f}s -> {speedup:.2f}x"
-    )
-    # PR acceptance bar; the measured ratio typically clears it with
-    # headroom, which absorbs scheduling noise on loaded CI machines.
-    assert speedup >= 1.5, (
-        f"fast path only {speedup:.2f}x over the seed inner loop "
-        f"(seed {seed_best:.4f}s, fast {fast_best:.4f}s)"
-    )
-
-
-def test_bench_kernel_batched_speedup(kernel_batched_metrics):
-    """Batched-epoch kernel vs the PR 2 fast path vs the seed (A/B/C).
-
-    All three kernels replay the identical message stream and must agree
-    on the checksum before any timing happens. Each consumes its native
-    pre-built stream format (string ops for the seed, interned-id tuples
-    for the fast path, SoA numpy columns plus static routing planes for
-    the batched kernel — the formats the respective front ends emit), and
-    the rounds strictly interleave so machine noise hits all sides.
-
-    Gates are set below the typically measured ratios (~6-7x over fast,
-    ~11x over seed on the reference box) to absorb loaded-CI noise; the
-    measured numbers land in BENCH_harness.json under ``kernel_batched``.
-    """
-    stream = _make_stream(_NUM_OPS)
-    stream_ids = _intern_stream(stream)
-    topology = MeshTopology(_NUM_CORES, _MESH_WIDTH)
-    planes = _topology_planes(topology)
-    cols = _batch_stream(stream)
-
-    expected = _seed_kernel(stream, topology)
-    assert _fast_kernel(stream_ids, topology) == expected
-    assert _batched_kernel(cols, planes) == expected
-
-    seed_best = fast_best = batched_best = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(_ROUNDS):
-            start = time.perf_counter()
-            _seed_kernel(stream, topology)
-            seed_best = min(seed_best, time.perf_counter() - start)
-
-            start = time.perf_counter()
-            _fast_kernel(stream_ids, topology)
-            fast_best = min(fast_best, time.perf_counter() - start)
-
-            start = time.perf_counter()
-            _batched_kernel(cols, planes)
-            batched_best = min(batched_best, time.perf_counter() - start)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    vs_fast = fast_best / batched_best
-    vs_seed = seed_best / batched_best
-    kernel_batched_metrics["batched_seconds"] = round(batched_best, 4)
-    kernel_batched_metrics["fast_seconds"] = round(fast_best, 4)
-    kernel_batched_metrics["seed_seconds"] = round(seed_best, 4)
-    kernel_batched_metrics["batched_vs_fast"] = round(vs_fast, 2)
-    kernel_batched_metrics["batched_vs_seed"] = round(vs_seed, 2)
-    print(
-        f"\nbatched kernel ({_NUM_OPS} msgs @ {_NUM_CORES} cores): "
-        f"seed {seed_best:.4f}s, fast {fast_best:.4f}s, "
-        f"batched {batched_best:.4f}s -> {vs_fast:.2f}x vs fast, "
-        f"{vs_seed:.2f}x vs seed"
-    )
-    # The PR acceptance bar is >=5x over the PR 2 fast path; the vs-seed
-    # floor is set at 8x (typically ~11x) purely for CI-noise headroom.
-    assert vs_fast >= 5.0, (
-        f"batched kernel only {vs_fast:.2f}x over the fast path "
-        f"(fast {fast_best:.4f}s, batched {batched_best:.4f}s)"
-    )
-    assert vs_seed >= 8.0, (
-        f"batched kernel only {vs_seed:.2f}x over the seed "
-        f"(seed {seed_best:.4f}s, batched {batched_best:.4f}s)"
-    )
 
 
 def test_bench_kernel_cow_snapshot_scaling(kernel_metrics):
     """``LineData.snapshot()`` is O(1) in line size; ``dict`` copy is O(n).
 
     At the protocol's 16-word lines the two are comparable per call (the
-    fast path wins because it *chains*: one snapshot replaces the seed's
-    copy-at-build + copy-at-install pair, measured by the inner-loop test
-    above). This test pins the asymptotic claim directly with a large line.
+    snapshot wins because it *chains*: one snapshot replaces a copy at
+    payload build plus another at install). This test pins the asymptotic
+    claim directly with a large line.
     """
     big_words = {w: w * 7 for w in range(4096)}
     big_cow = LineData(big_words)

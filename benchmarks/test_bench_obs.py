@@ -7,7 +7,7 @@ The tracing subsystem (:mod:`repro.obs`) promises two things:
   simulator within measurement noise;
 * **enabled** it stays cheap enough to leave on for debugging sessions:
   under 25% wall-clock overhead on a real coherence-heavy run (the bar
-  is relative to the batched-kernel baseline; see MAX_ENABLED_OVERHEAD).
+  is relative to the untraced run; see MAX_ENABLED_OVERHEAD).
 
 This module measures both on an identical in-process run (same app, same
 seeds, same machine — tracing is digest-neutral so the simulated work is
@@ -34,16 +34,13 @@ from repro.harness.runner import run_app
 _APP = "radiosity"
 _CORES = 16
 #: Long enough that fixed per-run noise (timer granularity, allocator
-#: jitter) stays well under the A/B noise bar now that the batched kernel
-#: roughly halved the per-reference cost of the timed region.
+#: jitter) stays well under the A/B noise bar.
 _MEMOPS = 8000
 _ROUNDS = 6
 
 #: Acceptance bars (see docs/OBSERVABILITY.md). The enabled bar is a
-#: *relative* bound, so it had to move when the batched epoch kernel
-#: cut the untraced denominator: the absolute hook cost is unchanged
-#: (~35 ms on this workload, heap or batched), but against the faster
-#: batched run it reads ~x1.16 where the heap kernel reads ~x1.07.
+#: *relative* bound: the absolute hook cost is ~35 ms on this workload,
+#: which against the cohort kernel's untraced run reads ~x1.16.
 MAX_ENABLED_OVERHEAD = 1.25
 #: Standalone on bare metal this measures x1.00, but the two identical
 #: disabled populations carry the box's floor jitter: accumulated

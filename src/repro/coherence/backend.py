@@ -6,7 +6,7 @@ load or a store), the directory-side controller (entry format and
 transaction FSM), and the slice of the interned message vocabulary the
 home node consumes.  :class:`~repro.system.Manycore` builds a machine
 from whatever backend ``config.protocol`` names, so every harness —
-litmus, fuzz, figures, campaigns, the batched kernel — is generic over
+litmus, fuzz, figures, campaigns, trace replay — is generic over
 protocols.
 
 Registering a backend is one call::
@@ -34,9 +34,9 @@ Contract highlights (docs/PROTOCOLS.md has the full version):
   to the cache controller.  New kinds interned past
   ``messages.NUM_PROTOCOL_KINDS`` never perturb other backends'
   dispatch tables.
-* Directory entries must keep the ``sharers``-set / ``owner`` /
-  ``sharer_count`` idiom so the SoA metadata planes
-  (:mod:`repro.coherence.dir_soa`) remain a faithful mirror.
+* Directory entries keep the ``sharers``-set / ``owner`` /
+  ``sharer_count`` idiom: the invariant checker and trace-replay
+  snapshots read and restore entries through it.
 * Factories receive the exact constructor signatures of the stock
   controllers; importing controller modules is deferred into the
   factories to keep this module import-light (config validation pulls

@@ -427,7 +427,7 @@ class HybridDirectoryController(DirectoryController):
     Repurposes the ``DIR_WIRELESS`` directory state for update mode, but —
     unlike WiDir — keeps the *identities* of the members in ``entry.sharers``
     (the multicast needs them), with ``sharer_count`` mirroring the set so
-    the SoA metadata planes and the checker's W accounting stay valid.
+    the checker's W accounting and replay snapshots stay valid.
 
     Transaction types added to the base table: ``hyb_enter`` (convert the
     precise sharer set), ``hyb_join`` (grant one new member), ``hyb_write``

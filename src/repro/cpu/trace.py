@@ -1,10 +1,9 @@
 """Trace operation format shared by the workload generators and the cores.
 
-A trace is either a plain list of :class:`TraceOp` or, since the batched
-kernel work, a :class:`TraceChunk` — the same operation stream stored
-struct-of-arrays (one parallel column per field) so the core's dispatch
-loop indexes flat lists instead of walking per-op objects, and so whole
-traces export to numpy in one call. Keeping traces flat value data
+A trace is either a plain list of :class:`TraceOp` or a
+:class:`TraceChunk` — the same operation stream stored struct-of-arrays
+(one parallel column per field) so the core's dispatch loop indexes flat
+lists instead of walking per-op objects. Keeping traces flat value data
 (rather than callbacks) lets the generators be tested in isolation and
 lets one trace drive both the Baseline and the WiDir machine, which is
 what makes normalized comparisons meaningful.
@@ -73,7 +72,7 @@ def barrier(phase: int) -> TraceOp:
     return TraceOp(OP_BARRIER, arg=phase)
 
 
-#: Stable small-integer codes for the numpy export of a chunk (the string
+#: Stable small-integer codes for the on-disk trace format (the string
 #: constants stay the in-memory dispatch values — they are interned, so the
 #: core's equality tests are pointer compares).
 KIND_CODES = {OP_THINK: 0, OP_LOAD: 1, OP_STORE: 2, OP_RMW: 3, OP_BARRIER: 4}
@@ -88,10 +87,8 @@ class TraceChunk:
     diagnostics iterate a chunk and receive :class:`TraceOp` views built
     on demand, so every existing trace consumer keeps working.
 
-    Columns are plain Python lists of scalars — the hot consumer is the
-    interpreter, not numpy — with :meth:`as_arrays` exporting the whole
-    chunk as numpy columns (kinds as :data:`KIND_CODES`) for vectorized
-    analysis and the batched front end.
+    Columns are plain Python lists of scalars: the hot consumer is the
+    interpreter, not numpy.
     """
 
     __slots__ = ("kinds", "addresses", "values", "args", "blocking")
@@ -202,25 +199,6 @@ class TraceChunk:
 
     def to_ops(self) -> List[TraceOp]:
         return list(self)
-
-    def as_arrays(self):
-        """Export the chunk as numpy columns (requires numpy).
-
-        Returns a dict with ``kinds`` (int8 :data:`KIND_CODES`),
-        ``addresses``/``values``/``args`` (int64) and ``blocking`` (bool).
-        """
-        import numpy as np
-
-        codes = KIND_CODES
-        return {
-            "kinds": np.fromiter(
-                (codes[k] for k in self.kinds), dtype=np.int8, count=len(self.kinds)
-            ),
-            "addresses": np.asarray(self.addresses, dtype=np.int64),
-            "values": np.asarray(self.values, dtype=np.int64),
-            "args": np.asarray(self.args, dtype=np.int64),
-            "blocking": np.asarray(self.blocking, dtype=np.bool_),
-        }
 
 
 #: Either trace representation, accepted by ``Core.run_trace``.

@@ -1,18 +1,18 @@
-"""Batched epoch scheduling: the cohort (calendar) event queue.
+"""The cohort (calendar) event queue behind :class:`~repro.engine.simulator.Simulator`.
 
-The heap-based :class:`~repro.engine.events.EventQueue` pays an O(log n)
-tuple-compare push *and* pop per event. Profiles of full runs show the
-overwhelming majority of events are scheduled a short, bounded distance
-into the future (L1 hit latencies, mesh hops, memory round trips, tone
-windows), which is the textbook calendar-queue regime: keep a ring of
-per-cycle *cohort* buckets and drain each cycle's cohort as one list walk.
+Profiles of full runs show the overwhelming majority of events are
+scheduled a short, bounded distance into the future (L1 hit latencies,
+mesh hops, memory round trips, tone windows), which is the textbook
+calendar-queue regime: keep a ring of per-cycle *cohort* buckets and drain
+each cycle's cohort as one list walk, instead of paying an O(log n) heap
+push and pop per event.
 
-Ordering is **exactly** the heap's ``(time, seq)`` total order, which is
-what makes the batched kernel digest-identical to the heap kernel:
+Events fire in the ``(time, seq)`` total order, where ``seq`` is the
+schedule order:
 
 * Within one bucket, events append in ``seq`` order (appends happen in
-  schedule order and ``seq`` is monotonic), so a list walk *is* the heap
-  order for that cycle.
+  schedule order and ``seq`` is monotonic), so a list walk *is* that
+  order for the cycle.
 * Events scheduled beyond the ring window land in a spill heap keyed by
   ``(time, seq)``. For any cycle T there is a single crossover: while T is
   outside the window every schedule for T spills, and once the window
@@ -21,20 +21,18 @@ what makes the batched kernel digest-identical to the heap kernel:
   ``seq``, so pulling the spill (heap-ordered) into the bucket *before*
   later appends preserves the total order.
 * An event scheduled for the *current* cycle during that cycle's drain
-  appends to the bucket being walked and is picked up by the same walk —
-  the "same-cycle cohort drains in one pass without re-entering the heap"
-  property the batched kernel exists for.
+  appends to the bucket being walked and is picked up by the same walk.
 
-The queue exposes the same observable surface the simulator needs
-(``schedule``, ``__len__``, ``peek_time``, ``pop``) so tests and
-diagnostics treat both kernels alike.
+The ring base never passes the simulator's clock, so every schedulable
+cycle in ``[base, base + window)`` owns a distinct bucket.
+:meth:`Simulator.run <repro.engine.simulator.Simulator.run>` walks the
+buckets directly; this class holds the storage and the window advance.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.engine.errors import SimulationError
 from repro.engine.events import Event
@@ -45,45 +43,9 @@ from repro.engine.events import Event
 #: back as the window advances.
 COHORT_WINDOW = 4096
 
-_ENV_FLAG = "REPRO_BATCHED_KERNEL"
-_FALSY = ("0", "false", "off", "no")
-
-
-def _env_default() -> bool:
-    raw = os.environ.get(_ENV_FLAG)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSY
-
-
-#: Process-wide default for new :class:`~repro.engine.simulator.Simulator`
-#: instances. The batched kernel is bit-identical to the heap kernel (see
-#: tests/test_batch_kernel.py and the golden digests), so it defaults on;
-#: ``REPRO_BATCHED_KERNEL=0`` or :func:`set_batched_default` force the heap
-#: path (the A/B baseline for benchmarks and the digest-neutrality suite).
-_batched_default = _env_default()
-
-
-def batched_default() -> bool:
-    """Whether new simulators use the cohort queue (module docstring)."""
-    return _batched_default
-
-
-def set_batched_default(enabled: bool) -> bool:
-    """Set the process-wide kernel choice; returns the previous value."""
-    global _batched_default
-    previous = _batched_default
-    _batched_default = bool(enabled)
-    return previous
-
 
 class CohortQueue:
-    """Cycle-bucketed event queue with heap-identical ordering.
-
-    Drop-in for :class:`~repro.engine.events.EventQueue` as far as the
-    simulator is concerned; the drain loop in ``Simulator.run`` walks the
-    buckets directly (mirroring how it walks the heap directly).
-    """
+    """Cycle-bucketed event storage: a ring of cohorts plus a spill heap."""
 
     __slots__ = (
         "_buckets",
@@ -106,11 +68,12 @@ class CohortQueue:
         #: Events whose cycle lies at or beyond ``_horizon``.
         self._spill: List[Tuple[int, int, Event]] = []
         self._seq = 0
+        #: Queued events, cancelled ones included until they are reclaimed.
         self._live = 0
-        #: Live events currently resident in the ring (excludes spill).
+        #: Events currently resident in the ring (excludes spill).
         self._ring_live = 0
         #: Smallest cycle the ring can currently represent. Advanced by the
-        #: simulator's drain loop (never rewound).
+        #: simulator's drain loop, never past its clock (never rewound).
         self._base = 0
         #: ``_base + _window``, maintained as one field so the schedule hot
         #: path tests a single attribute.
@@ -118,27 +81,6 @@ class CohortQueue:
 
     def __len__(self) -> int:
         return self._live
-
-    # ------------------------------------------------------------- schedule
-
-    def schedule(self, time: int, callback: Callable[[], None]) -> Event:
-        """Enqueue ``callback`` at absolute cycle ``time`` (seq-ordered)."""
-        seq = self._seq
-        event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        self._seq = seq + 1
-        self._live += 1
-        if time < self._horizon:
-            self._buckets[time & self._mask].append(event)
-            self._ring_live += 1
-        else:
-            heapq.heappush(self._spill, (time, seq, event))
-        return event
-
-    # ------------------------------------------------------------ advancing
 
     def advance_base(self, base: int) -> None:
         """Move the ring window to ``[base, base + window)``.
@@ -162,69 +104,3 @@ class CohortQueue:
             buckets[event.time & mask].append(event)
             pulled += 1
         self._ring_live += pulled
-
-    def next_event_time(self, start: int, bound: Optional[int] = None) -> Optional[int]:
-        """Cycle of the next live event at or after ``start``.
-
-        Scans the ring from ``start`` (bounded by occupancy and the spill
-        head) and considers the spill heap; returns None when empty or when
-        the next event lies beyond ``bound``.
-        """
-        self._drop_dead_spill()
-        spill_head = self._spill[0][0] if self._spill else None
-        if self._ring_live:
-            buckets = self._buckets
-            mask = self._mask
-            limit = self._horizon
-            cycle = start
-            while cycle < limit:
-                if bound is not None and cycle > bound:
-                    return None
-                if spill_head is not None and spill_head <= cycle:
-                    break  # pull the spill before walking further
-                bucket = buckets[cycle & mask]
-                if bucket:
-                    for event in bucket:
-                        if not event.cancelled:
-                            return cycle
-                    # Entire cohort cancelled: reclaim the bucket now.
-                    self._live -= len(bucket)
-                    self._ring_live -= len(bucket)
-                    del bucket[:]
-                cycle += 1
-        if spill_head is None:
-            return None
-        if bound is not None and spill_head > bound:
-            return None
-        return spill_head
-
-    def _drop_dead_spill(self) -> None:
-        spill = self._spill
-        while spill and spill[0][2].cancelled:
-            heapq.heappop(spill)
-            self._live -= 1
-
-    # ----------------------------------------------- EventQueue-compat API
-
-    def peek_time(self) -> Optional[int]:
-        """Cycle of the next live event, or None (EventQueue-compatible)."""
-        return self.next_event_time(self._base)
-
-    def pop(self) -> Event:
-        """Remove and return the next live event (EventQueue-compatible).
-
-        Used by diagnostics and tests, not by the batched drain loop (which
-        walks whole cohorts in place).
-        """
-        time = self.peek_time()
-        if time is None:
-            raise SimulationError("pop() on an empty event queue")
-        self.advance_base(time)
-        bucket = self._buckets[time & self._mask]
-        while bucket:
-            event = bucket.pop(0)
-            self._live -= 1
-            self._ring_live -= 1
-            if not event.cancelled and event.time == time:
-                return event
-        raise SimulationError("pop() on an empty event queue")  # pragma: no cover

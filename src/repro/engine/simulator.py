@@ -8,47 +8,44 @@ how the wireless channel latencies are expressed).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
-from repro.engine.batch import CohortQueue, batched_default
+from repro.engine.batch import CohortQueue
 from repro.engine.errors import SimulationError
-from repro.engine.events import Event, EventQueue
+from repro.engine.events import Event
 from repro.engine.rng import DeterministicRng
 
 
 class Simulator:
     """Owns the clock, the event queue, and the root RNG.
 
+    Callbacks run in ``(time, seq)`` order: by cycle, and by schedule
+    order within a cycle. The queue is the cohort (calendar) queue of
+    :mod:`repro.engine.batch`.
+
     Parameters
     ----------
     seed:
         Root seed from which all component RNG streams are split.
-    batched:
-        Select the event-queue kernel: True for the cohort (calendar)
-        queue of :mod:`repro.engine.batch`, False for the classic binary
-        heap, None (default) for the process-wide default
-        (:func:`repro.engine.batch.batched_default`). The two kernels
-        execute callbacks in exactly the same ``(time, seq)`` order, so
-        simulated behaviour — and therefore every golden digest — is
-        identical either way; only wall-clock differs.
     """
 
-    def __init__(self, seed: int = 0, batched: Optional[bool] = None) -> None:
-        if batched is None:
-            batched = batched_default()
-        self.batched = batched
-        self.queue = CohortQueue() if batched else EventQueue()
+    #: Always True: the cohort queue is the only kernel. Kept so result
+    #: provenance that reports the kernel still reads it.
+    batched = True
+
+    def __init__(self, seed: int = 0) -> None:
+        self.queue = CohortQueue()
         self.now = 0
         self.rng = DeterministicRng(seed)
         self._events_executed = 0
         self._stopped = False
-        #: Callbacks invoked after :meth:`run` fully drains the queue (the
-        #: heap is empty — not on an ``until`` bound or a :meth:`stop`).
-        #: Hooks must not schedule new events; they are for end-of-run
-        #: bookkeeping (e.g. the observability orphan-span audit + final
-        #: counter sample). The list is empty by default and costs one
-        #: truthiness test per :meth:`run` return.
+        #: Callbacks invoked after :meth:`run` fully drains the queue (not
+        #: on an ``until`` bound or a :meth:`stop`). Hooks must not
+        #: schedule new events; they are for end-of-run bookkeeping (e.g.
+        #: the observability orphan-span audit + final counter sample).
+        #: The list is empty by default and costs one truthiness test per
+        #: :meth:`run` return.
         self.drain_hooks: List[Callable[[], None]] = []
 
     @property
@@ -58,7 +55,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) events still queued.
+        """Events still queued (cancelled ones count until reclaimed).
 
         Periodic observers (e.g. the online invariant checker) use this to
         decide whether to re-arm: a self-rescheduling event would otherwise
@@ -69,10 +66,9 @@ class Simulator:
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
         """Run ``callback`` ``delay`` cycles from now (delay >= 0).
 
-        The event creation and queue insert are inlined for both kernels
-        (mirroring :meth:`EventQueue.schedule` / :meth:`CohortQueue.schedule`
-        exactly): scheduling is the most-called operation in the kernel and
-        the extra call frame was measurable.
+        The event creation and queue insert are inlined (``Event.__init__``
+        bypassed, no helper call): scheduling is the most-called operation
+        in the kernel and the extra call frames were measurable.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -86,21 +82,17 @@ class Simulator:
         event.cancelled = False
         queue._seq = seq + 1
         queue._live += 1
-        if self.batched:
-            if time < queue._horizon:
-                queue._buckets[time & queue._mask].append(event)
-                queue._ring_live += 1
-            else:
-                heapq.heappush(queue._spill, (time, seq, event))
+        if time < queue._horizon:
+            queue._buckets[time & queue._mask].append(event)
+            queue._ring_live += 1
         else:
-            heapq.heappush(queue._heap, (time, seq, event))
+            heappush(queue._spill, (time, seq, event))
         return event
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute cycle ``time`` (time >= now).
 
-        Inlined like :meth:`schedule`; the ordering and sequence-number
-        semantics are identical to ``EventQueue.schedule``.
+        Inlined like :meth:`schedule`, with the same ordering semantics.
         """
         if time < self.now:
             raise SimulationError(
@@ -115,14 +107,11 @@ class Simulator:
         event.cancelled = False
         queue._seq = seq + 1
         queue._live += 1
-        if self.batched:
-            if time < queue._horizon:
-                queue._buckets[time & queue._mask].append(event)
-                queue._ring_live += 1
-            else:
-                heapq.heappush(queue._spill, (time, seq, event))
+        if time < queue._horizon:
+            queue._buckets[time & queue._mask].append(event)
+            queue._ring_live += 1
         else:
-            heapq.heappush(queue._heap, (time, seq, event))
+            heappush(queue._spill, (time, seq, event))
         return event
 
     def stop(self) -> None:
@@ -132,112 +121,40 @@ class Simulator:
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drain the event queue; return the final cycle.
 
-        This is the hottest loop in the simulator (profiles put it and the
-        queue operations above 40% of total time for a full run), so it
-        works on the queue's heap directly instead of going through
-        ``peek_time()``/``pop()``: one inline tombstone scan serves both
-        the peek and the pop, and events sharing the current cycle drain in
-        a tight inner loop that skips the redundant ``until`` re-check.
-        Ordering is identical to the method-call path — the heap is ordered
-        by ``(time, seq)`` either way — so determinism is unaffected.
+        Each iteration advances the clock to the next cycle holding a live
+        event and drains that cycle's *entire cohort* as one list walk,
+        including events the cohort schedules for its own cycle: they
+        append to the bucket being walked and the same pass picks them up.
+        This is the hottest loop in the simulator, so it works on the
+        queue's buckets directly.
 
         Parameters
         ----------
         until:
             Stop once the next event lies strictly beyond this cycle. The
-            clock is left at ``until`` in that case.
+            clock is left at ``until`` in that case. Must not be earlier
+            than the current cycle.
         max_events:
             Safety valve for tests: raise :class:`SimulationError` *before*
             executing event ``max_events + 1`` in this call, i.e. at most
             ``max_events`` callbacks run (a runaway protocol loop otherwise
             spins forever).
         """
-        if self.batched:
-            return self._run_batched(until, max_events)
-        executed_here = 0
-        self._stopped = False
-        queue = self.queue
-        heap = queue._heap  # the list object is stable for the queue's life
-        heappop = heapq.heappop
-        if until is None and max_events is None:
-            # Fast path for the common full-drain call: no bound checks
-            # inside the loop. Semantics are identical to the general loop
-            # below with both bounds absent.
-            while not self._stopped:
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                    queue._live -= 1
-                if not heap:
-                    break
-                now = heap[0][0]
-                self.now = now
-                while heap and heap[0][0] == now and not self._stopped:
-                    event = heappop(heap)[2]
-                    queue._live -= 1
-                    if event.cancelled:
-                        continue
-                    event.callback()
-                    self._events_executed += 1
-            if self.drain_hooks and not heap:
-                for hook in self.drain_hooks:
-                    hook()
-            return self.now
-        while not self._stopped:
-            # Inline dead-head skip: one scan where peek_time()+pop() did two.
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-                queue._live -= 1
-            if not heap:
-                break
-            now = heap[0][0]
-            if until is not None and now > until:
-                self.now = until
-                break
-            self.now = now
-            # Batch-drain every event of the current cycle: the ``until``
-            # bound cannot trip again until the clock advances.
-            while heap and heap[0][0] == now and not self._stopped:
-                event = heappop(heap)[2]
-                queue._live -= 1
-                if event.cancelled:
-                    continue
-                if max_events is not None and executed_here >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "likely a livelocked protocol transaction"
-                    )
-                event.callback()
-                self._events_executed += 1
-                executed_here += 1
-        if self.drain_hooks and not heap:
-            for hook in self.drain_hooks:
-                hook()
-        return self.now
-
-    def _run_batched(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """The cohort-queue drain: same semantics as the heap loop above.
-
-        Each iteration advances the clock to the next occupied cycle and
-        drains that cycle's *entire cohort* as one list walk — including
-        events the cohort schedules for its own cycle, which append to the
-        bucket being walked and are picked up by the same pass. No heap is
-        re-entered per event; ordering is the identical ``(time, seq)``
-        total order (see :mod:`repro.engine.batch`), so simulated behaviour
-        matches the heap kernel bit for bit.
-        """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until cycle {until}, already at cycle {self.now}"
+            )
         executed_here = 0
         self._stopped = False
         queue = self.queue
         buckets = queue._buckets
         mask = queue._mask
         spill = queue._spill
-        heappop = heapq.heappop
         cycle = self.now
         half_window = queue._window >> 1
         adv_at = queue._base + half_window
         while not self._stopped:
-            # ---- locate the next cycle holding a live event (inline scan;
-            # ---- the method-call version lives on CohortQueue for tests).
+            # ---- locate the next cycle holding a queued event.
             if queue._ring_live:
                 limit = queue._horizon
                 while cycle < limit and not buckets[cycle & mask]:
@@ -251,21 +168,23 @@ class Simulator:
                     heappop(spill)
                     queue._live -= 1
                 if not spill:
-                    break  # fully drained; the clock stays, like the heap path
+                    break  # fully drained; the clock stays at the last event
                 cycle = spill[0][0]
+                # Check the bound before moving the ring: the base must
+                # never pass the clock, or later schedules would alias.
+                if until is not None and cycle > until:
+                    self.now = until
+                    break
                 queue.advance_base(cycle)
                 adv_at = cycle + half_window
                 continue  # spill pulled into the ring; rescan from its cycle
             bucket = buckets[cycle & mask]
-            # Tombstone-only cohorts must not advance the clock (the heap
-            # path pops dead heads before reading ``now``): reclaim and move
-            # on without touching ``self.now``.
-            live_at = -1
-            for i, event in enumerate(bucket):
+            # Tombstone-only cohorts must not advance the clock: reclaim
+            # and move on without touching ``self.now``.
+            for event in bucket:
                 if not event.cancelled:
-                    live_at = i
                     break
-            if live_at < 0:
+            else:
                 dead = len(bucket)
                 queue._live -= dead
                 queue._ring_live -= dead
@@ -282,8 +201,7 @@ class Simulator:
                 # (spill times always lie at/beyond the pre-advance horizon).
                 queue.advance_base(cycle)
                 adv_at = cycle + half_window
-            now = cycle
-            self.now = now
+            self.now = cycle
             # ---- drain the whole cohort in one pass. The bound is re-read
             # ---- each step so same-cycle appends made by callbacks extend
             # ---- the current pass instead of re-entering any queue.

@@ -7,7 +7,7 @@ Three execution shapes, one harvest:
   refill is synchronous — no event is scheduled, no time passes — so the
   event sequence is *identical* to a live ``run_app`` of the same ops,
   and the result digest matches the generator-driven run bit for bit
-  (the golden tests lock this across both kernels and every backend).
+  (the golden tests lock this for every backend).
 
 * **Segmented** (``snapshot_every > 0``): the trace is cut into
   barrier-safe windows of roughly that many chunks per core (see

@@ -8,7 +8,7 @@ keeps everything MAC-independent — the pending queue, selective jamming,
 the serialization-point commit, broadcast delivery — and delegates every
 contention decision to the :class:`MacState` built from whatever backend
 ``config.mac`` names, so every harness (litmus, fuzz, figures, campaigns,
-both simulation kernels) is generic over MACs exactly as it is over
+trace replay) is generic over MACs exactly as it is over
 coherence protocols (:mod:`repro.coherence.backend`, whose registry shape
 this module mirrors via :class:`repro.config.registry.Registry`).
 
@@ -302,9 +302,7 @@ class BrsMacState(MacState):
         Per-request behaviour (failure bump, per-node RNG draw, obs events
         in collision→backoff order) is identical to calling :meth:`nack`
         on each request; the header constant, backoff table, and clock are
-        fetched once for the cohort instead of per loser — the form both
-        simulation kernels share, so the heap and batched kernels stay
-        digest-identical.
+        fetched once for the cohort instead of per loser.
         """
         channel = self.channel
         now = channel.sim.now

@@ -3,8 +3,8 @@
 Time is divided into contention slots of ``preamble + collision_detect``
 cycles. At each slot boundary every ready contender independently
 transmits with probability ``WirelessConfig.csma_persistence`` (drawn
-from one dedicated labelled RNG split, in queue order, so both simulation
-kernels draw identically). Zero transmitters waste the slot; exactly one
+from one dedicated labelled RNG split, in queue order, so the draws are
+reproducible). Zero transmitters waste the slot; exactly one
 seizes the medium for the full frame; two or more collide and fall back
 to the same per-node exponential :class:`~repro.wireless.mac.BackoffPolicy`
 the BRS MAC uses (``uses_backoff=True`` — the fuzz backoff scrambler and

@@ -193,8 +193,7 @@ def iter_core_trace_chunks(
     ``Core.run_trace(chunk_source=...)``. The underlying stream is the
     *same* :func:`build_core_trace` output — sliced, not re-generated —
     so a recorded trace is op-for-op identical to the live generator on
-    every kernel and every protocol backend (the replay golden-digest
-    tests lock this). Memory here is O(one core's trace); the written
+    every protocol backend (the replay golden-digest tests lock this). Memory here is O(one core's trace); the written
     file is then replayable in O(chunk).
     """
     chunk = build_core_trace(profile, core, num_cores, memops, seed)

@@ -3,82 +3,88 @@
 import pytest
 
 from repro.engine.errors import SimulationError
-from repro.engine.events import EventQueue
 from repro.engine.simulator import Simulator
 
 
-class TestEventQueue:
-    def test_empty_queue_has_no_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        assert len(q) == 0
+class TestEventOrder:
+    def test_empty_run_keeps_clock_at_zero(self):
+        sim = Simulator()
+        assert sim.run() == 0
+        assert sim.pending_events == 0
 
-    def test_pop_empty_raises(self):
-        q = EventQueue()
-        with pytest.raises(SimulationError):
-            q.pop()
+    def test_run_on_drained_queue_is_a_no_op(self):
+        sim = Simulator()
+        sim.schedule(4, lambda: None)
+        assert sim.run() == 4
+        assert sim.run() == 4
+        assert sim.events_executed == 1
 
-    def test_events_pop_in_time_order(self):
-        q = EventQueue()
+    def test_events_fire_in_time_order(self):
+        sim = Simulator()
         fired = []
-        q.schedule(30, lambda: fired.append(30))
-        q.schedule(10, lambda: fired.append(10))
-        q.schedule(20, lambda: fired.append(20))
-        while len(q):
-            q.pop().callback()
+        sim.schedule(30, lambda: fired.append(30))
+        sim.schedule(10, lambda: fired.append(10))
+        sim.schedule(20, lambda: fired.append(20))
+        sim.run()
         assert fired == [10, 20, 30]
 
     def test_same_cycle_events_fire_in_schedule_order(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
         for i in range(10):
-            q.schedule(5, lambda i=i: fired.append(i))
-        while len(q):
-            q.pop().callback()
+            sim.schedule(5, lambda i=i: fired.append(i))
+        sim.run()
         assert fired == list(range(10))
 
     def test_cancelled_event_is_skipped(self):
-        q = EventQueue()
-        event = q.schedule(1, lambda: pytest.fail("cancelled event ran"))
-        keep = q.schedule(2, lambda: None)
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1, lambda: pytest.fail("cancelled event ran"))
+        sim.schedule(2, lambda: fired.append(sim.now))
         event.cancel()
-        assert q.pop() is keep
+        sim.run()
+        assert fired == [2]
 
     def test_cancel_updates_live_count(self):
-        q = EventQueue()
-        event = q.schedule(1, lambda: None)
-        q.schedule(2, lambda: None)
+        sim = Simulator()
+        event = sim.schedule(1, lambda: None)
+        sim.schedule(2, lambda: None)
         event.cancel()
-        assert q.peek_time() == 2
-        assert len(q) == 1
+        sim.run(until=1)  # the drain reclaims the dead cycle-1 cohort
+        assert sim.pending_events == 1
 
-    def test_peek_time_returns_earliest(self):
-        q = EventQueue()
-        q.schedule(7, lambda: None)
-        q.schedule(3, lambda: None)
-        assert q.peek_time() == 3
+    def test_earliest_event_sets_clock_first(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(7, lambda: None)
+        sim.schedule(3, lambda: seen.append(sim.now))
+        sim.run(until=3)
+        assert seen == [3]
+        assert sim.now == 3
 
-    def test_cancel_at_head_between_peek_and_pop(self):
-        """Regression: cancelling the head *after* peek_time() must not let
-        pop() hand back the tombstone."""
-        q = EventQueue()
-        head = q.schedule(1, lambda: pytest.fail("cancelled head ran"))
-        keep = q.schedule(1, lambda: None)
-        assert q.peek_time() == 1  # head is still live at peek time
-        head.cancel()  # a same-cycle callback cancels the head
-        popped = q.pop()
-        assert popped is keep
-        assert not popped.cancelled
+    def test_cancel_at_head_between_runs(self):
+        """Cancelling the next event after a bounded run stopped in front
+        of it must not let the next run execute the tombstone."""
+        sim = Simulator()
+        fired = []
+        head = sim.schedule(1, lambda: pytest.fail("cancelled head ran"))
+        sim.schedule(1, lambda: fired.append("keep"))
+        sim.run(until=0)  # head is still live here
+        head.cancel()
+        sim.run()
+        assert fired == ["keep"]
+        assert sim.events_executed == 1
 
-    def test_pop_skips_runs_of_tombstones(self):
-        q = EventQueue()
-        dead = [q.schedule(t, lambda: None) for t in (1, 2, 3)]
-        keep = q.schedule(4, lambda: None)
+    def test_run_skips_runs_of_tombstones(self):
+        sim = Simulator()
+        fired = []
+        dead = [sim.schedule(t, lambda: pytest.fail("dead ran")) for t in (1, 2, 3)]
+        sim.schedule(4, lambda: fired.append(sim.now))
         for event in dead:
             event.cancel()
-        assert q.pop() is keep
-        with pytest.raises(SimulationError):
-            q.pop()
+        assert sim.run() == 4
+        assert fired == [4]
+        assert sim.pending_events == 0
 
 
 class TestSimulator:
@@ -100,6 +106,14 @@ class TestSimulator:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(3, lambda: None)
+
+    def test_run_until_in_the_past_rejected(self):
+        sim = Simulator()
+        sim.schedule(5, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.run(until=3)
+        assert sim.now == 5
 
     def test_callbacks_can_schedule_more_events(self):
         sim = Simulator()
@@ -171,7 +185,7 @@ class TestSimulator:
 
     def test_cancel_within_same_cycle_batch(self):
         """A callback cancelling a later event of the *same* cycle must
-        suppress it even inside the batched drain."""
+        suppress it even inside the cohort drain."""
         sim = Simulator()
         fired = []
         holder = {}
