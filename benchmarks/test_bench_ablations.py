@@ -13,8 +13,10 @@ from dataclasses import replace
 
 from repro.config.presets import widir_config
 from repro.config.system import DirectoryConfig, WirelessConfig
-from repro.harness.runner import run_app
+from repro.harness.runner import build_machine, drive, run_app
 from repro.stats.report import format_table
+from repro.workloads.generator import build_traces
+from repro.workloads.profiles import APP_PROFILES
 
 APP = "radiosity"
 CORES = 32
@@ -64,24 +66,17 @@ def test_bench_ablation_jamming_precision(benchmark):
         rows = []
         for bits, label in ((None, "exact"), (8, "8-bit match"), (4, "4-bit match")):
             config = widir_config(num_cores=CORES)
-            from repro.system import Manycore  # local to keep setup together
-            from repro.cpu.core import Core
-            from repro.cpu.sync import PhaseBarrier
-            from repro.workloads.generator import build_traces
-            from repro.workloads.profiles import APP_PROFILES
-
-            machine = Manycore(config)
+            machine, cores, _ = build_machine(config)
             if machine.wireless is not None:
                 machine.wireless.jam_address_bits = bits
-            barrier = PhaseBarrier(CORES)
             traces = build_traces(APP_PROFILES[APP], CORES, MEMOPS, 0)
-            cores = [
-                Core(machine.sim, n, machine.caches[n], config, machine.stats, barrier)
-                for n in range(CORES)
-            ]
-            for n, core in enumerate(cores):
-                core.run_trace(traces[n])
-            machine.run(max_events=600_000_000)
+            drive(
+                machine,
+                cores,
+                [(trace, None) for trace in traces],
+                sum(len(trace) for trace in traces),
+                label,
+            )
             rows.append(
                 [
                     label,

@@ -60,7 +60,6 @@ from repro.config.presets import protocol_config
 from repro.harness import figures as figure_functions
 from repro.harness.executor import Executor
 from repro.harness.motivation import section2c_sharing_probe
-from repro.harness.results_io import result_to_dict
 from repro.wireless.mac import mac_names
 from repro.workloads.profiles import ALL_APPS, APP_PROFILES
 
@@ -1050,7 +1049,7 @@ def _cmd_sim_run(args: argparse.Namespace) -> int:
     )
     result = _executor_from(args).run(args.app, config, args.memops)
     if args.json:
-        print(json.dumps(result_to_dict(result), indent=2, sort_keys=True))
+        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return 0
     print(f"{args.app} on {args.protocol} @ {args.cores} cores")
     print(f"  cycles            : {result.cycles:,}")
@@ -1498,9 +1497,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
             expect_trace_id=args.expect_trace_id,
         )
         if args.json:
-            print(
-                json.dumps(result_to_dict(result), indent=2, sort_keys=True)
-            )
+            print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
             return 0
         print(
             f"{result.app} replayed on {args.protocol}: "

@@ -26,7 +26,6 @@ from repro.harness.executor import (
     run_key,
 )
 from repro.harness.report_gen import generate_report
-from repro.harness.results_io import load_results, save_results
 from repro.harness.sweeps import (
     sweep_core_counts,
     sweep_protocols,
@@ -104,8 +103,6 @@ __all__ = [
     "run_distributed",
     "run_key",
     "generate_report",
-    "load_results",
-    "save_results",
     "sweep_core_counts",
     "sweep_protocols",
     "sweep_thresholds",

@@ -227,9 +227,8 @@ class CampaignSpec:
         Shard boundaries come from the barrier-safe planner over the
         trace's footer index — a pure function of the file and
         ``trace_shards`` — so a resumed (or distributed) campaign
-        recomputes the identical matrix. The per-shard runs are replayed
-        cold and merge via
-        :func:`repro.traces.sharding.merge_window_results`.
+        recomputes the identical matrix. Each shard window is replayed
+        cold and kept as its own result, labelled ``…/shardNNN``.
         """
         from repro.traces.format import TraceReader
         from repro.traces.sharding import plan_windows

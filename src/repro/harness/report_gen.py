@@ -1,9 +1,10 @@
 """Markdown report generation from saved sweep results.
 
 Turns a dictionary of labelled :class:`~repro.harness.runner.SimulationResult`
-objects (from :mod:`repro.harness.sweeps` or :mod:`repro.harness.results_io`)
-into a self-contained Markdown report with the same sections EXPERIMENTS.md
-uses: headline speedups, MPKI comparisons, wireless activity, and energy.
+objects (from :mod:`repro.harness.sweeps`, or loaded back with
+:meth:`~repro.harness.runner.SimulationResult.from_dict`) into a
+self-contained Markdown report with the same sections EXPERIMENTS.md uses:
+headline speedups, MPKI comparisons, wireless activity, and energy.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 """Run one application on one machine and collect everything.
 
-``run_app`` assembles a :class:`~repro.system.Manycore`, synthesizes the
-application's traces, attaches cores, runs to completion, validates the
-coherence invariants, and folds the statistics into a
-:class:`SimulationResult`. ``run_pair`` runs the same traces on the Baseline
+Every simulation, live or replayed, goes through :func:`execute`:
+:func:`build_machine` assembles a :class:`~repro.system.Manycore` with one
+core per node, :func:`drive` attaches each core's trace source and runs to
+completion under one event budget, the coherence invariants are validated,
+and :func:`harvest` folds the statistics into a :class:`SimulationResult`.
+A live run and a replay differ only in their per-core sources: ``run_app``
+synthesizes the application's traces, :mod:`repro.traces.replay` streams
+them from a trace file. ``run_pair`` runs the same traces on the Baseline
 and the WiDir machine so normalized comparisons share a reference stream.
 """
 
@@ -11,25 +15,36 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.coherence.dir_controller import SHARER_BINS
 from repro.config.presets import baseline_config, widir_config
 from repro.config.system import SystemConfig
 from repro.cpu.core import Core
 from repro.cpu.sync import PhaseBarrier
+from repro.cpu.trace import TraceChunk
 from repro.energy.models import EnergyBreakdown, EnergyModel
 from repro.engine.errors import SimulationError
+from repro.noc.mesh import HOP_BINS
 from repro.stats.collectors import Histogram
 from repro.system import Manycore
 from repro.workloads.generator import build_traces
-from repro.workloads.profiles import APP_PROFILES, AppProfile
+from repro.workloads.profiles import resolve_profile
 
 #: Default memory references per core per run; override with the
 #: REPRO_MEMOPS environment variable to trade accuracy for speed.
 DEFAULT_MEMOPS = int(os.environ.get("REPRO_MEMOPS", "1500"))
 
-#: Event-count backstop so a harness bug fails fast instead of spinning.
-MAX_EVENTS_PER_MEMOP = 600
+#: Event-count backstop per trace record, so a harness bug fails fast
+#: instead of spinning. The floor gives an (almost) empty trace, such as
+#: a zero-memop run or a short replay segment, a workable budget.
+MAX_EVENTS_PER_RECORD = 600
+_MIN_EVENT_BUDGET = 10_000
+
+#: One core's trace as :meth:`Core.run_trace` takes it: the first chunk
+#: and a callable pulling the next one (``None`` once the stream ends),
+#: or ``None`` in place of the callable when the first chunk is all.
+Source = Tuple[TraceChunk, Optional[Callable[[], Optional[TraceChunk]]]]
 
 
 class SimulationResult:
@@ -83,8 +98,9 @@ class SimulationResult:
         Round-tripping through :meth:`from_dict` reproduces a result whose
         ``to_dict()`` output is byte-identical (ints and strings are exact;
         floats survive JSON via ``repr`` round-tripping) — the contract the
-        experiment executor's on-disk memoization relies on. The legacy
-        human-oriented format lives in :mod:`repro.harness.results_io`.
+        experiment executor's on-disk memoization relies on. It is also the
+        one JSON form results leave the process in: the executor cache,
+        campaign journals, the result store and the CLI's ``--json``.
         """
         return {
             "app": self.app,
@@ -109,8 +125,6 @@ class SimulationResult:
     @classmethod
     def from_dict(cls, payload: Dict) -> "SimulationResult":
         """Reconstruct a result saved by :meth:`to_dict`."""
-        from repro.energy.models import EnergyBreakdown as _EnergyBreakdown
-
         return cls(
             app=payload["app"],
             config=SystemConfig.from_dict(payload["config"]),
@@ -126,7 +140,7 @@ class SimulationResult:
             sharer_histogram=dict(payload["sharer_histogram"]),
             hop_histogram=dict(payload["hop_histogram"]),
             collision_probability=payload["collision_probability"],
-            energy=_EnergyBreakdown(**payload["energy"]),
+            energy=EnergyBreakdown(**payload["energy"]),
             stats_counters=dict(payload["stats_counters"]),
             # Tolerate caches written before the histogram existed.
             latency_histogram=dict(payload.get("latency_histogram", {})),
@@ -190,83 +204,63 @@ class SimulationResult:
         return percentile_summary(Histogram.from_dict(self.latency_histogram))
 
 
-def _resolve_profile(app) -> AppProfile:
-    if isinstance(app, AppProfile):
-        return app
-    try:
-        return APP_PROFILES[app]
-    except KeyError:
-        raise KeyError(
-            f"unknown application {app!r}; known apps: {sorted(APP_PROFILES)}"
-        ) from None
-
-
-def run_app(
-    app,
-    config: SystemConfig,
-    memops_per_core: Optional[int] = None,
-    trace_seed: int = 0,
-    check: bool = True,
-    machine_sink: Optional[List] = None,
-) -> SimulationResult:
-    """Run one application to completion on one machine.
-
-    ``machine_sink``, if given, receives the :class:`Manycore` instance so
-    callers that need post-run access to live machine state (the trace CLI
-    exporting an observability capture) can retrieve it without changing
-    the return type.
-    """
-    profile = _resolve_profile(app)
-    memops = memops_per_core if memops_per_core is not None else DEFAULT_MEMOPS
+def build_machine(config: SystemConfig) -> Tuple[Manycore, List[Core], PhaseBarrier]:
+    """A fresh machine with one idle core per node, sharing one barrier."""
     machine = Manycore(config)
-    if machine_sink is not None:
-        machine_sink.append(machine)
     barrier = PhaseBarrier(config.num_cores)
-    traces = build_traces(profile, config.num_cores, memops, trace_seed)
+    cores = [
+        Core(machine.sim, node, machine.caches[node], config, machine.stats, barrier)
+        for node in range(config.num_cores)
+    ]
+    return machine, cores, barrier
 
-    cores: List[Core] = []
-    finished = {"count": 0}
+
+def drive(
+    machine: Manycore,
+    cores: Sequence[Core],
+    sources: Iterable[Source],
+    records: int,
+    label: str,
+) -> None:
+    """Run every core through its source until the event queue drains.
+
+    ``records`` is the number of trace records the sources hold; the run
+    may execute ``MAX_EVENTS_PER_RECORD`` events per record. Raises
+    :class:`SimulationError` naming the cores that did not finish.
+    """
+    finished = [0]
 
     def on_finish(_core: Core) -> None:
-        finished["count"] += 1
+        finished[0] += 1
 
-    for node in range(config.num_cores):
-        core = Core(
-            machine.sim, node, machine.caches[node], config, machine.stats, barrier
-        )
-        cores.append(core)
-        core.run_trace(traces[node], on_finish)
-
-    budget = MAX_EVENTS_PER_MEMOP * memops * config.num_cores
+    for core, (first, pull) in zip(cores, sources):
+        core.run_trace(first, on_finish, chunk_source=pull)
+    budget = max(_MIN_EVENT_BUDGET, MAX_EVENTS_PER_RECORD * records)
     machine.run(max_events=budget)
-    if finished["count"] != config.num_cores:
-        stuck = [c.node for c in cores if not c.finished]
+    if finished[0] != len(cores):
+        stuck = [core.node for core in cores if not core.finished]
         raise SimulationError(
-            f"{profile.name}: cores {stuck} did not finish "
+            f"{label}: cores {stuck} did not finish "
             f"(deadlock or lost wakeup at cycle {machine.sim.now})"
         )
-    if check:
-        machine.check_coherence()
 
+
+def harvest(machine: Manycore, cores: Sequence[Core], app: str) -> SimulationResult:
+    """Fold a finished machine into a :class:`SimulationResult`."""
+    config = machine.config
     cycles = max(core.result.finish_cycle for core in cores)
     stats = machine.stats
-    sharer_hist = stats.histogram(
-        "widir.sharers_per_update",
-        (((0, 5), (6, 10), (11, 25), (26, 49), (50, None))),
-    )
-    hop_hist = stats.histogram(
-        "noc.hops_per_leg", ((0, 2), (3, 5), (6, 8), (9, 11), (12, None))
-    )
+    sharer_hist = stats.histogram("widir.sharers_per_update", SHARER_BINS)
+    hop_hist = stats.histogram("noc.hops_per_leg", HOP_BINS)
     collision_prob = (
         machine.wireless.collision_probability if machine.wireless else 0.0
     )
-    energy = EnergyModel().compute(config, stats, cycles)
     merged_hist = Histogram("memory_latency")
     for core in cores:
         merged_hist.merge(core.result.latency_hist)
 
     return SimulationResult(
-        app=profile.name,
+        app=app,
         config=config,
         cycles=cycles,
         instructions=stats.get_counter("core.total.instructions"),
@@ -280,9 +274,58 @@ def run_app(
         sharer_histogram=dict(zip(sharer_hist.labels(), sharer_hist.counts)),
         hop_histogram=dict(zip(hop_hist.labels(), hop_hist.counts)),
         collision_probability=collision_prob,
-        energy=energy,
+        energy=EnergyModel().compute(config, stats, cycles),
         stats_counters=stats.counters(),
         latency_histogram=merged_hist.to_dict(),
+    )
+
+
+def execute(
+    config: SystemConfig,
+    app: str,
+    sources: Iterable[Source],
+    records: int,
+    check: bool = True,
+    machine_sink: Optional[List] = None,
+) -> SimulationResult:
+    """Run per-core ``sources`` on a fresh machine and harvest the result.
+
+    ``machine_sink``, if given, receives the :class:`Manycore` instance so
+    callers that need post-run access to live machine state (the trace CLI
+    exporting an observability capture) can retrieve it without changing
+    the return type.
+    """
+    machine, cores, _ = build_machine(config)
+    if machine_sink is not None:
+        machine_sink.append(machine)
+    drive(machine, cores, sources, records, app)
+    if check:
+        machine.check_coherence()
+    return harvest(machine, cores, app)
+
+
+def run_app(
+    app,
+    config: SystemConfig,
+    memops_per_core: Optional[int] = None,
+    trace_seed: int = 0,
+    check: bool = True,
+    machine_sink: Optional[List] = None,
+) -> SimulationResult:
+    """Synthesize ``app``'s traces and run them to completion on one machine.
+
+    ``machine_sink`` is passed through to :func:`execute`.
+    """
+    profile = resolve_profile(app)
+    memops = memops_per_core if memops_per_core is not None else DEFAULT_MEMOPS
+    traces = build_traces(profile, config.num_cores, memops, trace_seed)
+    return execute(
+        config,
+        profile.name,
+        [(trace, None) for trace in traces],
+        sum(len(trace) for trace in traces),
+        check,
+        machine_sink,
     )
 
 

@@ -22,14 +22,15 @@ transient artifact of the synthetic generators:
     digest byte-identical to the uninterrupted run.
 
 :mod:`repro.traces.replay`
-    The replay driver: continuous streaming replay (op-stream-identical
-    to a live ``run_app`` of the same workload) and segmented
-    snapshot/resume replay.
+    The replay driver, on the harness's one run path: continuous
+    streaming replay (op-stream-identical to a live ``run_app`` of the
+    same workload), segmented snapshot/resume replay, and cold replay of
+    one window.
 
 :mod:`repro.traces.sharding`
     Barrier-safe trace-segment windows so campaigns can fan one large
-    trace across distributed workers by chunk range, with a
-    deterministic merge identical to a single-box windowed replay.
+    trace across distributed workers by chunk range, one result per
+    window.
 
 See docs/TRACES.md for the format specification and the replay/resume
 contracts.
@@ -52,7 +53,7 @@ from repro.traces.replay import (
     replay_window,
     result_digest,
 )
-from repro.traces.sharding import merge_window_results, plan_windows
+from repro.traces.sharding import plan_windows
 from repro.traces.snapshot import SNAPSHOT_SCHEMA_VERSION, SnapshotError
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
     "TraceWriter",
     "available_codec",
     "convert_csv",
-    "merge_window_results",
     "plan_windows",
     "record_app_trace",
     "replay_trace",

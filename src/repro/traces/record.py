@@ -30,19 +30,7 @@ from repro.traces.format import (
     TraceWriter,
     trace_info,
 )
-
-
-def _resolve_profile(app):
-    from repro.workloads.profiles import APP_PROFILES, AppProfile
-
-    if isinstance(app, AppProfile):
-        return app
-    try:
-        return APP_PROFILES[app]
-    except KeyError:
-        raise KeyError(
-            f"unknown application {app!r}; known apps: {sorted(APP_PROFILES)}"
-        ) from None
+from repro.workloads.profiles import resolve_profile
 
 
 def record_app_trace(
@@ -65,7 +53,7 @@ def record_app_trace(
     """
     from repro.workloads.generator import iter_core_trace_chunks
 
-    profile = _resolve_profile(app)
+    profile = resolve_profile(app)
     meta = {
         "source": "generator",
         "memops_per_core": int(memops_per_core),

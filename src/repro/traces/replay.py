@@ -1,6 +1,9 @@
 """Replay a recorded trace file through the full machine.
 
-Three execution shapes, one harvest:
+Every shape runs on :mod:`repro.harness.runner`'s one machine builder,
+drive loop and harvest; a replay differs from a live ``run_app`` only in
+its per-core sources, which stream chunks from the file instead of
+synthesizing them.
 
 * **Continuous** (``snapshot_every == 0``): one machine streams every
   chunk through :meth:`Core.run_trace`'s ``chunk_source`` seam. The
@@ -23,10 +26,8 @@ Three execution shapes, one harvest:
 
 * **Windowed** (:func:`replay_window`): one barrier-safe window replayed
   cold — cycle 0, empty caches — which is the unit a trace-sharded
-  campaign fans out across workers;
-  :func:`repro.traces.sharding.merge_window_results` folds the per-
-  window results back into one, identical to replaying all windows
-  sequentially on one box.
+  campaign fans out across workers. Each window's result stands alone
+  and is the same on whichever worker runs it.
 
 Memory stays O(num_cores × chunk) in every shape: the reader hands out
 one decompressed chunk at a time and the core drops its previous chunk
@@ -42,7 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cpu.trace import TraceChunk
-from repro.engine.errors import SimulationError
+from repro.harness.runner import build_machine, drive, execute, harvest
 from repro.traces.format import TraceFormatError, TraceReader
 from repro.traces.snapshot import (
     capture_machine,
@@ -50,13 +51,6 @@ from repro.traces.snapshot import (
     restore_machine,
     save_snapshot,
 )
-
-#: Matches the harness's per-memop event budget; records >= memops so a
-#: per-record budget is strictly more generous than ``run_app``'s.
-MAX_EVENTS_PER_RECORD = 600
-
-#: Floor so an (almost) empty segment still gets a workable budget.
-_MIN_EVENT_BUDGET = 10_000
 
 
 def result_digest(result) -> str:
@@ -96,98 +90,22 @@ def _chunk_source(reader: TraceReader, core: int, start: int, stop: int):
     return first, pull
 
 
-def _window_records(reader: TraceReader, window: Sequence[Tuple[int, int]]) -> int:
-    total = 0
-    for core, (start, stop) in enumerate(window):
-        for index in range(start, stop):
-            total += reader.chunk_length(core, index)
-    return total
+def _sources(reader: TraceReader, window: Sequence[Tuple[int, int]]):
+    """Per-core sources for ``window``'s chunk ranges, and their record count.
 
-
-# ----------------------------------------------------------------- execution
-
-
-def _run_ops(machine, cores, barrier, reader, window, label: str) -> None:
-    """Drive one window of chunks to full drain; raise if any core stalls."""
-    finished = {"count": 0}
-
-    def on_finish(_core) -> None:
-        finished["count"] += 1
-
-    for core_obj, (start, stop) in zip(cores, window):
-        first, pull = _chunk_source(reader, core_obj.node, start, stop)
-        core_obj.run_trace(first, on_finish, chunk_source=pull)
-
-    budget = max(
-        _MIN_EVENT_BUDGET, MAX_EVENTS_PER_RECORD * _window_records(reader, window)
+    The sources are a generator, so each core's first chunk is read as the
+    core is attached and nothing but the core holds it after its refill.
+    """
+    sources = (
+        _chunk_source(reader, core, start, stop)
+        for core, (start, stop) in enumerate(window)
     )
-    machine.run(max_events=budget)
-    if finished["count"] != len(cores):
-        stuck = [c.node for c in cores if not c.finished]
-        raise SimulationError(
-            f"{label}: cores {stuck} did not finish "
-            f"(deadlock or lost wakeup at cycle {machine.sim.now})"
-        )
-
-
-def _harvest(machine, cores, config, app: str):
-    """Fold a finished machine into a SimulationResult — ``run_app``'s
-    harvest, verbatim, so replay results are digest-comparable to live
-    runs."""
-    from repro.energy.models import EnergyModel
-    from repro.harness.runner import SimulationResult
-    from repro.stats.collectors import Histogram
-
-    cycles = max(core.result.finish_cycle for core in cores)
-    stats = machine.stats
-    sharer_hist = stats.histogram(
-        "widir.sharers_per_update",
-        (((0, 5), (6, 10), (11, 25), (26, 49), (50, None))),
+    records = sum(
+        reader.chunk_length(core, index)
+        for core, (start, stop) in enumerate(window)
+        for index in range(start, stop)
     )
-    hop_hist = stats.histogram(
-        "noc.hops_per_leg", ((0, 2), (3, 5), (6, 8), (9, 11), (12, None))
-    )
-    collision_prob = (
-        machine.wireless.collision_probability if machine.wireless else 0.0
-    )
-    energy = EnergyModel().compute(config, stats, cycles)
-    merged_hist = Histogram("memory_latency")
-    for core in cores:
-        merged_hist.merge(core.result.latency_hist)
-
-    return SimulationResult(
-        app=app,
-        config=config,
-        cycles=cycles,
-        instructions=stats.get_counter("core.total.instructions"),
-        memory_stall_cycles=sum(c.result.memory_stall_cycles for c in cores),
-        sync_stall_cycles=sum(c.result.sync_stall_cycles for c in cores),
-        load_latency_total=sum(c.result.load_latency.total for c in cores),
-        store_latency_total=sum(c.result.store_latency.total for c in cores),
-        read_misses=stats.get_counter("l1.total.read_misses"),
-        write_misses=stats.get_counter("l1.total.write_misses"),
-        wireless_writes=stats.get_counter("l1.total.wireless_writes"),
-        sharer_histogram=dict(zip(sharer_hist.labels(), sharer_hist.counts)),
-        hop_histogram=dict(zip(hop_hist.labels(), hop_hist.counts)),
-        collision_probability=collision_prob,
-        energy=energy,
-        stats_counters=stats.counters(),
-        latency_histogram=merged_hist.to_dict(),
-    )
-
-
-def _fresh_machine(config):
-    from repro.cpu.core import Core
-    from repro.cpu.sync import PhaseBarrier
-    from repro.system import Manycore
-
-    machine = Manycore(config)
-    barrier = PhaseBarrier(config.num_cores)
-    cores = [
-        Core(machine.sim, node, machine.caches[node], config, machine.stats, barrier)
-        for node in range(config.num_cores)
-    ]
-    return machine, cores, barrier
+    return sources, records
 
 
 def _check_reader(reader: TraceReader, config, expect_trace_id: str = "") -> None:
@@ -230,14 +148,9 @@ def replay_trace(
         _check_reader(reader, config, expect_trace_id)
         app = reader.app or "trace"
         if snapshot_every <= 0:
-            machine, cores, barrier = _fresh_machine(config)
-            if machine_sink is not None:
-                machine_sink.append(machine)
             window = [(0, reader.num_chunks(node)) for node in range(config.num_cores)]
-            _run_ops(machine, cores, barrier, reader, window, app)
-            if check:
-                machine.check_coherence()
-            return _harvest(machine, cores, config, app)
+            sources, records = _sources(reader, window)
+            return execute(config, app, sources, records, check, machine_sink)
 
         cuts = plan_segments(reader, snapshot_every)
         start_segment = 0
@@ -263,17 +176,15 @@ def replay_trace(
         if start_segment > 0:
             previous = list(cuts[start_segment - 1])
         for segment in range(start_segment, len(cuts)):
-            machine, cores, barrier = _fresh_machine(config)
+            machine, cores, barrier = build_machine(config)
             if snap is not None:
                 restore_machine(machine, cores, snap)
             window = [
                 (previous[node], cuts[segment][node])
                 for node in range(config.num_cores)
             ]
-            _run_ops(
-                machine, cores, barrier, reader, window,
-                f"{app}[segment {segment}]",
-            )
+            sources, records = _sources(reader, window)
+            drive(machine, cores, sources, records, f"{app}[segment {segment}]")
             previous = list(cuts[segment])
             if segment < len(cuts) - 1:
                 snap = capture_machine(
@@ -292,7 +203,7 @@ def replay_trace(
             machine_sink.append(machine)
         if check:
             machine.check_coherence()
-        result = _harvest(machine, cores, config, app)
+        result = harvest(machine, cores, app)
         if snapshot_path is not None:
             # The run completed; a leftover snapshot would wrongly resume
             # a future identical invocation past its final segment.
@@ -315,9 +226,7 @@ def replay_window(
     ``window`` is a per-core sequence of ``(start_chunk, stop_chunk)``
     ranges as produced by :func:`repro.traces.sharding.plan_windows`.
     The machine starts empty at cycle 0, so per-window results are
-    independent of which worker runs them; merging every window of a
-    plan (:func:`~repro.traces.sharding.merge_window_results`) is
-    deterministic and worker-count-invariant.
+    independent of which worker runs them.
     """
     with TraceReader(path) as reader:
         _check_reader(reader, config, expect_trace_id)
@@ -326,10 +235,6 @@ def replay_window(
                 f"window covers {len(window)} cores, config has "
                 f"{config.num_cores}"
             )
-        app = reader.app or "trace"
         spans = [(int(start), int(stop)) for start, stop in window]
-        machine, cores, barrier = _fresh_machine(config)
-        _run_ops(machine, cores, barrier, reader, spans, app)
-        if check:
-            machine.check_coherence()
-        return _harvest(machine, cores, config, app)
+        sources, records = _sources(reader, spans)
+        return execute(config, reader.app or "trace", sources, records, check)

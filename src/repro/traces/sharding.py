@@ -1,4 +1,4 @@
-"""Barrier-safe trace partitioning + deterministic result merging.
+"""Barrier-safe trace partitioning.
 
 A cut through a multi-core trace is *safe* only where every core has
 completed the same number of barrier operations: a window that hands one
@@ -16,18 +16,17 @@ The same plan serves two executions:
   cuts are quiescent points.
 * **Sharded campaigns**: each window from :func:`plan_windows` is
   replayed *cold* (cycle 0, empty caches) on whichever worker claims
-  it, and :func:`merge_window_results` folds the per-window results —
-  sums of counters and histogram bins, windows in plan order — into one
-  result that is identical no matter how many workers ran or in what
-  order they finished. Windowed-replay totals are their own
-  deterministic quantity (each window cold-starts, so they differ from
-  a continuous replay's totals — by design, and by the same reasoning
-  as the segmented digest being a function of the snapshot interval).
+  it, and stored as its own result, labelled by shard. A window's
+  result is the same no matter which worker ran it or when. Windowed
+  results are their own deterministic quantity: each window
+  cold-starts, so together they differ from a continuous replay's
+  totals — by design, and by the same reasoning as the segmented digest
+  being a function of the snapshot interval.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.traces.format import TraceFormatError, TraceReader
 
@@ -122,80 +121,6 @@ def _plan_windows(
         )
         previous = cut
     return windows
-
-
-# ------------------------------------------------------------------ merging
-
-
-def merge_window_results(results: Sequence, config, app: str = ""):
-    """Fold per-window results (in plan order) into one machine-level result.
-
-    Additive fields (instructions, stalls, latency totals, misses,
-    counters, histogram bins) sum; ``cycles`` sums too, since every
-    window restarts its clock at zero — merged cycles are total simulated
-    cycles across the plan, matching a sequential single-box replay of
-    the same windows. Collision probability and energy are *recomputed*
-    from the merged statistics rather than averaged, so the merge is
-    exact, associative, and worker-count-invariant.
-    """
-    from repro.energy.models import EnergyModel
-    from repro.harness.runner import SimulationResult
-    from repro.stats.collectors import Histogram, StatsRegistry
-
-    if not results:
-        raise ValueError("no window results to merge")
-    app = app or results[0].app
-
-    cycles = 0
-    counters: Dict[str, int] = {}
-    sharer_hist: Dict[str, int] = {}
-    hop_hist: Dict[str, int] = {}
-    merged_latency = Histogram("memory_latency")
-    memory_stalls = sync_stalls = 0
-    load_total = store_total = 0
-    for result in results:
-        cycles += result.cycles
-        memory_stalls += result.memory_stall_cycles
-        sync_stalls += result.sync_stall_cycles
-        load_total += result.load_latency_total
-        store_total += result.store_latency_total
-        for name, value in result.stats_counters.items():
-            counters[name] = counters.get(name, 0) + value
-        for label, value in result.sharer_histogram.items():
-            sharer_hist[label] = sharer_hist.get(label, 0) + value
-        for label, value in result.hop_histogram.items():
-            hop_hist[label] = hop_hist.get(label, 0) + value
-        if result.latency_histogram:
-            merged_latency.merge(Histogram.from_dict(result.latency_histogram))
-
-    registry = StatsRegistry("merged")
-    for name, value in counters.items():
-        registry.counter(name).value = value
-    attempts = counters.get("wnoc.attempts", 0)
-    collision_prob = (
-        counters.get("wnoc.collisions", 0) / attempts if attempts else 0.0
-    )
-    energy = EnergyModel().compute(config, registry, cycles)
-
-    return SimulationResult(
-        app=app,
-        config=config,
-        cycles=cycles,
-        instructions=counters.get("core.total.instructions", 0),
-        memory_stall_cycles=memory_stalls,
-        sync_stall_cycles=sync_stalls,
-        load_latency_total=load_total,
-        store_latency_total=store_total,
-        read_misses=counters.get("l1.total.read_misses", 0),
-        write_misses=counters.get("l1.total.write_misses", 0),
-        wireless_writes=counters.get("l1.total.wireless_writes", 0),
-        sharer_histogram=sharer_hist,
-        hop_histogram=hop_hist,
-        collision_probability=collision_prob,
-        energy=energy,
-        stats_counters=counters,
-        latency_histogram=merged_latency.to_dict(),
-    )
 
 
 def window_to_jsonable(window: Window) -> List[List[int]]:

@@ -16,7 +16,13 @@ Layout: :mod:`~repro.workloads.layout` fixes the address-space geometry,
 
 from repro.workloads.generator import build_traces
 from repro.workloads.layout import AddressLayout
-from repro.workloads.profiles import ALL_APPS, APP_PROFILES, AppProfile, SharingMix
+from repro.workloads.profiles import (
+    ALL_APPS,
+    APP_PROFILES,
+    AppProfile,
+    SharingMix,
+    resolve_profile,
+)
 
 __all__ = [
     "ALL_APPS",
@@ -25,4 +31,5 @@ __all__ = [
     "AppProfile",
     "SharingMix",
     "build_traces",
+    "resolve_profile",
 ]

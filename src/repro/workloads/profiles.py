@@ -221,3 +221,15 @@ APP_PROFILES: Dict[str, AppProfile] = {
 
 #: Stable presentation order (paper tables list SPLASH-3 first).
 ALL_APPS: Tuple[str, ...] = tuple(APP_PROFILES)
+
+
+def resolve_profile(app) -> AppProfile:
+    """The profile for ``app``: a profile itself, or a name to look up."""
+    if isinstance(app, AppProfile):
+        return app
+    try:
+        return APP_PROFILES[app]
+    except KeyError:
+        raise KeyError(
+            f"unknown application {app!r}; known apps: {sorted(APP_PROFILES)}"
+        ) from None

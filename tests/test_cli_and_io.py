@@ -1,45 +1,36 @@
-"""Tests for the CLI and result serialization."""
+"""Tests for the CLI and its JSON result output."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.config import widir_config
-from repro.harness.results_io import (
-    load_results,
-    result_from_dict,
-    result_to_dict,
-    save_results,
-)
-from repro.harness.runner import run_app
+from repro.config.presets import protocol_config
+from repro.harness.runner import SimulationResult, run_app
+from repro.traces import record_app_trace, result_digest
 
 
-@pytest.fixture(scope="module")
-def sample_result():
-    return run_app("volrend", widir_config(num_cores=8), 200)
+class TestCliJson:
+    """``--json`` prints the canonical ``SimulationResult.to_dict()`` form."""
 
+    def test_sim_run_json_loads_as_the_same_result(self, capsys):
+        assert main(
+            ["sim", "run", "volrend", "--cores", "8", "--memops", "150",
+             "--no-cache", "--json"]
+        ) == 0
+        loaded = SimulationResult.from_dict(json.loads(capsys.readouterr().out))
+        live = run_app("volrend", protocol_config("widir", num_cores=8, seed=42), 150)
+        assert result_digest(loaded) == result_digest(live)
 
-class TestSerialization:
-    def test_roundtrip_preserves_metrics(self, sample_result):
-        restored = result_from_dict(result_to_dict(sample_result))
-        assert restored.cycles == sample_result.cycles
-        assert restored.mpki == sample_result.mpki
-        assert restored.sharer_histogram == sample_result.sharer_histogram
-        assert restored.energy.total == sample_result.energy.total
-        assert restored.config.protocol == "widir"
-        assert restored.config.num_cores == 8
-
-    def test_dict_is_json_serializable(self, sample_result):
-        text = json.dumps(result_to_dict(sample_result))
-        assert "volrend" in text
-
-    def test_save_and_load_file(self, sample_result, tmp_path):
-        path = tmp_path / "results.json"
-        save_results({"volrend/widir/8": sample_result}, path)
-        loaded = load_results(path)
-        assert set(loaded) == {"volrend/widir/8"}
-        assert loaded["volrend/widir/8"].cycles == sample_result.cycles
+    def test_traces_replay_json_loads_as_the_same_result(self, capsys, tmp_path):
+        path = tmp_path / "radiosity.wtr"
+        record_app_trace(path, "radiosity", 8, 150, trace_seed=3)
+        assert main(["traces", "replay", str(path), "--json"]) == 0
+        loaded = SimulationResult.from_dict(json.loads(capsys.readouterr().out))
+        live = run_app(
+            "radiosity", protocol_config("widir", num_cores=8, seed=42), 150, 3
+        )
+        assert result_digest(loaded) == result_digest(live)
 
 
 class TestCli:

@@ -107,7 +107,7 @@ def _replay_cores(monkeypatch, directory: Path):
         trace_seed=TRACE_SEED, chunk_records=REPLAY_CHUNK_RECORDS,
     )
     cores: list = []
-    monkeypatch.setattr(core_module, "Core", _collecting_core(cores))
+    monkeypatch.setattr(runner, "Core", _collecting_core(cores))
     replay_trace(
         path,
         protocol_config("widir", num_cores=REPLAY_CORES, seed=SEED),

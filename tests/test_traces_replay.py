@@ -15,19 +15,25 @@ Three locks, in increasing strength:
    in a subprocess) and resuming yields the same final digest as the
    never-interrupted segmented run.
 
-3. **Window merge** — a trace cut into barrier-safe windows, replayed
-   cold and merged, is deterministic and order-invariant; a single
-   window spanning the whole trace is digest-identical to continuous
-   replay.
+3. **Cold windows** — a trace cut into barrier-safe windows tiles
+   every core's chunks, each window replayed cold is deterministic, and
+   a single window spanning the whole trace is digest-identical to
+   continuous replay.
+
+Segmented replay and the cold windows of ``plan_windows(trace, 2)`` are
+each pinned per backend as well, so a change to the shared run path
+that moved either would show here.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -40,7 +46,6 @@ from repro.harness.runner import run_app
 from repro.traces import (
     TraceFormatError,
     TraceReader,
-    merge_window_results,
     plan_windows,
     record_app_trace,
     replay_trace,
@@ -68,6 +73,29 @@ GOLDEN_REPLAY_DIGESTS = {
     "widir": "9fc7f1e9380f4e6ad8d4b9bd9c8d0e87d6c392900a6da3b35edd46a3f8a9d867",
 }
 
+#: Segmented replay (``snapshot_every=SNAPSHOT_EVERY``) digests per
+#: backend. Each segment restarts on a fresh machine restored from a
+#: snapshot, so these differ from the continuous digests by design.
+GOLDEN_SEGMENTED_DIGESTS = {
+    "baseline": "75d3d3032b066f28d364a98a95f4953f4938fe59b79cdba51a07d0ea45ce775b",
+    "hybrid_update": "5efdcdfa4b3cdf3ef38b8103b9ed238b498d153fb338b998bffc628cf9017162",
+    "phase_priority": "402a5db9e64e9c0c1e6153b4ddf7a922e9ba98156a8c7f1ee314d4245a4b6048",
+    "widir": "3cb4c75f0174b7f5686cc1f4e94b7c94c0a9b4a17dffedf37f61045211fccadf",
+}
+
+#: Cold-window digests per backend: sha256 over the comma-joined result
+#: digests of every window of ``plan_windows(trace, CHUNKS_PER_WINDOW)``,
+#: each replayed cold, in plan order (see :func:`_windows_digest`).
+GOLDEN_WINDOW_DIGESTS = {
+    "baseline": "300abdab0594a1b5d10e7889453c545008625821102e1633a5f7924fa3bf5f54",
+    "hybrid_update": "ffcc98665b5df64dc257fe4d5f0145f9313cb88fdbe900244f92dbc9bfd25857",
+    "phase_priority": "f5d8367611939c2a44f683a88217da5e328ce4589da1c6c08d9afc4c572d34ac",
+    "widir": "6ec6f824d116b796f9b98d63b8313d232f3403a9e334c78b9ff3edac70c3f8ef",
+}
+
+SNAPSHOT_EVERY = 2
+CHUNKS_PER_WINDOW = 2
+
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
@@ -82,6 +110,20 @@ def _config(protocol: str):
     return protocol_config(protocol, num_cores=CORES, seed=SEED)
 
 
+def _segmented_digest(path, config) -> str:
+    return result_digest(
+        replay_trace(path, config, snapshot_every=SNAPSHOT_EVERY)
+    )
+
+
+def _windows_digest(path, config) -> str:
+    digests = [
+        result_digest(replay_window(path, config, window))
+        for window in plan_windows(path, CHUNKS_PER_WINDOW)
+    ]
+    return hashlib.sha256(",".join(digests).encode("ascii")).hexdigest()
+
+
 # ------------------------------------------------- live ≡ replay goldens
 
 
@@ -92,6 +134,50 @@ def test_replay_matches_live_run(trace_path, protocol):
     replay_digest = result_digest(replay_trace(trace_path, config))
     assert replay_digest == live_digest
     assert replay_digest == GOLDEN_REPLAY_DIGESTS[protocol]
+
+
+def test_zero_memop_run_matches_its_replay(tmp_path):
+    """A run with no memory references still holds barrier and think
+    records; live and replay share one event budget, so both finish."""
+    path = tmp_path / "empty.wtr"
+    info = record_app_trace(
+        path, APP, CORES, 0, trace_seed=TRACE_SEED, chunk_records=CHUNK_RECORDS
+    )
+    assert info["records"] > 0
+    config = _config("widir")
+    live = run_app(APP, config, 0, TRACE_SEED)
+    assert live.instructions > 0
+    assert result_digest(live) == result_digest(replay_trace(path, config))
+
+
+def test_replay_frees_each_chunk_once_its_core_refills(trace_path, monkeypatch):
+    """Streaming replay keeps each core's bound chunk alive, not the
+    chunks the core has finished."""
+    from repro.cpu.trace import TraceChunk
+
+    class Tracked(TraceChunk):
+        __slots__ = ("__weakref__",)
+
+    refs: list = []
+    most_alive = [0]
+    read_chunk = TraceReader.read_chunk
+
+    def tracked_read_chunk(self, core, index):
+        chunk = read_chunk(self, core, index)
+        tracked = Tracked()
+        for column in TraceChunk.__slots__:
+            setattr(tracked, column, getattr(chunk, column))
+        refs.append(weakref.ref(tracked))
+        most_alive[0] = max(most_alive[0], sum(ref() is not None for ref in refs))
+        return tracked
+
+    with TraceReader(trace_path) as reader:
+        assert min(reader.num_chunks(core) for core in range(CORES)) > 2
+    monkeypatch.setattr(TraceReader, "read_chunk", tracked_read_chunk)
+    replay_trace(trace_path, _config("widir"))
+    # Each core's bound chunk, the chunk being read, and the last core's
+    # first chunk still named by the attach loop.
+    assert most_alive[0] <= CORES + 2
 
 
 def test_replay_rejects_core_count_mismatch(trace_path):
@@ -107,11 +193,16 @@ def test_replay_rejects_wrong_trace_id(trace_path):
 # --------------------------------------------------- snapshot and resume
 
 
-def test_segmented_replay_is_deterministic_and_kernel_invariant(trace_path):
+def test_segmented_replay_is_deterministic(trace_path):
     config = _config("widir")
-    segmented = result_digest(replay_trace(trace_path, config, snapshot_every=2))
-    again = result_digest(replay_trace(trace_path, config, snapshot_every=2))
-    assert again == segmented
+    segmented = _segmented_digest(trace_path, config)
+    assert _segmented_digest(trace_path, config) == segmented
+
+
+@pytest.mark.parametrize("protocol", backend_names())
+def test_segmented_replay_matches_golden(trace_path, protocol):
+    digest = _segmented_digest(trace_path, _config(protocol))
+    assert digest == GOLDEN_SEGMENTED_DIGESTS[protocol]
 
 
 def test_resume_from_durable_snapshot_matches_uninterrupted(
@@ -254,9 +345,9 @@ def test_full_window_equals_continuous_replay(trace_path):
     assert result_digest(cold) == continuous
 
 
-def test_window_merge_is_deterministic_and_order_invariant(trace_path):
+def test_windows_tile_the_trace_and_replay_deterministically(trace_path):
     config = _config("widir")
-    windows = plan_windows(trace_path, 2)
+    windows = plan_windows(trace_path, CHUNKS_PER_WINDOW)
     assert len(windows) >= 2, "trace too small to shard — raise MEMOPS"
     with TraceReader(trace_path) as reader:
         chunks = [reader.num_chunks(core) for core in range(CORES)]
@@ -268,13 +359,16 @@ def test_window_merge_is_deterministic_and_order_invariant(trace_path):
         for left, right in zip(spans, spans[1:]):
             assert left[1] == right[0]
 
-    results = [replay_window(trace_path, config, w) for w in windows]
-    merged = merge_window_results(results, config, app=APP)
-    reversed_merge = merge_window_results(list(reversed(results)), config, app=APP)
-    assert result_digest(merged) == result_digest(reversed_merge)
     # Recomputing any window reproduces its digest (cold start, no state).
+    first = replay_window(trace_path, config, windows[0])
     again = replay_window(trace_path, config, windows[0])
-    assert result_digest(again) == result_digest(results[0])
+    assert result_digest(again) == result_digest(first)
+
+
+@pytest.mark.parametrize("protocol", backend_names())
+def test_cold_windows_match_golden(trace_path, protocol):
+    digest = _windows_digest(trace_path, _config(protocol))
+    assert digest == GOLDEN_WINDOW_DIGESTS[protocol]
 
 
 def test_plan_windows_respects_max_windows(trace_path):
@@ -352,9 +446,16 @@ def _regenerate():  # pragma: no cover - maintenance entry point
             path, APP, CORES, MEMOPS,
             trace_seed=TRACE_SEED, chunk_records=CHUNK_RECORDS,
         )
-        for protocol in backend_names():
-            digest = result_digest(replay_trace(path, _config(protocol)))
-            print(f'    "{protocol}": "{digest}",')
+        for name, digest_of in (
+            ("GOLDEN_REPLAY_DIGESTS", lambda p, c: result_digest(replay_trace(p, c))),
+            ("GOLDEN_SEGMENTED_DIGESTS", _segmented_digest),
+            ("GOLDEN_WINDOW_DIGESTS", _windows_digest),
+        ):
+            print(f"{name} = {{")
+            for protocol in backend_names():
+                digest = digest_of(path, _config(protocol))
+                print(f'    "{protocol}": "{digest}",')
+            print("}")
 
 
 if __name__ == "__main__":  # pragma: no cover
