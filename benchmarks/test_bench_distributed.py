@@ -1,7 +1,7 @@
-"""Distributed campaign scaling benchmark (ISSUE 7 acceptance gate).
+"""Distributed campaign scaling benchmark.
 
 Measures the wall-clock of one fixed 16-run campaign driven through
-:func:`repro.harness.distributed.run_distributed` at 1, 2, and 4 workers,
+:func:`repro.harness.campaign.run_campaign` at 1, 2, and 4 workers,
 cold-cache, and asserts the 4-worker sweep beats the 1-worker sweep by at
 least **3.5x**.
 
@@ -19,18 +19,17 @@ function of the run key, so digest identity across worker counts is
 asserted too — the merge order provably cannot leak into results.
 
 Real simulations keep their own teeth here: a small sim-mode lane asserts
-the distributed digest is byte-identical to a single-box
-:func:`~repro.harness.campaign.run_campaign` of the same spec.
+the distributed digest is byte-identical to
+:meth:`~repro.harness.campaign.Campaign.finalize` over the same spec's
+payloads simulated in-process, with no engine at all.
 
 Results land under ``"distributed"`` in BENCH_harness.json; CI re-runs
 this file and fails on >20% drift of ``speedup_4x`` against the committed
 baseline (same contract as the ``kernel_batched`` gate).
 """
 
-from repro.harness.campaign import CampaignSpec, run_campaign
-from repro.harness.distributed import run_distributed
-from repro.harness.executor import Executor
-from repro.harness.supervisor import RetryPolicy, WorkerSupervisor
+from repro.harness.campaign import Campaign, CampaignSpec, run_campaign
+from repro.harness.executor import Executor, _simulate
 
 #: 8 apps x (Baseline, WiDir) = 16 runs — divides evenly across 4 workers.
 _SCALING_APPS = (
@@ -60,7 +59,7 @@ def test_bench_distributed_scaling(tmp_path, distributed_metrics):
     bars = {}
     stolen = {}
     for workers in _WORKER_COUNTS:
-        report = run_distributed(
+        report = run_campaign(
             tmp_path / f"w{workers}",
             _spec("bench-dist", spec_apps, 2500),
             workers=workers,
@@ -116,18 +115,17 @@ def test_bench_distributed_scaling(tmp_path, distributed_metrics):
 def test_bench_distributed_sim_digest_matches_single_box(
     tmp_path, distributed_metrics
 ):
-    """Real simulations: 2-worker distributed == single box, byte for byte."""
+    """Real simulations: 2-worker distributed == in-process, byte for byte."""
     spec = _spec("bench-dist-sim", ("volrend",), 400)
-    single = run_campaign(
-        tmp_path / "single", spec,
-        supervisor=WorkerSupervisor(
-            workers=1, retry=RetryPolicy(max_attempts=2, unit=0.0)
-        ),
-        executor=Executor(
-            workers=1, cache_dir=tmp_path / "cache-single", use_cache=True
-        ),
+    single = Campaign.create(tmp_path / "single", spec)
+    single_digest = single.finalize(
+        {
+            key: _simulate(request)[0]
+            for key, request in zip(single.keys, single.plan.requests)
+        },
+        [],
     )
-    report = run_distributed(
+    report = run_campaign(
         tmp_path / "dist", spec,
         workers=2,
         executor=Executor(
@@ -136,7 +134,7 @@ def test_bench_distributed_sim_digest_matches_single_box(
         timeout=120,
     )
     assert report.ok
-    assert report.digest == single.digest
+    assert report.digest == single_digest
     assert (tmp_path / "dist" / "results.json").read_bytes() == (
         tmp_path / "single" / "results.json"
     ).read_bytes()

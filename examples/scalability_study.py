@@ -15,7 +15,8 @@ Usage::
 import sys
 import time
 
-from repro import baseline_config, run_app, widir_config
+from repro import baseline_config, widir_config
+from repro.harness.runner import run_app
 
 
 def main() -> None:

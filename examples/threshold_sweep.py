@@ -14,7 +14,8 @@ Usage::
 import sys
 import time
 
-from repro import ALL_APPS, baseline_config, run_app, widir_config
+from repro import ALL_APPS, baseline_config, widir_config
+from repro.harness.runner import run_app
 from repro.harness.sweeps import sweep_thresholds
 
 

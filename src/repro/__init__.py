@@ -17,13 +17,7 @@ Quickstart (the stable API lives in :mod:`repro.api`; see docs/API.md)::
 
 See ``examples/`` for runnable scenarios and ``DESIGN.md`` for the system
 inventory and the paper-to-repo substitution notes.
-
-Deprecated (one release grace, still functional): the top-level
-``repro.run_app`` / ``repro.run_pair`` shims — use
-:func:`repro.api.simulate` / :func:`repro.api.compare` instead.
 """
-
-import warnings as _warnings
 
 from repro.config import (
     SystemConfig,
@@ -36,7 +30,7 @@ from repro.harness.runner import SimulationResult
 from repro.system import Manycore
 from repro.workloads import ALL_APPS, APP_PROFILES, AppProfile, build_traces
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "ALL_APPS",
@@ -50,43 +44,20 @@ __all__ = [
     "build_traces",
     "paper_config",
     "protocol_config",
-    "run_app",
-    "run_pair",
     "widir_config",
     "__version__",
 ]
 
-#: name -> (replacement hint, implementation module, attribute).
-_DEPRECATED = {
-    "run_app": ("repro.api.simulate", "repro.harness.runner", "run_app"),
-    "run_pair": ("repro.api.compare", "repro.harness.runner", "run_pair"),
-}
-
-
 def __getattr__(name):
-    """Lazy submodule access plus deprecation shims (PEP 562).
+    """Lazy submodule access (PEP 562).
 
     ``repro.api`` is resolved on first touch so ``from repro import api``
-    works without eagerly importing the facade everywhere. The legacy
-    top-level ``run_app`` / ``run_pair`` keep working for one release but
-    warn: the stable spellings are ``repro.api.simulate`` /
-    ``repro.api.compare``.
+    works without eagerly importing the facade everywhere.
     """
     if name == "api":
         import repro.api as api_module
 
         return api_module
-    if name in _DEPRECATED:
-        replacement, module_name, attribute = _DEPRECATED[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated and will be removed in the next "
-            f"release; use {replacement} (see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attribute)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 

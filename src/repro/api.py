@@ -20,8 +20,7 @@ Stability contract (see docs/API.md):
 * every name in ``__all__`` keeps its signature and result type across
   minor releases; additions are keyword-only with defaults;
 * replaced entry points keep working for one release behind
-  ``DeprecationWarning`` shims (e.g. the top-level ``repro.run_app`` /
-  ``repro.run_pair``);
+  ``DeprecationWarning`` shims, then go (the 1.1 shims went in 1.2);
 * importing this module stays cheap: nothing beyond what
   ``repro.harness`` already loads — verification, observability export,
   and campaign machinery are imported lazily inside the functions that
@@ -512,9 +511,11 @@ def campaign(
     The campaign journals completed runs to a crash-safe checkpoint under
     ``out``; rerunning after any interruption resumes exactly where it
     died, and the aggregate ``results.json``/``digest.txt`` are
-    byte-identical to an uninterrupted execution. Failed runs are retried
-    ``retries`` times with seeded exponential backoff, then surfaced in
-    the provenance manifest while the rest of the sweep completes.
+    byte-identical to an uninterrupted execution. ``workers`` local agents
+    execute the runs, each within ``timeout`` seconds (``None``: no
+    limit). Failed runs are retried ``retries`` times with seeded
+    exponential backoff, then surfaced in the provenance manifest while
+    the rest of the sweep completes.
 
     Pass ``trace_path=`` (optionally with ``trace_shards=``) to fan a
     recorded trace file across barrier-safe shard windows instead of
@@ -522,23 +523,21 @@ def campaign(
     from the trace header).
     """
     from repro.harness.campaign import run_campaign
-    from repro.harness.supervisor import RetryPolicy, WorkerSupervisor
+    from repro.harness.supervisor import RetryPolicy
 
     spec = _campaign_spec(
         name, kind, apps, cores, thresholds, memops, seed, trace_seed,
         protocols, trace_path, trace_shards, macs,
     )
-    supervisor = WorkerSupervisor(
-        workers=workers,
-        timeout=timeout,
-        retry=RetryPolicy(max_attempts=retries, seed=backoff_seed),
-    )
+    executor = _executor(workers, cache)
     return run_campaign(
         Path(out),
         spec,
         resume=resume,
-        supervisor=supervisor,
-        executor=_executor(workers, cache),
+        workers=executor.workers,  # at least one local agent
+        executor=executor,
+        retry=RetryPolicy(max_attempts=retries, seed=backoff_seed),
+        lease_timeout=timeout,
     )
 
 
@@ -570,22 +569,24 @@ def distributed_campaign(
     macs: Sequence[str] = ("brs",),
 ):
     """Run (or resume) a campaign across ``workers`` distributed agents;
-    returns a :class:`~repro.harness.distributed.DistributedReport`.
+    returns a :class:`~repro.harness.campaign.CampaignReport`.
 
-    An asyncio coordinator shards the run matrix, local worker agents
-    lease/steal/execute over the loopback RPC protocol, and completions
-    land in per-shard crash-safe journals. The merged ``results.json``
-    sha256 is byte-identical to :func:`campaign` on the same plan — the
+    The same engine as :func:`campaign`, serving remote agents too: an
+    asyncio coordinator shards the run matrix, worker agents
+    lease/steal/execute over the RPC protocol, and completions land in
+    per-shard crash-safe journals. The merged ``results.json`` sha256 is
+    byte-identical to :func:`campaign` on the same plan — the
     resume-identity contract extends across worker counts, steals, and
     kills. ``workers=0`` serves remote agents only (pair with
-    ``repro campaign worker --connect``). Pass ``store=`` (a directory)
+    ``repro campaign worker --connect``). ``lease_timeout`` is the per-run
+    budget, ``timeout`` the whole campaign's. Pass ``store=`` (a directory)
     to dedupe runs through the content-addressed multi-tenant result
     store and publish this campaign's manifest under ``tenant``.
     ``trace_path=``/``trace_shards=`` fan a recorded trace's barrier-safe
     shard windows across the workers (trace-sharded campaigns; each
     window replays cold on whichever worker leases it).
     """
-    from repro.harness.distributed import run_distributed
+    from repro.harness.campaign import run_campaign
     from repro.harness.resultstore import ResultStore
     from repro.harness.supervisor import RetryPolicy
 
@@ -593,7 +594,7 @@ def distributed_campaign(
         name, kind, apps, cores, thresholds, memops, seed, trace_seed,
         protocols, trace_path, trace_shards, macs,
     )
-    return run_distributed(
+    return run_campaign(
         Path(out),
         spec,
         workers=workers,

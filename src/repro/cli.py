@@ -33,19 +33,21 @@ campaign submit     push pending runs into a running coordinator
 
 The ``trace`` noun is the *observability* layer (captures, timelines);
 the ``traces`` noun is the *recorded-trace* subsystem (the canonical
-chunked/compressed file format of :mod:`repro.traces`). The old
-single-word spellings (``repro run``, ``repro compare``, ``repro
-figure``, ``repro apps``, ``repro profile``, bare ``repro verify``) and
-the singular ``repro trace record/convert/info/validate/replay``
-spellings still work for one release as hidden aliases that print a
-deprecation notice to stderr. Shared options are declared once on parent
-parsers: ``--workers``/``--no-cache`` (execution), ``--cores``/
-``--memops``/``--seed`` (machine), ``--out`` (output path).
+chunked/compressed file format of :mod:`repro.traces`). The spellings
+deprecated in 1.1 (``repro run``/``compare``/``profile``, ``repro figure
+<artifact>``, bare ``repro apps``/``verify``, the singular ``repro trace
+record/convert/info/validate/replay`` and ``sim profile --output``) were
+removed in 1.2 and exit 2 like any unknown command. Shared options are
+declared once on parent parsers: ``--workers``/``--no-cache``
+(execution), ``--cores``/``--memops``/``--seed`` (machine), ``--out``
+(output path), and the sweep flags of ``campaign run``/``serve``.
 
 Simulations execute through :mod:`repro.harness.executor` (dedup +
-on-disk memoization, ``REPRO_CACHE_DIR``, ``--no-cache``, ``--workers``);
-campaigns add the fault-tolerant supervisor + crash-safe checkpoints of
-:mod:`repro.harness.campaign`. See docs/API.md and docs/PERFORMANCE.md.
+on-disk memoization, ``REPRO_CACHE_DIR``, ``--no-cache``, ``--workers``).
+``campaign run``/``resume``/``serve`` share one handler and one engine,
+:func:`repro.harness.campaign.run_campaign`: the campaign coordinator with
+local (and, for ``serve``, remote) worker agents, retrying faults and
+checkpointing crash-safely. See docs/API.md and docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -139,23 +141,6 @@ CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("campaign", "worker"),
     ("campaign", "submit"),
 )
-
-#: Old spelling -> new spelling, for the deprecation notices.
-DEPRECATED_ALIASES = {
-    "run": "sim run",
-    "compare": "sim compare",
-    "profile": "sim profile",
-    "figure": "figure render",
-    "apps": "apps list",
-    "verify": "verify run",
-    # The recorded-trace verbs briefly shipped under the singular noun;
-    # they now live on `traces` (the `trace` noun is the obs layer).
-    "trace record": "traces record",
-    "trace convert": "traces convert",
-    "trace info": "traces info",
-    "trace validate": "traces validate",
-    "trace replay": "traces replay",
-}
 
 
 # -------------------------------------------------------- parent parsers
@@ -267,10 +252,6 @@ def _configure_sim_profile(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip the warm-up run (include trace synthesis and import "
         "effects in the profile)",
-    )
-    # Old spelling of --out; kept working but hidden from help.
-    parser.add_argument(
-        "--output", dest="out", default=None, help=argparse.SUPPRESS
     )
 
 
@@ -479,7 +460,8 @@ def _configure_campaign_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _configure_campaign_run(parser: argparse.ArgumentParser) -> None:
+def _add_sweep_options(parser: argparse.ArgumentParser, apps_help: str) -> None:
+    """The run-matrix flags ``campaign run`` and ``campaign serve`` share."""
     parser.add_argument(
         "--name", default=None,
         help="campaign name (default: the --out directory name)",
@@ -491,11 +473,7 @@ def _configure_campaign_run(parser: argparse.ArgumentParser) -> None:
         help="run matrix: Baseline-vs-WiDir pairs, a MaxWiredSharers "
         "threshold sweep, or barrier-safe shards of one recorded trace",
     )
-    parser.add_argument(
-        "--apps", default=None,
-        help="comma-separated app list, or 'all' (required unless "
-        "--sweep trace)",
-    )
+    parser.add_argument("--apps", default=None, help=apps_help)
     parser.add_argument(
         "--thresholds", default="2,3,4,5",
         help="MaxWiredSharers values for --sweep thresholds",
@@ -520,6 +498,13 @@ def _configure_campaign_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-shards", type=int, default=0,
         help="shard-window count for --sweep trace (<= 1: whole trace)",
+    )
+
+
+def _configure_campaign_run(parser: argparse.ArgumentParser) -> None:
+    _add_sweep_options(
+        parser,
+        "comma-separated app list, or 'all' (required unless --sweep trace)",
     )
     _configure_campaign_common(parser)
 
@@ -550,47 +535,10 @@ def _configure_campaign_status(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_campaign_serve(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--name", default=None,
-        help="campaign name (default: the --out directory name)",
-    )
-    parser.add_argument(
-        "--sweep",
-        choices=("protocols", "thresholds", "trace"),
-        default="protocols",
-        help="run matrix: Baseline-vs-WiDir pairs, a MaxWiredSharers "
-        "threshold sweep, or barrier-safe shards of one recorded trace",
-    )
-    parser.add_argument(
-        "--apps",
-        default=None,
-        help="comma-separated app list, or 'all' (omit to resume an "
-        "existing campaign directory)",
-    )
-    parser.add_argument(
-        "--thresholds", default="2,3,4,5",
-        help="MaxWiredSharers values for --sweep thresholds",
-    )
-    parser.add_argument(
-        "--protocols", default="baseline,widir",
-        help="comma-separated backend names for --sweep protocols, or "
-        "'all' (see repro apps list --protocols)",
-    )
-    parser.add_argument(
-        "--macs", default="brs",
-        help="comma-separated wireless MAC backends to cross with every "
-        "wireless protocol, or 'all' (see repro apps list --macs)",
-    )
-    parser.add_argument(
-        "--trace-seed", type=int, default=0, help="workload trace seed"
-    )
-    parser.add_argument(
-        "--trace-path", default=None,
-        help="recorded trace file for --sweep trace",
-    )
-    parser.add_argument(
-        "--trace-shards", type=int, default=0,
-        help="shard-window count for --sweep trace (<= 1: whole trace)",
+    _add_sweep_options(
+        parser,
+        "comma-separated app list, or 'all' (omit to resume an existing "
+        "campaign directory)",
     )
     group = parser.add_argument_group("distributed")
     group.add_argument(
@@ -797,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = nouns.add_parser(
         "verify", help="protocol verification campaigns"
     )
-    verify_verbs = verify.add_subparsers(dest="verb")
+    verify_verbs = verify.add_subparsers(dest="verb", required=True)
     verify_run = verify_verbs.add_parser(
         "run", help="run a verification campaign (litmus + fuzzing)"
     )
@@ -806,8 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="re-execute a failure artifact"
     )
     replay.add_argument("artifact", help="path to the artifact JSON")
-    # Old spelling: bare `repro verify --campaign ...` (no verb).
-    _configure_verify_opts(verify)
 
     # ---- trace ---------------------------------------------------------
     trace = nouns.add_parser(
@@ -942,101 +888,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _configure_campaign_submit(campaign_submit)
 
-    # ---- hidden deprecated aliases ------------------------------------
-    legacy_run = nouns.add_parser(
-        "run", parents=[_machine_parent(), execution]
-    )
-    _configure_sim_run(legacy_run)
-    legacy_run.set_defaults(command="sim", verb="run", _deprecated="run")
-    legacy_compare = nouns.add_parser(
-        "compare", parents=[_machine_parent(), execution]
-    )
-    _configure_sim_compare(legacy_compare)
-    legacy_compare.set_defaults(
-        command="sim", verb="compare", _deprecated="compare"
-    )
-    legacy_profile = nouns.add_parser(
-        "profile",
-        parents=[
-            _machine_parent(cores=64),
-            _out_parent(None, "report path"),
-        ],
-    )
-    _configure_sim_profile(legacy_profile)
-    legacy_profile.set_defaults(
-        command="sim", verb="profile", _deprecated="profile"
-    )
-    # `repro apps` (no verb) must keep working: the canonical `apps` parser
-    # above requires a verb, so route the bare spelling through a default.
-    apps_verbs.required = False
-    apps.set_defaults(verb="list")
-
-    # Singular spellings of the recorded-trace verbs (`repro trace record`
-    # etc.) route to the `traces` noun with a deprecation notice; the
-    # `trace` noun itself stays the observability layer.
-    for verb, configure in (
-        ("record", _configure_traces_record),
-        ("convert", _configure_traces_convert),
-        ("info", _configure_traces_info),
-        ("validate", _configure_traces_validate),
-        ("replay", _configure_traces_replay),
-    ):
-        parents = []
-        if verb == "record":
-            parents = [
-                _machine_parent(),
-                _out_parent(None, "trace output path (required)"),
-            ]
-        elif verb == "convert":
-            parents = [_out_parent(None, "trace output path (required)")]
-        legacy = trace_verbs.add_parser(verb, parents=parents)
-        configure(legacy)
-        legacy.set_defaults(
-            command="traces", verb=verb, _deprecated=f"trace {verb}"
-        )
-
     return parser
 
 
-def _rewrite_legacy_argv(argv: List[str]) -> tuple:
-    """Map old command spellings onto the noun-verb grammar.
-
-    ``repro figure <artifact>`` (old) becomes ``repro figure render
-    <artifact>``; the pure renames (``run``/``compare``/``profile``) are
-    handled by hidden alias subparsers instead. Returns the possibly
-    rewritten argv plus the deprecated spelling used (or ``None``).
-    """
-    if (
-        len(argv) >= 2
-        and argv[0] == "figure"
-        and argv[1] not in ("render", "-h", "--help")
-    ):
-        return ["figure", "render"] + list(argv[1:]), "figure"
-    return list(argv), None
-
-
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv, legacy = _rewrite_legacy_argv(list(argv))
-    args = build_parser().parse_args(argv)
-    if legacy is not None:
-        args._deprecated = legacy
-    # Bare `repro verify ...` (no verb) is the old spelling of `verify run`.
-    if args.command == "verify" and getattr(args, "verb", None) is None:
-        args.verb = "run"
-        args._deprecated = "verify"
-    return args
-
-
-def _warn_deprecated(args: argparse.Namespace) -> None:
-    old = getattr(args, "_deprecated", None)
-    if old:
-        print(
-            f"repro: `repro {old}` is deprecated; use "
-            f"`repro {DEPRECATED_ALIASES[old]}` (see docs/API.md)",
-            file=sys.stderr,
-        )
+    return build_parser().parse_args(argv)  # None: sys.argv[1:]
 
 
 # ------------------------------------------------------------- handlers
@@ -1620,22 +1476,11 @@ def _campaign_spec_from_args(args: argparse.Namespace, directory):
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    """``campaign run/resume/status/render`` — see docs/API.md for the
-    on-disk checkpoint formats and the resume-identity contract."""
+    """``campaign status/render`` — see docs/API.md for the on-disk
+    checkpoint formats and the resume-identity contract."""
     from pathlib import Path
 
-    from repro.harness.campaign import (
-        Campaign,
-        CampaignError,
-        CampaignSpec,
-        run_campaign,
-    )
-    from repro.harness.supervisor import (
-        RetryPolicy,
-        SeededFaults,
-        WorkerSupervisor,
-    )
-    from repro.obs.campaign import CampaignTelemetry
+    from repro.harness.campaign import Campaign, CampaignError
 
     try:
         if args.verb == "status":
@@ -1651,78 +1496,116 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(Campaign.load(Path(args.dir)).status().render())
             return 0
 
-        if args.verb == "render":
-            campaign = Campaign.load(Path(args.dir))
-            spec = campaign.spec
-            source = campaign.result_source(strict=args.strict)
-            result = FIGURES[args.figure](
-                apps=spec.apps,
-                cores=spec.cores[0],
-                memops=spec.memops,
-                executor=source,
-                protocols=spec.protocols,
-                macs=spec.macs,
-                seed=spec.seed,
-            )
-            if isinstance(result, dict):  # figure8-style multi-table
-                partial = False
-                for figure in result.values():
-                    print(figure.text)
-                    partial = partial or figure.partial
-            else:
-                print(result.text)
-                partial = result.partial
-            return 3 if partial else 0
+        # render
+        campaign = Campaign.load(Path(args.dir))
+        spec = campaign.spec
+        source = campaign.result_source(strict=args.strict)
+        result = FIGURES[args.figure](
+            apps=spec.apps,
+            cores=spec.cores[0],
+            memops=spec.memops,
+            executor=source,
+            protocols=spec.protocols,
+            macs=spec.macs,
+            seed=spec.seed,
+        )
+        if isinstance(result, dict):  # figure8-style multi-table
+            partial = False
+            for figure in result.values():
+                print(figure.text)
+                partial = partial or figure.partial
+        else:
+            print(result.text)
+            partial = result.partial
+        return 3 if partial else 0
+    except CampaignError as error:
+        print(f"campaign error: {error}", file=sys.stderr)
+        return 2
 
-        # run / resume
-        if args.verb == "run":
-            if args.out is None:
-                print("campaign run requires --out DIR", file=sys.stderr)
-                return 2
-            directory = Path(args.out)
+
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    """``campaign run/resume/serve`` — one engine,
+    :func:`~repro.harness.campaign.run_campaign`.
+
+    ``run``/``resume`` keep ``--workers`` local agents, give each run
+    ``--timeout`` seconds and can inject faults; ``serve`` also accepts
+    remote ``campaign worker`` agents on --host:--port, gives each run
+    ``--lease-timeout`` seconds and bounds the whole campaign by
+    ``--timeout``.
+    """
+    from pathlib import Path
+
+    from repro.harness.campaign import CampaignError, run_campaign
+    from repro.harness.distributed import DistributedError
+    from repro.harness.resultstore import ResultStore
+    from repro.harness.supervisor import RetryPolicy, SeededFaults
+    from repro.obs.campaign import CampaignTelemetry
+
+    if args.verb == "resume":
+        directory, spec = Path(args.dir), None
+    elif args.out is None:
+        print(f"campaign {args.verb} requires --out DIR", file=sys.stderr)
+        return 2
+    else:
+        directory, spec = Path(args.out), None
+        # `serve` without a run matrix resumes the directory's own spec.
+        if args.verb == "run" or args.apps or (
+            args.sweep == "trace" and args.trace_path
+        ):
             spec = _campaign_spec_from_args(args, directory)
             if spec is None:
                 return 2
-        else:  # resume
-            directory = Path(args.dir)
-            spec = None
 
-        faults = (
-            SeededFaults.parse(args.inject, seed=args.inject_seed)
-            if args.inject
-            else None
-        )
-        supervisor = WorkerSupervisor(
-            workers=args.workers,
+    telemetry = CampaignTelemetry()
+    executor = _executor_from(args)
+    engine = dict(executor=executor, telemetry=telemetry)
+    if args.verb == "serve":
+        engine.update(
+            workers=args.workers,  # 0: remote agents only
+            shards=args.shards,
+            host=args.host,
+            port=args.port,
+            store=ResultStore(Path(args.store)) if args.store else None,
+            tenant=args.tenant,
+            retry=RetryPolicy(
+                max_attempts=args.retries, seed=args.backoff_seed
+            ),
+            lease_timeout=args.lease_timeout,
+            runner=args.runner,
+            runner_seconds=args.runner_seconds,
+            chaos_kill_after=args.chaos_kill_after,
             timeout=args.timeout,
+        )
+    else:
+        engine.update(
+            workers=executor.workers,  # at least one local agent
             retry=RetryPolicy(
                 max_attempts=args.retries,
                 unit=args.backoff_unit,
                 seed=args.backoff_seed,
             ),
-            faults=faults,
+            faults=(
+                SeededFaults.parse(args.inject, seed=args.inject_seed)
+                if args.inject
+                else None
+            ),
+            lease_timeout=args.timeout,
         )
-        telemetry = CampaignTelemetry()
-        report = run_campaign(
-            directory,
-            spec,
-            supervisor=supervisor,
-            executor=_executor_from(args),
-            telemetry=telemetry,
-        )
-        print(report.render())
-        print("telemetry:")
-        for line in telemetry.render_counters(indent="  "):
-            print(line)
-        if args.trace_out:
-            written = telemetry.write_chrome_trace(
-                args.trace_out, workers=supervisor.workers
-            )
-            print(f"wrote campaign trace {written}")
-        return 0 if report.ok else 1
-    except CampaignError as error:
+    try:
+        report = run_campaign(directory, spec, **engine)
+    except (CampaignError, DistributedError) as error:
         print(f"campaign error: {error}", file=sys.stderr)
         return 2
+    print(report.render())
+    print("telemetry:")
+    for line in telemetry.render_counters(indent="  "):
+        print(line)
+    if args.trace_out:
+        written = telemetry.write_chrome_trace(
+            args.trace_out, workers=report.workers
+        )
+        print(f"wrote campaign trace {written}")
+    return 0 if report.ok else 1
 
 
 def _campaign_live_status(args: argparse.Namespace) -> Optional[int]:
@@ -1773,68 +1656,6 @@ def _campaign_live_status(args: argparse.Namespace) -> Optional[int]:
             file=sys.stderr,
         )
         return 2
-
-
-def _cmd_campaign_serve(args: argparse.Namespace) -> int:
-    """``campaign serve`` — the distributed analogue of ``campaign run``:
-    an asyncio coordinator shards the plan, forks ``--workers`` local
-    agents, and accepts remote ``campaign worker`` joins on --host:--port.
-    """
-    from pathlib import Path
-
-    from repro.harness.campaign import CampaignError, CampaignSpec
-    from repro.harness.distributed import DistributedError, run_distributed
-    from repro.harness.resultstore import ResultStore
-    from repro.harness.supervisor import RetryPolicy
-    from repro.obs.campaign import CampaignTelemetry
-
-    if args.out is None:
-        print("campaign serve requires --out DIR", file=sys.stderr)
-        return 2
-    directory = Path(args.out)
-    spec = None
-    if args.apps or (args.sweep == "trace" and args.trace_path):
-        spec = _campaign_spec_from_args(args, directory)
-        if spec is None:
-            return 2
-
-    telemetry = CampaignTelemetry()
-    try:
-        report = run_distributed(
-            directory,
-            spec,
-            workers=args.workers,
-            shards=args.shards,
-            host=args.host,
-            port=args.port,
-            executor=Executor(
-                workers=1, use_cache=False if args.no_cache else None
-            ),
-            store=ResultStore(Path(args.store)) if args.store else None,
-            tenant=args.tenant,
-            retry=RetryPolicy(
-                max_attempts=args.retries, seed=args.backoff_seed
-            ),
-            lease_timeout=args.lease_timeout,
-            runner=args.runner,
-            runner_seconds=args.runner_seconds,
-            chaos_kill_after=args.chaos_kill_after,
-            timeout=args.timeout,
-            telemetry=telemetry,
-        )
-    except (CampaignError, DistributedError) as error:
-        print(f"campaign error: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    print("telemetry:")
-    for line in telemetry.render_counters(indent="  "):
-        print(line)
-    if args.trace_out:
-        written = telemetry.write_chrome_trace(
-            args.trace_out, workers=report.workers
-        )
-        print(f"wrote campaign trace {written}")
-    return 0 if report.ok else 1
 
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
@@ -1942,7 +1763,6 @@ def _cmd_campaign_submit(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _parse_args(argv)
-    _warn_deprecated(args)
     handlers = {
         ("sim", "run"): _cmd_sim_run,
         ("sim", "compare"): _cmd_sim_compare,
@@ -1959,11 +1779,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("traces", "info"): _cmd_traces,
         ("traces", "validate"): _cmd_traces,
         ("traces", "replay"): _cmd_traces,
-        ("campaign", "run"): _cmd_campaign,
-        ("campaign", "resume"): _cmd_campaign,
+        ("campaign", "run"): _cmd_campaign_run,
+        ("campaign", "resume"): _cmd_campaign_run,
         ("campaign", "status"): _cmd_campaign,
         ("campaign", "render"): _cmd_campaign,
-        ("campaign", "serve"): _cmd_campaign_serve,
+        ("campaign", "serve"): _cmd_campaign_run,
         ("campaign", "worker"): _cmd_campaign_worker,
         ("campaign", "submit"): _cmd_campaign_submit,
     }

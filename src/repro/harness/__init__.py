@@ -8,13 +8,14 @@ the evaluation section from those results, and
 that motivates the design.
 
 Fault tolerance: :mod:`~repro.harness.campaign` runs whole sweeps as
-crash-safe-resumable campaigns on top of the
-:mod:`~repro.harness.supervisor` worker pool (per-run timeouts,
-heartbeats, seeded retry/backoff, graceful degradation). Those two
-modules — and everything they pull in (``multiprocessing`` plumbing,
-campaign telemetry) — resolve lazily on first attribute access so that
-``import repro.harness`` (and therefore ``import repro.api``) stays as
-cheap as it was before the campaign layer existed.
+crash-safe-resumable campaigns on one engine, the
+:mod:`~repro.harness.distributed` coordinator and its local or remote
+worker agents (per-run budgets, heartbeats, seeded retry/backoff from
+:mod:`~repro.harness.supervisor`, graceful degradation). The campaign
+modules — and everything they pull in (``asyncio``/``multiprocessing``
+plumbing, campaign telemetry) — resolve lazily on first attribute access
+so that ``import repro.harness`` (and therefore ``import repro.api``)
+stays as cheap as it was before the campaign layer existed.
 """
 
 from repro.harness.runner import SimulationResult, run_app, run_pair
@@ -45,8 +46,8 @@ from repro.harness.figures import (
 )
 from repro.harness.motivation import section2c_sharing_probe
 
-#: Lazily resolved exports: name -> (module, attribute). The campaign /
-#: supervisor layer is only needed by campaign workflows, never by a plain
+#: Lazily resolved exports: name -> (module, attribute). The campaign
+#: engine is only needed by campaign workflows, never by a plain
 #: ``api.simulate`` call.
 _LAZY = {
     "Campaign": ("repro.harness.campaign", "Campaign"),
@@ -58,10 +59,8 @@ _LAZY = {
     "run_campaign": ("repro.harness.campaign", "run_campaign"),
     "Coordinator": ("repro.harness.distributed", "Coordinator"),
     "DistributedError": ("repro.harness.distributed", "DistributedError"),
-    "DistributedReport": ("repro.harness.distributed", "DistributedReport"),
     "TokenBucket": ("repro.harness.distributed", "TokenBucket"),
     "WorkerAgent": ("repro.harness.distributed", "WorkerAgent"),
-    "run_distributed": ("repro.harness.distributed", "run_distributed"),
     "RpcClient": ("repro.harness.protocol", "RpcClient"),
     "RpcError": ("repro.harness.protocol", "RpcError"),
     "ProtocolError": ("repro.harness.protocol", "ProtocolError"),
@@ -70,7 +69,6 @@ _LAZY = {
     "RetryPolicy": ("repro.harness.supervisor", "RetryPolicy"),
     "ScriptedFaults": ("repro.harness.supervisor", "ScriptedFaults"),
     "SeededFaults": ("repro.harness.supervisor", "SeededFaults"),
-    "WorkerSupervisor": ("repro.harness.supervisor", "WorkerSupervisor"),
 }
 
 __all__ = [
@@ -82,7 +80,6 @@ __all__ = [
     "CampaignStatus",
     "Coordinator",
     "DistributedError",
-    "DistributedReport",
     "Executor",
     "ExperimentPlan",
     "ProtocolError",
@@ -97,10 +94,8 @@ __all__ = [
     "SimulationResult",
     "TokenBucket",
     "WorkerAgent",
-    "WorkerSupervisor",
     "default_executor",
     "run_campaign",
-    "run_distributed",
     "run_key",
     "generate_report",
     "sweep_core_counts",
@@ -123,7 +118,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    """PEP 562: resolve the campaign/supervisor layer on first touch."""
+    """PEP 562: resolve the campaign layer on first touch."""
     try:
         module_name, attribute = _LAZY[name]
     except KeyError:

@@ -2,26 +2,33 @@
 
 A *campaign* is a declared sweep (an
 :class:`~repro.harness.executor.ExperimentPlan` built deterministically
-from a :class:`CampaignSpec`) executed under the
-:class:`~repro.harness.supervisor.WorkerSupervisor` with durable
-checkpoints, so the harness survives the same fault classes the WiDir
-protocol itself is built around (collisions -> BRS backoff; here: worker
-crashes / hangs / timeouts -> seeded retry with the same
-:class:`~repro.wireless.mac.BackoffPolicy` shape).
+from a :class:`CampaignSpec`) executed by :func:`run_campaign` with
+durable checkpoints, so the harness survives the same fault classes the
+WiDir protocol itself is built around (collisions -> BRS backoff; here:
+worker crashes / hangs / timeouts -> seeded retry with the same
+:class:`~repro.wireless.mac.BackoffPolicy` shape). There is one engine:
+the :class:`~repro.harness.distributed.Coordinator`, driving local forked
+worker agents and/or remote ones; this module owns the directory it
+writes.
 
 On-disk layout (all writes crash-safe; see :mod:`repro.harness.ioutils`)::
 
     <dir>/campaign.json     spec + expected run keys (atomic, versioned)
-    <dir>/journal.jsonl     append-only checkpoint journal: one fsynced
-                            record per completed run and per failed
-                            attempt; a torn final line (SIGKILL mid-append)
-                            is dropped on replay
+    <dir>/journal.jsonl     journal header (schema + name)
+    <dir>/journal-shard<k>.jsonl
+                            append-only checkpoint journals, one writer
+                            (the coordinator) per shard: one fsynced
+                            record per completed run, per failed attempt
+                            and per give-up; a torn final line (SIGKILL
+                            mid-append) is dropped on replay
     <dir>/runs/<key>.json   canonical result payloads (atomic, written
                             *before* the journal records completion)
     <dir>/results.json      aggregate label -> payload map (atomic)
     <dir>/digest.txt        sha256 of results.json — the resume-identity
                             contract: interrupted+resumed == uninterrupted
     <dir>/provenance.json   which runs made it, which are missing and why
+    <dir>/coordinator.json  endpoint of the live coordinator (while running)
+    <dir>/distributed.json  worker/shard/counter accounting (when done)
 
 The aggregate is a pure function of the completed payloads (sorted labels,
 canonical JSON), so *when* and *how often* a campaign was interrupted is
@@ -42,14 +49,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.coherence.backend import get_backend
 from repro.config.presets import baseline_config, protocol_config, widir_config
 from repro.harness.executor import (
     Executor,
     ExperimentPlan,
-    RunRequest,
+    _default_workers,
     run_key,
 )
 from repro.harness.ioutils import (
@@ -58,14 +65,12 @@ from repro.harness.ioutils import (
     atomic_write_text,
     iter_stale_tmp,
     quarantine,
-    read_jsonl,
     read_jsonl_many,
 )
 from repro.harness.runner import SimulationResult
-from repro.harness.supervisor import RetryPolicy, WorkerSupervisor
+from repro.harness.supervisor import RetryPolicy
 from repro.harness.sweeps import label_for, mac_variants
 from repro.wireless.mac import get_mac
-from repro.obs.campaign import CampaignTelemetry
 
 #: Bump on any change to the journal / manifest / aggregate shapes.
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -282,7 +287,7 @@ class CampaignSpec:
 
 @dataclass
 class CampaignReport:
-    """Outcome of one :meth:`Campaign.run` invocation."""
+    """Outcome of one :func:`run_campaign` invocation."""
 
     name: str
     directory: Path
@@ -291,9 +296,16 @@ class CampaignReport:
     failed: List[Dict] = field(default_factory=list)
     resumed: int = 0
     cache_hits: int = 0
+    store_hits: int = 0
     executed: int = 0
     retries: int = 0
     digest: str = ""
+    workers: int = 0
+    shards: int = 0
+    stolen: int = 0
+    wall_seconds: float = 0.0
+    #: The ``distributed.json`` accounting (per shard, per worker).
+    summary: Dict = field(default_factory=dict)
     telemetry: Optional[Dict] = None
 
     @property
@@ -304,7 +316,10 @@ class CampaignReport:
         lines = [
             f"campaign {self.name}: {self.completed}/{self.total} runs "
             f"complete ({self.resumed} resumed, {self.cache_hits} cache "
-            f"hits, {self.executed} simulated, {self.retries} retries)",
+            f"hits, {self.store_hits} store hits, {self.executed} simulated, "
+            f"{self.retries} retries) across {self.workers} workers / "
+            f"{self.shards} shards ({self.stolen} stolen) in "
+            f"{self.wall_seconds:.2f}s",
             f"  digest : {self.digest}",
             f"  results: {self.directory / RESULTS_NAME}",
         ]
@@ -432,7 +447,7 @@ class CampaignResultSource(Executor):
 
 
 class Campaign:
-    """One durable campaign directory: create, run, resume, inspect."""
+    """One durable campaign directory: create, load, journal, aggregate."""
 
     def __init__(self, directory: Union[str, Path], spec: CampaignSpec):
         self.directory = Path(directory)
@@ -467,8 +482,13 @@ class Campaign:
     def _payload_path(self, key: str) -> Path:
         return self.runs_dir / f"{key}.json"
 
-    def _journal(self, record: Dict) -> None:
-        append_jsonl(self.journal_path, record)
+    def _journal(self, record: Dict, shard: Optional[int] = None) -> None:
+        """Append one versioned record to the main or a shard journal."""
+        path = (
+            self.journal_path if shard is None
+            else self.shard_journal_path(shard)
+        )
+        append_jsonl(path, dict(record, schema=CHECKPOINT_SCHEMA_VERSION))
 
     # ------------------------------------------------------ create / load
 
@@ -498,13 +518,7 @@ class Campaign:
             },
         )
         if not campaign.journal_path.exists():
-            campaign._journal(
-                {
-                    "type": "header",
-                    "schema": CHECKPOINT_SCHEMA_VERSION,
-                    "name": spec.name,
-                }
-            )
+            campaign._journal({"type": "header", "name": spec.name})
         return campaign
 
     @classmethod
@@ -548,10 +562,10 @@ class Campaign:
         a journal entry whose payload file is missing or corrupt is
         *demoted* back to pending, with the corrupt file quarantined).
 
-        Distributed campaigns journal per shard; every journal (main +
-        ``journal-shard*.jsonl``) feeds one merged replay, so a single-box
-        ``campaign resume`` can finish a half-done distributed run and
-        vice versa.
+        The coordinator journals per shard; every journal (main +
+        ``journal-shard*.jsonl``) feeds one merged replay, so any shard
+        count — and directories whose completions sit in the main
+        journal — resume alike.
         """
         records, bad_lines = read_jsonl_many(self.journal_paths())
         payloads: Dict[str, Dict] = {}
@@ -584,7 +598,7 @@ class Campaign:
         payloads, _, _ = self._replay_journal()
         return payloads
 
-    # ------------------------------------------------- distributed surface
+    # --------------------------------------------------------- recording
 
     def record_completion(
         self,
@@ -596,26 +610,47 @@ class Campaign:
     ) -> None:
         """Durably complete one run, optionally into a shard journal.
 
-        Order is the crash-safety contract shared with :meth:`run`: the
-        payload lands atomically in ``runs/`` *before* the journal says
-        "ok", so a kill between the two re-runs the simulation instead of
-        trusting a phantom completion.
+        Order is the crash-safety contract: the payload lands atomically
+        in ``runs/`` *before* the journal says "ok", so a kill between the
+        two re-runs the simulation instead of trusting a phantom
+        completion.
         """
         atomic_write_json(self._payload_path(key), payload)
-        journal = (
-            self.journal_path if shard is None
-            else self.shard_journal_path(shard)
-        )
-        append_jsonl(
-            journal,
+        self._journal(
             {
                 "type": "run",
-                "schema": CHECKPOINT_SCHEMA_VERSION,
                 "key": key,
                 "status": "ok",
                 "source": source,
                 "attempts": attempts,
             },
+            shard,
+        )
+
+    def record_attempt(
+        self,
+        key: str,
+        attempt: int,
+        status: str,
+        detail: str,
+        backoff: float = 0.0,
+        shard: Optional[int] = None,
+    ) -> None:
+        """Journal one failed attempt (a retry, or the last before give-up).
+
+        ``status`` is the failure kind (``crashed`` / ``timeout`` /
+        ``hung`` / ``error``); ``campaign status`` counts retries by it.
+        """
+        self._journal(
+            {
+                "type": "attempt",
+                "key": key,
+                "attempt": attempt,
+                "status": status,
+                "detail": detail,
+                "backoff": backoff,
+            },
+            shard,
         )
 
     def record_failure(
@@ -626,190 +661,30 @@ class Campaign:
         shard: Optional[int] = None,
     ) -> None:
         """Journal terminal retry exhaustion for one run."""
-        journal = (
-            self.journal_path if shard is None
-            else self.shard_journal_path(shard)
-        )
-        append_jsonl(
-            journal,
+        self._journal(
             {
                 "type": "run",
-                "schema": CHECKPOINT_SCHEMA_VERSION,
                 "key": key,
                 "status": "failed",
                 "attempts": attempts,
                 "detail": detail,
             },
-        )
-
-    def finalize(
-        self, payloads: Dict[str, Dict], failed: List[Dict]
-    ) -> str:
-        """(Re)write the aggregate artifacts; returns the sha256 digest.
-
-        Public alias of the aggregate writer for coordinators that merge
-        shard journals themselves — same pure function of the payloads,
-        so a distributed merge is byte-identical to a single-box run.
-        """
-        return self._write_aggregate(payloads, failed)
-
-    # ----------------------------------------------------------- execution
-
-    def run(
-        self,
-        supervisor: Optional[WorkerSupervisor] = None,
-        executor: Optional[Executor] = None,
-        telemetry: Optional[CampaignTelemetry] = None,
-        on_event: Optional[Callable[[Dict], None]] = None,
-    ) -> CampaignReport:
-        """Execute (or resume) the campaign to a terminal state.
-
-        Safe to call again after any interruption — completed runs are
-        replayed from the journal, previously *failed* runs get a fresh
-        retry budget, and the aggregate artifacts are (re)written
-        atomically at the end.
-        """
-        telemetry = telemetry if telemetry is not None else CampaignTelemetry()
-        executor = executor if executor is not None else Executor(workers=1)
-
-        def emit(event: Dict) -> None:
-            telemetry.on_event(event)
-            if on_event is not None:
-                on_event(event)
-
-        emit({"event": "plan", "total": len(self.labels)})
-        payloads, _, _ = self._replay_journal()
-        resumed = len(payloads)
-        for _ in range(resumed):
-            emit({"event": "resume-skip"})
-
-        # First-occurrence dedup (a matrix can request one run many times).
-        unique: Dict[str, RunRequest] = {}
-        for key, request in zip(self.keys, self.plan.requests):
-            unique.setdefault(key, request)
-
-        def complete(key: str, payload: Dict, source: str, attempts: int,
-                     detail: str = "") -> None:
-            # Payload lands durably *before* the journal says "done":
-            # a crash between the two re-runs the simulation, never the
-            # reverse (a journal entry pointing at nothing is demoted).
-            atomic_write_json(self._payload_path(key), payload)
-            executor._cache_store(key, payload)
-            self._journal(
-                {
-                    "type": "run",
-                    "schema": CHECKPOINT_SCHEMA_VERSION,
-                    "key": key,
-                    "status": "ok",
-                    "source": source,
-                    "attempts": attempts,
-                }
-            )
-            payloads[key] = payload
-
-        # Memo-cache pass: anything the PR-1 executor already knows is a
-        # completion without spawning a worker.
-        cache_hits = 0
-        todo: List[Tuple[str, RunRequest]] = []
-        for key, request in unique.items():
-            if key in payloads:
-                continue
-            cached = executor._cache_load(key)
-            if cached is not None:
-                complete(key, cached, "cache", 0)
-                emit({"event": "cache-hit", "key": key})
-                cache_hits += 1
-            else:
-                todo.append((key, request))
-
-        # Supervised execution of the remainder.
-        executed = 0
-        failed: List[Dict] = []
-        if todo:
-            if supervisor is None:
-                supervisor = WorkerSupervisor()
-            previous_hook = supervisor.on_event
-
-            def journal_event(event: Dict) -> None:
-                if event["event"] in ("retry", "giveup"):
-                    self._journal(
-                        {
-                            "type": "attempt",
-                            "schema": CHECKPOINT_SCHEMA_VERSION,
-                            "key": event["key"],
-                            "attempt": event["attempt"],
-                            "status": event.get("status", ""),
-                            "detail": event.get("detail", ""),
-                            "backoff": event.get("backoff", 0.0),
-                        }
-                    )
-                emit(event)
-                if previous_hook is not None:
-                    previous_hook(event)
-
-            supervisor.on_event = journal_event
-            try:
-                outcomes = supervisor.run(todo)
-            finally:
-                supervisor.on_event = previous_hook
-            for key, outcome in outcomes.items():
-                if outcome.ok:
-                    complete(key, outcome.payload, "simulated",
-                             outcome.attempts)
-                    executed += 1
-                else:
-                    self._journal(
-                        {
-                            "type": "run",
-                            "schema": CHECKPOINT_SCHEMA_VERSION,
-                            "key": key,
-                            "status": "failed",
-                            "attempts": outcome.attempts,
-                            "detail": outcome.detail,
-                        }
-                    )
-                    failed.append({"key": key, "reason": outcome.detail,
-                                   "attempts": outcome.attempts})
-
-        digest = self._write_aggregate(payloads, failed)
-        failed_labels = [
-            {
-                "label": label,
-                "key": self.key_for_label[label],
-                **{k: v for k, v in entry.items() if k != "key"},
-            }
-            for label in self.labels
-            for entry in failed
-            if self.key_for_label[label] == entry["key"]
-        ]
-        return CampaignReport(
-            name=self.spec.name,
-            directory=self.directory,
-            total=len(self.labels),
-            completed=sum(
-                1 for label in self.labels
-                if self.key_for_label[label] in payloads
-            ),
-            failed=failed_labels,
-            resumed=resumed,
-            cache_hits=cache_hits,
-            executed=executed,
-            retries=telemetry.counters.get("retries.total", 0),
-            digest=digest,
-            telemetry=telemetry.snapshot(),
+            shard,
         )
 
     # ----------------------------------------------------------- aggregate
 
-    def _write_aggregate(
+    def finalize(
         self, payloads: Dict[str, Dict], failed: List[Dict]
     ) -> str:
         """Write ``results.json`` / ``digest.txt`` / ``provenance.json``.
 
-        ``results.json`` is a pure, canonical function of the completed
-        payloads — sorted labels, sorted keys, compact separators — so its
-        bytes (and hence the digest) are independent of execution order,
-        interruptions, retries, and timing.
+        Returns the sha256 digest. ``results.json`` is a pure, canonical
+        function of the completed payloads — sorted labels, sorted keys,
+        compact separators — so its bytes (and hence the digest) are
+        independent of execution order, worker count, interruptions,
+        retries, and timing. ``failed`` entries (``key``, ``reason``,
+        ``attempts``) only annotate ``provenance.json``.
         """
         completed = {}
         missing = []
@@ -950,17 +825,29 @@ def run_campaign(
     directory: Union[str, Path],
     spec: Optional[CampaignSpec] = None,
     resume: bool = True,
-    supervisor: Optional[WorkerSupervisor] = None,
-    executor: Optional[Executor] = None,
-    telemetry: Optional[CampaignTelemetry] = None,
-    on_event: Optional[Callable[[Dict], None]] = None,
+    *,
+    workers: Optional[int] = None,
+    timeout: Optional[float] = None,
+    **engine,
 ) -> CampaignReport:
-    """Create-or-resume a campaign in ``directory`` and run it.
+    """Create-or-resume a campaign in ``directory`` and run it to the end.
 
     With ``spec`` given: creates the campaign if the directory is fresh,
     otherwise (``resume=True``) validates that the on-disk spec matches and
     resumes. Without ``spec``: loads an existing campaign.
+
+    Every campaign runs on the one engine: a
+    :class:`~repro.harness.distributed.Coordinator` that keeps ``workers``
+    local agents alive (default: ``REPRO_WORKERS`` or the CPU count; ``0``
+    serves remote ``campaign worker`` agents only) until every run is
+    terminal, then returns the report. ``timeout`` bounds the whole
+    campaign (:class:`~repro.harness.distributed.DistributedError` past
+    it). ``engine`` goes to the coordinator: notably ``lease_timeout``
+    (the per-run budget, ``None`` = unlimited), ``retry``, ``faults``,
+    ``executor``, ``store``, ``telemetry`` and ``on_event``.
     """
+    from repro.harness.distributed import Coordinator  # imports this module
+
     directory = Path(directory)
     if (directory / MANIFEST_NAME).exists():
         campaign = Campaign.load(directory)
@@ -981,11 +868,35 @@ def run_campaign(
                 f"(missing {MANIFEST_NAME})"
             )
         campaign = Campaign.create(directory, spec)
-    return campaign.run(
-        supervisor=supervisor,
-        executor=executor,
-        telemetry=telemetry,
-        on_event=on_event,
+
+    workers = _default_workers() if workers is None else max(0, int(workers))
+    coordinator = Coordinator(
+        campaign, expected_workers=max(1, workers), **engine
+    )
+    wall_seconds = coordinator.run(workers, timeout)
+    counters = coordinator.telemetry.counters
+    return CampaignReport(
+        name=campaign.spec.name,
+        directory=campaign.directory,
+        total=len(campaign.labels),
+        completed=sum(key in coordinator.payloads for key in campaign.keys),
+        failed=[
+            dict(coordinator.failed[key], label=label)
+            for label, key in campaign.key_for_label.items()
+            if key in coordinator.failed
+        ],
+        resumed=coordinator.resumed,
+        cache_hits=counters["runs.cache_hits"],
+        store_hits=counters["runs.store_hits"],
+        executed=coordinator.accepted_results,
+        retries=counters["retries.total"],
+        digest=coordinator.digest,
+        workers=max(workers, len(coordinator.workers)),
+        shards=coordinator.num_shards,
+        stolen=sum(stats.stolen for stats in coordinator.shard_stats),
+        wall_seconds=wall_seconds,
+        summary=coordinator.summary,
+        telemetry=coordinator.telemetry.snapshot(),
     )
 
 

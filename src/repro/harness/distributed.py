@@ -1,35 +1,45 @@
-"""Distributed sharded campaign execution.
+"""The campaign engine: a sharding coordinator and its worker agents.
 
 One asyncio **coordinator** owns a campaign directory and shards its
 pending run keys across N **worker agents** — local forked subprocesses
 or remote processes speaking the length-prefixed JSON-RPC protocol of
-:mod:`repro.harness.protocol` over TCP. The design goals, in order:
+:mod:`repro.harness.protocol` over TCP. Every campaign runs here:
+``campaign run``/``resume`` (local agents only), ``campaign serve``
+(local and/or remote agents), ``api.campaign`` and
+``api.distributed_campaign`` all go through
+:func:`~repro.harness.campaign.run_campaign`. The design goals, in order:
 
-1. **Resume identity.** Every completion lands through the PR 5 campaign
+1. **Resume identity.** Every completion lands through the campaign
    discipline — payload written atomically in ``runs/`` *before* a
    journal record says "ok" — into per-shard journals
    (``journal-shard<k>.jsonl``, single-writer: the coordinator). The
    final aggregate is :meth:`Campaign.finalize`, a pure function of the
    payloads, so the merged ``results.json`` sha256 is bit-for-bit the
-   digest a single-box run produces, no matter how many workers, steals,
-   kills, or resumes happened in between.
+   digest of the same payloads simulated in-process, no matter how many
+   workers, steals, kills, or resumes happened in between.
 2. **Work stealing.** Keys are round-robined across more shards than
    workers (default ``2×``); each worker drains its affinity shard via
    ``lease`` and, when dry, calls ``steal`` to pull from the deepest
    foreign shard — fast workers finish slow shards' tails instead of
    idling.
 3. **Fault tolerance.** A worker's registration connection dropping
-   (SIGKILL, OOM) immediately requeues its leases; a heartbeat-stale but
-   connected worker (hung) and an overdue lease are requeued by the
-   watchdog. Retries ride the same seeded
-   :class:`~repro.harness.supervisor.RetryPolicy` ladder as single-box
-   campaigns, and retry exhaustion degrades gracefully (journaled
-   ``failed``, listed in ``provenance.json``).
+   (SIGKILL, OOM) immediately requeues its leases as *crashed*; the
+   watchdog requeues the leases of a heartbeat-stale worker as *hung*
+   and an overdue lease (past ``lease_timeout``, the per-run budget) as
+   *timeout*, SIGKILLing the agent when it is local so its slot frees
+   up. Local agents that die are respawned until the campaign is
+   terminal. Retries ride the seeded
+   :class:`~repro.harness.supervisor.RetryPolicy` ladder, are journalled
+   as ``attempt`` records, and retry exhaustion degrades gracefully
+   (journaled ``failed``, listed in ``provenance.json``). Injected faults
+   (:class:`~repro.harness.supervisor.ScriptedFaults` /
+   :class:`~repro.harness.supervisor.SeededFaults`) are drawn at grant
+   time and acted out by the agent.
 4. **Backpressure.** The ``submit`` RPC is token-bucket rate limited and
    bounded by a queue high-water mark (both reject with error 429, which
    clients absorb by backing off); lease grants are capped per worker.
 
-Cache layers: before enqueueing a key the coordinator consults the PR-1
+Cache layers: before enqueueing a key the coordinator consults the
 executor memo cache and, when configured, the content-addressed
 multi-tenant :class:`~repro.harness.resultstore.ResultStore` — a run any
 tenant already computed completes instantly as a ``store`` hit and never
@@ -43,8 +53,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import signal
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,13 +64,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.config.system import SystemConfig
-from repro.harness.campaign import (
-    CHECKPOINT_SCHEMA_VERSION,
-    Campaign,
-    CampaignError,
-    CampaignSpec,
-    MANIFEST_NAME,
-)
+from repro.harness.campaign import CHECKPOINT_SCHEMA_VERSION, Campaign
 from repro.harness.executor import Executor, RunRequest, _simulate, run_key
 from repro.harness.ioutils import atomic_write_json
 from repro.harness.protocol import (
@@ -77,6 +83,7 @@ from repro.harness.protocol import (
 )
 from repro.harness.resultstore import ResultStore
 from repro.harness.supervisor import (
+    CRASH_EXIT_CODE,
     RetryPolicy,
     replay_sys_paths,
     start_heartbeat_thread,
@@ -97,7 +104,8 @@ RUNNER_MODES = ("sim", "sleep")
 
 
 class DistributedError(RuntimeError):
-    """Raised for coordinator misconfiguration (not for worker faults)."""
+    """Raised for coordinator misconfiguration or a blown campaign budget
+    (never for worker faults: those retry, then degrade)."""
 
 
 # ------------------------------------------------------------- token bucket
@@ -199,6 +207,10 @@ class Coordinator:
     mutators. Durable writes (payloads, shard journals) are synchronous
     inside handlers — they are small fsynced files, and ordering them
     inside the handler *is* the crash-safety contract.
+
+    ``lease_timeout`` is the per-run budget (``None``: unlimited);
+    ``faults`` is an optional ``(key, attempt) -> fault kind or None``
+    schedule evaluated at grant time (fault drills).
     """
 
     def __init__(
@@ -212,7 +224,8 @@ class Coordinator:
         store: Optional[ResultStore] = None,
         tenant: str = "default",
         retry: Optional[RetryPolicy] = None,
-        lease_timeout: float = 120.0,
+        faults: Optional[Callable[[str, int], Optional[str]]] = None,
+        lease_timeout: Optional[float] = None,
         heartbeat_interval: float = 0.25,
         heartbeat_grace: float = 40.0,
         max_inflight_per_worker: int = 1,
@@ -245,6 +258,7 @@ class Coordinator:
         self.store = store if store is not None else self.executor.store
         self.tenant = tenant
         self.retry = retry if retry is not None else RetryPolicy()
+        self.faults = faults
         self.lease_timeout = lease_timeout
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_grace = heartbeat_grace
@@ -282,13 +296,19 @@ class Coordinator:
             self.shard_stats[shard].total += 1
 
         self.payloads: Dict[str, Dict] = {}
-        self.failed: List[Dict] = []
+        #: key -> terminal failure (``key``, ``reason``, ``attempts``);
+        #: disjoint from ``payloads`` — a late valid result heals it.
+        self.failed: Dict[str, Dict] = {}
+        #: key -> attempt number of its latest grant.
         self.attempts: Dict[str, int] = {}
         self.queued: Dict[str, _Entry] = {}
         self.leases: Dict[str, _Lease] = {}
         self.workers: Dict[str, _WorkerState] = {}
-        self.local_pids: Dict[int, object] = {}  #: pid -> Process handle
+        #: pid -> Process handle of every live local agent.
+        self.local_workers: Dict[int, object] = {}
+        self.local_target = 0
 
+        self.resumed = 0
         self.accepted_results = 0
         self._chaos_fired = False
         self._next_worker = 0
@@ -297,6 +317,7 @@ class Coordinator:
         self._watchdog: Optional[asyncio.Task] = None
         self._done = asyncio.Event()
         self.digest: str = ""
+        self.summary: Dict = {}
         self.started_at = 0.0
 
     # ------------------------------------------------------------- events
@@ -311,8 +332,9 @@ class Coordinator:
     async def start(self) -> Tuple[str, int]:
         """Bind, replay journals, advertise the endpoint; returns it."""
         self.started_at = time.monotonic()
-        payloads, records, _ = self.campaign._replay_journal()
+        payloads = self.campaign.completed_payloads()
         self.payloads.update(payloads)
+        self.resumed = len(payloads)
         self._emit({"event": "plan", "total": len(self.campaign.labels)})
         for _ in range(len(payloads)):
             self._emit({"event": "resume-skip"})
@@ -396,7 +418,7 @@ class Coordinator:
         for key in self.requests:
             if key in self.payloads or key in self.queued or key in self.leases:
                 continue
-            if any(entry["key"] == key for entry in self.failed):
+            if key in self.failed:
                 continue
             # Cache/store payloads are real simulation results; a sleep-mode
             # campaign neither reads nor writes them (its synthetic payloads
@@ -447,7 +469,7 @@ class Coordinator:
         if self.runner == "sim":
             if self.store is not None:
                 # The coordinator's store may not be the executor's (e.g.
-                # handed to run_distributed directly); populate the objects
+                # handed to run_campaign directly); populate the objects
                 # plane itself — put() is idempotent if both are wired.
                 self.store.put(key, payload)
             self.executor._cache_store(key, payload)
@@ -455,19 +477,21 @@ class Coordinator:
         self.shard_stats[shard].done += 1
         self._maybe_finish()
 
-    def _fail_terminal(self, key: str, detail: str, attempts: int) -> None:
+    def _fail_terminal(
+        self, key: str, status: str, detail: str, attempts: int
+    ) -> None:
         shard = self.home_shard[key]
-        self.campaign.record_failure(key, detail, attempts, shard=shard)
-        self.failed.append(
-            {"key": key, "reason": detail, "attempts": attempts}
-        )
+        reason = f"{status}: {detail}" if detail else status
+        self.campaign.record_attempt(key, attempts, status, detail, shard=shard)
+        self.campaign.record_failure(key, reason, attempts, shard=shard)
+        self.failed[key] = {"key": key, "reason": reason, "attempts": attempts}
         self.shard_stats[shard].failed += 1
         self._emit(
             {
                 "event": "giveup",
                 "key": key,
                 "attempt": attempts,
-                "status": "failed",
+                "status": status,
                 "detail": detail,
             }
         )
@@ -481,7 +505,9 @@ class Coordinator:
             return
         if self._terminal_count() < len(self.requests):
             return
-        self.digest = self.campaign.finalize(self.payloads, self.failed)
+        self.digest = self.campaign.finalize(
+            self.payloads, list(self.failed.values())
+        )
         if self.store is not None and self.runner == "sim":
             self.store.publish(
                 self.tenant,
@@ -493,37 +519,35 @@ class Coordinator:
         self._done.set()
 
     def _write_summary(self) -> None:
-        atomic_write_json(
-            self.campaign.directory / SUMMARY_NAME,
-            {
-                "schema": CHECKPOINT_SCHEMA_VERSION,
-                "name": self.campaign.spec.name,
-                "digest": self.digest,
-                "runner": self.runner,
-                "shards": [
-                    {
-                        "shard": index,
-                        "total": stats.total,
-                        "done": stats.done,
-                        "failed": stats.failed,
-                        "stolen": stats.stolen,
-                        "retried": stats.retried,
-                    }
-                    for index, stats in enumerate(self.shard_stats)
-                ],
-                "workers": {
-                    state.worker_id: {
-                        "leases": state.leases,
-                        "steals": state.steals,
-                        "completed": state.completed,
-                        "lost": not state.departed and not state.alive,
-                    }
-                    for state in self.workers.values()
-                },
-                "counters": dict(self.telemetry.counters),
-                "wall_seconds": time.monotonic() - self.started_at,
+        self.summary = {
+            "schema": CHECKPOINT_SCHEMA_VERSION,
+            "name": self.campaign.spec.name,
+            "digest": self.digest,
+            "runner": self.runner,
+            "shards": [
+                {
+                    "shard": index,
+                    "total": stats.total,
+                    "done": stats.done,
+                    "failed": stats.failed,
+                    "stolen": stats.stolen,
+                    "retried": stats.retried,
+                }
+                for index, stats in enumerate(self.shard_stats)
+            ],
+            "workers": {
+                state.worker_id: {
+                    "leases": state.leases,
+                    "steals": state.steals,
+                    "completed": state.completed,
+                    "lost": not state.departed and not state.alive,
+                }
+                for state in self.workers.values()
             },
-        )
+            "counters": dict(self.telemetry.counters),
+            "wall_seconds": time.monotonic() - self.started_at,
+        }
+        atomic_write_json(self.campaign.directory / SUMMARY_NAME, self.summary)
 
     # ------------------------------------------------------------- requeue
 
@@ -536,13 +560,13 @@ class Coordinator:
             worker.inflight.pop(key, None)
         attempt = lease.entry.attempt
         if attempt >= self.retry.max_attempts:
-            self._fail_terminal(
-                key,
-                f"{status}: {detail}" if detail else status,
-                attempt,
-            )
+            self._fail_terminal(key, status, detail, attempt)
             return
         delay = self.retry.delay_seconds(key, attempt)
+        self.campaign.record_attempt(
+            key, attempt, status, detail, backoff=delay,
+            shard=lease.entry.shard,
+        )
         entry = _Entry(
             key=key,
             shard=lease.entry.shard,
@@ -565,7 +589,9 @@ class Coordinator:
         )
         self._emit({"event": "requeue", "key": key, "worker": lease.worker_id})
 
-    def _lose_worker(self, worker: _WorkerState, reason: str) -> None:
+    def _lose_worker(
+        self, worker: _WorkerState, reason: str, status: str = "crashed"
+    ) -> None:
         if not worker.alive:
             return
         worker.alive = False
@@ -577,7 +603,7 @@ class Coordinator:
             return
         requeued = list(worker.inflight.values())
         for lease in requeued:
-            self._requeue(lease, "crashed", reason)
+            self._requeue(lease, status, reason)
         self._emit(
             {
                 "event": "worker-lost",
@@ -590,7 +616,12 @@ class Coordinator:
     # ------------------------------------------------------------ watchdog
 
     async def _watch(self) -> None:
-        """Requeue overdue leases and leases of heartbeat-stale workers."""
+        """Requeue overdue leases and leases of heartbeat-stale workers.
+
+        A stale worker's leases requeue as ``hung``, an overdue lease as
+        ``timeout``; either way a local agent is SIGKILLed so its slot
+        respawns instead of staying stuck. Dead local agents respawn here.
+        """
         while True:
             await asyncio.sleep(self.poll_interval)
             now = time.monotonic()
@@ -605,23 +636,90 @@ class Coordinator:
                     self._lose_worker(
                         worker,
                         f"no heartbeat for {now - worker.last_beat:.2f}s",
+                        status="hung",
                     )
-            for lease in list(self.leases.values()):
-                if now - lease.since > self.lease_timeout:
-                    self._requeue(
-                        lease,
-                        "timeout",
-                        f"lease exceeded {self.lease_timeout:.1f}s",
-                    )
+                    self._kill_local(worker)
+            if self.lease_timeout is not None:
+                for lease in list(self.leases.values()):
+                    if now - lease.since > self.lease_timeout:
+                        self._requeue(
+                            lease,
+                            "timeout",
+                            f"lease exceeded {self.lease_timeout:.1f}s",
+                        )
+                        self._kill_local(self.workers.get(lease.worker_id))
+            self._respawn_local_workers()
+
+    # -------------------------------------------------------- local agents
+
+    def run(self, local_workers: int, timeout: Optional[float] = None) -> float:
+        """Serve until every run is terminal; returns the wall seconds.
+
+        Keeps ``local_workers`` forked agents alive meanwhile (respawning
+        any that die) and accepts remote agents on ``host:port``. Raises
+        :class:`DistributedError` when ``timeout`` seconds pass first.
+        """
+        started = time.perf_counter()
+
+        async def main() -> bool:
+            await self.start()
+            self.enqueue_pending()  # cache/store hits may finish it here
+            self.local_target = local_workers
+            self._respawn_local_workers()
+            finished = await self.wait_done(timeout)
+            await self.stop()
+            return finished
+
+        try:
+            finished = asyncio.run(main())
+        finally:
+            deadline = time.monotonic() + 5.0
+            for process in self.local_workers.values():
+                process.join(max(0.0, deadline - time.monotonic()))
+                if process.is_alive():  # pragma: no cover - stuck agent
+                    process.kill()
+                    process.join(1.0)
+        if not finished:
+            raise DistributedError(
+                f"campaign did not reach a terminal state within {timeout}s"
+            )
+        return time.perf_counter() - started
+
+    def _respawn_local_workers(self) -> None:
+        """Reap dead local agents; fork replacements until the campaign ends."""
+        for pid, process in list(self.local_workers.items()):
+            if not process.is_alive():
+                del self.local_workers[pid]
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX fallback
+            context = multiprocessing.get_context()
+        while not self.done and len(self.local_workers) < self.local_target:
+            process = context.Process(
+                target=_local_agent_main,
+                args=(self.host, self.port, list(sys.path), "local"),
+                daemon=True,
+            )
+            process.start()
+            self.local_workers[process.pid] = process
+
+    def _kill_local(self, worker: Optional[_WorkerState]) -> bool:
+        """SIGKILL ``worker`` if it is a live local agent (remote: no-op)."""
+        process = self.local_workers.get(worker.pid) if worker else None
+        if process is None:
+            return False
+        process.kill()  # no-op once reaped, so a recycled pid is safe
+        return True
 
     # ------------------------------------------------------------- serving
 
     async def _handle_connection(self, reader, writer) -> None:
         """One TCP peer: serve requests until EOF.
 
-        If the peer registered via ``serve`` on this connection, EOF means
-        the worker died (or said ``bye`` first): its leases requeue
-        immediately — the fast path that makes SIGKILLed workers cheap.
+        If the peer registered via ``serve`` on this connection, EOF (or a
+        reset: a SIGKILLed peer) means the worker died, or said ``bye``
+        first: its leases requeue immediately — the fast path that makes
+        SIGKILLed workers cheap.
         """
         bound_worker: Optional[_WorkerState] = None
         task = asyncio.current_task()
@@ -631,8 +729,8 @@ class Coordinator:
             while True:
                 try:
                     request = await read_frame_async(reader)
-                except (ProtocolError, asyncio.CancelledError):
-                    break
+                except (ProtocolError, OSError, asyncio.CancelledError):
+                    break  # OSError: ConnectionResetError from a killed peer
                 if request is None:
                     break
                 response, bound = self._dispatch(request, bound_worker)
@@ -640,10 +738,12 @@ class Coordinator:
                     bound_worker = bound
                 try:
                     await write_frame_async(writer, response)
-                except (ConnectionError, OSError):
+                except OSError:
                     break
                 if request.get("method") == "bye":
                     break
+                if response.get("result", {}).get("kind") == "run":
+                    self._maybe_chaos_kill(bound_worker)
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
@@ -743,6 +843,8 @@ class Coordinator:
         self, worker: _WorkerState, entry: _Entry, stolen: bool
     ) -> Dict:
         self.queued.pop(entry.key, None)
+        self.attempts[entry.key] = entry.attempt
+        fault = self.faults(entry.key, entry.attempt) if self.faults else None
         lease = _Lease(
             entry=entry,
             worker_id=worker.worker_id,
@@ -764,6 +866,7 @@ class Coordinator:
                 "shard": entry.shard,
                 "attempt": entry.attempt,
                 "stolen": stolen,
+                "fault": fault,
             }
         )
         self._emit({"event": "queue-depth", "depth": len(self.queued)})
@@ -783,7 +886,7 @@ class Coordinator:
                 spec["trace_window"] = [
                     list(span) for span in request.trace_window
                 ]
-        return {
+        grant = {
             "kind": "run",
             "key": entry.key,
             "shard": entry.shard,
@@ -791,6 +894,9 @@ class Coordinator:
             "stolen": stolen,
             "request": spec,
         }
+        if fault is not None:
+            grant["fault"] = fault
+        return grant
 
     def _empty(self) -> Dict:
         return {
@@ -855,8 +961,14 @@ class Coordinator:
             # Duplicate (lease timed out, another worker already finished,
             # or a zombie reported late): idempotently ignored.
             return {"accepted": False, "done": self.done}
-        attempt = lease.entry.attempt if lease is not None else 1
-        self.attempts[key] = attempt
+        # A late valid result heals the key: it leaves the terminal
+        # failures and any queued retry, so it is terminal exactly once.
+        if self.failed.pop(key, None) is not None:
+            self.shard_stats[self.home_shard[key]].failed -= 1
+        retry = self.queued.pop(key, None)
+        if retry is not None:
+            self.shards[retry.shard].remove(retry)
+        attempt = self.attempts.get(key, 1)
         self._complete(key, payload, "simulated", attempt)
         worker.completed += 1
         self.accepted_results += 1
@@ -869,7 +981,6 @@ class Coordinator:
                 "worker": worker.worker_id,
             }
         )
-        self._maybe_chaos_kill(reporting=worker)
         return {"accepted": True, "done": self.done}
 
     def _rpc_fail(self, params: Dict) -> Dict:
@@ -989,15 +1100,12 @@ class Coordinator:
 
     # --------------------------------------------------------------- chaos
 
-    def track_local_worker(self, pid: int, process: object) -> None:
-        self.local_pids[pid] = process
+    def _maybe_chaos_kill(self, worker: Optional[_WorkerState]) -> None:
+        """SIGKILL the local agent just granted a lease (deterministic drills).
 
-    def _maybe_chaos_kill(self, reporting: _WorkerState) -> None:
-        """SIGKILL one local worker holding a lease (deterministic drills).
-
-        Fires once, after ``chaos_kill_after`` accepted results, against a
-        worker that currently holds a lease — guaranteeing the CI smoke
-        job observes a requeue + retry, not a lucky clean finish.
+        Fires once, on the first grant after ``chaos_kill_after`` accepted
+        results, once the grant frame is written: the victim dies holding
+        the lease, so the drill always observes a requeue and a retry.
         """
         if (
             self.chaos_kill_after is None
@@ -1005,33 +1113,15 @@ class Coordinator:
             or self.accepted_results < self.chaos_kill_after
         ):
             return
-        victims = [
-            state
-            for state in self.workers.values()
-            if state.alive
-            and state.inflight
-            and state.pid in self.local_pids
-            and state.worker_id != reporting.worker_id
-        ] or [
-            state
-            for state in self.workers.values()
-            if state.alive and state.inflight and state.pid in self.local_pids
-        ]
-        if not victims:
-            return
-        victim = victims[0]
-        self._chaos_fired = True
-        self._emit(
-            {
-                "event": "chaos-kill",
-                "worker": victim.worker_id,
-                "pid": victim.pid,
-            }
-        )
-        try:
-            os.kill(victim.pid, signal.SIGKILL)
-        except OSError:
-            pass
+        if self._kill_local(worker):
+            self._chaos_fired = True
+            self._emit(
+                {
+                    "event": "chaos-kill",
+                    "worker": worker.worker_id,
+                    "pid": worker.pid,
+                }
+            )
 
 
 # ------------------------------------------------------------ worker agent
@@ -1058,7 +1148,8 @@ class WorkerAgent:
     Two connections: the registration connection carries the request
     loop (its EOF is the coordinator's fast death-detection path), and
     the heartbeat thread owns a second connection so beats never
-    interleave with a lease in flight.
+    interleave with a lease in flight. A grant carrying a ``fault`` is
+    acted out instead of executed (:meth:`_act_out`).
     """
 
     def __init__(self, host: str, port: int, name: str = "") -> None:
@@ -1111,6 +1202,23 @@ class WorkerAgent:
             )
         return _simulate(request)
 
+    @staticmethod
+    def _act_out(fault: str, stop_heartbeat: Callable[[], None]) -> str:
+        """Exhibit an injected fault; returns (the detail) only for ``error``.
+
+        ``crash`` exits at once; ``hang`` sleeps while still beating (the
+        per-run budget catches it); ``stall`` silences the heartbeat first
+        (the heartbeat watchdog catches it). The coordinator SIGKILLs a
+        hung or stalled local agent.
+        """
+        if fault == "crash":
+            os._exit(CRASH_EXIT_CODE)
+        if fault == "stall":
+            stop_heartbeat()
+        if fault in ("hang", "stall"):
+            time.sleep(3600.0)  # until the coordinator SIGKILLs this agent
+        return "injected worker error"
+
     # -- main loop -------------------------------------------------------
 
     def run(self) -> int:
@@ -1145,6 +1253,14 @@ class WorkerAgent:
                         continue
                     self.stolen += int(bool(grant.get("stolen")))
                 key = grant["key"]
+                if grant.get("fault"):
+                    client.call(
+                        "fail",
+                        worker_id=self.worker_id,
+                        key=key,
+                        detail=self._act_out(grant["fault"], stop_heartbeat),
+                    )
+                    continue
                 try:
                     payload, elapsed = self._execute(grant, runner)
                 except Exception as exc:  # noqa: BLE001 - report, continue
@@ -1176,203 +1292,18 @@ class WorkerAgent:
         return self.completed
 
 
-def _local_worker_main(
+def _local_agent_main(
     host: str, port: int, sys_paths: List[str], name: str
 ) -> None:  # pragma: no cover - child process
     replay_sys_paths(sys_paths)
+    # Forked inside the coordinator's event loop: drop its SIGINT handler
+    # so Ctrl-C stops this agent too instead of cancelling a dead loop.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         WorkerAgent(host, port, name=name).run()
     except (RpcError, ProtocolError, OSError):
         # Coordinator gone (or we were raced by shutdown): nothing to do.
         pass
-
-
-# ----------------------------------------------------------------- reports
-
-
-@dataclass
-class DistributedReport:
-    """Outcome of one distributed campaign execution."""
-
-    name: str
-    directory: Path
-    total: int
-    completed: int
-    failed: List[Dict]
-    digest: str
-    workers: int
-    shards: int
-    stolen: int
-    retried: int
-    store_hits: int
-    wall_seconds: float
-    summary: Dict = field(default_factory=dict)
-    telemetry: Optional[Dict] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-    def render(self) -> str:
-        lines = [
-            f"campaign {self.name}: {self.completed}/{self.total} runs "
-            f"complete across {self.workers} workers / {self.shards} shards "
-            f"({self.stolen} stolen, {self.retried} requeued, "
-            f"{self.store_hits} store hits) in {self.wall_seconds:.2f}s",
-            f"  digest : {self.digest}",
-            f"  summary: {self.directory / SUMMARY_NAME}",
-        ]
-        if self.failed:
-            lines.append(
-                f"  DEGRADED: {len(self.failed)} runs failed after retry "
-                "exhaustion"
-            )
-        return "\n".join(lines)
-
-
-# ------------------------------------------------------------------ facade
-
-
-def _load_or_create(
-    directory: Union[str, Path], spec: Optional[CampaignSpec]
-) -> Campaign:
-    directory = Path(directory)
-    if (directory / MANIFEST_NAME).exists():
-        campaign = Campaign.load(directory)
-        if spec is not None and campaign.spec != spec:
-            raise CampaignError(
-                f"campaign at {directory} was declared with a different "
-                "spec; use a fresh --out directory"
-            )
-        return campaign
-    if spec is None:
-        raise CampaignError(
-            f"{directory} is not a campaign directory (missing "
-            f"{MANIFEST_NAME})"
-        )
-    return Campaign.create(directory, spec)
-
-
-def run_distributed(
-    directory: Union[str, Path],
-    spec: Optional[CampaignSpec] = None,
-    workers: int = 2,
-    shards: Optional[int] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    executor: Optional[Executor] = None,
-    store: Optional[ResultStore] = None,
-    tenant: str = "default",
-    retry: Optional[RetryPolicy] = None,
-    lease_timeout: float = 120.0,
-    heartbeat_interval: float = 0.25,
-    heartbeat_grace: float = 40.0,
-    submit_rate: float = 16.0,
-    submit_burst: float = 8.0,
-    max_queue: Optional[int] = None,
-    runner: str = "sim",
-    runner_seconds: float = 0.0,
-    chaos_kill_after: Optional[int] = None,
-    timeout: Optional[float] = None,
-    telemetry: Optional[CampaignTelemetry] = None,
-    on_event: Optional[Callable[[Dict], None]] = None,
-) -> DistributedReport:
-    """Create-or-resume a campaign and drive it over ``workers`` agents.
-
-    ``workers`` local agents are forked; ``workers=0`` serves remote
-    agents only (the ``repro campaign serve`` path — pair it with
-    ``repro campaign worker --connect``). Blocks until every run is
-    terminal, then merges the shard journals into the single-box-identical
-    aggregate and returns the report.
-    """
-    import multiprocessing
-    import sys
-
-    campaign = _load_or_create(directory, spec)
-    telemetry = telemetry if telemetry is not None else CampaignTelemetry()
-    coordinator = Coordinator(
-        campaign,
-        host=host,
-        port=port,
-        shards=shards,
-        expected_workers=max(1, workers),
-        executor=executor,
-        store=store,
-        tenant=tenant,
-        retry=retry,
-        lease_timeout=lease_timeout,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_grace=heartbeat_grace,
-        submit_rate=submit_rate,
-        submit_burst=submit_burst,
-        max_queue=max_queue,
-        runner=runner,
-        runner_seconds=runner_seconds,
-        chaos_kill_after=chaos_kill_after,
-        telemetry=telemetry,
-        on_event=on_event,
-    )
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        context = multiprocessing.get_context()
-    processes: List[object] = []
-    started = time.perf_counter()
-
-    async def _main() -> bool:
-        bind_host, bind_port = await coordinator.start()
-        for index in range(workers):
-            process = context.Process(
-                target=_local_worker_main,
-                args=(bind_host, bind_port, list(sys.path), f"local{index}"),
-                daemon=True,
-            )
-            process.start()
-            processes.append(process)
-            coordinator.track_local_worker(process.pid, process)
-        coordinator.enqueue_pending()
-        finished = await coordinator.wait_done(timeout)
-        await coordinator.stop()
-        return finished
-
-    try:
-        finished = asyncio.run(_main())
-    finally:
-        deadline = time.monotonic() + 5.0
-        for process in processes:
-            process.join(max(0.0, deadline - time.monotonic()))
-        for process in processes:
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(1.0)
-    if not finished:
-        raise DistributedError(
-            f"campaign did not reach a terminal state within {timeout}s"
-        )
-
-    wall = time.perf_counter() - started
-    summary = {}
-    summary_path = campaign.directory / SUMMARY_NAME
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    counters = telemetry.counters
-    return DistributedReport(
-        name=campaign.spec.name,
-        directory=campaign.directory,
-        total=len(coordinator.requests),
-        completed=len(coordinator.payloads),
-        failed=list(coordinator.failed),
-        digest=coordinator.digest,
-        workers=max(workers, len(coordinator.workers)),
-        shards=coordinator.num_shards,
-        stolen=sum(stats.stolen for stats in coordinator.shard_stats),
-        retried=sum(stats.retried for stats in coordinator.shard_stats),
-        store_hits=counters.get("runs.store_hits", 0),
-        wall_seconds=wall,
-        summary=summary,
-        telemetry=telemetry.snapshot(),
-    )
 
 
 # --------------------------------------------------------------- live status
@@ -1429,7 +1360,6 @@ __all__ = [
     "COORDINATOR_NAME",
     "Coordinator",
     "DistributedError",
-    "DistributedReport",
     "RUNNER_MODES",
     "SUMMARY_NAME",
     "TokenBucket",
@@ -1437,5 +1367,4 @@ __all__ = [
     "coordinator_endpoint",
     "live_status",
     "render_live_status",
-    "run_distributed",
 ]

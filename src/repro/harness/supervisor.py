@@ -1,41 +1,33 @@
-"""Supervised worker pool with timeouts, heartbeats, and seeded retries.
+"""Supervision policy for campaign workers: retries, faults, heartbeats.
 
-The PR-1 :class:`~repro.harness.executor.Executor` fans simulations out
-over a plain ``multiprocessing.Pool`` — fine for interactive figure runs,
-fatal for multi-hour campaigns: one worker crash, OOM kill, or hang takes
-the whole sweep with it. This module supplies the fault-tolerant execution
-layer the campaign runner (:mod:`repro.harness.campaign`) sits on:
+The campaign engine (the :class:`~repro.harness.distributed.Coordinator`
+and its worker agents) tells a *crashed* worker (process or connection
+died), a *timed-out* run (per-run budget exceeded while still beating),
+and a *hung* worker (alive but silent) apart. This module holds the
+policy pieces it shares with its agents:
 
-* every run executes in its **own** child process, so a crash is an
-  isolated, observable event instead of a poisoned pool;
-* children emit **heartbeats** on a pipe; the supervisor distinguishes a
-  *crashed* worker (process died), a *timed-out* worker (wall-clock budget
-  exceeded while still beating), and a *hung* worker (alive but silent);
-* failed runs are **retried** with seeded exponential backoff. The backoff
-  engine is literally the protocol's own
+* :class:`RetryPolicy` — failed runs are **retried** with seeded
+  exponential backoff. The backoff engine is literally the protocol's own
   :class:`~repro.wireless.mac.BackoffPolicy` — the BRS MAC discipline the
   paper applies to wireless collisions, applied here to harness faults —
   driven by a :class:`~repro.engine.rng.DeterministicRng` split per run
-  key, so retry schedules are reproducible;
-* after ``max_attempts`` the run is reported as *failed* rather than
-  raising, letting the campaign layer degrade gracefully.
-
-Fault injection (:class:`ScriptedFaults`, :class:`SeededFaults`) is part of
-the public surface: the kill/resume tests and the ``campaign-smoke`` CI job
-drive the supervisor through crash/hang/stall/error schedules and assert
-the retry ladder heals them.
+  key, so retry schedules are reproducible. After ``max_attempts`` the run
+  is reported as *failed* rather than raising, letting the campaign
+  degrade gracefully;
+* fault injection (:class:`ScriptedFaults`, :class:`SeededFaults`) — the
+  coordinator evaluates the schedule when it grants a lease and the agent
+  acts it out, so the kill/resume tests and the ``campaign-smoke`` CI job
+  can drive crash/hang/stall/error schedules and assert the retry ladder
+  heals them;
+* :func:`start_heartbeat_thread` and :func:`replay_sys_paths`, the agent
+  side of liveness and of running uninstalled from ``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.rng import DeterministicRng
-from repro.harness.executor import RunRequest, _simulate
 from repro.wireless.mac import BackoffPolicy
 
 #: Fault kinds a worker can be told to exhibit (tests / smoke campaigns).
@@ -183,8 +175,7 @@ def replay_sys_paths(paths: List[str]) -> None:
     """Replay the parent's ``sys.path`` into a child process.
 
     Fork inherits the path, spawn does not; replaying makes both work when
-    the repo runs uninstalled via ``PYTHONPATH=src``. Shared by supervisor
-    children and the distributed worker agents.
+    the repo runs uninstalled via ``PYTHONPATH=src``.
     """
     import sys
 
@@ -200,10 +191,9 @@ def start_heartbeat_thread(
     """Run ``beat`` every ``interval`` seconds on a daemon thread.
 
     Returns a stopper. ``beat`` raising stops the loop silently — a dead
-    transport (closed pipe / dropped socket) means the listener already
-    treats this process as gone, so there is nobody left to tell. Shared
-    by supervisor children (pipe heartbeats) and distributed worker agents
-    (RPC heartbeats over a dedicated connection).
+    transport (dropped socket) means the listener already treats this
+    process as gone, so there is nobody left to tell. Worker agents beat
+    over a dedicated RPC connection.
     """
     import threading
 
@@ -219,403 +209,3 @@ def start_heartbeat_thread(
     if interval > 0:
         threading.Thread(target=loop, daemon=True).start()
     return stop.set
-
-
-def _worker_main(
-    conn,
-    request: RunRequest,
-    fault: Optional[str],
-    heartbeat_interval: float,
-    sys_paths: List[str],
-) -> None:  # pragma: no cover - child process
-    """Child entry: heartbeat thread + one simulation (or injected fault)."""
-    replay_sys_paths(sys_paths)
-
-    if fault == "crash":
-        os._exit(CRASH_EXIT_CODE)
-
-    # A "stall" fault suppresses heartbeats entirely: the supervisor must
-    # detect the silence, not the (never-arriving) result.
-    stop_heartbeat = start_heartbeat_thread(
-        lambda: conn.send(("hb", time.monotonic())),
-        heartbeat_interval if fault != "stall" else 0.0,
-    )
-
-    try:
-        if fault in ("hang", "stall"):
-            time.sleep(3600.0)  # killed by the supervisor
-            return
-        if fault == "error":
-            conn.send(("err", "injected worker error"))
-            return
-        payload, elapsed = _simulate(request)
-        conn.send(("ok", payload, elapsed))
-    except BaseException as exc:  # noqa: BLE001 - report, don't die silently
-        try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        stop_heartbeat()
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-# ----------------------------------------------------------------- outcomes
-
-
-@dataclass
-class AttemptRecord:
-    """One observed attempt of one run (journaled by the campaign layer)."""
-
-    attempt: int
-    status: str  #: ok | crashed | timeout | hung | error
-    detail: str = ""
-    elapsed: float = 0.0
-    backoff: float = 0.0  #: seconds slept before the *next* attempt
-
-
-@dataclass
-class RunOutcome:
-    """Terminal state of one supervised run."""
-
-    key: str
-    status: str  #: ok | failed
-    attempts: int
-    payload: Optional[Dict] = None
-    detail: str = ""
-    history: List[AttemptRecord] = field(default_factory=list)
-    sim_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-@dataclass
-class _Pending:
-    key: str
-    request: RunRequest
-    attempt: int
-    ready_at: float
-
-
-@dataclass
-class _Active:
-    key: str
-    request: RunRequest
-    attempt: int
-    process: object
-    conn: object
-    started: float
-    last_beat: float
-
-
-# --------------------------------------------------------------- supervisor
-
-
-class WorkerSupervisor:
-    """Run a batch of :class:`RunRequest` s under fault supervision.
-
-    Parameters
-    ----------
-    workers:
-        Maximum concurrently live child processes.
-    timeout:
-        Per-attempt wall-clock budget in seconds (``None`` = unlimited).
-    heartbeat_interval:
-        Cadence of child heartbeats; ``0`` disables hang detection.
-    heartbeat_grace:
-        A child silent for ``heartbeat_interval * heartbeat_grace`` seconds
-        is declared hung and killed.
-    retry:
-        :class:`RetryPolicy`; defaults to 3 attempts with seeded backoff.
-    faults:
-        Optional callable ``(key, attempt) -> fault kind or None`` applied
-        to each launch (:class:`ScriptedFaults` / :class:`SeededFaults`).
-    on_event:
-        Optional callback receiving progress dicts (``launch``, ``ok``,
-        ``retry``, ``giveup``) — the campaign layer journals these and
-        feeds the observability counters.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        timeout: Optional[float] = None,
-        heartbeat_interval: float = 0.25,
-        heartbeat_grace: float = 40.0,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[Callable[[str, int], Optional[str]]] = None,
-        on_event: Optional[Callable[[Dict], None]] = None,
-        poll_interval: float = 0.02,
-    ) -> None:
-        from repro.harness.executor import _default_workers
-
-        self.workers = (
-            _default_workers() if workers is None else max(1, int(workers))
-        )
-        self.timeout = timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_grace = heartbeat_grace
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.faults = faults
-        self.on_event = on_event
-        self.poll_interval = poll_interval
-
-    # ------------------------------------------------------------ plumbing
-
-    def _emit(self, event: Dict) -> None:
-        if self.on_event is not None:
-            self.on_event(event)
-
-    def _context(self):
-        import multiprocessing
-
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            return multiprocessing.get_context()
-
-    def _launch(self, ctx, item: _Pending) -> _Active:
-        import sys
-
-        fault = self.faults(item.key, item.attempt) if self.faults else None
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                item.request,
-                fault,
-                self.heartbeat_interval,
-                list(sys.path),
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        now = time.monotonic()
-        self._emit(
-            {
-                "event": "launch",
-                "key": item.key,
-                "attempt": item.attempt,
-                "fault": fault,
-            }
-        )
-        return _Active(
-            key=item.key,
-            request=item.request,
-            attempt=item.attempt,
-            process=process,
-            conn=parent_conn,
-            started=now,
-            last_beat=now,
-        )
-
-    @staticmethod
-    def _reap(active: _Active) -> None:
-        """Kill (if needed) and join a child, closing its pipe."""
-        process = active.process
-        if process.is_alive():
-            process.terminate()
-            process.join(0.5)
-        if process.is_alive():  # pragma: no cover - terminate was enough
-            process.kill()
-            process.join(0.5)
-        try:
-            active.conn.close()
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------ main loop
-
-    def run(
-        self, todo: List[Tuple[str, RunRequest]]
-    ) -> Dict[str, RunOutcome]:
-        """Supervise ``todo`` to terminal outcomes; returns key -> outcome.
-
-        Never raises for worker-side faults: every run ends ``ok`` (with a
-        canonical payload) or ``failed`` (with its attempt history), and
-        the caller decides how to degrade.
-        """
-        from multiprocessing import connection as mp_connection
-
-        ctx = self._context()
-        outcomes: Dict[str, RunOutcome] = {}
-        history: Dict[str, List[AttemptRecord]] = {key: [] for key, _ in todo}
-        pending = deque(
-            _Pending(key, request, 1, 0.0) for key, request in todo
-        )
-
-        active: Dict[int, _Active] = {}
-
-        def finish_ok(run: _Active, payload: Dict, elapsed: float) -> None:
-            history[run.key].append(
-                AttemptRecord(run.attempt, "ok", elapsed=elapsed)
-            )
-            outcomes[run.key] = RunOutcome(
-                key=run.key,
-                status="ok",
-                attempts=run.attempt,
-                payload=payload,
-                history=history[run.key],
-                sim_seconds=elapsed,
-            )
-            self._emit(
-                {
-                    "event": "ok",
-                    "key": run.key,
-                    "attempt": run.attempt,
-                    "elapsed": elapsed,
-                }
-            )
-
-        def finish_failure(run: _Active, status: str, detail: str) -> None:
-            elapsed = time.monotonic() - run.started
-            record = AttemptRecord(run.attempt, status, detail, elapsed)
-            history[run.key].append(record)
-            if run.attempt >= self.retry.max_attempts:
-                outcomes[run.key] = RunOutcome(
-                    key=run.key,
-                    status="failed",
-                    attempts=run.attempt,
-                    detail=f"{status}: {detail}" if detail else status,
-                    history=history[run.key],
-                )
-                self._emit(
-                    {
-                        "event": "giveup",
-                        "key": run.key,
-                        "attempt": run.attempt,
-                        "status": status,
-                        "detail": detail,
-                    }
-                )
-                return
-            delay = self.retry.delay_seconds(run.key, run.attempt)
-            record.backoff = delay
-            pending.append(
-                _Pending(
-                    run.key,
-                    run.request,
-                    run.attempt + 1,
-                    time.monotonic() + delay,
-                )
-            )
-            self._emit(
-                {
-                    "event": "retry",
-                    "key": run.key,
-                    "attempt": run.attempt,
-                    "status": status,
-                    "detail": detail,
-                    "backoff": delay,
-                }
-            )
-
-        while pending or active:
-            now = time.monotonic()
-
-            # Launch every ready pending run into free slots.
-            if pending and len(active) < self.workers:
-                still_waiting = deque()
-                while pending and len(active) < self.workers:
-                    item = pending.popleft()
-                    if item.ready_at > now:
-                        still_waiting.append(item)
-                        continue
-                    run = self._launch(ctx, item)
-                    active[run.process.pid] = run
-                pending.extendleft(reversed(still_waiting))
-
-            if not active:
-                # Everything left is backing off; sleep until the earliest.
-                wake = min(item.ready_at for item in pending)
-                time.sleep(max(0.0, min(wake - now, 0.25)))
-                continue
-
-            # Wait for messages from any child (bounded poll so timeout and
-            # heartbeat checks still run when everyone is silent).
-            conns = {id(run.conn): run for run in active.values()}
-            try:
-                ready = mp_connection.wait(
-                    [run.conn for run in active.values()],
-                    timeout=self.poll_interval,
-                )
-            except OSError:  # pragma: no cover - racing child death
-                ready = []
-
-            finished: List[int] = []
-            for conn in ready:
-                run = conns[id(conn)]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # Pipe closed without a result: the child crashed.
-                    run.process.join(0.5)
-                    code = run.process.exitcode
-                    self._reap(run)
-                    finished.append(run.process.pid)
-                    finish_failure(
-                        run, "crashed", f"worker exited with code {code}"
-                    )
-                    continue
-                kind = message[0]
-                if kind == "hb":
-                    run.last_beat = time.monotonic()
-                elif kind == "ok":
-                    self._reap(run)
-                    finished.append(run.process.pid)
-                    finish_ok(run, message[1], message[2])
-                elif kind == "err":
-                    self._reap(run)
-                    finished.append(run.process.pid)
-                    finish_failure(run, "error", message[1])
-            for pid in finished:
-                active.pop(pid, None)
-
-            # Enforce wall-clock and heartbeat budgets on the survivors.
-            now = time.monotonic()
-            stalled: List[int] = []
-            for pid, run in active.items():
-                if not run.process.is_alive() and not run.conn.poll():
-                    code = run.process.exitcode
-                    self._reap(run)
-                    stalled.append(pid)
-                    finish_failure(
-                        run, "crashed", f"worker exited with code {code}"
-                    )
-                    continue
-                if (
-                    self.timeout is not None
-                    and now - run.started > self.timeout
-                ):
-                    self._reap(run)
-                    stalled.append(pid)
-                    finish_failure(
-                        run,
-                        "timeout",
-                        f"exceeded {self.timeout:.1f}s wall-clock budget",
-                    )
-                    continue
-                if (
-                    self.heartbeat_interval > 0
-                    and now - run.last_beat
-                    > self.heartbeat_interval * self.heartbeat_grace
-                ):
-                    self._reap(run)
-                    stalled.append(pid)
-                    finish_failure(
-                        run,
-                        "hung",
-                        "no heartbeat for "
-                        f"{now - run.last_beat:.2f}s",
-                    )
-            for pid in stalled:
-                active.pop(pid, None)
-
-        return outcomes

@@ -4,15 +4,17 @@ The simulator's observability layer (:mod:`repro.obs`) watches *one*
 machine from the inside. A campaign is a fleet of such runs under fault
 supervision, so it gets its own, much lighter telemetry: monotonic
 progress counters (runs completed / cache hits / retries by failure kind)
-plus one wall-clock **span per attempt**, closed with the attempt's
-terminal status. Spans export to the same Chrome/Perfetto ``trace.json``
-shape the simulator traces use (thread-per-worker-slot slices + a
+plus one wall-clock **span per attempt** — one per lease — closed with
+the attempt's terminal status. Spans export to the same Chrome/Perfetto
+``trace.json`` shape the simulator traces use (one thread per worker + a
 ``campaign.completed`` counter track), so a flaky sweep can be inspected
 in the exact tooling docs/OBSERVABILITY.md already documents.
 
-Wiring: :class:`~repro.harness.campaign.Campaign` feeds every supervisor
-event (``launch`` / ``ok`` / ``retry`` / ``giveup``) and its own
-journal-level events (``cache-hit`` / ``resume-skip``) into
+Wiring: the campaign engine
+(:class:`~repro.harness.distributed.Coordinator`) feeds every attempt
+event (``lease`` / ``ok`` / ``retry`` / ``giveup``), its journal-level
+events (``cache-hit`` / ``store-hit`` / ``resume-skip``) and its fleet
+events (``requeue`` / ``worker-*`` / ``submit*`` / ``queue-depth``) into
 :meth:`CampaignTelemetry.on_event`.
 """
 
@@ -26,9 +28,8 @@ from typing import Dict, List, Optional, Union
 #: Schema tag embedded in exported campaign traces.
 CAMPAIGN_TRACE_SCHEMA = 1
 
-#: Counter names, in rendering order. The ``leases.*`` / ``workers.*`` /
-#: ``submits.*`` block is fed by the distributed coordinator
-#: (:mod:`repro.harness.distributed`); single-box campaigns leave it zero.
+#: Counter names, in rendering order. Every attempt is a lease, so
+#: ``leases.granted`` counts attempts started.
 COUNTERS = (
     "runs.total",
     "runs.completed",
@@ -36,7 +37,6 @@ COUNTERS = (
     "runs.cache_hits",
     "runs.store_hits",
     "runs.resumed",
-    "attempts.launched",
     "attempts.ok",
     "retries.total",
     "retries.crashed",
@@ -89,18 +89,10 @@ class CampaignTelemetry:
         self.spans.append(span)
 
     def on_event(self, event: Dict) -> None:
-        """Consume one supervisor/campaign event dict."""
+        """Consume one campaign engine event dict."""
         kind = event.get("event")
         now = self._now()
-        if kind == "launch":
-            self._bump("attempts.launched")
-            self._open[event["key"]] = {
-                "key": event["key"],
-                "attempt": event["attempt"],
-                "fault": event.get("fault"),
-                "t0": now,
-            }
-        elif kind == "ok":
+        if kind == "ok":
             self._bump("attempts.ok")
             self._bump("runs.completed")
             self._close(event["key"], "ok")
@@ -132,9 +124,8 @@ class CampaignTelemetry:
         elif kind == "plan":
             self._bump("runs.total", int(event.get("total", 0)))
         elif kind == "lease":
-            # The distributed analogue of "launch": opens the attempt span,
-            # attributed to the granted worker so the chrome export renders
-            # one lane per worker.
+            # Opens the attempt span, attributed to the granted worker so
+            # the chrome export renders one lane per worker.
             self._bump("leases.granted")
             if event.get("stolen"):
                 self._bump("leases.stolen")
@@ -144,7 +135,7 @@ class CampaignTelemetry:
                 "worker": event.get("worker"),
                 "shard": event.get("shard"),
                 "stolen": bool(event.get("stolen")),
-                "fault": None,
+                "fault": event.get("fault"),
                 "t0": now,
             }
         elif kind == "requeue":
@@ -190,12 +181,11 @@ class CampaignTelemetry:
     def to_chrome_trace(self, workers: int = 0) -> Dict:
         """Export attempt spans as a Chrome Trace Event JSON object.
 
-        Each span becomes a complete (``ph: "X"``) slice. Spans carrying a
-        ``worker`` attribution (distributed lease spans) get one stable,
-        named lane per worker; the rest are packed greedily onto anonymous
-        lanes so concurrent attempts render side by side. Run completion
-        is emitted as a ``campaign.completed`` counter track, and
-        coordinator queue-depth samples as ``campaign.queue_depth``.
+        Each span becomes a complete (``ph: "X"``) slice on one stable,
+        named lane per worker, so concurrent attempts render side by side.
+        Run completion is emitted as a ``campaign.completed`` counter
+        track, and coordinator queue-depth samples as
+        ``campaign.queue_depth``.
         """
         events: List[Dict] = [
             {
@@ -206,13 +196,7 @@ class CampaignTelemetry:
                 "args": {"name": "campaign"},
             }
         ]
-        worker_ids = sorted(
-            {
-                span["worker"]
-                for span in self.spans
-                if span.get("worker") is not None
-            }
-        )
+        worker_ids = sorted({span["worker"] for span in self.spans})
         worker_lane = {
             worker: index + 1 for index, worker in enumerate(worker_ids)
         }
@@ -226,40 +210,21 @@ class CampaignTelemetry:
                     "args": {"name": f"worker {worker}"},
                 }
             )
-        lanes: List[float] = []  # end time per anonymous lane
-        lane_base = len(worker_ids)
-
-        def lane_for(t0: float) -> int:
-            for index, busy_until in enumerate(lanes):
-                if busy_until <= t0:
-                    lanes[index] = t0
-                    return index
-            lanes.append(t0)
-            return len(lanes) - 1
-
         for span in sorted(self.spans, key=lambda s: s["t0"]):
-            worker = span.get("worker")
-            if worker is not None:
-                tid = worker_lane[worker]
-            else:
-                lane = lane_for(span["t0"])
-                lanes[lane] = span["t1"]
-                tid = lane_base + lane + 1
             args = {
                 "status": span["status"],
                 "attempt": span["attempt"],
                 "fault": span.get("fault"),
                 "detail": span.get("detail", ""),
+                "worker": span["worker"],
+                "shard": span.get("shard"),
+                "stolen": span.get("stolen", False),
             }
-            if worker is not None:
-                args["worker"] = worker
-                args["shard"] = span.get("shard")
-                args["stolen"] = span.get("stolen", False)
             events.append(
                 {
                     "ph": "X",
                     "pid": 1,
-                    "tid": tid,
+                    "tid": worker_lane[span["worker"]],
                     "cat": "campaign",
                     "name": f"{span['key'][:12]}#{span['attempt']}",
                     "ts": round(span["t0"] * 1e6, 3),

@@ -3,7 +3,7 @@
 A mutation re-introduces a *known-wrong* behaviour into a freshly built
 :class:`~repro.system.Manycore` by monkeypatching instance attributes —
 the source is never touched, and an unmutated machine is bit-identical to
-production. The test suite (and ``repro verify --mutate``) uses these to
+production. The test suite (and ``repro verify run --mutate``) uses these to
 prove the campaigns detect real bugs: a bounded campaign that passes under
 every mutation would be a campaign that cannot catch anything.
 

@@ -4,13 +4,12 @@ The contract (docs/API.md): every name in ``repro.api.__all__`` keeps its
 signature across minor releases, results are typed objects, importing the
 facade stays cheap (no verification/observability/campaign machinery at
 module load), and replaced entry points keep working for one release
-behind ``DeprecationWarning``.
+behind ``DeprecationWarning`` — then go: the 1.1 shims are gone in 1.2.
 """
 
 import inspect
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -197,31 +196,12 @@ class TestBehaviour:
 
 
 class TestDeprecationShims:
-    def test_run_app_warns_but_works(self):
-        from repro.config.presets import widir_config
+    """The 1.1 shims served their release of grace and are gone."""
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = repro.run_app
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api.simulate" in str(w.message)
-            for w in caught
-        )
-        result = legacy("volrend", widir_config(num_cores=4), 100)
-        assert isinstance(result, SimulationResult)
-
-    def test_run_pair_warns_but_works(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = repro.run_pair
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api.compare" in str(w.message)
-            for w in caught
-        )
-        base, widir = legacy("volrend", num_cores=4, memops_per_core=100)
-        assert base.cycles > 0 and widir.cycles > 0
+    @pytest.mark.parametrize("name", ("run_app", "run_pair"))
+    def test_removed_shim_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -229,4 +209,7 @@ class TestDeprecationShims:
 
     def test_dir_lists_the_stable_surface(self):
         listing = dir(repro)
-        assert "api" in listing and "run_app" in listing
+        assert "api" in listing and "run_app" not in listing
+
+    def test_version_is_1_2(self):
+        assert repro.__version__ == "1.2.0"

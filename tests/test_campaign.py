@@ -1,5 +1,9 @@
 """Fault-tolerance tests: crash-safe IO, supervised retries, campaign resume.
 
+Every campaign runs on the one engine (the coordinator plus local worker
+agents, :func:`repro.harness.campaign.run_campaign`); fault schedules are
+drawn at grant time and acted out by the agents.
+
 The contract under test (ISSUE 5): a campaign interrupted at *any* point —
 worker crash, hang, timeout, or SIGKILL of the whole process — resumes
 exactly where it died and converges to an aggregate ``results.json`` /
@@ -26,7 +30,7 @@ from repro.harness.campaign import (
     CampaignSpec,
     run_campaign,
 )
-from repro.harness.executor import Executor, ExperimentPlan, run_key
+from repro.harness.executor import Executor, ExperimentPlan, _simulate, run_key
 from repro.harness.figures import figure6_mpki
 from repro.harness.ioutils import (
     append_jsonl,
@@ -34,13 +38,9 @@ from repro.harness.ioutils import (
     iter_stale_tmp,
     quarantine,
     read_jsonl,
+    read_jsonl_many,
 )
-from repro.harness.supervisor import (
-    RetryPolicy,
-    ScriptedFaults,
-    SeededFaults,
-    WorkerSupervisor,
-)
+from repro.harness.supervisor import RetryPolicy, ScriptedFaults, SeededFaults
 from repro.obs.campaign import CampaignTelemetry
 
 APP = "volrend"
@@ -63,22 +63,34 @@ def _executor(tmp_path):
     return Executor(workers=1, cache_dir=tmp_path / "cache", use_cache=True)
 
 
-def _supervisor(**overrides):
-    defaults = dict(
+def _run(directory, spec, **overrides):
+    """run_campaign with fast retries/polling and no memo cache."""
+    engine = dict(
         workers=2,
         retry=RetryPolicy(max_attempts=3, unit=0.0),
         heartbeat_interval=0.05,
+        poll_interval=0.05,
+        executor=Executor(workers=1, use_cache=False),
     )
-    defaults.update(overrides)
-    return WorkerSupervisor(**defaults)
+    engine.update(overrides)
+    return run_campaign(directory, spec, **engine)
 
 
-def _todo(spec):
-    campaign = Campaign("unused", spec)
-    seen = {}
-    for key, request in zip(campaign.keys, campaign.plan.requests):
-        seen.setdefault(key, request)
-    return [(key, request) for key, request in seen.items()]
+def _keys(spec):
+    return list(dict.fromkeys(Campaign("unused", spec).keys))
+
+
+def _history(directory):
+    """key -> statuses of its attempts in journal order (failed ones as
+    journalled by the retry ladder, then ``ok`` for the completion)."""
+    records, _ = read_jsonl_many(Campaign.load(directory).journal_paths())
+    history = {}
+    for record in records:
+        if record.get("type") == "attempt":
+            history.setdefault(record["key"], []).append(record["status"])
+        elif record.get("type") == "run" and record["status"] == "ok":
+            history.setdefault(record["key"], []).append("ok")
+    return history
 
 
 # ----------------------------------------------------------------- ioutils
@@ -200,80 +212,87 @@ class TestFaultInjection:
 
 
 class TestSupervisor:
-    def test_clean_batch_completes(self):
-        todo = _todo(_spec())
-        outcomes = _supervisor().run(todo)
-        assert len(outcomes) == len(todo)
-        assert all(o.ok and o.attempts == 1 for o in outcomes.values())
-        assert all(o.payload["cycles"] > 0 for o in outcomes.values())
+    """The engine's fault handling, driven through injected faults."""
 
-    def test_crash_is_retried_and_heals(self):
-        todo = _todo(_spec())
-        victim = todo[0][0]
+    def test_clean_batch_completes(self, tmp_path):
+        report = _run(tmp_path / "camp", _spec())
+        assert report.ok and report.executed == report.total == 2
+        assert report.retries == 0
+        history = _history(tmp_path / "camp")
+        assert sorted(history) == sorted(_keys(_spec()))
+        assert all(statuses == ["ok"] for statuses in history.values())
+
+    def test_crash_is_retried_and_heals(self, tmp_path):
+        victim = _keys(_spec())[0]
         events = []
-        outcomes = _supervisor(
+        report = _run(
+            tmp_path / "camp", _spec(),
             faults=ScriptedFaults({(victim, 1): "crash"}),
             on_event=events.append,
-        ).run(todo)
-        outcome = outcomes[victim]
-        assert outcome.ok and outcome.attempts == 2
-        assert [r.status for r in outcome.history] == ["crashed", "ok"]
+        )
+        assert report.ok
+        assert _history(tmp_path / "camp")[victim] == ["crashed", "ok"]
         assert any(
             e["event"] == "retry" and e["status"] == "crashed" for e in events
         )
+        assert any(
+            e["event"] == "ok" and e["key"] == victim and e["attempt"] == 2
+            for e in events
+        )
 
-    def test_worker_error_is_retried(self):
-        todo = _todo(_spec())
-        victim = todo[-1][0]
-        outcomes = _supervisor(
-            faults=ScriptedFaults({(victim, 1): "error"})
-        ).run(todo)
-        assert outcomes[victim].ok and outcomes[victim].attempts == 2
-        assert outcomes[victim].history[0].status == "error"
+    def test_worker_error_is_retried(self, tmp_path):
+        victim = _keys(_spec())[-1]
+        report = _run(
+            tmp_path / "camp", _spec(),
+            faults=ScriptedFaults({(victim, 1): "error"}),
+        )
+        assert report.ok
+        assert _history(tmp_path / "camp")[victim] == ["error", "ok"]
 
-    def test_retry_exhaustion_reports_failed_without_raising(self):
-        todo = _todo(_spec())
-        victim = todo[0][0]
-        outcomes = _supervisor(
+    def test_retry_exhaustion_reports_failed_without_raising(self, tmp_path):
+        victim = _keys(_spec())[0]
+        report = _run(
+            tmp_path / "camp", _spec(),
             retry=RetryPolicy(max_attempts=2, unit=0.0),
             faults=ScriptedFaults({(victim, 1): "error", (victim, 2): "error"}),
-        ).run(todo)
-        failed = outcomes[victim]
-        assert not failed.ok
-        assert failed.attempts == 2
-        assert "error" in failed.detail
+        )
+        assert not report.ok
+        [failed] = report.failed
+        assert failed["key"] == victim and failed["attempts"] == 2
+        assert "error" in failed["reason"]
         # The rest of the batch still completed.
-        assert all(o.ok for k, o in outcomes.items() if k != victim)
+        assert report.completed == 1
 
-    def test_hang_hits_wall_clock_timeout(self):
-        todo = _todo(_spec())[:1]
-        victim = todo[0][0]
-        outcomes = _supervisor(
-            timeout=0.4,
+    def test_hang_hits_wall_clock_timeout(self, tmp_path):
+        spec = _spec(protocols=("widir",))
+        victim = _keys(spec)[0]
+        report = _run(
+            tmp_path / "camp", spec,
+            lease_timeout=1.0,
             faults=ScriptedFaults({(victim, 1): "hang"}),
-        ).run(todo)
-        assert outcomes[victim].ok  # healed on attempt 2
-        assert outcomes[victim].history[0].status == "timeout"
+        )
+        assert report.ok  # healed on attempt 2
+        assert _history(tmp_path / "camp")[victim] == ["timeout", "ok"]
 
-    def test_stall_is_detected_via_missing_heartbeats(self):
-        todo = _todo(_spec())[:1]
-        victim = todo[0][0]
-        outcomes = _supervisor(
+    def test_stall_is_detected_via_missing_heartbeats(self, tmp_path):
+        spec = _spec(protocols=("widir",))
+        victim = _keys(spec)[0]
+        report = _run(
+            tmp_path / "camp", spec,
             heartbeat_interval=0.05,
             heartbeat_grace=4.0,  # silent for 0.2s => hung
             faults=ScriptedFaults({(victim, 1): "stall"}),
-        ).run(todo)
-        assert outcomes[victim].ok
-        assert outcomes[victim].history[0].status == "hung"
+        )
+        assert report.ok
+        assert _history(tmp_path / "camp")[victim] == ["hung", "ok"]
 
-    def test_payloads_match_in_process_simulation(self):
-        from repro.harness.executor import _simulate
-
-        todo = _todo(_spec())
-        outcomes = _supervisor().run(todo)
-        for key, request in todo:
+    def test_payloads_match_in_process_simulation(self, tmp_path):
+        _run(tmp_path / "camp", _spec())
+        campaign = Campaign.load(tmp_path / "camp")
+        payloads = campaign.completed_payloads()
+        for key, request in zip(campaign.keys, campaign.plan.requests):
             expected, _ = _simulate(request)
-            assert outcomes[key].payload == expected
+            assert payloads[key] == expected
 
 
 # ----------------------------------------------------------------- campaign
@@ -310,10 +329,7 @@ class TestCampaignSpec:
 class TestCampaignLifecycle:
     def test_run_writes_all_artifacts(self, tmp_path):
         directory = tmp_path / "camp"
-        report = run_campaign(
-            directory, _spec(), supervisor=_supervisor(),
-            executor=_executor(tmp_path),
-        )
+        report = _run(directory, _spec(), executor=_executor(tmp_path))
         assert report.ok and report.completed == report.total == 2
         for name in (
             "campaign.json", "journal.jsonl", "results.json",
@@ -331,15 +347,9 @@ class TestCampaignLifecycle:
 
     def test_rerun_is_pure_resume(self, tmp_path):
         directory = tmp_path / "camp"
-        first = run_campaign(
-            directory, _spec(), supervisor=_supervisor(),
-            executor=_executor(tmp_path),
-        )
+        first = _run(directory, _spec(), executor=_executor(tmp_path))
         blob = (directory / "results.json").read_bytes()
-        second = run_campaign(
-            directory, _spec(), supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
+        second = _run(directory, _spec())
         assert second.resumed == second.total
         assert second.executed == 0
         assert second.digest == first.digest
@@ -381,16 +391,9 @@ class TestResumeIdentity:
 
     def test_crash_retries_do_not_change_the_digest(self, tmp_path):
         clean_dir, faulty_dir = tmp_path / "clean", tmp_path / "faulty"
-        clean = run_campaign(
-            clean_dir, _spec(), supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
-        script = {(key, 1): "crash" for key, _ in _todo(_spec())}
-        faulty = run_campaign(
-            faulty_dir, _spec(),
-            supervisor=_supervisor(faults=ScriptedFaults(script)),
-            executor=Executor(workers=1, use_cache=False),
-        )
+        _run(clean_dir, _spec())
+        script = {(key, 1): "crash" for key in _keys(_spec())}
+        faulty = _run(faulty_dir, _spec(), faults=ScriptedFaults(script))
         assert faulty.retries == len(script)
         assert (faulty_dir / "results.json").read_bytes() == (
             clean_dir / "results.json"
@@ -401,55 +404,37 @@ class TestResumeIdentity:
 
     def test_journal_replay_survives_torn_final_line(self, tmp_path):
         directory = tmp_path / "camp"
-        run_campaign(
-            directory, _spec(), supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
+        _run(directory, _spec())
         digest = (directory / "digest.txt").read_bytes()
-        with open(directory / "journal.jsonl", "a") as handle:
+        journal = sorted(directory.glob("journal-shard*.jsonl"))[-1]
+        with open(journal, "a") as handle:
             handle.write('{"type": "run", "torn')  # simulated SIGKILL
-        campaign = Campaign.load(directory)
-        status = campaign.status()
+        status = Campaign.load(directory).status()
         assert status.done and status.journal_bad_lines == []
-        report = campaign.run(
-            supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
+        report = _run(directory, None)
         assert report.resumed == report.total
         assert (directory / "digest.txt").read_bytes() == digest
 
     def test_missing_payload_is_demoted_and_rerun(self, tmp_path):
         directory = tmp_path / "camp"
-        run_campaign(
-            directory, _spec(), supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
+        _run(directory, _spec())
         digest = (directory / "digest.txt").read_bytes()
         campaign = Campaign.load(directory)
         victim = campaign.keys[0]
         (directory / "runs" / f"{victim}.json").unlink()
         assert victim not in campaign.completed_payloads()
-        report = campaign.run(
-            supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
+        report = _run(directory, None)
         assert report.executed == 1
         assert (directory / "digest.txt").read_bytes() == digest
 
     def test_corrupt_payload_is_quarantined_and_rerun(self, tmp_path):
         directory = tmp_path / "camp"
-        run_campaign(
-            directory, _spec(), supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
+        _run(directory, _spec())
         digest = (directory / "digest.txt").read_bytes()
         campaign = Campaign.load(directory)
         victim = directory / "runs" / f"{campaign.keys[0]}.json"
         victim.write_text("{torn json")
-        report = campaign.run(
-            supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
+        report = _run(directory, None)
         assert report.executed == 1
         assert (directory / "digest.txt").read_bytes() == digest
         assert list(directory.glob("runs/*.corrupt.*"))
@@ -457,12 +442,8 @@ class TestResumeIdentity:
     def test_cache_hits_count_as_completions(self, tmp_path):
         executor = _executor(tmp_path)
         warm_dir, campaign_dir = tmp_path / "warm", tmp_path / "camp"
-        run_campaign(
-            warm_dir, _spec(), supervisor=_supervisor(), executor=executor
-        )
-        report = run_campaign(
-            campaign_dir, _spec(), supervisor=_supervisor(), executor=executor
-        )
+        _run(warm_dir, _spec(), executor=executor)
+        report = _run(campaign_dir, _spec(), executor=executor)
         assert report.cache_hits == report.total
         assert report.executed == 0
         assert (campaign_dir / "digest.txt").read_bytes() == (
@@ -476,12 +457,10 @@ class TestGracefulDegradation:
         campaign = Campaign.create(directory, _spec())
         victim = campaign.key_for_label[f"{APP}/widir/{CORES}c/t3"]
         script = {(victim, n): "error" for n in (1, 2)}
-        report = campaign.run(
-            supervisor=_supervisor(
-                retry=RetryPolicy(max_attempts=2, unit=0.0),
-                faults=ScriptedFaults(script),
-            ),
-            executor=Executor(workers=1, use_cache=False),
+        report = _run(
+            directory, None,
+            retry=RetryPolicy(max_attempts=2, unit=0.0),
+            faults=ScriptedFaults(script),
         )
         return directory, campaign, report
 
@@ -508,6 +487,17 @@ class TestGracefulDegradation:
         rendered = status.render()
         assert "degraded" in rendered and "campaign resume" in rendered
 
+    def test_status_counts_the_retry_ladder(self, tmp_path):
+        """Each key's first attempt errors: two failed attempts plus two
+        completions, all journalled by the engine's retry ladder."""
+        directory = tmp_path / "camp"
+        script = {(key, 1): "error" for key in _keys(_spec())}
+        _run(directory, _spec(), faults=ScriptedFaults(script))
+        status = Campaign.load(directory).status()
+        assert status.done
+        assert status.attempts == 4
+        assert status.retries_by_kind == {"error": 2}
+
     def test_partial_figures_render_with_missing_note(self, tmp_path):
         _, campaign, _ = self._degraded(tmp_path)
         source = campaign.result_source()
@@ -526,14 +516,8 @@ class TestGracefulDegradation:
     def test_resume_heals_the_degraded_run(self, tmp_path):
         directory, campaign, _ = self._degraded(tmp_path)
         clean_dir = tmp_path / "clean"
-        run_campaign(
-            clean_dir, _spec(), supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-        )
-        report = campaign.run(
-            supervisor=_supervisor(),  # fresh retry budget, no faults
-            executor=Executor(workers=1, use_cache=False),
-        )
+        _run(clean_dir, _spec())
+        report = _run(directory, None)  # fresh retry budget, no faults
         assert report.ok and report.completed == 2
         assert (directory / "results.json").read_bytes() == (
             clean_dir / "results.json"
@@ -543,26 +527,21 @@ class TestGracefulDegradation:
 class TestTelemetry:
     def test_counters_track_the_retry_ladder(self, tmp_path):
         telemetry = CampaignTelemetry()
-        script = {(key, 1): "crash" for key, _ in _todo(_spec())}
-        run_campaign(
+        script = {(key, 1): "crash" for key in _keys(_spec())}
+        _run(
             tmp_path / "camp", _spec(),
-            supervisor=_supervisor(faults=ScriptedFaults(script)),
-            executor=Executor(workers=1, use_cache=False),
+            faults=ScriptedFaults(script),
             telemetry=telemetry,
         )
         counters = telemetry.snapshot()["counters"]
         assert counters["runs.total"] == 2
         assert counters["runs.completed"] == 2
         assert counters["retries.crashed"] == 2
-        assert counters["attempts.launched"] == 4
+        assert counters["leases.granted"] == 4
 
     def test_chrome_trace_export(self, tmp_path):
         telemetry = CampaignTelemetry()
-        run_campaign(
-            tmp_path / "camp", _spec(), supervisor=_supervisor(),
-            executor=Executor(workers=1, use_cache=False),
-            telemetry=telemetry,
-        )
+        _run(tmp_path / "camp", _spec(), telemetry=telemetry)
         out = tmp_path / "trace.json"
         telemetry.write_chrome_trace(out, workers=2)
         trace = json.loads(out.read_text())
@@ -616,6 +595,9 @@ class TestKillResumeProperty:
     """SIGKILL the whole campaign process at seeded points; resume must
     converge to the uninterrupted digest, byte for byte."""
 
+    #: ``digest.txt`` of SPEC_ARGS, pinned: no engine change may move it.
+    DIGEST = "919111a1e591690ebdd3300150fa72f96318c47dbcdd349630ba9b9528d3b57d"
+
     SPEC_ARGS = [
         "campaign", "run",
         "--apps", "volrend,radiosity",
@@ -645,6 +627,7 @@ class TestKillResumeProperty:
         proc = self._run_cli(*self.SPEC_ARGS, "--out", str(reference))
         assert proc.returncode == 0, proc.stdout
         want = (reference / "digest.txt").read_bytes()
+        assert want.decode().strip() == self.DIGEST
 
         for round_index, kill_after in enumerate((0.3, 0.9)):
             directory = tmp_path / f"killed{round_index}"
@@ -682,6 +665,7 @@ class TestKillResumeProperty:
         proc = self._run_cli(*self.SPEC_ARGS, "--out", str(reference))
         assert proc.returncode == 0, proc.stdout
         want = (reference / "digest.txt").read_bytes()
+        assert want.decode().strip() == self.DIGEST
 
         directory = tmp_path / "distributed"
         serve_args = [
@@ -717,7 +701,7 @@ class TestKillResumeProperty:
             reference / "results.json"
         ).read_bytes()
         assert list(iter_stale_tmp(directory)) == []
-        # The merged run is also resumable by the *single-box* engine.
+        # `campaign status` reads the merged shard journals.
         status = self._run_cli("campaign", "status", str(directory))
         assert status.returncode == 0, status.stdout
         assert "[complete]" in status.stdout

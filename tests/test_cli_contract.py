@@ -17,18 +17,29 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (
-    CLI_COMMANDS,
-    DEPRECATED_ALIASES,
-    _parse_args,
-    build_parser,
-)
+from repro.cli import CLI_COMMANDS, _parse_args, build_parser, main
 
 SNAPSHOT_DIR = Path(__file__).resolve().parent / "snapshots" / "cli"
 REGEN = os.environ.get("REPRO_REGEN_CLI_SNAPSHOTS") == "1"
 
 #: One snapshot per command path; () is the root parser.
 COMMAND_PATHS = ((),) + tuple(CLI_COMMANDS)
+
+#: Spellings deprecated in 1.1 and removed in 1.2, by test id.
+REMOVED_SPELLINGS = {
+    "run": ["run", "fft"],
+    "compare": ["compare", "fft"],
+    "profile": ["profile", "fft"],
+    "figure": ["figure", "fig6"],
+    "verify": ["verify", "--campaign", "smoke"],
+    "apps": ["apps"],
+    "trace-record": ["trace", "record", "fft", "--out", "x.wtr"],
+    "trace-convert": ["trace", "convert", "ops.csv", "--out", "x.wtr"],
+    "trace-info": ["trace", "info", "x.wtr"],
+    "trace-validate": ["trace", "validate", "x.wtr"],
+    "trace-replay": ["trace", "replay", "x.wtr"],
+    "profile-output": ["sim", "profile", "fft", "--output", "r.txt"],
+}
 
 
 def _subparser_action(parser):
@@ -83,13 +94,6 @@ class TestHelpSnapshots:
         on_disk = {p.name for p in SNAPSHOT_DIR.glob("*.txt")}
         assert on_disk == expected
 
-    def test_deprecated_aliases_are_hidden_from_help(self):
-        root_help = _normalize(build_parser().format_help())
-        for old in DEPRECATED_ALIASES:
-            if old in ("figure", "apps", "verify"):
-                continue  # same-named nouns are legitimately listed
-            assert f" {old}" not in root_help.split("positional")[0]
-
 
 class TestGrammar:
     def test_every_declared_command_parses_help(self):
@@ -98,28 +102,17 @@ class TestGrammar:
             assert parser.format_usage().startswith("usage: repro ")
 
     @pytest.mark.parametrize(
-        "legacy,expected",
-        [
-            (["run", "fft"], ("sim", "run")),
-            (["compare", "fft"], ("sim", "compare")),
-            (["profile", "fft"], ("sim", "profile")),
-            (["figure", "fig6"], ("figure", "render")),
-            (["verify", "--campaign", "smoke"], ("verify", "run")),
-        ],
+        "argv", REMOVED_SPELLINGS.values(), ids=REMOVED_SPELLINGS.keys()
     )
-    def test_legacy_spellings_map_to_canonical(self, legacy, expected):
-        args = _parse_args(legacy)
-        assert (args.command, args.verb) == expected
-        assert args._deprecated == legacy[0]
-        assert DEPRECATED_ALIASES[legacy[0]] == " ".join(expected)
+    def test_removed_spellings_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "deprecated" not in capsys.readouterr().err
 
-    def test_canonical_spellings_carry_no_deprecation(self):
-        args = _parse_args(["sim", "run", "fft"])
-        assert getattr(args, "_deprecated", None) is None
-
-    def test_bare_apps_defaults_to_list(self):
-        args = _parse_args(["apps"])
-        assert (args.command, args.verb) == ("apps", "list")
+    def test_canonical_spellings_carry_no_deprecation(self, capsys):
+        assert main(["apps", "list"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_shared_execution_flags(self):
         args = _parse_args(
@@ -142,12 +135,6 @@ class TestGrammar:
         ):
             args = _parse_args(argv)
             assert (args.cores, args.seed) == (8, 7), argv
-
-    def test_profile_output_alias_still_parses(self):
-        args = _parse_args(["sim", "profile", "fft", "--output", "r.txt"])
-        assert args.out == "r.txt"
-        args = _parse_args(["sim", "profile", "fft", "--out", "r.txt"])
-        assert args.out == "r.txt"
 
     def test_unknown_noun_fails_fast(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

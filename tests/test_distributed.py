@@ -1,12 +1,12 @@
-"""Distributed campaign execution tests (ISSUE 7).
+"""Distributed campaign execution tests.
 
 The contract under test: a campaign sharded across N work-stealing
 workers — local forks or remote TCP agents speaking the length-prefixed
 JSON-RPC protocol — converges to an aggregate ``results.json`` /
-``digest.txt`` that is byte-identical to a single-box execution of the
-same spec, while worker deaths, duplicate reports, throttled submissions,
-and cross-tenant store dedupe all degrade gracefully instead of
-corrupting the merge.
+``digest.txt`` that is byte-identical to :meth:`Campaign.finalize` over
+the same spec's payloads simulated in-process, while worker deaths,
+duplicate or late reports, throttled submissions, and cross-tenant store
+dedupe all degrade gracefully instead of corrupting the merge.
 """
 
 import asyncio
@@ -28,9 +28,8 @@ from repro.harness.distributed import (
     coordinator_endpoint,
     live_status,
     render_live_status,
-    run_distributed,
 )
-from repro.harness.executor import Executor
+from repro.harness.executor import Executor, _simulate
 from repro.harness.ioutils import iter_stale_tmp
 from repro.harness.protocol import (
     ERR_BAD_REQUEST,
@@ -48,7 +47,7 @@ from repro.harness.protocol import (
     send_frame,
 )
 from repro.harness.resultstore import ResultStore, ResultStoreError
-from repro.harness.supervisor import RetryPolicy, WorkerSupervisor
+from repro.harness.supervisor import RetryPolicy
 from repro.obs.campaign import CampaignTelemetry
 
 APP = "volrend"
@@ -70,6 +69,16 @@ def _spec(name="dist", **overrides):
 def _executor(tmp_path, tag="cache"):
     """Isolated executor: private cache dir so tests never cross-talk."""
     return Executor(workers=1, cache_dir=tmp_path / tag, use_cache=True)
+
+
+def _in_process_digest(directory, spec):
+    """Finalize ``spec`` over payloads simulated in-process, no engine."""
+    campaign = Campaign.create(directory, spec)
+    payloads = {
+        key: _simulate(request)[0]
+        for key, request in zip(campaign.keys, campaign.plan.requests)
+    }
+    return campaign.finalize(payloads, [])
 
 
 # ----------------------------------------------------------- wire framing
@@ -455,6 +464,42 @@ class TestCoordinatorRpc:
         assert "campaign dist [live, running]" in text
         assert "shard 0" in text
 
+    def test_late_result_after_terminal_failure_heals(self, tmp_path):
+        """Lease A, let the lease expire into a terminal failure, report A
+        late: A completes exactly once, and B — never leased — keeps the
+        campaign open."""
+        campaign = Campaign.create(tmp_path / "camp", _spec())
+        harness = _CoordinatorHarness(
+            campaign,
+            executor=_executor(tmp_path),
+            runner="sleep",
+            expected_workers=1,
+            retry=RetryPolicy(max_attempts=1, unit=0.0),
+            lease_timeout=0.3,
+            poll_interval=0.05,
+        )
+        try:
+            with RpcClient(harness.host, harness.port, timeout=5.0) as client:
+                worker = _serve(client)["worker_id"]
+                client.call("submit")
+                grant = client.call("lease", worker_id=worker)
+                deadline = time.monotonic() + 5.0
+                while client.call("status")["failed"] == 0:
+                    assert time.monotonic() < deadline, "lease never expired"
+                    time.sleep(0.05)
+                reply = client.call(
+                    "result", worker_id=worker, key=grant["key"],
+                    payload={"mode": "sleep", "key": grant["key"]},
+                )
+                status = client.call("status")
+        finally:
+            harness.close()
+        assert reply == {"accepted": True, "done": False}
+        assert status["done"] is False
+        assert (status["completed"], status["failed"], status["pending"]) == (
+            1, 0, 1,
+        )
+
     def test_rejects_unknown_runner_mode(self, tmp_path):
         campaign = Campaign.create(tmp_path / "camp", _spec())
         with pytest.raises(DistributedError):
@@ -467,23 +512,17 @@ class TestCoordinatorRpc:
 class TestDistributedEndToEnd:
     def test_digest_matches_single_box_byte_for_byte(self, tmp_path):
         spec = _spec()
-        single = run_campaign(
-            tmp_path / "single", spec,
-            supervisor=WorkerSupervisor(
-                workers=1, retry=RetryPolicy(max_attempts=2, unit=0.0)
-            ),
-            executor=_executor(tmp_path, "cache-single"),
-        )
+        single = _in_process_digest(tmp_path / "single", spec)
         telemetry = CampaignTelemetry()
-        report = run_distributed(
+        report = run_campaign(
             tmp_path / "dist", spec,
             workers=2,
             executor=_executor(tmp_path, "cache-dist"),
             timeout=120,
             telemetry=telemetry,
         )
-        assert report.ok and report.completed == single.completed
-        assert report.digest == single.digest
+        assert report.ok and report.completed == report.total == 2
+        assert report.digest == single
         single_bytes = (tmp_path / "single" / "results.json").read_bytes()
         dist_bytes = (tmp_path / "dist" / "results.json").read_bytes()
         assert dist_bytes == single_bytes
@@ -497,14 +536,15 @@ class TestDistributedEndToEnd:
         assert list(iter_stale_tmp(tmp_path / "dist")) == []
         assert not (tmp_path / "dist" / COORDINATOR_NAME).exists()
 
-        # A plain single-box resume reads the merged shard journals and
-        # agrees the campaign is already finished (nothing re-executes).
+        # A resume reads the merged shard journals and agrees the
+        # campaign is already finished (nothing re-executes).
         resumed = run_campaign(
             tmp_path / "dist", None,
-            supervisor=WorkerSupervisor(workers=1),
+            workers=1,
             executor=_executor(tmp_path, "cache-resume"),
         )
-        assert resumed.digest == single.digest
+        assert resumed.resumed == resumed.total and resumed.executed == 0
+        assert resumed.digest == single
         assert (tmp_path / "dist" / "results.json").read_bytes() == single_bytes
 
     def test_sleep_runner_is_worker_count_invariant_and_cache_isolated(
@@ -514,7 +554,7 @@ class TestDistributedEndToEnd:
         executor = _executor(tmp_path)
         for workers in (1, 2):
             telemetry = CampaignTelemetry()
-            report = run_distributed(
+            report = run_campaign(
                 tmp_path / f"w{workers}", _spec(),
                 workers=workers,
                 executor=executor,
@@ -533,7 +573,7 @@ class TestDistributedEndToEnd:
     def test_store_dedupe_across_tenants(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         spec = _spec()
-        first = run_distributed(
+        first = run_campaign(
             tmp_path / "alice", spec,
             workers=1,
             executor=_executor(tmp_path, "cache-alice"),
@@ -546,7 +586,7 @@ class TestDistributedEndToEnd:
 
         # Same matrix, different tenant, cold private cache: completes
         # entirely from the objects plane — no worker ever runs.
-        second = run_distributed(
+        second = run_campaign(
             tmp_path / "bob", spec,
             workers=1,
             executor=_executor(tmp_path, "cache-bob"),
@@ -563,16 +603,12 @@ class TestDistributedEndToEnd:
         assert store.gc() == 0
 
     def test_chaos_worker_kill_recovers_and_digest_holds(self, tmp_path):
-        # 4 runs over 2 workers: whenever a result lands, the other worker
-        # almost surely holds a lease, so the chaos trigger finds a victim.
+        # 4 runs over 2 workers: the first grant after the first result
+        # goes to a worker that is SIGKILLed holding that lease.
         spec = _spec("chaos", apps=(APP, "fft"))
-        reference = run_campaign(
-            tmp_path / "reference", spec,
-            supervisor=WorkerSupervisor(workers=1),
-            executor=_executor(tmp_path, "cache-ref"),
-        )
+        reference = _in_process_digest(tmp_path / "reference", spec)
         telemetry = CampaignTelemetry()
-        report = run_distributed(
+        report = run_campaign(
             tmp_path / "chaos", spec,
             workers=2,
             executor=_executor(tmp_path, "cache-chaos"),
@@ -582,8 +618,9 @@ class TestDistributedEndToEnd:
             telemetry=telemetry,
         )
         assert report.ok
-        assert report.digest == reference.digest
+        assert report.digest == reference
         assert telemetry.counters["workers.lost"] >= 1
+        assert telemetry.counters["retries.crashed"] >= 1
         assert list(iter_stale_tmp(tmp_path / "chaos")) == []
 
     def test_trace_sharded_campaign_digest_matches_single_box(self, tmp_path):
@@ -591,7 +628,7 @@ class TestDistributedEndToEnd:
 
         A ``kind="trace"`` campaign cuts the trace into barrier-safe
         windows (one run per window per protocol); the distributed fleet
-        must land byte-for-byte on the single-box digest, and every
+        must land byte-for-byte on the in-process digest, and every
         window row must be a genuine shard (cold windowed replay, keyed
         by the trace's content digest).
         """
@@ -608,25 +645,21 @@ class TestDistributedEndToEnd:
             trace_path=str(trace),
             trace_shards=3,
         )
-        single = run_campaign(
-            tmp_path / "single", spec,
-            supervisor=WorkerSupervisor(workers=1),
-            executor=_executor(tmp_path, "cache-single-trace"),
-        )
+        single = _in_process_digest(tmp_path / "single", spec)
         campaign = Campaign.load(tmp_path / "single")
         assert any("shard" in label for label in campaign.labels)
         sharded = [r for r in campaign.plan.requests if r.trace_window is not None]
         assert len(sharded) == len(campaign.plan.requests) >= 4
         assert all(r.trace_id == info["trace_id"] for r in sharded)
 
-        report = run_distributed(
+        report = run_campaign(
             tmp_path / "dist", spec,
             workers=2,
             executor=_executor(tmp_path, "cache-dist-trace"),
             timeout=120,
         )
-        assert report.ok and report.completed == single.completed
-        assert report.digest == single.digest
+        assert report.ok and report.completed == len(campaign.labels)
+        assert report.digest == single
         assert (tmp_path / "dist" / "results.json").read_bytes() == (
             tmp_path / "single" / "results.json"
         ).read_bytes()
