@@ -8,12 +8,12 @@ how the wireless channel latencies are expressed).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
+from itertools import islice
 from typing import Callable, List, Optional
 
 from repro.engine.batch import CohortQueue
 from repro.engine.errors import SimulationError
-from repro.engine.events import Event
 from repro.engine.rng import DeterministicRng
 
 
@@ -39,11 +39,10 @@ class Simulator:
         self.now = 0
         self.rng = DeterministicRng(seed)
         self._events_executed = 0
-        self._stopped = False
         #: Callbacks invoked after :meth:`run` fully drains the queue (not
-        #: on an ``until`` bound or a :meth:`stop`). Hooks must not
-        #: schedule new events; they are for end-of-run bookkeeping (e.g.
-        #: the observability orphan-span audit + final counter sample).
+        #: on an ``until`` bound). Hooks must not schedule new events; they
+        #: are for end-of-run bookkeeping (e.g. the observability
+        #: orphan-span audit + final counter sample).
         #: The list is empty by default and costs one truthiness test per
         #: :meth:`run` return.
         self.drain_hooks: List[Callable[[], None]] = []
@@ -55,7 +54,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Events still queued (cancelled ones count until reclaimed).
+        """Callbacks still queued.
 
         Periodic observers (e.g. the online invariant checker) use this to
         decide whether to re-arm: a self-rescheduling event would otherwise
@@ -63,33 +62,26 @@ class Simulator:
         """
         return len(self.queue)
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
+    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` cycles from now (delay >= 0).
 
-        The event creation and queue insert are inlined (``Event.__init__``
-        bypassed, no helper call): scheduling is the most-called operation
-        in the kernel and the extra call frames were measurable.
+        The queue insert is inlined (no helper call): scheduling is the
+        most-called operation in the kernel and the extra call frame was
+        measurable.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         queue = self.queue
-        seq = queue._seq
-        event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        queue._seq = seq + 1
-        queue._live += 1
         if time < queue._horizon:
-            queue._buckets[time & queue._mask].append(event)
+            queue._buckets[time & queue._mask].append(callback)
             queue._ring_live += 1
         else:
-            heappush(queue._spill, (time, seq, event))
-        return event
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(queue._spill, (time, seq, callback))
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
+    def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute cycle ``time`` (time >= now).
 
         Inlined like :meth:`schedule`, with the same ordering semantics.
@@ -99,53 +91,42 @@ class Simulator:
                 f"cannot schedule at cycle {time}, already at cycle {self.now}"
             )
         queue = self.queue
-        seq = queue._seq
-        event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        queue._seq = seq + 1
-        queue._live += 1
         if time < queue._horizon:
-            queue._buckets[time & queue._mask].append(event)
+            queue._buckets[time & queue._mask].append(callback)
             queue._ring_live += 1
         else:
-            heappush(queue._spill, (time, seq, event))
-        return event
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return before the next event."""
-        self._stopped = True
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(queue._spill, (time, seq, callback))
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drain the event queue; return the final cycle.
 
-        Each iteration advances the clock to the next cycle holding a live
-        event and drains that cycle's *entire cohort* as one list walk,
-        including events the cohort schedules for its own cycle: they
-        append to the bucket being walked and the same pass picks them up.
-        This is the hottest loop in the simulator, so it works on the
-        queue's buckets directly.
+        Each iteration advances the clock to the next cycle holding a
+        callback and drains that cycle's *entire cohort* as one ``for``
+        loop over its bucket, including callbacks the cohort schedules for
+        its own cycle: they append to the bucket being walked and the same
+        loop picks them up. The executed count and the ring count are
+        updated once per cohort. This is the hottest loop in the
+        simulator, so it works on the queue's buckets directly.
 
         Parameters
         ----------
         until:
-            Stop once the next event lies strictly beyond this cycle. The
-            clock is left at ``until`` in that case. Must not be earlier
-            than the current cycle.
+            Stop once the next callback lies strictly beyond this cycle.
+            The clock is left at ``until`` in that case. Must not be
+            earlier than the current cycle.
         max_events:
             Safety valve for tests: raise :class:`SimulationError` *before*
-            executing event ``max_events + 1`` in this call, i.e. at most
+            executing callback ``max_events + 1`` in this call, i.e. at most
             ``max_events`` callbacks run (a runaway protocol loop otherwise
-            spins forever).
+            spins forever). The callbacks not run stay queued, in order.
         """
         if until is not None and until < self.now:
             raise SimulationError(
                 f"cannot run until cycle {until}, already at cycle {self.now}"
             )
-        executed_here = 0
-        self._stopped = False
+        remaining = max_events
         queue = self.queue
         buckets = queue._buckets
         mask = queue._mask
@@ -153,8 +134,8 @@ class Simulator:
         cycle = self.now
         half_window = queue._window >> 1
         adv_at = queue._base + half_window
-        while not self._stopped:
-            # ---- locate the next cycle holding a queued event.
+        while True:
+            # ---- locate the next cycle holding a queued callback.
             if queue._ring_live:
                 limit = queue._horizon
                 while cycle < limit and not buckets[cycle & mask]:
@@ -164,9 +145,6 @@ class Simulator:
                     adv_at = cycle + half_window
                     continue
             else:
-                while spill and spill[0][2].cancelled:
-                    heappop(spill)
-                    queue._live -= 1
                 if not spill:
                     break  # fully drained; the clock stays at the last event
                 cycle = spill[0][0]
@@ -178,18 +156,6 @@ class Simulator:
                 queue.advance_base(cycle)
                 adv_at = cycle + half_window
                 continue  # spill pulled into the ring; rescan from its cycle
-            bucket = buckets[cycle & mask]
-            # Tombstone-only cohorts must not advance the clock: reclaim
-            # and move on without touching ``self.now``.
-            for event in bucket:
-                if not event.cancelled:
-                    break
-            else:
-                dead = len(bucket)
-                queue._live -= dead
-                queue._ring_live -= dead
-                del bucket[:]
-                continue
             if until is not None and cycle > until:
                 self.now = until
                 break
@@ -202,41 +168,33 @@ class Simulator:
                 queue.advance_base(cycle)
                 adv_at = cycle + half_window
             self.now = cycle
-            # ---- drain the whole cohort in one pass. The bound is re-read
-            # ---- each step so same-cycle appends made by callbacks extend
-            # ---- the current pass instead of re-entering any queue.
-            consumed = 0
-            if max_events is None:
-                while consumed < len(bucket) and not self._stopped:
-                    event = bucket[consumed]
-                    consumed += 1
-                    if event.cancelled:
-                        continue
-                    event.callback()
-                    self._events_executed += 1
-            else:
-                while consumed < len(bucket) and not self._stopped:
-                    event = bucket[consumed]
-                    consumed += 1
-                    if event.cancelled:
-                        continue
-                    if executed_here >= max_events:
-                        queue._live -= consumed
-                        queue._ring_live -= consumed
-                        del bucket[:consumed]
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "likely a livelocked protocol transaction"
-                        )
-                    event.callback()
-                    self._events_executed += 1
-                    executed_here += 1
-            queue._live -= consumed
-            queue._ring_live -= consumed
-            if consumed == len(bucket):
-                del bucket[:]
-            else:  # stopped mid-cohort: keep the unconsumed tail
-                del bucket[:consumed]
+            # ---- drain the whole cohort in one loop. A list iterator
+            # ---- re-reads the length each step, so same-cycle appends
+            # ---- made by callbacks extend the current loop.
+            bucket = buckets[cycle & mask]
+            ran = 0
+            try:
+                if remaining is None:
+                    for callback in bucket:
+                        callback()
+                        ran += 1
+                else:
+                    for callback in islice(bucket, remaining):
+                        callback()
+                        ran += 1
+            finally:
+                # A raising callback leaves the count at those that returned.
+                self._events_executed += ran
+            queue._ring_live -= ran
+            if len(bucket) > ran:  # the budget ran out mid-cohort
+                del bucket[:ran]
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; "
+                    "likely a livelocked protocol transaction"
+                )
+            bucket.clear()
+            if remaining is not None:
+                remaining -= ran
         if self.drain_hooks and not len(queue):
             for hook in self.drain_hooks:
                 hook()

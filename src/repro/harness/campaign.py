@@ -66,6 +66,7 @@ from repro.harness.ioutils import (
     iter_stale_tmp,
     quarantine,
     read_jsonl_many,
+    remove_stale_tmp,
 )
 from repro.harness.runner import SimulationResult
 from repro.harness.supervisor import RetryPolicy
@@ -861,6 +862,9 @@ def run_campaign(
                 f"campaign already exists at {directory} (resume it, or "
                 "pick a fresh --out directory)"
             )
+        # A writer killed between its temp write and the rename leaves the
+        # temp file behind; nothing reads it, so the resume collects it.
+        remove_stale_tmp(directory)
     else:
         if spec is None:
             raise CampaignError(

@@ -3,11 +3,11 @@
 The contract under test is the one :mod:`repro.engine.batch` documents:
 callbacks run in the ``(time, seq)`` total order a binary heap keyed on
 ``(time, seq)`` would produce — same callback order, same clock values,
-same ``until``/``max_events``/``stop`` semantics — including the awkward
-corners (spill-heap crossover, events scheduled for the current cycle
-mid-drain, tombstone-only cohorts). :class:`_HeapModel` below is that
-heap, kept here as the reference. The golden-digest suite proves the
-kernel end-to-end on full runs; these tests pin each mechanism in
+same ``until``/``max_events`` semantics — including the awkward corners
+(spill-heap crossover, callbacks scheduled for the current cycle
+mid-drain, a budget that runs out mid-cohort). :class:`_HeapModel` below
+is that heap, kept here as the reference. The golden-digest suite proves
+the kernel end-to-end on full runs; these tests pin each mechanism in
 isolation so a violation fails with a readable diff instead of a digest
 mismatch.
 """
@@ -19,53 +19,43 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.batch import COHORT_WINDOW, CohortQueue
 from repro.engine.errors import SimulationError
-from repro.engine.events import Event
 from repro.engine.simulator import Simulator
 
 W = COHORT_WINDOW
 
 
 class _HeapModel:
-    """Reference kernel: one ``(time, seq)`` heap, one event per pop."""
+    """Reference kernel: one ``(time, seq, callback)`` heap, one pop per event."""
 
     def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
-        self._stopped = False
 
     def schedule_at(self, time, callback):
         if time < self.now:
             raise SimulationError("past")
-        event = Event(time, self._seq, callback)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        heapq.heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
-        return event
 
     def schedule(self, delay, callback):
-        return self.schedule_at(self.now + delay, callback)
-
-    def stop(self):
-        self._stopped = True
+        self.schedule_at(self.now + delay, callback)
 
     def run(self, until=None, max_events=None):
         if until is not None and until < self.now:
             raise SimulationError("past")
-        self._stopped = False
         executed = 0
         heap = self._heap
-        while heap and not self._stopped:
-            time, seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
+        while heap:
+            time, _, callback = heap[0]
             if until is not None and time > until:
-                heapq.heappush(heap, (time, seq, event))
                 self.now = until
                 break
             self.now = time
             if max_events is not None and executed >= max_events:
-                raise SimulationError("max_events")
-            event.callback()
+                raise SimulationError("max_events")  # the event stays queued
+            heapq.heappop(heap)
+            callback()
             executed += 1
         return self.now
 
@@ -134,18 +124,6 @@ class TestCohortQueue:
         sim.run()
         assert fired == ["spilled-0", "spilled-1", "bucketed"]
 
-    def test_cancelled_events_are_skipped_everywhere(self):
-        sim = Simulator()
-        fired = []
-        near = sim.schedule(2, lambda: pytest.fail("cancelled near event ran"))
-        far = sim.schedule(2 * W, lambda: pytest.fail("cancelled far event ran"))
-        sim.schedule(3, lambda: fired.append(sim.now))
-        near.cancel()
-        far.cancel()
-        assert sim.run() == 3  # the dead far event does not move the clock
-        assert fired == [3]
-        assert sim.pending_events == 0
-
     def test_peek_time_considers_spill_head(self):
         # With the ring empty, the next cycle is the spill head's. A run
         # bounded short of it leaves the clock at ``until``, and the ring
@@ -200,45 +178,42 @@ class TestBatchedSimulatorParity:
         assert fired == [0, 1, 2]
         assert sim.events_executed == 3
 
-    def test_stop_mid_cohort_keeps_tail(self):
+    def test_cohort_cut_short_counts_only_returned_callbacks(self):
+        # A callback that raises mid-cohort is not counted.
         sim = Simulator()
         fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
         sim.schedule(1, lambda: fired.append("first"))
-        sim.schedule(1, sim.stop)
-        sim.schedule(1, lambda: fired.append("tail"))
-        sim.run()
+        sim.schedule(1, boom)
+        sim.schedule(1, lambda: fired.append("never"))
+        with pytest.raises(RuntimeError):
+            sim.run()
         assert fired == ["first"]
-        assert sim.pending_events == 1
-        sim.run()  # resuming drains the kept tail
-        assert fired == ["first", "tail"]
+        assert sim.events_executed == 1
 
-    def test_tombstone_only_cohort_does_not_advance_clock(self):
-        # A cycle whose every event was cancelled must not become ``now``,
-        # whether a live event follows it or not.
-        sim = Simulator()
-        seen = []
-        dead = [
-            sim.schedule(t, lambda: pytest.fail("dead ran")) for t in (2, 2, 12, 12)
-        ]
-        sim.schedule(9, lambda: seen.append(sim.now))
-        for event in dead:
-            event.cancel()
-        assert sim.run() == 9
-        assert seen == [9]
-
-    def test_cancel_during_same_cycle_cohort(self):
-        # An event cancelled by an earlier event of the SAME cycle must not
-        # run, whatever its position in the cohort.
+        # A budget that runs out mid-cohort, after a same-cycle append,
+        # keeps the unexecuted tail queued in order for the next run.
         sim = Simulator()
         fired = []
-        victim = sim.schedule(4, lambda: fired.append("victim"))
-        sim.schedule(4, lambda: fired.append("killer"))
-        # killer is scheduled after victim, so victim fires first; kill
-        # a later same-cycle event from the first one instead:
-        victim2 = sim.schedule(4, lambda: fired.append("victim2"))
-        victim.callback = lambda: (fired.append("assassin"), victim2.cancel())
-        sim.run()
-        assert fired == ["assassin", "killer"]
+
+        def head():
+            fired.append("head")
+            sim.schedule(0, lambda: fired.append("appended"))
+
+        sim.schedule(1, head)
+        sim.schedule(1, lambda: fired.append("second"))
+        sim.schedule(1, lambda: fired.append("third"))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=2)
+        assert fired == ["head", "second"]
+        assert sim.events_executed == 2
+        assert sim.pending_events == 2
+        assert sim.run() == 1
+        assert fired == ["head", "second", "third", "appended"]
+        assert sim.events_executed == 4
 
     def test_long_horizon_rescheduling_chain(self):
         # A self-rescheduling event that hops half a window each time walks
@@ -270,11 +245,8 @@ _delays = st.one_of(
 
 _ops = st.lists(
     st.one_of(
-        # (op, delay, delay of a child the callback schedules, stop after)
-        st.tuples(
-            st.just("schedule"), _delays, st.none() | _delays, st.booleans()
-        ),
-        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        # (op, delay, delay of a child the callback schedules)
+        st.tuples(st.just("schedule"), _delays, st.none() | _delays),
         st.tuples(st.just("until"), _delays),
         st.tuples(st.just("max_events"), st.integers(0, 8)),
     ),
@@ -283,37 +255,33 @@ _ops = st.lists(
 
 
 def _drive(sim, ops):
-    """Apply ``ops`` to a kernel; return its (tag, fire cycle) log and clock."""
-    log, events = [], []
+    """Apply ``ops`` to a kernel; return its (tag, fire cycle) log and clock.
 
-    def fire(tag, child, stop):
+    A ``max_events`` run that raises is logged and the ops go on: the
+    callbacks it did not run stay queued, so later runs must still match.
+    """
+    log = []
+
+    def fire(tag, child):
         def callback():
             log.append((tag, sim.now))
             if child is not None:
-                events.append(
-                    sim.schedule(child, lambda: log.append((-tag, sim.now)))
-                )
-            if stop:
-                sim.stop()
+                sim.schedule(child, lambda: log.append((-tag, sim.now)))
 
         return callback
 
     for tag, op in enumerate(ops, start=1):
         if op[0] == "schedule":
-            events.append(sim.schedule(op[1], fire(tag, op[2], op[3])))
-        elif op[0] == "cancel":
-            if events:
-                events[op[1] % len(events)].cancel()
+            sim.schedule(op[1], fire(tag, op[2]))
         elif op[0] == "until":
             sim.run(until=sim.now + op[1])
         else:
             try:
                 sim.run(max_events=op[1])
             except SimulationError:
-                return log, sim.now, "raised"
-    for _ in range(len(ops) + 1):  # each stop() ends one run early
-        sim.run()
-    return log, sim.now, "drained"
+                log.append(("raised", sim.now))
+    sim.run()
+    return log, sim.now
 
 
 @settings(max_examples=200, deadline=None)

@@ -24,6 +24,7 @@ import pytest
 
 from repro.harness.campaign import (
     CHECKPOINT_SCHEMA_VERSION,
+    MANIFEST_NAME,
     Campaign,
     CampaignError,
     CampaignResultSource,
@@ -349,11 +350,15 @@ class TestCampaignLifecycle:
         directory = tmp_path / "camp"
         first = _run(directory, _spec(), executor=_executor(tmp_path))
         blob = (directory / "results.json").read_bytes()
+        # Temp files of a writer SIGKILLed before its rename.
+        (directory / "runs" / "k.json.tmp.1").write_text('{"torn')
+        (directory / "results.json.tmp.1").write_text("")
         second = _run(directory, _spec())
         assert second.resumed == second.total
         assert second.executed == 0
         assert second.digest == first.digest
         assert (directory / "results.json").read_bytes() == blob
+        assert list(iter_stale_tmp(directory)) == []
 
     def test_create_twice_requires_resume(self, tmp_path):
         directory = tmp_path / "camp"
@@ -622,6 +627,21 @@ class TestKillResumeProperty:
             timeout=120,
         )
 
+    @staticmethod
+    def _wait_for_manifest(directory, victim, timeout=30.0):
+        """Block until ``victim`` has written ``directory``'s campaign.json."""
+        manifest = directory / MANIFEST_NAME
+        deadline = time.monotonic() + timeout
+        while not manifest.exists():
+            if victim.poll() is not None or time.monotonic() > deadline:
+                victim.kill()
+                victim.wait(timeout=30)
+                pytest.fail(
+                    f"{manifest} did not appear within {timeout}s "
+                    f"(victim exit code {victim.returncode})"
+                )
+            time.sleep(0.01)
+
     def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
         reference = tmp_path / "reference"
         proc = self._run_cli(*self.SPEC_ARGS, "--out", str(reference))
@@ -637,6 +657,10 @@ class TestKillResumeProperty:
                 cwd=REPO_ROOT, env=self._env(),
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
+            # Start the kill clock once the manifest exists: interpreter
+            # start-up and imports alone can outlast ``kill_after``, and a
+            # kill before campaign.json leaves nothing to resume.
+            self._wait_for_manifest(directory, victim)
             time.sleep(kill_after)
             if victim.poll() is None:
                 victim.send_signal(signal.SIGKILL)
@@ -648,7 +672,7 @@ class TestKillResumeProperty:
             assert got == want, (
                 f"kill at +{kill_after}s diverged:\n{resumed.stdout}"
             )
-            # Crash-safe writers never leave torn temp files behind.
+            # The resume collects the killed writer's temp files.
             assert list(iter_stale_tmp(directory)) == []
 
             status = self._run_cli("campaign", "status", str(directory))

@@ -36,23 +36,6 @@ class TestEventOrder:
         sim.run()
         assert fired == list(range(10))
 
-    def test_cancelled_event_is_skipped(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1, lambda: pytest.fail("cancelled event ran"))
-        sim.schedule(2, lambda: fired.append(sim.now))
-        event.cancel()
-        sim.run()
-        assert fired == [2]
-
-    def test_cancel_updates_live_count(self):
-        sim = Simulator()
-        event = sim.schedule(1, lambda: None)
-        sim.schedule(2, lambda: None)
-        event.cancel()
-        sim.run(until=1)  # the drain reclaims the dead cycle-1 cohort
-        assert sim.pending_events == 1
-
     def test_earliest_event_sets_clock_first(self):
         sim = Simulator()
         seen = []
@@ -61,30 +44,6 @@ class TestEventOrder:
         sim.run(until=3)
         assert seen == [3]
         assert sim.now == 3
-
-    def test_cancel_at_head_between_runs(self):
-        """Cancelling the next event after a bounded run stopped in front
-        of it must not let the next run execute the tombstone."""
-        sim = Simulator()
-        fired = []
-        head = sim.schedule(1, lambda: pytest.fail("cancelled head ran"))
-        sim.schedule(1, lambda: fired.append("keep"))
-        sim.run(until=0)  # head is still live here
-        head.cancel()
-        sim.run()
-        assert fired == ["keep"]
-        assert sim.events_executed == 1
-
-    def test_run_skips_runs_of_tombstones(self):
-        sim = Simulator()
-        fired = []
-        dead = [sim.schedule(t, lambda: pytest.fail("dead ran")) for t in (1, 2, 3)]
-        sim.schedule(4, lambda: fired.append(sim.now))
-        for event in dead:
-            event.cancel()
-        assert sim.run() == 4
-        assert fired == [4]
-        assert sim.pending_events == 0
 
 
 class TestSimulator:
@@ -182,29 +141,6 @@ class TestSimulator:
         assert sim.now == 15
         sim.run()
         assert fired[-1] == ("b", 0)
-
-    def test_cancel_within_same_cycle_batch(self):
-        """A callback cancelling a later event of the *same* cycle must
-        suppress it even inside the cohort drain."""
-        sim = Simulator()
-        fired = []
-        holder = {}
-        # Scheduled first => runs first; cancels its same-cycle successor.
-        sim.schedule(5, lambda: holder["victim"].cancel())
-        holder["victim"] = sim.schedule(5, lambda: fired.append("victim"))
-        sim.run()
-        assert fired == []
-        assert sim.events_executed == 1
-
-    def test_stop_requests_early_return(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1, lambda: (fired.append(1), sim.stop()))
-        sim.schedule(2, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-        sim.run()
-        assert fired == [1, 2]
 
     def test_events_executed_counter(self):
         sim = Simulator()
