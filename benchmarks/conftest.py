@@ -125,9 +125,9 @@ _DISTRIBUTED_METRICS = {}
 #: cold round that fills that blind spot.
 _EXECUTOR_COLD_METRICS = {}
 #: Streaming trace-replay metrics (record/scan/replay refs/s, bounded-
-#: memory peaks, replay-vs-live ratio) from
+#: memory peaks, cold-live-over-replay ratio) from
 #: benchmarks/test_bench_trace_replay.py; lands under ``"trace_replay"``
-#: and CI drift-gates ``replay_vs_live``.
+#: and CI drift-gates ``cold_live_over_replay``.
 _TRACE_REPLAY_METRICS = {}
 #: Cross-MAC comparison metrics (per-MAC geomean cycle ratios vs brs)
 #: from benchmarks/test_bench_macs.py; lands under ``"mac"`` and is
@@ -165,7 +165,7 @@ def executor_cold_metrics():
 @pytest.fixture(scope="session")
 def trace_replay_metrics():
     """Mutable dict the trace-replay benchmark fills; emitted as
-    ``trace_replay`` (CI drift-gates ``replay_vs_live``)."""
+    ``trace_replay`` (CI drift-gates ``cold_live_over_replay``)."""
     return _TRACE_REPLAY_METRICS
 
 

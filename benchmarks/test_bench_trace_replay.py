@@ -18,7 +18,7 @@ Memory boundedness is asserted two ways, both machine-portable:
   memory image) is common to both sides, so replay may only add O(chunk)
   of reader state on top — never a resident copy of the trace.
 
-The drift-gated ratio is ``replay_vs_live``: the wall seconds of a
+The drift-gated ratio is ``cold_live_over_replay``: the wall seconds of a
 *cold* live ``run_app`` divided by the wall seconds of a continuous
 replay of the identical workload, both measured in the same session on
 the same box. The live run is the first to use its traces, so it pays
@@ -130,9 +130,9 @@ def test_bench_trace_replay(tmp_path, trace_replay_metrics):
     replayed = replay_trace(live_trace, config)
     replay_small_seconds = time.perf_counter() - t0
     assert result_digest(replayed) == result_digest(live), (
-        "replay_vs_live compared different work: digests diverge"
+        "cold_live_over_replay compared different work: digests diverge"
     )
-    replay_vs_live = live_seconds / replay_small_seconds
+    cold_live_over_replay = live_seconds / replay_small_seconds
 
     # Identical workload, identical machine footprint on both sides: the
     # replay side may only add O(chunk) of reader state, so its peak must
@@ -168,7 +168,7 @@ def test_bench_trace_replay(tmp_path, trace_replay_metrics):
     print(
         f"  memory : live {peak_live / 1e6:.1f} MB, "
         f"replay {peak_replay / 1e6:.1f} MB; "
-        f"replay_vs_live {replay_vs_live:.2f}x "
+        f"cold_live_over_replay {cold_live_over_replay:.2f}x "
         f"(live {live_seconds:.2f}s, replay {replay_small_seconds:.2f}s)"
     )
 
@@ -184,7 +184,7 @@ def test_bench_trace_replay(tmp_path, trace_replay_metrics):
             "scan_peak_mb": round(scan_peak / 1e6, 2),
             "live_peak_mb": round(peak_live / 1e6, 2),
             "replay_peak_mb": round(peak_replay / 1e6, 2),
-            "replay_vs_live": round(replay_vs_live, 3),
+            "cold_live_over_replay": round(cold_live_over_replay, 3),
             "live_digest_identical": True,
             "cores": _CORES,
         }

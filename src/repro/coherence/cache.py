@@ -155,36 +155,26 @@ class CacheController:
     # ------------------------------------------------------------ CPU API
 
     def load(self, address: int, on_done: Callable[[int], None]) -> None:
-        """Read a word; ``on_done(value)`` fires when the data is available.
-
-        The L1-hit fast path is inlined here (identical to the head of
-        :meth:`_do_load`, which remains the retry target for misses): loads
-        dominate the op mix and the extra call frame per hit was visible in
-        end-to-end profiles.
-        """
+        """Read a word; ``on_done(value)`` fires when the data is available."""
         self._loads_counter.value += 1
         self._accesses_counter.value += 1
-        line = address >> self._line_shift
-        entry = self.array.lookup(line)
-        if entry is not None and entry.state in self._readable:
-            if entry.state == WIRELESS:
-                entry.update_count = 0
-            word = (address & self._offset_mask) >> self._word_shift
-            value = entry.data.get(word, 0)
-            self.sim.schedule(self._hit_latency, lambda: on_done(value))
-            return
-        self._miss(line, False, False, lambda: self._do_load(address, on_done))
+        self._do_load(address, on_done)
 
-    def load_probe(self, address: int) -> Optional[int]:
-        """Counter-bumping L1 read-hit probe for the core's load fast path.
+    def load_probe(self, address: int) -> bool:
+        """Counter-bumping L1 read-hit probe for the core's issue loop.
 
-        On an L1 read hit, applies exactly the hit side effects of
-        :meth:`load` (access counters, LRU touch, W-state update-count
-        reset) and returns the word — *without* scheduling the completion.
-        The core schedules its own wake-up at the L1 round trip, saving a
-        closure and a completion cell per hit. Returns None on a miss, in
-        which case the caller must follow with :meth:`load_miss` (the
-        counters are already bumped).
+        Its only caller is :meth:`Core._step <repro.cpu.core.Core._step>`.
+        Bumps the load and access counters and looks the line up, which
+        makes a resident line MRU whatever its state. On a read hit it
+        applies the rest of :meth:`_do_load`'s hit side effects (a W line's
+        update count is reset) and returns True, without reading the word
+        or scheduling a completion: the core only needs to know that the
+        load hit, and schedules its own wake-up at the L1 round trip.
+        Returns False on a miss, in which case the caller must follow with
+        :meth:`load_miss` (the counters are already bumped).
+
+        The probe used to return the word, or None on a miss, so a word of
+        ``0`` meant a hit; it now returns a bool.
         """
         self._loads_counter.value += 1
         self._accesses_counter.value += 1
@@ -192,9 +182,8 @@ class CacheController:
         if entry is not None and entry.state in self._readable:
             if entry.state == WIRELESS:
                 entry.update_count = 0
-            word = (address & self._offset_mask) >> self._word_shift
-            return entry.data.get(word, 0)
-        return None
+            return True
+        return False
 
     def load_miss(self, address: int, on_done: Callable[[int], None]) -> None:
         """Miss leg of the :meth:`load_probe` pair (counters already bumped)."""
@@ -208,7 +197,7 @@ class CacheController:
         self._do_store(address, value, on_done)
 
     def store_probe(self, address: int, value: int) -> bool:
-        """Counter-bumping M/E write-hit probe for the core's store fast path.
+        """Counter-bumping M/E write-hit probe for the core's issue loop.
 
         On an M/E hit the store is performed immediately (state to M, dirty
         set, word written — exactly what the head of :meth:`_do_store`

@@ -123,9 +123,14 @@ class Core:
         self._load_record = self._result.load_latency.record
         self._store_record = self._result.store_latency.record
         self._hist_record = self._result.latency_hist.record
-        #: L1 hit round trip — the constant latency of the probe fast
-        #: paths in ``_issue_load`` / ``_issue_store``.
+        #: L1 hit round trip — the constant latency of the hit branches
+        #: in :meth:`_step`.
         self._hit_latency = config.l1.round_trip_cycles
+        # The callbacks every hit and think schedules, bound once instead
+        # of creating a bound method per ``schedule`` call.
+        self._step_cb = self._step
+        self._nb_hit_done_cb = self._nb_hit_done
+        self._st_hit_done_cb = self._st_hit_done
         # Probe/miss entry points, bound once. Cache stand-ins (unit-test
         # mocks, litmus harness stubs) that predate the probe API fall back
         # to the general closure path: the probe reports a guaranteed miss
@@ -136,7 +141,7 @@ class Core:
             self._store_probe = cache.store_probe
             self._store_miss = cache.store_miss
         else:
-            self._load_probe = lambda address: None
+            self._load_probe = lambda address: False
             self._load_miss = cache.load
             self._store_probe = lambda address, value: False
             self._store_miss = cache.store
@@ -166,7 +171,7 @@ class Core:
         self._bind_chunk(trace)
         self._finished = False
         self._on_finish = on_finish
-        self.sim.schedule(0, self._step)
+        self.sim.schedule(0, self._step_cb)
 
     def _bind_chunk(self, trace: TraceChunk) -> None:
         self._trace = trace
@@ -209,45 +214,111 @@ class Core:
     def _step(self) -> None:
         """Advance through trace ops until blocked or done.
 
-        The loop hoists the trace *columns* (struct-of-arrays, see
-        :class:`~repro.cpu.trace.TraceChunk`), their length, and the
-        scheduler into locals: this method runs once per wake-up across
-        every core, and both the repeated attribute walks and the per-op
-        ``TraceOp`` indexing dominated its profile. Kind strings are
-        interned constants, so each ``==`` below is a pointer compare.
+        This runs once per wake-up across every core, and almost every
+        reference is an L1 hit, so the load and store branches do the
+        issue work themselves: a hit costs one probe call and one
+        ``schedule`` call, and only a miss leaves the loop
+        (:meth:`_issue_load_miss`, :meth:`_issue_store_miss`). A hit's
+        wake-up takes the ``(time, seq)`` slot its completion closure
+        would have, so the event order is the general path's.
+
+        The trace *columns* (struct-of-arrays, see
+        :class:`~repro.cpu.trace.TraceChunk`), their length and the
+        program counter are locals. ``pc`` is written back to ``self._pc``
+        before every return and before every call that reads or advances
+        it, and re-read after. Kind strings are interned constants, so
+        each ``==`` below is usually a pointer compare; a kind that equals
+        a constant without being interned still matches.
         """
         kinds = self._kinds
         addresses = self._addresses
         trace_len = self._trace_len
+        pc = self._pc
         while True:
-            while self._pc < trace_len:
-                pc = self._pc
+            while pc < trace_len:
                 kind = kinds[pc]
                 if kind == OP_THINK:
-                    self._pc = pc + 1
                     arg = self._args[pc]
+                    self._pc = pc + 1
                     self._result.instructions += arg
                     self._instr.value += arg
                     self._instr_total.value += arg
-                    cycles = max(1, -(-arg // self._issue_width))
-                    self._schedule(cycles, self._step)
+                    cycles = -(-arg // self._issue_width)
+                    self._schedule(cycles if cycles > 0 else 1, self._step_cb)
                     return
                 if kind == OP_LOAD:
-                    if not self._issue_load(addresses[pc], self._blocking[pc]):
+                    if self._outstanding_loads >= self._max_loads:
+                        self._pc = pc
+                        self._block(
+                            "memory", lambda: self._outstanding_loads < self._max_loads
+                        )
                         return
+                    address = addresses[pc]
+                    blocking = self._blocking[pc]
+                    pc += 1
+                    self._result.instructions += 1
+                    self._instr.value += 1
+                    self._instr_total.value += 1
+                    if self._load_probe(address):
+                        # L1 read hit: the latency is the constant L1 round
+                        # trip and the wake-up target is known now, so count
+                        # the hit at issue (latency records are order-free
+                        # sums; :attr:`result` folds the count in) and
+                        # schedule the wake directly — no completion closure.
+                        self._load_hits += 1
+                        if blocking:
+                            # The general path blocks with ``grace == hit
+                            # latency`` and so charges no stall for a hit;
+                            # skipping the block/wake bookkeeping is
+                            # equivalent.
+                            self._pc = pc
+                            self._schedule(self._hit_latency, self._step_cb)
+                            return
+                        self._outstanding_loads += 1
+                        self._schedule(self._hit_latency, self._nb_hit_done_cb)
+                        continue
+                    self._pc = pc
+                    if not self._issue_load_miss(address, blocking):
+                        return
+                    pc = self._pc
                     continue
                 if kind == OP_STORE:
-                    if not self._issue_store(addresses[pc], self._values[pc]):
+                    if self._wb_occupancy >= self._wb_capacity:
+                        self._pc = pc
+                        self._block(
+                            "memory", lambda: self._wb_occupancy < self._wb_capacity
+                        )
                         return
+                    address = addresses[pc]
+                    value = self._values[pc]
+                    pc += 1
+                    self._result.instructions += 1
+                    self._instr.value += 1
+                    self._instr_total.value += 1
+                    self._wb_occupancy += 1
+                    if self._store_probe(address, value):
+                        # M/E write hit: the same count-at-issue and direct
+                        # wake-up as a load hit.
+                        self._store_hits += 1
+                        self._schedule(self._hit_latency, self._st_hit_done_cb)
+                        continue
+                    self._pc = pc
+                    self._issue_store_miss(address, value)
+                    pc = self._pc
                     continue
                 if kind == OP_RMW:
+                    self._pc = pc
                     if not self._issue_rmw(addresses[pc]):
                         return
+                    pc = self._pc
                     continue
                 if kind == OP_BARRIER:
+                    self._pc = pc
                     if not self._issue_barrier(self._args[pc]):
                         return
+                    pc = self._pc
                     continue
+            self._pc = pc
             # Chunk drained: synchronously pull the next one if streaming.
             # Rebinding inside the wake-up keeps the event stream identical
             # to a monolithic trace — no time passes, nothing is scheduled.
@@ -261,6 +332,7 @@ class Core:
             kinds = self._kinds
             addresses = self._addresses
             trace_len = self._trace_len
+            pc = self._pc
         # Trace drained: the core retires once all memory traffic lands.
         if self._outstanding_loads or self._wb_occupancy:
             self._block("memory", self._no_outstanding)
@@ -312,34 +384,12 @@ class Core:
 
     # ------------------------------------------------------------- load path
 
-    def _issue_load(self, address: int, blocking: bool) -> bool:
-        if self._outstanding_loads >= self._max_loads:
-            self._block("memory", lambda: self._outstanding_loads < self._max_loads)
-            return False
-        self._pc += 1
-        self._result.instructions += 1
-        self._instr.value += 1
-        self._instr_total.value += 1
-        value = self._load_probe(address)
-        if value is not None:
-            # L1 read hit: the latency is the constant L1 round trip and
-            # the wake-up target is known now, so count the hit at issue
-            # (latency records are order-free sums; :attr:`result` folds
-            # the count in) and schedule the wake directly — no completion
-            # closure. The wake event occupies the same ``(time, seq)``
-            # slot the general path's completion would have, so downstream
-            # event ordering is unchanged.
-            self._load_hits += 1
-            latency = self._hit_latency
-            if blocking:
-                # The general path blocks with ``grace == hit latency`` and
-                # therefore charges zero stall for a hit; skipping the
-                # block/wake bookkeeping entirely is equivalent.
-                self._schedule(latency, self._step)
-                return False
-            self._outstanding_loads += 1
-            self._schedule(latency, self._nb_hit_done)
-            return True
+    def _issue_load_miss(self, address: int, blocking: bool) -> bool:
+        """Send a load the probe missed (already counted and past ``pc``).
+
+        Returns False when the core must wait for it: a blocking load whose
+        data has not arrived.
+        """
         self._outstanding_loads += 1
         issued = self.sim.now
         completed = [False]  # one-slot cell: cheaper than a dict in this hot path
@@ -363,25 +413,14 @@ class Core:
         """Completion of a non-blocking L1 hit load (the hit was counted
         at issue): release the MLP slot and re-check any stall condition."""
         self._outstanding_loads -= 1
-        self._maybe_wake()
+        if self._wakeup is not None:
+            self._maybe_wake()
 
     # ------------------------------------------------------------ store path
 
-    def _issue_store(self, address: int, value: int) -> bool:
-        if self._wb_occupancy >= self._wb_capacity:
-            self._block("memory", lambda: self._wb_occupancy < self._wb_capacity)
-            return False
-        self._pc += 1
-        self._result.instructions += 1
-        self._instr.value += 1
-        self._instr_total.value += 1
-        self._wb_occupancy += 1
-        if self._store_probe(address, value):
-            # M/E write hit: same count-at-issue + direct wake-up pattern
-            # as the load fast path (see ``_issue_load``).
-            self._store_hits += 1
-            self._schedule(self._hit_latency, self._st_hit_done)
-            return True
+    def _issue_store_miss(self, address: int, value: int) -> None:
+        """Send a store the probe did not perform (already counted, past
+        ``pc`` and holding its write-buffer slot)."""
         issued = self.sim.now
 
         def on_done() -> None:
@@ -392,13 +431,13 @@ class Core:
             self._maybe_wake()
 
         self._store_miss(address, value, on_done)
-        return True
 
     def _st_hit_done(self) -> None:
         """Completion of an M/E store hit (the hit was counted at issue):
         drain the write-buffer slot and re-check any stall condition."""
         self._wb_occupancy -= 1
-        self._maybe_wake()
+        if self._wakeup is not None:
+            self._maybe_wake()
 
     # -------------------------------------------------------------- RMW path
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.coherence import messages as mk
+from repro.coherence.backend import get_backend
 from repro.config import baseline_config, widir_config
 from repro.engine.errors import ProtocolError
 from repro.noc.message import Message
@@ -202,3 +203,90 @@ class TestUpdateCountEdges:
         home = machine.amap.home_of(line)
         entry = machine.directories[home].array.lookup(line, touch=False)
         assert entry.sharer_count <= 4
+
+
+#: Probed line state per case; "I" means the line is absent. W exists only
+#: under WiDir.
+PROBE_CASES = [
+    ("baseline", "I"), ("baseline", "S"), ("baseline", "E"), ("baseline", "M"),
+    ("widir", "I"), ("widir", "S"), ("widir", "E"), ("widir", "M"),
+    ("widir", "W"),
+]
+PROBE_CORE = 1
+
+
+def probed_machine(protocol, state):
+    """A machine whose core 1 holds ADDR's line in ``state`` and, as MRU,
+    a second line of the same set. A W line carries update_count 2."""
+    machine = make(protocol)
+    config = machine.config
+    other = ADDR + config.l1.num_sets * config.l1.line_bytes
+    if state == "S":
+        settle_load(machine, 0)
+        settle_load(machine, PROBE_CORE)
+    elif state == "E":
+        settle_load(machine, PROBE_CORE)
+    elif state == "M":
+        settle_store(machine, PROBE_CORE, 5)
+    elif state == "W":
+        for core in range(5):
+            settle_load(machine, core)
+    settle_load(machine, PROBE_CORE, other)
+    cache = machine.caches[PROBE_CORE]
+    line = machine.amap.line_of(ADDR)
+    entry = cache.array.lookup(line, touch=False)
+    assert (entry.state if entry is not None else "I") == state
+    ways = [way.line for way in cache.array.ways_of(line)]
+    assert ways[-1] == machine.amap.line_of(other)
+    if state == "W":
+        entry.update_count = 2
+    return machine, cache, line, entry
+
+
+def counts(machine, kind):
+    stats = machine.stats
+    return (
+        stats.counter(f"l1.{PROBE_CORE}.{kind}").value,
+        stats.counter("l1.total.accesses").value,
+    )
+
+
+class TestProbes:
+    """Side effects of the probes the core's issue loop calls per access."""
+
+    @pytest.mark.parametrize("protocol,state", PROBE_CASES)
+    def test_load_probe(self, protocol, state):
+        machine, cache, line, entry = probed_machine(protocol, state)
+        readable = get_backend(machine.config.protocol).readable_states
+        loads, accesses = counts(machine, "loads")
+        hit = cache.load_probe(ADDR + 8)
+        assert hit is (state in readable)
+        assert counts(machine, "loads") == (loads + 1, accesses + 1)
+        if entry is None:
+            assert cache.array.lookup(line, touch=False) is None
+            return
+        assert [way.line for way in cache.array.ways_of(line)][-1] == line
+        assert entry.state == state
+        assert entry.update_count == 0
+
+    @pytest.mark.parametrize("protocol,state", PROBE_CASES)
+    def test_store_probe(self, protocol, state):
+        machine, cache, line, entry = probed_machine(protocol, state)
+        writable = get_backend(machine.config.protocol).writable_states
+        stores, accesses = counts(machine, "stores")
+        before = dict(entry.data) if entry is not None else None
+        hit = cache.store_probe(ADDR + 8, 77)
+        assert hit is (state in writable)
+        assert counts(machine, "stores") == (stores + 1, accesses + 1)
+        if entry is None:
+            assert cache.array.lookup(line, touch=False) is None
+            return
+        assert [way.line for way in cache.array.ways_of(line)][-1] == line
+        if hit:
+            assert entry.state == "M"
+            assert entry.dirty
+            assert entry.data == {**before, 1: 77}
+        else:
+            assert entry.state == state
+            assert entry.data == before
+            assert entry.update_count == (2 if state == "W" else 0)

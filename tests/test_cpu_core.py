@@ -42,6 +42,42 @@ class MockCache:
         self.sim.schedule(self._delay(address), lambda: on_done(old))
 
 
+class ProbeCache:
+    """Cache stub with the probe API the real controller offers.
+
+    The probes follow its bool contract: True means the access hit and
+    was performed. Lines in ``resident`` hit; every other load or store
+    misses and completes ``MISS_LATENCY`` cycles later, as does every RMW.
+    """
+
+    MISS_LATENCY = 20
+
+    def __init__(self, sim: Simulator, resident=()) -> None:
+        self.sim = sim
+        self.resident = set(resident)
+        self.calls: List[str] = []
+
+    def load_probe(self, address: int) -> bool:
+        self.calls.append("load_probe")
+        return address >> 6 in self.resident
+
+    def load_miss(self, address: int, on_done: Callable[[int], None]) -> None:
+        self.calls.append("load_miss")
+        self.sim.schedule(self.MISS_LATENCY, lambda: on_done(0))
+
+    def store_probe(self, address: int, value: int) -> bool:
+        self.calls.append("store_probe")
+        return address >> 6 in self.resident
+
+    def store_miss(self, address: int, value: int, on_done: Callable[[], None]) -> None:
+        self.calls.append("store_miss")
+        self.sim.schedule(self.MISS_LATENCY, on_done)
+
+    def rmw(self, address: int, on_done: Callable[[int], None]) -> None:
+        self.calls.append("rmw")
+        self.sim.schedule(self.MISS_LATENCY, lambda: on_done(0))
+
+
 def run_core(trace, latency=2, config=None, barrier=None, node=0, sim=None):
     sim = sim or Simulator()
     cache = MockCache(sim, latency)
@@ -121,6 +157,90 @@ class TestStallAccounting:
         core, cache, _ = run_core(trace, latency=10)
         assert cache.calls == ["store", "rmw"]
         assert core.result.memory_stall_cycles >= 10  # drained the store
+
+
+#: Line 4 (addresses 0x100-0x13f) is resident in every ProbeCache below.
+HIT = 0x100
+
+
+def run_probe_core(trace):
+    sim = Simulator()
+    cache = ProbeCache(sim, resident={HIT >> 6})
+    core = Core(sim, 0, cache, paper_config(num_cores=4), StatsRegistry())
+    core.run_trace(trace)
+    sim.run()
+    assert core.finished
+    return core, cache, sim
+
+
+class TestHitPath:
+    """The core's own hit branches, driven through a probing cache."""
+
+    def test_config_under_test(self):
+        config = paper_config(num_cores=4)
+        assert config.core.max_outstanding_misses == 8
+        assert config.core.write_buffer_entries == 64
+        assert config.l1.round_trip_cycles == 2
+
+    def test_nonblocking_load_hits_wait_for_a_free_mlp_slot(self):
+        """Eight hits fill the MLP slots; the ninth issues when the first
+        completes at cycle 2, and the core retires when it lands at 4."""
+        core, cache, sim = run_probe_core([t.load(HIT, blocking=False)] * 9)
+        result = core.result
+        assert result.finish_cycle == 4
+        assert result.memory_stall_cycles == 4
+        assert result.load_latency.count == 9
+        assert result.load_latency.total == 18
+        assert result.instructions == 9
+        assert sim.events_executed == 10
+        assert cache.calls == ["load_probe"] * 9
+
+    def test_store_hits_wait_for_a_free_write_buffer_slot(self):
+        trace = [t.store(HIT + 8 * (i % 8), i) for i in range(65)]
+        core, cache, _ = run_probe_core(trace)
+        result = core.result
+        assert result.finish_cycle == 4
+        assert result.memory_stall_cycles == 4
+        assert result.store_latency.count == 65
+        assert result.load_latency.count == 0
+        assert cache.calls == ["store_probe"] * 65
+
+    def test_blocking_load_hits_resume_without_stall(self):
+        core, _, _ = run_probe_core([t.load(HIT), t.load(HIT + 8), t.think(8)])
+        result = core.result
+        assert result.finish_cycle == 6
+        assert result.memory_stall_cycles == 0
+        assert result.load_latency.count == 2
+        assert result.instructions == 10
+
+    def test_hits_and_misses_interleave(self):
+        """Non-blocking hit, blocking miss (20 cycles, 2 of grace), store
+        hit, then an RMW that waits for the store to drain."""
+        trace = [
+            t.load(HIT, blocking=False),
+            t.load(0x2000),
+            t.store(HIT + 8, 7),
+            t.rmw(0x300),
+            t.think(3),
+        ]
+        core, cache, _ = run_probe_core(trace)
+        result = core.result
+        assert result.finish_cycle == 43
+        assert result.memory_stall_cycles == 40
+        assert result.instructions == 7
+        assert (result.load_latency.count, result.load_latency.total) == (2, 22)
+        assert (result.store_latency.count, result.store_latency.total) == (2, 22)
+        assert cache.calls == [
+            "load_probe", "load_probe", "load_miss", "store_probe", "rmw",
+        ]
+
+    def test_kind_equal_to_a_constant_but_not_interned_runs(self):
+        kind = "".join(["lo", "ad"])
+        assert kind == t.OP_LOAD and kind is not t.OP_LOAD
+        core, cache, _ = run_probe_core([t.TraceOp(kind, address=HIT)])
+        assert core.result.finish_cycle == 2
+        assert core.result.load_latency.count == 1
+        assert cache.calls == ["load_probe"]
 
 
 class TestBarriers:
