@@ -106,9 +106,8 @@ def bench_cores():
 
 #: Per-benchmark wall-clock, filled by pytest_runtest_logreport.
 _BENCH_TIMINGS = {}
-#: Metrics from benchmarks/test_bench_kernel.py (the COW snapshot ratio,
-#: the fig10 pair's wall seconds and cycles); lands under ``"kernel"`` in
-#: BENCH_harness.json.
+#: Metrics from benchmarks/test_bench_kernel.py (the fig10 pair's wall
+#: seconds and cycles); lands under ``"kernel"`` in BENCH_harness.json.
 _KERNEL_METRICS = {}
 #: Observability-overhead metrics (enabled/disabled wall ratios) from
 #: benchmarks/test_bench_obs.py; lands under ``"obs"``.

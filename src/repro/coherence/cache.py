@@ -46,7 +46,6 @@ from repro.engine.rng import DeterministicRng
 from repro.engine.simulator import Simulator
 from repro.mem.address import AddressMap
 from repro.mem.cache_array import CacheArray, CacheLine
-from repro.mem.line_data import LineData, line_data
 from repro.mem.mshr import MshrFile
 from repro.noc.mesh import MeshNetwork
 from repro.noc.message import Message
@@ -337,22 +336,21 @@ class CacheController:
         )
 
     def _send(self, kind, dst: int, line: int, payload: Optional[dict] = None) -> None:
-        self.noc.send(Message.acquire(kind, self.node, dst, line, payload))
+        self.noc.send(Message(kind, self.node, dst, line, payload))
 
     # ----------------------------------------------------- line lifecycle
 
     def _install(self, line: int, state: str, data) -> CacheLine:
         """Make room, install ``line`` in ``state`` with ``data``.
 
-        Callers must have confirmed :meth:`_ensure_room` first. ``data`` may
-        be a plain mapping or a :class:`LineData`; either way the installed
-        entry gets its own copy-on-write view.
+        Callers must have confirmed :meth:`_ensure_room` first. The
+        installed entry gets its own copy of ``data``.
         """
         victim = self.array.victim_for(line)
         if victim is not None:
             self._evict(victim)
         entry = self.array.insert(line, state)
-        entry.data = line_data(data)
+        entry.data = dict(data)
         entry.update_count = 0
         return entry
 
@@ -402,11 +400,11 @@ class CacheController:
             if obs is not None:
                 obs.wb_open(self.node, line)
             dirty = victim.dirty
-            snapshot = line_data(victim.data)
-            self._evicting[line] = {"data": snapshot, "dirty": dirty}
+            data = dict(victim.data)
+            self._evicting[line] = {"data": data, "dirty": dirty}
             payload = {"dirty": dirty}
             if dirty:
-                payload["data"] = snapshot.snapshot()
+                payload["data"] = dict(data)
             self._send(mk.PUTM_ID, home, line, payload)
 
     def _complete_mshr(self, line: int) -> None:
@@ -469,7 +467,6 @@ class CacheController:
                 self._complete_mshr(msg.line)
             return
         if not self._ensure_room(msg.line):
-            msg.retain()  # survives past this delivery for the retry
             self.sim.schedule(MSHR_FULL_RETRY_CYCLES, lambda: self._on_data(msg))
             return
         entry = self._install(msg.line, grant, msg.payload.get("data", {}))
@@ -490,7 +487,7 @@ class CacheController:
                     home,
                     msg.line,
                     {
-                        "data": entry.data.snapshot(),
+                        "data": dict(entry.data),
                         "dirty": msg.payload.get("dirty", False),
                     },
                 )
@@ -508,15 +505,13 @@ class CacheController:
         resident = self.array.lookup(msg.line, touch=False)
         if msg.kind_id == mk.FWD_DATA_ID and grant != MODIFIED:
             # Close the home's fwd_gets transaction with the data we were
-            # handed, whether or not we keep a copy. The payload data is
-            # forwarded as a snapshot — no per-hop copy (the seed version
-            # copied here *and* again at the directory fill).
+            # handed, whether or not we keep a copy.
             self._send(
                 mk.WB_DATA_ID,
                 self.amap.home_of(msg.line),
                 msg.line,
                 {
-                    "data": line_data(msg.payload.get("data")),
+                    "data": dict(msg.payload.get("data", {})),
                     "dirty": msg.payload.get("dirty", False),
                 },
             )
@@ -527,7 +522,7 @@ class CacheController:
         if resident is not None and resident.state in (SHARED, EXCLUSIVE, MODIFIED):
             resident.state = MODIFIED
             if msg.payload.get("data"):
-                resident.data = line_data(msg.payload["data"])
+                resident.data = dict(msg.payload["data"])
             resident.dirty = True
         elif resident is not None:
             raise ProtocolError(
@@ -535,7 +530,6 @@ class CacheController:
                 f"0x{msg.line:x} held in {resident.state}"
             )
         elif not self._ensure_room(msg.line):
-            msg.retain()  # survives past this delivery for the retry
             self.sim.schedule(
                 MSHR_FULL_RETRY_CYCLES, lambda: self._on_stale_data(msg, grant)
             )
@@ -567,7 +561,6 @@ class CacheController:
             entry = resident
         else:
             if not self._ensure_room(msg.line):
-                msg.retain()  # survives past this delivery for the retry
                 self.sim.schedule(
                     MSHR_FULL_RETRY_CYCLES, lambda: self._on_wir_upgr(msg)
                 )
@@ -583,12 +576,12 @@ class CacheController:
         requester = msg.payload["requester"]
         entry = self.array.lookup(msg.line, touch=False)
         if entry is not None and entry.state in (EXCLUSIVE, MODIFIED):
-            data, dirty = line_data(entry.data), entry.dirty
+            data, dirty = dict(entry.data), entry.dirty
             entry.state = SHARED
             entry.dirty = False
         elif msg.line in self._evicting:
             buffered = self._evicting[msg.line]
-            data, dirty = line_data(buffered["data"]), buffered["dirty"]
+            data, dirty = dict(buffered["data"]), buffered["dirty"]
         else:
             raise ProtocolError(
                 f"L1 {self.node}: FwdGetS for 0x{msg.line:x} but not owner"
@@ -604,10 +597,10 @@ class CacheController:
         requester = msg.payload["requester"]
         entry = self.array.lookup(msg.line, touch=False)
         if entry is not None and entry.state in (EXCLUSIVE, MODIFIED):
-            data = line_data(entry.data)
+            data = dict(entry.data)
             self.array.remove(msg.line)
         elif msg.line in self._evicting:
-            data = line_data(self._evicting[msg.line]["data"])
+            data = dict(self._evicting[msg.line]["data"])
         else:
             raise ProtocolError(
                 f"L1 {self.node}: FwdGetX for 0x{msg.line:x} but not owner"
@@ -625,7 +618,7 @@ class CacheController:
             self._send(mk.INV_ACK_ID, msg.src, msg.line)
             return
         if entry is not None:
-            data, dirty = line_data(entry.data), entry.dirty
+            data, dirty = dict(entry.data), entry.dirty
             self.array.remove(msg.line)
             if needs_data:
                 self._send(
@@ -786,7 +779,7 @@ class CacheController:
         obs = self._obs
         if obs is not None:
             obs.event(self.node, "wless.store", line, f"word={word}")
-        frame = WirelessFrame.acquire(mk.WIR_UPD_ID, self.node, line, word, value)
+        frame = WirelessFrame(mk.WIR_UPD_ID, self.node, line, word, value)
         pending = _PendingWirelessWrite(None, address, value, on_done)
 
         def commit() -> None:
@@ -861,7 +854,7 @@ class CacheController:
                     resident.pinned -= 1
             on_done(old)
 
-        frame = WirelessFrame.acquire(mk.WIR_UPD_ID, self.node, line, word, old + 1)
+        frame = WirelessFrame(mk.WIR_UPD_ID, self.node, line, word, old + 1)
         watch["request"] = self.wireless.transmit(frame, on_commit=commit)
         self._rmw_watch[line] = watch
 

@@ -45,7 +45,6 @@ from repro.config.system import SystemConfig
 from repro.engine.errors import ProtocolError
 from repro.engine.simulator import Simulator
 from repro.mem.address import AddressMap
-from repro.mem.line_data import line_data
 from repro.mem.memory_controller import MemoryController
 from repro.noc.mesh import MeshNetwork
 from repro.noc.message import Message
@@ -140,23 +139,13 @@ class DirectoryController:
         with_llc_latency: bool = False,
     ) -> None:
         delay = self._l2_latency if with_llc_latency else 1
-        self.noc.send(
-            Message.acquire(kind, self.node, dst, line, payload), extra_delay=delay
-        )
+        self.noc.send(Message(kind, self.node, dst, line, payload), extra_delay=delay)
 
     def _send_inv_fanout(self, targets, line: int) -> None:
-        """Spray INVs at every target through the mesh's multicast path.
-
-        One call batches the per-message counters/route bookkeeping; the
-        delivery schedule is identical to sending the INVs one by one in
-        iteration order (see :meth:`MeshNetwork.send_multicast`).
-        """
+        """Send an INV to every target, one message each, in iteration order."""
         self._inv_sent(len(targets))
-        node = self.node
-        self.noc.send_multicast(
-            [Message.acquire(mk.INV_ID, node, target, line) for target in targets],
-            extra_delay=1,
-        )
+        for target in targets:
+            self.noc.send(Message(mk.INV_ID, self.node, target, line), extra_delay=1)
 
     def _note_pointer_overflow(self, entry: DirectoryEntry) -> None:
         """Record that the sharer set no longer fits the limited pointers.
@@ -269,7 +258,6 @@ class DirectoryController:
                 obs = self._obs
                 if obs is not None:
                     obs.dir_defer(self.node, msg.line, msg.kind)
-                msg.retain()  # parked in the deferred queue past delivery
                 entry.deferred.append(msg)
             return
         state = entry.state
@@ -289,13 +277,11 @@ class DirectoryController:
             victim = self.array.victim_for(msg.line)
             if victim is None:
                 # Every way is mid-transaction; poll until one settles.
-                msg.retain()  # survives past this delivery for the retry
                 self.sim.schedule(
                     SET_FULL_RETRY_CYCLES, lambda: self.handle_message(msg)
                 )
                 return
             self._start_entry_eviction(victim)
-            msg.retain()  # survives past this delivery for the retry
             self.sim.schedule(SET_FULL_RETRY_CYCLES, lambda: self.handle_message(msg))
             return
         entry = self.array.insert(msg.line)
@@ -313,7 +299,7 @@ class DirectoryController:
         line = entry.line
 
         def on_fetched(data) -> None:
-            entry.data = line_data(data)
+            entry.data = dict(data)
             entry.has_data = True
             entry.dirty = False
             requester = entry.transaction["requester"]
@@ -331,7 +317,7 @@ class DirectoryController:
             mk.DATA_E_ID,
             requester,
             entry.line,
-            {"data": line_data(entry.data)},
+            {"data": dict(entry.data)},
             with_llc_latency=True,
         )
 
@@ -342,7 +328,7 @@ class DirectoryController:
                 # Duplicate (eviction raced): idempotent re-grant.
                 self._send(
                     mk.DATA_ID, requester, entry.line,
-                    {"data": line_data(entry.data)}, with_llc_latency=True,
+                    {"data": dict(entry.data)}, with_llc_latency=True,
                 )
                 return
             if self._widir and len(entry.sharers) + 1 > self._max_wired:
@@ -352,7 +338,7 @@ class DirectoryController:
             self._note_pointer_overflow(entry)
             self._send(
                 mk.DATA_ID, requester, entry.line,
-                {"data": line_data(entry.data)}, with_llc_latency=True,
+                {"data": dict(entry.data)}, with_llc_latency=True,
             )
             return
 
@@ -377,7 +363,7 @@ class DirectoryController:
             else:
                 self._send(
                     mk.DATA_E_ID, requester, entry.line,
-                    {"data": line_data(entry.data)}, with_llc_latency=True,
+                    {"data": dict(entry.data)}, with_llc_latency=True,
                 )
             return
         entry.busy = True
@@ -406,7 +392,7 @@ class DirectoryController:
         else:
             self._send(
                 mk.DATA_E_ID, requester, entry.line,
-                {"data": line_data(entry.data)}, with_llc_latency=True,
+                {"data": dict(entry.data)}, with_llc_latency=True,
             )
         self._unbusy(entry)
 
@@ -484,7 +470,7 @@ class DirectoryController:
             mk.WIR_UPGR_ID,
             requester,
             entry.line,
-            {"data": line_data(entry.data), "ack_required": True},
+            {"data": dict(entry.data), "ack_required": True},
             with_llc_latency=True,
         )
 
@@ -548,7 +534,7 @@ class DirectoryController:
         def on_commit() -> None:
             self.tone.begin(line, participants, on_tone_silent)
 
-        frame = WirelessFrame.acquire(mk.BR_WIR_UPGR_ID, self.node, line)
+        frame = WirelessFrame(mk.BR_WIR_UPGR_ID, self.node, line)
         self.wireless.transmit(frame, on_commit=on_commit)
         # The requester confirms installation with an explicit WirUpgrAck.
         # The ToneAck usually covers it (completion case iii), but a stale
@@ -558,7 +544,7 @@ class DirectoryController:
             mk.WIR_UPGR_ID,
             requester,
             line,
-            {"data": line_data(entry.data), "ack_required": True},
+            {"data": dict(entry.data), "ack_required": True},
             with_llc_latency=True,
         )
 
@@ -602,7 +588,7 @@ class DirectoryController:
         obs = self._obs
         if obs is not None:
             obs.dir_open(self.node, entry.line, "w_to_s")
-        frame = WirelessFrame.acquire(mk.WIR_DWGR_ID, self.node, entry.line)
+        frame = WirelessFrame(mk.WIR_DWGR_ID, self.node, entry.line)
         transaction = entry.transaction
         if entry.sharer_count == 0:
             # Every wireless sharer already left; the broadcast is only a
@@ -718,9 +704,8 @@ class DirectoryController:
         data = msg.payload.get("data")
         if entry is None:
             # The entry was recalled/evicted while the PutM was in flight;
-            # the data still has to land somewhere authoritative. (The seed
-            # copied the payload dict here before the memory controller
-            # snapshotted it again — one copy, not two.)
+            # the data still has to land somewhere authoritative
+            # (``writeback_line`` copies it).
             if dirty and data is not None:
                 self._memory_for(msg.line).writeback_line(msg.line, data)
             self._send(mk.PUT_ACK_ID, msg.src, msg.line)
@@ -729,12 +714,11 @@ class DirectoryController:
             obs = self._obs
             if obs is not None:
                 obs.dir_defer(self.node, msg.line, msg.kind)
-            msg.retain()  # parked in the deferred queue past delivery
             entry.deferred.append(msg)
             return
         if entry.state == DIR_EXCLUSIVE and entry.owner == msg.src:
             if dirty and data is not None:
-                entry.data = line_data(data)
+                entry.data = dict(data)
                 entry.dirty = True
                 entry.has_data = True
             entry.owner = None
@@ -768,7 +752,7 @@ class DirectoryController:
             return
         if kind == "recall_e":
             if data is not None and data.get("dirty"):
-                entry.data = line_data(data["data"])
+                entry.data = dict(data["data"])
                 entry.dirty = True
             self._finish_recall(entry)
             return
@@ -779,7 +763,7 @@ class DirectoryController:
         transaction = entry.transaction
         if transaction.get("type") != "fwd_gets":
             return
-        entry.data = line_data(msg.payload["data"])
+        entry.data = dict(msg.payload["data"])
         entry.has_data = True
         if msg.payload.get("dirty"):
             entry.dirty = True
@@ -888,7 +872,7 @@ class DirectoryController:
             obs.dir_open(self.node, entry.line, "evict_w")
         if self.wireless is None:
             raise ProtocolError("evicting a W line without wireless hardware")
-        frame = WirelessFrame.acquire(mk.WIR_INV_ID, self.node, entry.line)
+        frame = WirelessFrame(mk.WIR_INV_ID, self.node, entry.line)
         self.wireless.transmit(frame, on_delivered=lambda: self._finish_recall(entry))
 
     def _finish_recall(self, entry: DirectoryEntry) -> None:

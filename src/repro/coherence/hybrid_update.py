@@ -61,7 +61,6 @@ from repro.coherence.states import (
     WIRELESS,
 )
 from repro.engine.errors import ProtocolError
-from repro.mem.line_data import line_data
 from repro.noc.message import Message
 
 #: Transient cache state: an update was applied but not yet globally
@@ -231,7 +230,7 @@ class HybridCacheController(CacheController):
                     # Unlike WiDir's duplicate-join path, the refresh is
                     # mandatory: a locked reader joins *through* the home and
                     # must observe the home's serialized image.
-                    entry.data = line_data(data)
+                    entry.data = dict(data)
                 entry.update_count = 0
             else:
                 raise ProtocolError(
@@ -240,7 +239,6 @@ class HybridCacheController(CacheController):
                 )
         else:
             if not self._ensure_room(msg.line):
-                msg.retain()  # survives past this delivery for the retry
                 self.sim.schedule(
                     MSHR_FULL_RETRY_CYCLES, lambda: self._on_wir_upgr(msg)
                 )
@@ -264,7 +262,7 @@ class HybridCacheController(CacheController):
                     self.amap.home_of(msg.line),
                     msg.line,
                     {
-                        "data": line_data(msg.payload.get("data")),
+                        "data": dict(msg.payload.get("data", {})),
                         "dirty": msg.payload.get("dirty", False),
                     },
                 )
@@ -538,7 +536,6 @@ class HybridDirectoryController(DirectoryController):
             obs = self._obs
             if obs is not None:
                 obs.dir_defer(self.node, msg.line, msg.kind)
-            msg.retain()  # parked in the deferred queue past delivery
             entry.deferred.append(msg)
             return
         if (

@@ -131,20 +131,11 @@ class Core:
         self._step_cb = self._step
         self._nb_hit_done_cb = self._nb_hit_done
         self._st_hit_done_cb = self._st_hit_done
-        # Probe/miss entry points, bound once. Cache stand-ins (unit-test
-        # mocks, litmus harness stubs) that predate the probe API fall back
-        # to the general closure path: the probe reports a guaranteed miss
-        # and the miss leg is the stand-in's plain load/store.
-        if hasattr(cache, "load_probe"):
-            self._load_probe = cache.load_probe
-            self._load_miss = cache.load_miss
-            self._store_probe = cache.store_probe
-            self._store_miss = cache.store_miss
-        else:
-            self._load_probe = lambda address: False
-            self._load_miss = cache.load
-            self._store_probe = lambda address, value: False
-            self._store_miss = cache.store
+        # Probe/miss entry points, bound once.
+        self._load_probe = cache.load_probe
+        self._load_miss = cache.load_miss
+        self._store_probe = cache.store_probe
+        self._store_miss = cache.store_miss
 
     # --------------------------------------------------------------- control
 

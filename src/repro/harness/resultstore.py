@@ -31,7 +31,6 @@ are quarantined (``*.corrupt.<pid>``) and recomputed, never trusted.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -60,7 +59,7 @@ class ResultStoreError(RuntimeError):
 
 
 class ResultStore:
-    """One store rooted at ``root`` (``REPRO_STORE_DIR`` for the CLI)."""
+    """One store rooted at ``root`` (the CLI's ``--store`` directory)."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -246,13 +245,6 @@ class ResultStore:
         }
 
 
-def default_store_dir() -> Path:
-    raw = os.environ.get("REPRO_STORE_DIR", "").strip()
-    if raw:
-        return Path(raw)
-    return Path.home() / ".cache" / "repro-store"
-
-
 __all__ = [
     "DEFAULT_TENANT",
     "OBJECTS_DIR",
@@ -260,5 +252,4 @@ __all__ = [
     "TENANTS_DIR",
     "ResultStore",
     "ResultStoreError",
-    "default_store_dir",
 ]

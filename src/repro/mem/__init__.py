@@ -3,8 +3,7 @@
 The pieces the coherence controllers are built on: word/line addressing and
 home-slice mapping (:mod:`repro.mem.address`), the set-associative tag/data
 array with LRU replacement (:mod:`repro.mem.cache_array`), miss-status holding
-registers (:mod:`repro.mem.mshr`), the store/write buffer
-(:mod:`repro.mem.write_buffer`), and the off-chip memory controllers
+registers (:mod:`repro.mem.mshr`), and the off-chip memory controllers
 (:mod:`repro.mem.memory_controller`).
 """
 
@@ -12,7 +11,6 @@ from repro.mem.address import AddressMap
 from repro.mem.cache_array import CacheArray, CacheLine
 from repro.mem.memory_controller import MainMemory, MemoryController
 from repro.mem.mshr import Mshr, MshrFile
-from repro.mem.write_buffer import WriteBuffer
 
 __all__ = [
     "AddressMap",
@@ -22,5 +20,4 @@ __all__ = [
     "MemoryController",
     "Mshr",
     "MshrFile",
-    "WriteBuffer",
 ]

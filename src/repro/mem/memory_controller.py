@@ -2,7 +2,9 @@
 
 ``MainMemory`` is the authoritative word store the whole machine bottoms out
 in; ``MemoryController`` adds the Table III 80-cycle round trip and a simple
-bank-occupancy queue so bursts of misses serialize realistically.
+bank-occupancy queue so bursts of misses serialize realistically. A line is
+a plain ``{word index: value}`` dict; memory copies lines on the way in and
+out, so no cache or message shares storage with it.
 """
 
 from __future__ import annotations
@@ -10,33 +12,24 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.engine.simulator import Simulator
-from repro.mem.line_data import LineData, line_data
 from repro.stats.collectors import StatsRegistry
 
 
 class MainMemory:
-    """Flat word-addressable backing store (line -> word index -> value).
-
-    Lines are stored as copy-on-write :class:`LineData` views, so a fetch
-    hands out an O(1) snapshot instead of copying the whole line, and a
-    writeback adopts the in-flight payload without re-copying it. Value
-    semantics are unchanged: a later mutation of either side copies first.
-    """
+    """Flat word-addressable backing store (line -> word index -> value)."""
 
     def __init__(self) -> None:
-        self._lines: Dict[int, LineData] = {}
+        self._lines: Dict[int, Dict[int, int]] = {}
 
-    def read_line(self, line: int) -> LineData:
-        """Return a snapshot of the line's words (missing words are 0)."""
+    def read_line(self, line: int) -> Dict[int, int]:
+        """Return a copy of the line's words (missing words are 0)."""
         stored = self._lines.get(line)
-        if stored is None:
-            return LineData()
-        return stored.snapshot()
+        return dict(stored) if stored is not None else {}
 
     def write_line(self, line: int, data) -> None:
-        """Write back a full line image (mapping or :class:`LineData`)."""
+        """Write back a full line image."""
         if data:
-            self._lines[line] = line_data(data)
+            self._lines[line] = dict(data)
         else:
             self._lines.pop(line, None)
 
@@ -47,7 +40,7 @@ class MainMemory:
     def write_word(self, line: int, word: int, value: int) -> None:
         stored = self._lines.get(line)
         if stored is None:
-            stored = self._lines[line] = LineData()
+            stored = self._lines[line] = {}
         stored[word] = value
 
 
@@ -83,7 +76,7 @@ class MemoryController:
         self._busy_until = done
         return done
 
-    def fetch_line(self, line: int, on_done: Callable[[LineData], None]) -> None:
+    def fetch_line(self, line: int, on_done: Callable[[Dict[int, int]], None]) -> None:
         """Read a line; ``on_done`` receives the word data at completion."""
         self._reads.add()
         done = self._service_time()
@@ -92,14 +85,9 @@ class MemoryController:
     def writeback_line(
         self, line: int, data, on_done: Callable[[], None] = None
     ) -> None:
-        """Write a full line back to memory; data is captured immediately.
-
-        The capture is an O(1) copy-on-write snapshot (the seed eagerly
-        dict-copied here, and most callers had *already* copied once to
-        build ``data`` — the classic double-copy this PR removes).
-        """
+        """Write a full line back to memory; data is copied at the call."""
         self._writes.add()
-        snapshot = line_data(data)
+        snapshot = dict(data)
         done = self._service_time()
 
         def finish() -> None:

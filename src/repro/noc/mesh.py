@@ -26,12 +26,6 @@ from repro.stats.collectors import StatsRegistry
 #: Table V bins for hops per coherence leg.
 HOP_BINS = ((0, 2), (3, 5), (6, 8), (9, 11), (12, None))
 
-#: Sends between prunes of the link-reservation / pair-order timelines.
-#: Both maps only ever *grow* in the seed implementation; entries whose
-#: timestamps are in the past can never again influence a ``max()`` or a
-#: busy-until comparison, so dropping them is semantics-preserving.
-PRUNE_INTERVAL = 4096
-
 
 class MeshNetwork:
     """Delivers :class:`Message` objects between tiles with mesh timing."""
@@ -52,6 +46,9 @@ class MeshNetwork:
         self.data_serialization_cycles = max(
             1, (line_bytes * 8) // config.link_width_bits
         )
+        #: Busy-until cycle per directed link. This map and ``_pair_order``
+        #: are keyed by the topology (links, tile pairs), so both stay
+        #: bounded.
         self._link_busy_until: Dict[Tuple[int, int], int] = {}
         #: Last delivery cycle per (src, dst): dimension-ordered routing means
         #: same-pair messages share a path, so delivery is FIFO per pair. The
@@ -66,7 +63,6 @@ class MeshNetwork:
         self._route_cache: Dict[
             Tuple[int, int], Tuple[int, List[Tuple[int, int]], int]
         ] = {}
-        self._sends_until_prune = PRUNE_INTERVAL
         self._handlers: Dict[int, Callable[[Message], None]] = {}
         #: Online invariant monitor hook (duck-typed: needs ``msg_sent`` and
         #: ``msg_delivered``). None — the default — costs one attribute test
@@ -169,104 +165,6 @@ class MeshNetwork:
         pair_order[pair] = arrival
         self.sim.schedule_at(arrival, lambda: self._deliver(message))
 
-        self._sends_until_prune -= 1
-        if self._sends_until_prune <= 0:
-            self._sends_until_prune = PRUNE_INTERVAL
-            self._prune(now)
-
-    def send_multicast(self, messages: List[Message], extra_delay: int = 0) -> None:
-        """Inject a fan-out of messages issued back-to-back by one handler.
-
-        Timing-identical to calling :meth:`send` on each message in list
-        order — link reservations are walked sequentially per message, the
-        per-pair FIFO clamp applies, and deliveries are scheduled in the
-        same order (hence the same (time, seq) slots). What is batched is
-        the bookkeeping: counters are bumped once for the cohort, hop
-        totals and histogram bins accumulate locally, the monitor/obs
-        probes are tested once, and the prune countdown is settled after
-        the whole fan-out (pruning is semantics-preserving at any point,
-        see :meth:`_prune`). This is the vectorized path for directory
-        invalidation fan-outs, where one GetX can spray dozens of INVs.
-        """
-        count = len(messages)
-        if not count:
-            return
-        now = self.sim.now
-        monitor = self.monitor
-        obs = self.obs
-        route_cache = self._route_cache
-        pair_order = self._pair_order
-        hop_counts = self._hop_counts
-        schedule_at = self.sim.schedule_at
-        deliver = self._deliver
-        model_contention = self._model_contention
-        router_overhead = self._router_overhead
-        cycles_per_hop = self._cycles_per_hop
-        data_cycles = self.data_serialization_cycles
-        total_hops = 0
-        data_count = 0
-        for message in messages:
-            message.sent_at = now
-            if monitor is not None:
-                monitor.msg_sent(message.line)
-            if obs is not None:
-                obs.noc_send(message)
-            src = message.src
-            dst = message.dst
-            pair = (src, dst)
-            info = route_cache.get(pair)
-            if info is None:
-                info = self._pair_info(src, dst)
-            hops, route, bin_idx = info
-            total_hops += hops
-            if bin_idx >= 0:
-                hop_counts[bin_idx] += 1
-            else:  # pragma: no cover - HOP_BINS currently cover all hop counts
-                self._hop_histogram.overflow += 1
-            carries_data = message.carries_data
-            if carries_data:
-                data_count += 1
-                serialization = data_cycles
-            else:
-                serialization = 1
-            depart = now + extra_delay + router_overhead
-            if model_contention and src != dst:
-                arrival = self._traverse(route, depart, serialization)
-            else:
-                arrival = depart + hops * cycles_per_hop
-                if carries_data:
-                    arrival += data_cycles
-            floor = pair_order.get(pair, 0) + 1
-            if arrival < now:
-                arrival = now
-            if arrival < floor:
-                arrival = floor
-            pair_order[pair] = arrival
-            schedule_at(arrival, lambda message=message: deliver(message))
-        self._messages.value += count
-        self._total_hops.value += total_hops
-        if data_count:
-            self._data_messages.value += data_count
-        self._sends_until_prune -= count
-        if self._sends_until_prune <= 0:
-            self._sends_until_prune = PRUNE_INTERVAL
-            self._prune(now)
-
-    def _prune(self, now: int) -> None:
-        """Drop stale reservation/ordering entries (unbounded in the seed).
-
-        A pair-order entry only matters through ``value + 1`` (the earliest
-        next delivery), and a link reservation only through ``value`` (the
-        cycle the link frees up); entries at or before ``now`` can never
-        influence a future send, so removing them cannot change timing.
-        """
-        pair_order = self._pair_order
-        for pair in [p for p, t in pair_order.items() if t + 1 <= now]:
-            del pair_order[pair]
-        busy = self._link_busy_until
-        for link in [l for l, t in busy.items() if t <= now]:
-            del busy[link]
-
     def _traverse(self, route, depart: int, serialization: int) -> int:
         """Walk the XY route reserving each link; return the arrival cycle."""
         time = depart
@@ -301,9 +199,6 @@ class MeshNetwork:
         if handler is None:
             raise KeyError(f"no handler registered for node {message.dst}")
         handler(message)
-        # The message is dead unless the handler retained it (deferred
-        # queues, scheduled retries); recycle it through the freelist.
-        Message.release(message)
 
     def average_hops(self) -> float:
         count = self._messages.value

@@ -12,15 +12,9 @@ and precompute ``carries_data`` at construction, so the mesh and the
 controllers never hash a string per message. ``Message.kind`` remains a
 string-valued property for reprs, traces, and tests.
 
-Allocation: the wired network moves hundreds of messages per simulated
-memory operation, and almost all of them die the moment their destination
-handler returns. :meth:`Message.acquire` hands out recycled instances from
-a bounded class-level freelist; :meth:`MeshNetwork._deliver
-<repro.noc.mesh.MeshNetwork._deliver>` releases them after dispatch unless
-a handler called :meth:`retain` (directory deferred queues and
-retry-scheduled handlers do). Messages built through the plain constructor
-(tests, external drivers) are never pooled, so objects a test holds on to
-cannot be mutated by later simulation traffic.
+Every send constructs a new message. A handler that keeps one past its
+delivery (a directory deferred queue, a scheduled retry) just holds the
+reference; nothing recycles it.
 """
 
 from __future__ import annotations
@@ -72,13 +66,7 @@ class Message:
         "payload",
         "sent_at",
         "carries_data",
-        "_pooled",
-        "_retained",
     )
-
-    #: Bounded freelist of recycled pooled messages.
-    _free: List["Message"] = []
-    _FREELIST_CAP = 4096
 
     def __init__(
         self,
@@ -96,55 +84,6 @@ class Message:
         self.payload = payload if payload is not None else {}
         self.sent_at: Optional[int] = None
         self.carries_data = _carries_data(kid)
-        self._pooled = False
-        self._retained = False
-
-    # ------------------------------------------------------------- pooling
-
-    @classmethod
-    def acquire(
-        cls,
-        kind,
-        src: int,
-        dst: int,
-        line: int,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> "Message":
-        """A pooled message: recycled if the freelist has one, else fresh."""
-        free = cls._free
-        if free:
-            msg = free.pop()
-            kid = kind if type(kind) is int else mk.intern_kind(kind)
-            msg.kind_id = kid
-            msg.src = src
-            msg.dst = dst
-            msg.line = line
-            msg.payload = payload if payload is not None else {}
-            msg.sent_at = None
-            msg.carries_data = _carries_data(kid)
-            msg._retained = False
-            return msg
-        msg = cls(kind, src, dst, line, payload)
-        msg._pooled = True
-        return msg
-
-    def retain(self) -> None:
-        """Keep this message alive beyond its delivery callback.
-
-        Handlers that stash a message (deferred queues, scheduled retries)
-        must call this, or the pool could hand the object out again while
-        it is still referenced.
-        """
-        self._retained = True
-
-    @classmethod
-    def release(cls, msg: "Message") -> None:
-        """Return a delivered message to the freelist (if eligible)."""
-        if msg._pooled and not msg._retained and len(cls._free) < cls._FREELIST_CAP:
-            # Drop the payload reference so line data snapshots inside it
-            # are not kept alive by the pool.
-            msg.payload = None
-            cls._free.append(msg)
 
     # --------------------------------------------------------------- views
 

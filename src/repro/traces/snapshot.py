@@ -26,9 +26,8 @@ What *is* captured, exhaustively:
   (empty sets included: allocation order is observable via dict order),
   entries in LRU order with the full pointer/overflow/W-state fields;
 * main memory lines and per-controller busy horizons;
-* mesh link/pair-ordering horizons still relevant to the future (the
-  prune-equivalent subset; pruning is semantics-preserving, so the
-  prune countdown itself is deliberately *not* state);
+* mesh link/pair-ordering horizons still relevant to the future (past
+  horizons cannot affect a later send, so they are left out);
 * wireless channel busy horizon and per-node backoff RNG states;
 * the stats registry — counters/latencies/binned/exact in insertion
   order, so a restored registry reports in the same order it would have
@@ -49,7 +48,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.harness.ioutils import atomic_write_json
 from repro.mem.cache_array import CacheLine
-from repro.mem.line_data import LineData
 
 #: Bump on any change to the snapshot layout; loads reject other versions.
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -238,9 +236,10 @@ def _latency_out(stat) -> List:
 
 
 def _capture_mesh(mesh, now: int) -> Dict:
-    # Prune-equivalent dump: entries at or before ``now`` can never
-    # influence a future send (see MeshNetwork._prune), so dropping them
-    # here is exactly the prune the live machine would eventually perform.
+    # Entries at or before ``now`` can never influence a future send: a
+    # pair-order entry only matters through ``t + 1`` (the earliest next
+    # delivery) and a link only through ``t`` (the cycle it frees up), and
+    # no message departs before ``now``. So they are left out.
     return {
         "pair_order": [
             [src, dst, t] for (src, dst), t in mesh._pair_order.items() if t + 1 > now
@@ -305,9 +304,7 @@ def _restore_cache(cache, payload: Dict) -> None:
         for line, state, dirty, words, update_count in lines:
             entry = CacheLine(line, state)
             entry.dirty = dirty
-            # Every resident line at a quiescent point has been filled, and
-            # fills install LineData (the probe paths call .snapshot()).
-            entry.data = LineData({int(w): int(v) for w, v in words})
+            entry.data = {int(w): int(v) for w, v in words}
             entry.update_count = update_count
             cache_set[line] = entry
             resident += 1
@@ -340,10 +337,7 @@ def _restore_directory(directory, payload: Dict) -> None:
             entry.broadcast = broadcast
             entry.coarse_regions = set(coarse_regions)
             entry.sharer_count = sharer_count
-            word_map = {int(w): int(v) for w, v in words}
-            # Entries that completed a memory fetch hold LineData (the
-            # controller snapshots it into DataE/DataS payloads).
-            entry.data = LineData(word_map) if has_data else word_map
+            entry.data = {int(w): int(v) for w, v in words}
             entry.has_data = has_data
             entry.dirty = dirty
             dir_set[line] = entry
@@ -442,7 +436,7 @@ def restore_machine(machine, cores, snapshot: Dict) -> None:
         _restore_directory(directory, payload)
     memory = machine.memory._lines
     for line, words in snapshot["memory"]:
-        memory[line] = LineData({int(w): int(v) for w, v in words})
+        memory[line] = {int(w): int(v) for w, v in words}
     for mc, busy_until in zip(
         machine.memory_controllers, snapshot["memory_controllers"]
     ):

@@ -372,10 +372,6 @@ class WirelessDataChannel:
         obs = self.obs
         if obs is not None:
             obs.frame_delivered(request)
-        # The broadcast fan-out is complete and no receiver keeps frames
-        # beyond its handler; recycle pooled frames through the freelist.
-        # (Cancelled frames never reach here and simply fall to the GC.)
-        WirelessFrame.release(request.frame)
         self._schedule_arbitration(self.sim.now)
 
     def _remove_pending(self, request: TransmitRequest) -> None:

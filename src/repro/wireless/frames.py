@@ -14,14 +14,12 @@ WirInv     directory invalidates a wirelessly shared line it is evicting
 Like wired :class:`~repro.noc.message.Message` objects, frames store the
 interned kind id for dispatch and precompute ``jammable``; the string
 ``kind`` stays available as a property for traces and tests. Frames are
-broadcast — every tile's handler sees the same object — so the channel
-recycles pooled frames only after the delivery fan-out completes
-(:meth:`WirelessFrame.release`, called from the channel's finish step).
+broadcast: every tile's handler sees the same object.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.coherence import messages as mk
 
@@ -32,11 +30,7 @@ class WirelessFrame:
     """One broadcast frame on the wireless data channel."""
 
     __slots__ = ("kind_id", "src", "line", "word", "value", "payload",
-                 "jammable", "_pooled")
-
-    #: Bounded freelist of recycled pooled frames.
-    _free: List["WirelessFrame"] = []
-    _FREELIST_CAP = 1024
+                 "jammable")
 
     def __init__(
         self,
@@ -61,42 +55,6 @@ class WirelessFrame:
         # rather than by sender matters: the home tile's own L1 may be a
         # wireless sharer, and its WirUpd frames must still be jammed.
         self.jammable = kid == _WIR_UPD_ID
-        self._pooled = False
-
-    # ------------------------------------------------------------- pooling
-
-    @classmethod
-    def acquire(
-        cls,
-        kind,
-        src: int,
-        line: int,
-        word: int = 0,
-        value: int = 0,
-    ) -> "WirelessFrame":
-        """A pooled frame: recycled if the freelist has one, else fresh."""
-        free = cls._free
-        if free:
-            frame = free.pop()
-            kid = kind if type(kind) is int else mk.intern_kind(kind)
-            frame.kind_id = kid
-            frame.src = src
-            frame.line = line
-            frame.word = word
-            frame.value = value
-            frame.payload = {}
-            frame.jammable = kid == _WIR_UPD_ID
-            return frame
-        frame = cls(kind, src, line, word, value)
-        frame._pooled = True
-        return frame
-
-    @classmethod
-    def release(cls, frame: "WirelessFrame") -> None:
-        """Return a delivered frame to the freelist (if eligible)."""
-        if frame._pooled and len(cls._free) < cls._FREELIST_CAP:
-            frame.payload = None
-            cls._free.append(frame)
 
     # --------------------------------------------------------------- views
 

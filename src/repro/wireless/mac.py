@@ -270,7 +270,10 @@ class BrsMacState(MacState):
             channel._collisions.add(len(contenders))
             channel._busy_until = now + header
             channel._busy_cycles.add(header)
-            self._back_off_cohort(contenders, header, obs)
+            for request in contenders:
+                if obs is not None:
+                    obs.frame_phase(request, "collision")
+                self.nack(request, now, header)
             channel._schedule_arbitration(channel._busy_until)
             return
 
@@ -295,28 +298,6 @@ class BrsMacState(MacState):
         if obs is not None:
             obs.frame_phase(request, "backoff")
         request.ready_time = now + header + delay
-
-    def _back_off_cohort(self, requests, header: int, obs) -> None:
-        """Back off a whole collision cohort with batched bookkeeping.
-
-        Per-request behaviour (failure bump, per-node RNG draw, obs events
-        in collision→backoff order) is identical to calling :meth:`nack`
-        on each request; the header constant, backoff table, and clock are
-        fetched once for the cohort instead of per loser.
-        """
-        channel = self.channel
-        now = channel.sim.now
-        backoff = self.backoff_policies
-        num_nodes = channel.num_nodes
-        for request in requests:
-            if obs is not None:
-                obs.frame_phase(request, "collision")
-            request.failures += 1
-            policy = backoff[request.frame.src % num_nodes]
-            delay = policy.delay_for_attempt(request.failures)
-            if obs is not None:
-                obs.frame_phase(request, "backoff")
-            request.ready_time = now + header + delay
 
 
 register_mac(

@@ -13,7 +13,10 @@ from repro.stats.collectors import StatsRegistry
 
 
 class MockCache:
-    """Deterministic cache stub with a programmable per-line latency."""
+    """Deterministic cache stub with a programmable per-line latency.
+
+    Its probes always miss, so every load and store takes the miss leg.
+    """
 
     def __init__(self, sim: Simulator, latency: int = 2) -> None:
         self.sim = sim
@@ -24,6 +27,18 @@ class MockCache:
 
     def _delay(self, address: int) -> int:
         return self.latency_of.get(address >> 6, self.latency)
+
+    def load_probe(self, address: int) -> bool:
+        return False
+
+    def load_miss(self, address: int, on_done: Callable[[int], None]) -> None:
+        self.load(address, on_done)
+
+    def store_probe(self, address: int, value: int) -> bool:
+        return False
+
+    def store_miss(self, address: int, value: int, on_done: Callable[[], None]) -> None:
+        self.store(address, value, on_done)
 
     def load(self, address: int, on_done: Callable[[int], None]) -> None:
         self.calls.append("load")

@@ -197,3 +197,60 @@ class TestRecallCompletion:
         assert machine.memory.read_word(line, 0) == 555
         assert quiesce_load(machine, 6) == 555
         machine.check_coherence()
+
+
+class TestInvFanout:
+    def test_every_inv_goes_through_mesh_send(self):
+        """INV fan-outs take the one wired send path, like every message."""
+        machine = Manycore(baseline_config(num_cores=8))
+        for core in (1, 2, 3):
+            quiesce_load(machine, core)
+        invs = []
+        original = machine.mesh.send
+
+        def spy(message, extra_delay=0):
+            if message.kind == mk.INV:
+                invs.append(message.dst)
+            original(message, extra_delay)
+
+        machine.mesh.send = spy
+        quiesce_store(machine, 4, 7)
+        assert sorted(invs) == [1, 2, 3]
+        assert machine.stats.get_counter("dir.total.invalidations_sent") == len(invs)
+        machine.check_coherence()
+
+
+class TestLineDataIsolation:
+    @pytest.mark.parametrize(
+        "build, readers, state",
+        [(baseline_config, (1, 2, 3), "S"), (widir_config, (1, 2, 3, 4, 5), "W")],
+        ids=["baseline", "widir"],
+    )
+    def test_no_two_holders_share_storage(self, build, readers, state):
+        """Writing one holder's words never shows through another holder.
+
+        Every cache copy and the directory's LLC copy hold their own dict,
+        and main memory keeps its own lines too.
+        """
+        machine = Manycore(build(num_cores=8))
+        directory, line = home_dir(machine)
+        machine.memory.write_word(line, 1, 11)
+        quiesce_store(machine, 0, 5)
+        for core in readers:
+            quiesce_load(machine, core)
+        holders = []
+        for core in (0,) + readers:
+            entry = machine.caches[core].array.lookup(line, touch=False)
+            assert entry.state == state
+            holders.append(entry.data)
+        holders.append(directory.array.lookup(line, touch=False).data)
+        memory = {key: dict(words) for key, words in machine.memory._lines.items()}
+        assert memory[line] == {1: 11}
+
+        for i, data in enumerate(holders):
+            before = [dict(words) for words in holders]
+            data[0] = 1000 + i
+            for j, other in enumerate(holders):
+                if j != i:
+                    assert other == before[j], (i, j)
+            assert machine.memory._lines == memory

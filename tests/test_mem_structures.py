@@ -1,11 +1,10 @@
-"""Tests for MSHRs, write buffers, and memory controllers."""
+"""Tests for MSHRs and memory controllers."""
 
 import pytest
 
 from repro.engine.simulator import Simulator
 from repro.mem.memory_controller import MainMemory, MemoryController
 from repro.mem.mshr import MshrFile
-from repro.mem.write_buffer import WriteBuffer
 from repro.stats.collectors import StatsRegistry
 
 
@@ -50,36 +49,6 @@ class TestMshrFile:
         mshrs.allocate(5, False, 0)
         mshrs.allocate(9, True, 0)
         assert sorted(mshrs.outstanding_lines()) == [5, 9]
-
-
-class TestWriteBuffer:
-    def test_fifo_order(self):
-        buffer = WriteBuffer(4)
-        buffer.push(0x10, 1, False, 0)
-        buffer.push(0x20, 2, False, 0)
-        assert buffer.pop().address == 0x10
-        assert buffer.pop().address == 0x20
-
-    def test_capacity(self):
-        buffer = WriteBuffer(2)
-        buffer.push(1, 0, False, 0)
-        assert not buffer.full
-        buffer.push(2, 0, False, 0)
-        assert buffer.full
-
-    def test_store_to_load_forwarding_returns_youngest(self):
-        buffer = WriteBuffer(4)
-        buffer.push(0x10, 1, False, 0)
-        buffer.push(0x10, 2, False, 1)
-        buffer.push(0x18, 9, False, 2)
-        assert buffer.forwarded_value(0x10) == 2
-        assert buffer.forwarded_value(0x18) == 9
-        assert buffer.forwarded_value(0x20) is None
-
-    def test_empty_head(self):
-        buffer = WriteBuffer(4)
-        assert buffer.empty
-        assert buffer.head() is None
 
 
 class TestMainMemory:

@@ -281,6 +281,28 @@ class TestTracedCapture:
         assert len(clone["spans"]) == len(capture["spans"])
 
 
+class TestFramePhaseOrder:
+    def test_every_collision_is_followed_by_its_backoff(self):
+        """A frame span's ``collision`` phase is directly followed by ``backoff``.
+
+        This is the per-request order collision -> backoff that
+        docs/OBSERVABILITY.md requires of the BRS collision path.
+        """
+        from repro import api
+
+        capture = api.trace(_APP, protocol="widir", cores=16, memops=400).capture
+        collisions = 0
+        for span in capture["spans"]:
+            if span["cat"] != "frame":
+                continue
+            labels = [label for _cycle, label in span["phases"]]
+            for i, label in enumerate(labels):
+                if label == "collision":
+                    collisions += 1
+                    assert labels[i + 1 : i + 2] == ["backoff"], span
+        assert collisions > 0
+
+
 # ----------------------------------------------------- debug integration
 
 
