@@ -14,9 +14,8 @@ Usage::
 import sys
 import time
 
-from repro import ALL_APPS, baseline_config, widir_config
+from repro import ALL_APPS, api, baseline_config
 from repro.harness.runner import run_app
-from repro.harness.sweeps import sweep_thresholds
 
 
 def main() -> None:
@@ -33,9 +32,12 @@ def main() -> None:
           f"{'collisions':>11} {'S->W':>6} {'W->S':>6}")
 
     t0 = time.time()
-    results = sweep_thresholds(app, (2, 3, 4, 5), num_cores=cores, memops=memops)
-    for label in sorted(results):
-        result = results[label]
+    sweep = api.sweep(
+        "thresholds", app=app, cores=cores, thresholds=(2, 3, 4, 5),
+        memops=memops,
+    )
+    for label in sorted(sweep.results):
+        result = sweep[label]
         threshold = result.config.directory.max_wired_sharers
         print(
             f"{threshold:>9} {result.cycles:>10,} "

@@ -20,7 +20,8 @@ Stability contract (see docs/API.md):
 * every name in ``__all__`` keeps its signature and result type across
   minor releases; additions are keyword-only with defaults;
 * replaced entry points keep working for one release behind
-  ``DeprecationWarning`` shims, then go (the 1.1 shims went in 1.2);
+  ``DeprecationWarning`` shims, then go (the 1.1 shims went in 1.2;
+  ``distributed_campaign(store=, tenant=)`` warns in 1.3, goes in 1.4);
 * importing this module stays cheap: nothing beyond what
   ``repro.harness`` already loads — verification, observability export,
   and campaign machinery are imported lazily inside the functions that
@@ -39,12 +40,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.coherence.backend import backend_names, get_backend
+from repro.coherence.backend import backend_names
 from repro.config.presets import protocol_config
 from repro.config.system import SystemConfig
 from repro.harness.executor import Executor
 from repro.harness.runner import SimulationResult
-from repro.wireless.mac import get_mac, registered_macs
+from repro.wireless.mac import registered_macs
 
 __all__ = [
     "ComparisonResult",
@@ -111,30 +112,6 @@ def macs() -> Tuple[MacInfo, ...]:
 
 def _executor(workers: Optional[int], cache: bool) -> Executor:
     return Executor(workers=workers, use_cache=None if cache else False)
-
-
-def _config_for(
-    protocol: str,
-    cores: int,
-    seed: int,
-    max_wired_sharers: int,
-    mac: str = "brs",
-) -> SystemConfig:
-    from dataclasses import replace
-
-    backend = get_backend(protocol)  # raises ValueError naming the known set
-    config = protocol_config(
-        protocol,
-        num_cores=cores,
-        max_wired_sharers=(
-            max_wired_sharers if backend.uses_sharer_threshold else None
-        ),
-        seed=seed,
-    )
-    if mac != config.mac and backend.uses_wireless:
-        get_mac(mac)  # raises ValueError naming the known set
-        config = replace(config, mac=mac)
-    return config
 
 
 # ------------------------------------------------------------ result types
@@ -296,12 +273,12 @@ def simulate(
     ones). Pass ``config=`` to override the preset entirely
     (``protocol``/``cores``/``seed``/``mac`` are then ignored).
     """
-    resolved = (
-        config
-        if config is not None
-        else _config_for(protocol, cores, seed, max_wired_sharers, mac)
-    )
-    return _executor(workers, cache).run(app, resolved, memops, trace_seed)
+    if config is None:
+        config = protocol_config(
+            protocol, cores, max_wired_sharers=max_wired_sharers, seed=seed,
+            mac=mac,
+        )
+    return _executor(workers, cache).run(app, config, memops, trace_seed)
 
 
 def compare(
@@ -345,105 +322,47 @@ def sweep(
     """Run a labelled grid: ``"protocols"``, ``"cores"``, or ``"thresholds"``.
 
     * ``protocols`` — every app on every backend in ``protocols`` at
-      ``cores`` (default: Baseline and WiDir; any registered backend
-      name is accepted, see :func:`repro.api.protocols`);
+      the first of ``cores`` (default: Baseline and WiDir; any
+      registered backend name is accepted, see :func:`repro.api.protocols`);
     * ``cores`` — one ``app`` across ``cores`` (a sequence), every
       backend in ``protocols``;
-    * ``thresholds`` — one ``app`` across MaxWiredSharers ``thresholds``.
+    * ``thresholds`` — one ``app`` on WiDir across MaxWiredSharers
+      ``thresholds``, at the first of ``cores``.
 
     ``macs`` crosses every wireless protocol in the grid with the named
     MAC backends (wired protocols run once regardless; see :func:`macs`) —
     combined with ``kind="thresholds"`` this is the full MAC x protocol x
-    threshold matrix. Pass ``executor=`` to render from an existing
-    campaign (``Campaign.result_source()``); missing runs then degrade
-    into ``SweepResult.missing`` instead of raising.
+    threshold matrix. The points are :func:`repro.harness.sweeps.grid`'s,
+    the same a campaign of that kind declares. Pass ``executor=`` to
+    render from an existing campaign (``Campaign.result_source()``);
+    missing runs then degrade into ``SweepResult.missing`` instead of
+    raising.
     """
-    from repro.harness import sweeps as _sweeps
+    from repro.harness.sweeps import grid, run_grid
 
-    exe = executor if executor is not None else _executor(workers, cache)
-    protocol_names = tuple(protocols)
-    for name in protocol_names:
-        get_backend(name)  # raises ValueError naming the known set
-    mac_names_requested = tuple(macs)
-    for name in mac_names_requested:
-        get_mac(name)  # raises ValueError naming the known set
-    if kind == "protocols":
-        if not apps:
-            raise ValueError("sweep('protocols') needs apps=(...)")
-        core_count = cores if isinstance(cores, int) else tuple(cores)[0]
-        expected = [
-            _sweeps.label_for(a, config)
-            for a in apps
-            for p in protocol_names
-            for config in _sweeps.mac_variants(
-                protocol_config(p, num_cores=core_count, seed=seed),
-                mac_names_requested,
-            )
-        ]
-        results = _sweeps.sweep_protocols(
-            apps,
-            num_cores=core_count,
-            memops=memops,
-            seed=seed,
-            executor=exe,
-            protocols=protocol_names,
-            macs=mac_names_requested,
-        )
-    elif kind == "cores":
-        target = app if app is not None else (apps[0] if apps else None)
-        if target is None:
-            raise ValueError("sweep('cores') needs app=...")
-        counts = (cores,) if isinstance(cores, int) else tuple(cores)
-        expected = [
-            _sweeps.label_for(target, config)
-            for c in counts
-            for p in protocol_names
-            for config in _sweeps.mac_variants(
-                protocol_config(p, num_cores=c, seed=seed),
-                mac_names_requested,
-            )
-        ]
-        results = _sweeps.sweep_core_counts(
-            target,
-            counts,
-            memops=memops,
-            seed=seed,
-            executor=exe,
-            protocols=protocol_names,
-            macs=mac_names_requested,
-        )
-    elif kind == "thresholds":
-        target = app if app is not None else (apps[0] if apps else None)
-        if target is None:
-            raise ValueError("sweep('thresholds') needs app=...")
-        core_count = cores if isinstance(cores, int) else tuple(cores)[0]
-        expected = [
-            _sweeps.label_for(target, config)
-            for t in thresholds
-            for config in _sweeps.mac_variants(
-                protocol_config(
-                    "widir",
-                    num_cores=core_count,
-                    max_wired_sharers=t,
-                    seed=seed,
-                ),
-                mac_names_requested,
-            )
-        ]
-        results = _sweeps.sweep_thresholds(
-            target,
-            thresholds,
-            num_cores=core_count,
-            memops=memops,
-            seed=seed,
-            executor=exe,
-            macs=mac_names_requested,
-        )
-    else:
+    if kind not in _SWEEP_KINDS:
         raise ValueError(
             f"unknown sweep kind {kind!r}; expected one of {_SWEEP_KINDS}"
         )
-    missing = tuple(label for label in expected if label not in results)
+    counts = (cores,) if isinstance(cores, int) else tuple(cores)
+    if kind == "protocols":
+        if not apps:
+            raise ValueError("sweep('protocols') needs apps=(...)")
+        targets = tuple(apps)
+    else:
+        target = app if app is not None else (apps[0] if apps else None)
+        if target is None:
+            raise ValueError(f"sweep({kind!r}) needs app=...")
+        targets = (target,)
+    if kind != "cores":
+        counts = counts[:1]  # one machine size; "cores" crosses them all
+    points = grid(
+        "thresholds" if kind == "thresholds" else "protocols", targets,
+        counts, tuple(thresholds), tuple(protocols), tuple(macs), seed,
+    )
+    exe = executor if executor is not None else _executor(workers, cache)
+    results = run_grid(points, exe, memops)
+    missing = tuple(label for label, _, _ in points if label not in results)
     return SweepResult(kind=kind, results=results, missing=missing)
 
 
@@ -461,12 +380,12 @@ def _campaign_spec(
     trace_shards: int,
     macs: Sequence[str] = ("brs",),
 ):
-    from repro.harness.campaign import SWEEP_KINDS, CampaignSpec
+    from repro.harness.campaign import CampaignSpec
 
     if trace_path is not None:
         kind = "trace"
-    elif kind not in SWEEP_KINDS:
-        kind = "thresholds"
+    elif kind == "cores":
+        kind = "protocols"  # the protocols grid already crosses ``cores``
     return CampaignSpec(
         name=name,
         kind=kind,
@@ -517,10 +436,14 @@ def campaign(
     exponential backoff, then surfaced in the provenance manifest while
     the rest of the sweep completes.
 
-    Pass ``trace_path=`` (optionally with ``trace_shards=``) to fan a
-    recorded trace file across barrier-safe shard windows instead of
-    synthesizing workloads; ``apps`` is then ignored (the app name comes
-    from the trace header).
+    ``kind`` takes the :func:`sweep` kinds, crossed over every app and
+    every core count: ``"protocols"`` (``"cores"`` is the same grid) or
+    ``"thresholds"`` (per app and core count, Baseline, then WiDir at each
+    of ``thresholds``). Any other kind raises ``ValueError`` before
+    anything is written. Pass ``trace_path=`` (optionally with
+    ``trace_shards=``) to fan a recorded trace file across barrier-safe
+    shard windows instead of synthesizing workloads; ``apps`` is then
+    ignored (the app name comes from the trace header).
     """
     from repro.harness.campaign import run_campaign
     from repro.harness.supervisor import RetryPolicy
@@ -579,16 +502,32 @@ def distributed_campaign(
     resume-identity contract extends across worker counts, steals, and
     kills. ``workers=0`` serves remote agents only (pair with
     ``repro campaign worker --connect``). ``lease_timeout`` is the per-run
-    budget, ``timeout`` the whole campaign's. Pass ``store=`` (a directory)
-    to dedupe runs through the content-addressed multi-tenant result
-    store and publish this campaign's manifest under ``tenant``.
+    budget, ``timeout`` the whole campaign's.
     ``trace_path=``/``trace_shards=`` fan a recorded trace's barrier-safe
     shard windows across the workers (trace-sharded campaigns; each
     window replays cold on whichever worker leases it).
+
+    Deprecated in 1.3, removed in 1.4: ``store=`` (a directory) dedupes
+    runs through the content-addressed multi-tenant result store and
+    publishes this campaign's manifest under ``tenant``. Both emit a
+    :class:`DeprecationWarning`; the executor's result cache
+    (``REPRO_CACHE_DIR``) already dedupes runs across campaigns.
     """
     from repro.harness.campaign import run_campaign
     from repro.harness.resultstore import ResultStore
     from repro.harness.supervisor import RetryPolicy
+
+    if store is not None or tenant != "default":
+        import warnings
+
+        warnings.warn(
+            "distributed_campaign(store=, tenant=) is deprecated and will "
+            "be removed in 1.4; the executor's result cache "
+            "(REPRO_CACHE_DIR), which campaign run/resume use, already "
+            "dedupes runs across campaigns",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     spec = _campaign_spec(
         name, kind, apps, cores, thresholds, memops, seed, trace_seed,
@@ -674,7 +613,10 @@ def trace(
 
     defaults = ObsConfig()
     config = replace(
-        _config_for(protocol, cores, seed, max_wired_sharers, mac),
+        protocol_config(
+            protocol, cores, max_wired_sharers=max_wired_sharers, seed=seed,
+            mac=mac,
+        ),
         obs=ObsConfig(
             enabled=True,
             flight_recorder_depth=(
@@ -807,8 +749,10 @@ def replay(
     from repro.traces import trace_info as _info
 
     if config is None:
-        num_cores = _info(path)["num_cores"]
-        config = _config_for(protocol, num_cores, seed, max_wired_sharers, mac)
+        config = protocol_config(
+            protocol, _info(path)["num_cores"],
+            max_wired_sharers=max_wired_sharers, seed=seed, mac=mac,
+        )
     return replay_trace(
         path,
         config,

@@ -28,7 +28,7 @@ campaign render     render a figure from a campaign's (possibly partial)
 campaign serve      drive a campaign over distributed workers (local
                     forks and/or remote ``campaign worker`` agents)
 campaign worker     join a running coordinator and execute leases
-campaign submit     push pending runs into a running coordinator
+campaign submit     deprecated in 1.3, removed in 1.4 (enqueues nothing)
 ==================  ======================================================
 
 The ``trace`` noun is the *observability* layer (captures, timelines);
@@ -57,6 +57,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
+from repro import api
 from repro.coherence.backend import backend_names
 from repro.config.presets import protocol_config
 from repro.harness import figures as figure_functions
@@ -198,13 +199,6 @@ def _add_mac_option(parser: argparse.ArgumentParser) -> None:
         help="wireless MAC backend (wired protocols ignore it; see "
         "repro apps list --macs)",
     )
-
-
-def _config_with_mac(config, mac: str):
-    """Apply ``--mac`` to a preset config; no-op for the default MAC."""
-    from dataclasses import replace
-
-    return config if mac == config.mac else replace(config, mac=mac)
 
 
 def _executor_from(args: argparse.Namespace) -> Executor:
@@ -899,11 +893,16 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
 
 
 def _cmd_sim_run(args: argparse.Namespace) -> int:
-    config = _config_with_mac(
-        protocol_config(args.protocol, num_cores=args.cores, seed=args.seed),
-        args.mac,
+    result = api.simulate(
+        args.app,
+        protocol=args.protocol,
+        cores=args.cores,
+        memops=args.memops,
+        seed=args.seed,
+        mac=args.mac,
+        workers=args.workers,
+        cache=not args.no_cache,
     )
-    result = _executor_from(args).run(args.app, config, args.memops)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -925,14 +924,20 @@ def _cmd_sim_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim_compare(args: argparse.Namespace) -> int:
-    base, widir = _executor_from(args).run_pair(
-        args.app, num_cores=args.cores, memops_per_core=args.memops, seed=args.seed
+    diff = api.compare(
+        args.app,
+        cores=args.cores,
+        memops=args.memops,
+        seed=args.seed,
+        workers=args.workers,
+        cache=not args.no_cache,
     )
+    base, widir = diff.baseline, diff.widir
     print(f"{args.app} @ {args.cores} cores ({args.memops} refs/core)")
     print(f"  Baseline cycles : {base.cycles:,}  (MPKI {base.mpki:.2f})")
     print(f"  WiDir cycles    : {widir.cycles:,}  (MPKI {widir.mpki:.2f})")
-    print(f"  WiDir speedup   : {base.cycles / widir.cycles:.3f}x")
-    print(f"  energy ratio    : {widir.energy.total / base.energy.total:.3f}")
+    print(f"  WiDir speedup   : {diff.speedup:.3f}x")
+    print(f"  energy ratio    : {diff.energy_ratio:.3f}")
     return 0
 
 
@@ -976,13 +981,11 @@ def _cmd_sim_profile(args: argparse.Namespace) -> int:
 
     from repro.harness.runner import run_app
 
+    config = protocol_config(
+        args.protocol, num_cores=args.cores, seed=args.seed, mac=args.mac
+    )
+
     def one_run():
-        config = _config_with_mac(
-            protocol_config(
-                args.protocol, num_cores=args.cores, seed=args.seed
-            ),
-            args.mac,
-        )
         return run_app(
             args.app, config, args.memops, trace_seed=args.trace_seed
         )
@@ -1171,16 +1174,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Record, export, or summarize an observability capture.
 
-    ``trace run`` executes in-process through
-    :func:`repro.harness.runner.run_app` (no executor, no cache: the run
-    must own a live machine to read the capture from). The simulated
-    results are bit-identical with tracing on or off — the exported
-    ``trace.json`` is pure addition.
+    ``trace run`` is :func:`repro.api.trace`: in-process, no executor, no
+    cache (the run must own a live machine to read the capture from). The
+    simulated results are bit-identical with tracing on or off — the
+    exported ``trace.json`` is pure addition.
     """
-    from dataclasses import replace
     from pathlib import Path
 
-    from repro.config.system import ObsConfig
     from repro.obs import (
         counter_track_names,
         export_chrome_trace,
@@ -1211,39 +1211,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     # trace run
-    from repro.harness.runner import run_app
-
-    config = _config_with_mac(
-        protocol_config(args.preset, num_cores=args.cores, seed=args.seed),
-        args.mac,
-    )
-    obs_defaults = ObsConfig()
-    config = replace(
-        config,
-        obs=ObsConfig(
-            enabled=True,
-            flight_recorder_depth=(
-                args.depth
-                if args.depth is not None
-                else obs_defaults.flight_recorder_depth
-            ),
-            sample_interval=(
-                args.sample_interval
-                if args.sample_interval is not None
-                else obs_defaults.sample_interval
-            ),
-        ),
-    )
-    sink: List = []
-    result = run_app(
+    traced = api.trace(
         args.app,
-        config,
-        args.memops,
+        protocol=args.preset,
+        cores=args.cores,
+        memops=args.memops,
+        seed=args.seed,
         trace_seed=args.trace_seed,
-        machine_sink=sink,
+        sample_interval=args.sample_interval,
+        flight_recorder_depth=args.depth,
+        mac=args.mac,
     )
-    machine = sink[0]
-    capture = machine.obs.capture(app=args.app)
+    result, capture = traced.result, traced.capture
 
     print(
         f"{args.app} on {args.preset} @ {args.cores} cores: "
@@ -1281,7 +1260,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_traces(args: argparse.Namespace) -> int:
     """``traces record/convert/info/validate/replay`` — the recorded-trace
     subsystem (:mod:`repro.traces`; see docs/TRACES.md)."""
-    from repro import api
     from repro.traces import TraceCorruptionError, TraceFormatError
     from repro.traces.replay import result_digest
 
@@ -1560,6 +1538,14 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     executor = _executor_from(args)
     engine = dict(executor=executor, telemetry=telemetry)
     if args.verb == "serve":
+        if args.store or args.tenant != "default":
+            print(
+                "campaign serve --store/--tenant is deprecated and will be "
+                "removed in 1.4; the executor's result cache "
+                "(REPRO_CACHE_DIR), which campaign run/resume use, already "
+                "dedupes runs across campaigns",
+                file=sys.stderr,
+            )
         engine.update(
             workers=args.workers,  # 0: remote agents only
             shards=args.shards,
@@ -1682,8 +1668,13 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_submit(args: argparse.Namespace) -> int:
-    """``campaign submit`` — enqueue pending runs into a live coordinator,
-    respecting its token-bucket rate limit (retries on 429)."""
+    """``campaign submit`` — ask a live coordinator to enqueue pending
+    runs, respecting its token-bucket rate limit (retries on 429).
+
+    Deprecated in 1.3, removed in 1.4: the coordinator queues every
+    pending run before it serves any request, so a submit finds nothing
+    left to enqueue.
+    """
     import time as _time
     from pathlib import Path
 
@@ -1694,6 +1685,14 @@ def _cmd_campaign_submit(args: argparse.Namespace) -> int:
         RpcClient,
         RpcError,
         parse_endpoint,
+    )
+
+    print(
+        "campaign submit is deprecated and will be removed in 1.4: a "
+        "running coordinator already queues every pending run, so submit "
+        "enqueues nothing; use campaign run/resume, which reuse runs from "
+        "the executor's result cache (REPRO_CACHE_DIR)",
+        file=sys.stderr,
     )
 
     if args.connect:

@@ -24,17 +24,31 @@ def protocol_config(
     num_cores: int = 64,
     max_wired_sharers: int = None,
     seed: int = 42,
+    mac: str = "brs",
 ) -> SystemConfig:
     """Table III machine for any registered protocol backend.
 
-    ``max_wired_sharers`` is the sharer-count threshold knob; it is only
-    meaningful for backends with ``uses_sharer_threshold`` (WiDir's Table
-    VI sensitivity axis, hybrid_update's mode-entry trigger) and is
-    ignored when ``None`` or already the configured default.
+    The one rule for how a requested threshold and MAC land on a preset:
+
+    * ``max_wired_sharers`` (WiDir's Table VI axis, hybrid_update's
+      mode-entry trigger) applies only to backends with
+      ``uses_sharer_threshold``; ``None`` keeps the preset's value;
+    * ``mac`` applies only to backends with ``uses_wireless``. A wired
+      protocol keeps the default MAC whatever is asked for, so it has one
+      config, one label and one run key.
+
+    Unknown protocol or MAC names raise ``ValueError`` naming the known set.
     """
+    # Imported lazily: config is a leaf module both registries depend on.
+    from repro.coherence.backend import get_backend
+    from repro.wireless.mac import get_mac
+
+    backend = get_backend(protocol)
+    get_mac(mac)
     config = paper_config(num_cores=num_cores, protocol=protocol, seed=seed)
     if (
-        max_wired_sharers is not None
+        backend.uses_sharer_threshold
+        and max_wired_sharers is not None
         and max_wired_sharers != config.directory.max_wired_sharers
     ):
         directory = DirectoryConfig(
@@ -44,6 +58,8 @@ def protocol_config(
         )
         config = replace(config, directory=directory)
         config.validate()
+    if backend.uses_wireless and mac != config.mac:
+        config = replace(config, mac=mac)
     return config
 
 

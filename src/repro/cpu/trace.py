@@ -197,9 +197,6 @@ class TraceChunk:
         for i in range(len(self.kinds)):
             yield self.op(i)
 
-    def to_ops(self) -> List[TraceOp]:
-        return list(self)
-
 
 #: Either trace representation, accepted by ``Core.run_trace``.
 Trace = Union[List[TraceOp], TraceChunk]

@@ -27,11 +27,6 @@ from repro.harness.executor import (
     run_key,
 )
 from repro.harness.report_gen import generate_report
-from repro.harness.sweeps import (
-    sweep_core_counts,
-    sweep_protocols,
-    sweep_thresholds,
-)
 from repro.harness.validate import validate_result
 from repro.harness.figures import (
     figure10_scalability,
@@ -98,9 +93,6 @@ __all__ = [
     "run_campaign",
     "run_key",
     "generate_report",
-    "sweep_core_counts",
-    "sweep_protocols",
-    "sweep_thresholds",
     "validate_result",
     "figure10_scalability",
     "figure5_sharer_histogram",

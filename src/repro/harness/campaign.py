@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.coherence.backend import get_backend
-from repro.config.presets import baseline_config, protocol_config, widir_config
+from repro.config.presets import protocol_config
 from repro.harness.executor import (
     Executor,
     ExperimentPlan,
@@ -63,14 +63,13 @@ from repro.harness.ioutils import (
     append_jsonl,
     atomic_write_json,
     atomic_write_text,
-    iter_stale_tmp,
     quarantine,
     read_jsonl_many,
     remove_stale_tmp,
 )
 from repro.harness.runner import SimulationResult
 from repro.harness.supervisor import RetryPolicy
-from repro.harness.sweeps import label_for, mac_variants
+from repro.harness.sweeps import GridPoint, grid, label_for
 from repro.wireless.mac import get_mac
 
 #: Bump on any change to the journal / manifest / aggregate shapes.
@@ -194,38 +193,33 @@ class CampaignSpec:
         )
 
     def build(self) -> Tuple[ExperimentPlan, List[str]]:
-        """The run matrix: an :class:`ExperimentPlan` plus aligned labels."""
-        plan = ExperimentPlan()
-        labels: List[str] = []
+        """The run matrix: an :class:`ExperimentPlan` plus aligned labels.
 
-        def add(app: str, config) -> None:
-            plan.add(app, config, self.memops, self.trace_seed)
-            labels.append(label_for(app, config))
-
+        The order is part of the on-disk format: ``campaign.json`` stores
+        the label -> run-key map in plan order.
+        """
         if self.kind == "trace":
             return self._build_trace()
         if self.kind == "protocols":
+            points = self._grid("protocols", self.apps, self.cores)
+        else:  # thresholds: each (app, cores) block opens with Baseline
+            points = []
             for app in self.apps:
                 for cores in self.cores:
-                    for protocol in self.protocols:
-                        base = protocol_config(
-                            protocol, num_cores=cores, seed=self.seed
-                        )
-                        for config in mac_variants(base, self.macs):
-                            add(app, config)
-        else:  # thresholds (x MACs: the MAC x protocol x threshold matrix)
-            for app in self.apps:
-                for cores in self.cores:
-                    add(app, baseline_config(num_cores=cores, seed=self.seed))
-                    for threshold in self.thresholds:
-                        base = widir_config(
-                            num_cores=cores,
-                            max_wired_sharers=threshold,
-                            seed=self.seed,
-                        )
-                        for config in mac_variants(base, self.macs):
-                            add(app, config)
-        return plan, labels
+                    base = protocol_config("baseline", cores, seed=self.seed)
+                    points.append((label_for(app, base), app, base))
+                    points += self._grid("thresholds", (app,), (cores,))
+        plan = ExperimentPlan()
+        for _, app, config in points:
+            plan.add(app, config, self.memops, self.trace_seed)
+        return plan, [label for label, _, _ in points]
+
+    def _grid(self, kind: str, apps, cores) -> List[GridPoint]:
+        """This spec's ``kind`` grid over ``apps`` x ``cores``."""
+        return grid(
+            kind, apps, cores, self.thresholds, self.protocols, self.macs,
+            self.seed,
+        )
 
     def _build_trace(self) -> Tuple[ExperimentPlan, List[str]]:
         """``kind="trace"``: fan one recorded trace across shard windows.
@@ -255,16 +249,7 @@ class CampaignSpec:
                     reader, stride, max_windows=self.trace_shards
                 )
         stem = Path(self.trace_path).stem or "trace"
-        configs = [
-            config
-            for protocol in self.protocols
-            for config in mac_variants(
-                protocol_config(protocol, num_cores=num_cores, seed=self.seed),
-                self.macs,
-            )
-        ]
-        for config in configs:
-            base = label_for(app, config)
+        for base, _, config in self._grid("protocols", (app,), (num_cores,)):
             if windows is None:
                 plan.add_trace(
                     self.trace_path, config, trace_id=trace_id, app=app
@@ -813,10 +798,6 @@ class Campaign:
             if payload is not None:
                 out[label] = SimulationResult.from_dict(payload)
         return out
-
-    def stale_tmp_files(self) -> List[Path]:
-        """Leftover ``*.tmp.*`` files (should always be empty post-run)."""
-        return sorted(iter_stale_tmp(self.directory))
 
 
 # -------------------------------------------------------------- conveniences

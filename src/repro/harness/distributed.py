@@ -35,15 +35,18 @@ or remote processes speaking the length-prefixed JSON-RPC protocol of
    (:class:`~repro.harness.supervisor.ScriptedFaults` /
    :class:`~repro.harness.supervisor.SeededFaults`) are drawn at grant
    time and acted out by the agent.
-4. **Backpressure.** The ``submit`` RPC is token-bucket rate limited and
-   bounded by a queue high-water mark (both reject with error 429, which
-   clients absorb by backing off); lease grants are capped per worker.
+4. **Backpressure.** Lease grants are capped per worker. The ``submit``
+   RPC (deprecated in 1.3, removed in 1.4) is token-bucket rate limited
+   (429, which clients absorb by backing off); its ``max_queue``
+   high-water check is off unless a caller sets it, and none does.
+   :meth:`Coordinator.run` queues every pending key before it serves any
+   request, so a submit finds nothing left to enqueue.
 
 Cache layers: before enqueueing a key the coordinator consults the
 executor memo cache and, when configured, the content-addressed
-multi-tenant :class:`~repro.harness.resultstore.ResultStore` — a run any
-tenant already computed completes instantly as a ``store`` hit and never
-reaches a worker.
+multi-tenant :class:`~repro.harness.resultstore.ResultStore` (deprecated
+in 1.3, removed in 1.4) — a run any tenant already computed completes
+instantly as a ``store`` hit and never reaches a worker.
 
 Wire protocol methods (shapes in docs/API.md): ``serve`` ``lease``
 ``steal`` ``result`` ``fail`` ``heartbeat`` ``status`` ``submit`` ``bye``.
@@ -252,10 +255,7 @@ class Coordinator:
             else max(2, 2 * max(1, expected_workers))
         )
         self.executor = executor if executor is not None else Executor(workers=1)
-        # Share the executor's store unless one is given explicitly, so
-        # `Executor(store=...)` alone opts a campaign into cross-tenant
-        # dedupe + manifest publication.
-        self.store = store if store is not None else self.executor.store
+        self.store = store
         self.tenant = tenant
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
@@ -424,7 +424,7 @@ class Coordinator:
             # campaign neither reads nor writes them (its synthetic payloads
             # must not masquerade as — or be poisoned by — sim results).
             cached = (
-                self.executor._dir_cache_load(key)
+                self.executor._cache_load(key)
                 if self.runner == "sim"
                 else None
             )
@@ -468,9 +468,6 @@ class Coordinator:
         )
         if self.runner == "sim":
             if self.store is not None:
-                # The coordinator's store may not be the executor's (e.g.
-                # handed to run_campaign directly); populate the objects
-                # plane itself — put() is idempotent if both are wired.
                 self.store.put(key, payload)
             self.executor._cache_store(key, payload)
         self.payloads[key] = payload

@@ -41,10 +41,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.resultstore import ResultStore
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config.presets import baseline_config, widir_config
 from repro.config.system import SystemConfig
@@ -211,13 +208,6 @@ class ExperimentPlan:
         )
         return len(self.requests) - 1
 
-    def unique_keys(self) -> List[str]:
-        """Distinct run keys in first-occurrence order."""
-        seen: Dict[str, None] = {}
-        for request in self.requests:
-            seen.setdefault(run_key(request), None)
-        return list(seen)
-
 
 # ------------------------------------------------------------- worker side
 
@@ -328,14 +318,6 @@ class Executor:
         ``~/.cache/repro``.
     use_cache:
         Disable to force re-simulation (also ``REPRO_CACHE=0``).
-    store:
-        Optional :class:`~repro.harness.resultstore.ResultStore`. When
-        given, the content-addressed objects plane becomes an extra memo
-        layer: loads consult it (after the flat dir cache), and every
-        payload this executor produces is published to it — so campaigns,
-        figures, and distributed fleets sharing one store dedupe across
-        tenants. Explicit opt-in: unaffected by ``use_cache``/``--no-cache``,
-        which only govern the flat per-user cache.
     """
 
     def __init__(
@@ -343,12 +325,10 @@ class Executor:
         workers: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         use_cache: Optional[bool] = None,
-        store: Optional["ResultStore"] = None,
     ) -> None:
         self.workers = _default_workers() if workers is None else max(1, int(workers))
         self.cache_dir = Path(cache_dir) if cache_dir is not None else _default_cache_dir()
         self.use_cache = _cache_enabled_by_env() if use_cache is None else bool(use_cache)
-        self.store = store
         self.stats = ExecutorStats()
 
     # ------------------------------------------------------------- cache
@@ -357,14 +337,6 @@ class Executor:
         return self.cache_dir / f"{key}.json"
 
     def _cache_load(self, key: str) -> Optional[Dict]:
-        payload = self._dir_cache_load(key)
-        if payload is not None:
-            return payload
-        if self.store is not None:
-            return self.store.get(key)
-        return None
-
-    def _dir_cache_load(self, key: str) -> Optional[Dict]:
         if not self.use_cache:
             return None
         path = self._cache_path(key)
@@ -386,11 +358,6 @@ class Executor:
             return None
 
     def _cache_store(self, key: str, payload: Dict) -> None:
-        if self.store is not None:
-            try:
-                self.store.put(key, payload)
-            except OSError:
-                pass  # store writes are best-effort, like the dir cache
         if not self.use_cache:
             return
         try:

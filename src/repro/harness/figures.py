@@ -570,19 +570,16 @@ def figure_protocol_comparison(
     tuple, or simulates directly.
     """
     from repro.coherence.backend import backend_names
-    from repro.config.presets import protocol_config
+    from repro.harness.sweeps import grid
 
     names = tuple(protocols) if protocols else backend_names()
     apps = _apps_or_default(apps)
     plan = ExperimentPlan()
     indices = {
-        (app, name): plan.add(
-            app,
-            protocol_config(name, num_cores=num_cores, seed=seed),
-            memops,
+        (app, config.protocol): plan.add(app, config, memops)
+        for _, app, config in grid(
+            "protocols", apps, (num_cores,), protocols=names, seed=seed
         )
-        for app in apps
-        for name in names
     }
     all_results = _exe(executor).map_runs(plan)
     reference_name = names[0]
@@ -641,10 +638,8 @@ def figure_mac_comparison(
     campaign that declared the same ``macs`` tuple, or simulates
     directly.
     """
-    from dataclasses import replace
-
     from repro.coherence.backend import backend_names, get_backend
-    from repro.config.presets import protocol_config
+    from repro.harness.sweeps import grid
     from repro.wireless.mac import mac_names
 
     mac_list = tuple(macs) if macs else mac_names()
@@ -657,13 +652,13 @@ def figure_mac_comparison(
         raise ValueError("no wireless protocol in the requested set")
     apps = _apps_or_default(apps)
     plan = ExperimentPlan()
-    indices = {}
-    for app in apps:
-        for protocol in wireless:
-            base = protocol_config(protocol, num_cores=num_cores, seed=seed)
-            for mac in mac_list:
-                config = base if mac == base.mac else replace(base, mac=mac)
-                indices[(app, protocol, mac)] = plan.add(app, config, memops)
+    indices = {
+        (app, config.protocol, config.mac): plan.add(app, config, memops)
+        for _, app, config in grid(
+            "protocols", apps, (num_cores,), protocols=wireless,
+            macs=mac_list, seed=seed,
+        )
+    }
     all_results = _exe(executor).map_runs(plan)
     reference_mac = mac_list[0]
     rows = []

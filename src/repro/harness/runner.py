@@ -14,7 +14,6 @@ and the WiDir machine so normalized comparisons share a reference stream.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.coherence.dir_controller import SHARER_BINS
@@ -353,8 +352,3 @@ def run_pair(
         trace_seed,
     )
     return base, widir
-
-
-def scaled_config(config: SystemConfig, num_cores: int) -> SystemConfig:
-    """The same machine at a different core count (Figure 10 sweeps)."""
-    return replace(config, num_cores=num_cores)

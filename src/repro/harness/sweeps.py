@@ -1,28 +1,26 @@
-"""Parameter-sweep utilities.
+"""The evaluation grid, declared in one place.
 
-Thin, composable helpers for running grids of (application, machine)
-configurations and collecting :class:`~repro.harness.runner.SimulationResult`
-objects keyed by a readable label — the building block behind the
-sensitivity benchmarks and the CLI's batch workflows.
-
-Each helper declares its grid as an
-:class:`~repro.harness.executor.ExperimentPlan` and executes it through an
-:class:`~repro.harness.executor.Executor` (pass ``executor=`` to control
-worker count and caching; defaults to the process-wide executor), so sweep
-points run in parallel and repeated points are memo-cache hits.
+The paper's evaluation is one grid: apps x {Baseline, WiDir} x core counts
+x MaxWiredSharers (Fig. 8, Fig. 10, Table VI), crossed here with the MAC
+backends. :func:`grid` expands a sweep kind into labelled
+``(label, app, config)`` points; :func:`run_grid` executes them as one
+:class:`~repro.harness.executor.ExperimentPlan` through an
+:class:`~repro.harness.executor.Executor`, so points run in parallel and
+repeated points are memo-cache hits. ``repro.api.sweep``, every
+:class:`~repro.harness.campaign.CampaignSpec` kind and the protocol and
+MAC comparison figures all declare their runs through :func:`grid`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.backend import get_backend
-from repro.config.presets import protocol_config, widir_config
+from repro.config.presets import protocol_config
 from repro.config.system import SystemConfig
 from repro.harness.executor import Executor, ExperimentPlan, default_executor
 from repro.harness.runner import SimulationResult
-from repro.wireless.mac import DEFAULT_MAC
+from repro.wireless.mac import DEFAULT_MAC, get_mac
 
 #: Default protocol pair of the paper's evaluation; sweeps accept any
 #: subset of :func:`repro.coherence.backend.backend_names`.
@@ -32,9 +30,8 @@ DEFAULT_PROTOCOLS = ("baseline", "widir")
 #: :func:`repro.wireless.mac.mac_names`.
 DEFAULT_MACS = (DEFAULT_MAC,)
 
-
-def _exe(executor: Optional[Executor]) -> Executor:
-    return executor if executor is not None else default_executor()
+#: One labelled grid point: (label, app, config).
+GridPoint = Tuple[str, str, SystemConfig]
 
 
 def label_for(app: str, config: SystemConfig) -> str:
@@ -54,40 +51,77 @@ def label_for(app: str, config: SystemConfig) -> str:
     return "/".join(parts)
 
 
-def mac_variants(
-    config: SystemConfig, macs: Sequence[str] = DEFAULT_MACS
-) -> Sequence[SystemConfig]:
-    """Cross ``config`` with the MAC dimension.
+def grid(
+    kind: str,
+    apps: Sequence[str],
+    cores: Sequence[int],
+    thresholds: Sequence[int] = (),
+    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
+    macs: Sequence[str] = DEFAULT_MACS,
+    seed: int = 42,
+) -> List[GridPoint]:
+    """The ``(label, app, config)`` points a sweep kind declares, in order.
 
-    Wireless protocols get one config per requested MAC; wired protocols
-    have no MAC to vary and always yield the single default-MAC config,
-    so a ``macs=all`` sweep does not multiply baseline runs.
+    * ``"protocols"``: app x cores x protocol x MAC, each protocol at its
+      preset MaxWiredSharers;
+    * ``"thresholds"``: app x cores x MaxWiredSharers x MAC, on WiDir
+      (``protocols`` is then only validated).
+
+    MAC is the innermost axis and crosses wireless protocols only: a wired
+    protocol appears once per (app, cores), whatever ``macs`` says.
+    Repeated apps or MACs repeat their points; the executor dedupes them
+    by run key. Configs come from
+    :func:`~repro.config.presets.protocol_config`. Unknown kinds,
+    protocols and MACs raise ``ValueError``.
     """
-    if not get_backend(config.protocol).uses_wireless:
-        return (config,)
-    return tuple(
-        config if mac == config.mac else replace(config, mac=mac)
-        for mac in macs
-    )
+    for protocol in protocols:
+        get_backend(protocol)  # raises ValueError naming the known set
+    for mac in macs:
+        get_mac(mac)  # raises ValueError naming the known set
+    if kind == "protocols":
+        axis = [(protocol, None) for protocol in protocols]
+    elif kind == "thresholds":
+        axis = [("widir", threshold) for threshold in thresholds]
+    else:
+        raise ValueError(
+            f"unknown grid kind {kind!r}; expected 'protocols' or "
+            "'thresholds'"
+        )
+    points: List[GridPoint] = []
+    for app in apps:
+        for num_cores in cores:
+            for protocol, threshold in axis:
+                wireless = get_backend(protocol).uses_wireless
+                for mac in macs if wireless else DEFAULT_MACS:
+                    config = protocol_config(
+                        protocol, num_cores, max_wired_sharers=threshold,
+                        seed=seed, mac=mac,
+                    )
+                    points.append((label_for(app, config), app, config))
+    return points
 
 
-def _run_labelled(
-    grid: Sequence, executor: Optional[Executor], memops: Optional[int]
+def run_grid(
+    points: Sequence[GridPoint],
+    executor: Optional[Executor],
+    memops: Optional[int],
 ) -> Dict[str, SimulationResult]:
-    """Execute (label, app, config) triples as one plan; label -> result.
+    """Execute grid points as one plan; returns label -> result.
 
-    Graceful degradation: grid points the executor cannot serve (``None``
-    from a partial :class:`~repro.harness.campaign.CampaignResultSource`)
-    are *omitted* from the returned mapping instead of aborting the sweep;
+    ``executor=None`` uses the process-wide executor. Graceful
+    degradation: points the executor cannot serve (``None`` from a
+    partial :class:`~repro.harness.campaign.CampaignResultSource`) are
+    *omitted* from the returned mapping instead of aborting the sweep;
     the campaign's provenance manifest records exactly which runs are
-    missing and why. A plain :class:`Executor` always simulates, so direct
-    sweeps never lose points.
+    missing and why. A plain :class:`Executor` always simulates, so
+    direct sweeps never lose points.
     """
     plan = ExperimentPlan()
     indices = [
-        (label, plan.add(app, config, memops)) for label, app, config in grid
+        (label, plan.add(app, config, memops)) for label, app, config in points
     ]
-    results = _exe(executor).map_runs(plan)
+    exe = executor if executor is not None else default_executor()
+    results = exe.map_runs(plan)
     return {
         label: results[index]
         for label, index in indices
@@ -95,108 +129,8 @@ def _run_labelled(
     }
 
 
-def sweep_protocols(
-    apps: Iterable[str],
-    num_cores: int = 64,
-    memops: Optional[int] = None,
-    seed: int = 42,
-    progress: Optional[Callable[[str], None]] = None,
-    executor: Optional[Executor] = None,
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    macs: Sequence[str] = DEFAULT_MACS,
-) -> Dict[str, SimulationResult]:
-    """Run every app on every requested protocol; returns label -> result.
-
-    ``macs`` crosses wireless protocols with MAC backends (wired
-    protocols run once regardless). ``progress`` is invoked once per grid
-    point as the plan is *declared* (dispatch order); with a parallel
-    executor the underlying simulations may complete in any order.
-    """
-    grid = []
-    for app in apps:
-        for protocol in protocols:
-            base = protocol_config(protocol, num_cores=num_cores, seed=seed)
-            for config in mac_variants(base, macs):
-                label = label_for(app, config)
-                if progress is not None:
-                    progress(label)
-                grid.append((label, app, config))
-    return _run_labelled(grid, executor, memops)
-
-
-def sweep_core_counts(
-    app: str,
-    core_counts: Sequence[int],
-    memops: Optional[int] = None,
-    seed: int = 42,
-    executor: Optional[Executor] = None,
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    macs: Sequence[str] = DEFAULT_MACS,
-) -> Dict[str, SimulationResult]:
-    """One app across machine sizes, every requested protocol (x MACs)."""
-    grid = [
-        (label_for(app, config), app, config)
-        for cores in core_counts
-        for protocol in protocols
-        for config in mac_variants(
-            protocol_config(protocol, num_cores=cores, seed=seed), macs
-        )
-    ]
-    return _run_labelled(grid, executor, memops)
-
-
-def sweep_thresholds(
-    app: str,
-    thresholds: Sequence[int],
-    num_cores: int = 64,
-    memops: Optional[int] = None,
-    seed: int = 42,
-    executor: Optional[Executor] = None,
-    macs: Sequence[str] = DEFAULT_MACS,
-) -> Dict[str, SimulationResult]:
-    """One app across MaxWiredSharers values (Table VI style), x MACs."""
-    grid = []
-    for threshold in thresholds:
-        base = widir_config(
-            num_cores=num_cores, max_wired_sharers=threshold, seed=seed
-        )
-        for config in mac_variants(base, macs):
-            grid.append((label_for(app, config), app, config))
-    return _run_labelled(grid, executor, memops)
-
-
-def sweep_config_field(
-    app: str,
-    base_config: SystemConfig,
-    field_path: str,
-    values: Sequence,
-    memops: Optional[int] = None,
-    executor: Optional[Executor] = None,
-) -> Dict[str, SimulationResult]:
-    """Generic sweep over one (possibly nested) config field.
-
-    ``field_path`` is dotted, e.g. ``"wireless.data_transfer_cycles"`` or
-    ``"noc.cycles_per_hop"``. Each value produces one run labelled
-    ``app/<field>=<value>``.
-    """
-    parts = field_path.split(".")
-    grid = []
-    for value in values:
-        config = base_config
-        if len(parts) == 1:
-            config = replace(config, **{parts[0]: value})
-        elif len(parts) == 2:
-            inner = getattr(config, parts[0])
-            config = replace(config, **{parts[0]: replace(inner, **{parts[1]: value})})
-        else:
-            raise ValueError(f"field path too deep: {field_path!r}")
-        config.validate()
-        grid.append((f"{app}/{field_path}={value}", app, config))
-    return _run_labelled(grid, executor, memops)
-
-
 def speedup_table(results: Dict[str, SimulationResult]) -> Dict[str, float]:
-    """Pair up baseline/widir labels from :func:`sweep_protocols` and return
+    """Pair up baseline/widir labels of a ``"protocols"`` grid and return
     app -> WiDir speedup."""
     speedups: Dict[str, float] = {}
     for label, result in results.items():

@@ -26,9 +26,9 @@ The same plan serves two executions:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.traces.format import TraceFormatError, TraceReader
+from repro.traces.format import TraceReader
 
 #: Per-core chunk cut positions for one segment boundary.
 Cut = List[int]
@@ -121,18 +121,3 @@ def _plan_windows(
         )
         previous = cut
     return windows
-
-
-def window_to_jsonable(window: Window) -> List[List[int]]:
-    """A window as plain JSON lists (grant payloads, campaign specs)."""
-    return [[int(start), int(stop)] for start, stop in window]
-
-
-def window_from_jsonable(payload: Sequence[Sequence[int]]) -> Window:
-    """Inverse of :func:`window_to_jsonable` (validating shape)."""
-    window: Window = []
-    for span in payload:
-        if len(span) != 2:
-            raise TraceFormatError(f"bad window span {span!r}")
-        window.append((int(span[0]), int(span[1])))
-    return window

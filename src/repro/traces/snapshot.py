@@ -109,9 +109,7 @@ def assert_quiescent(machine, cores, barrier=None) -> None:
     wireless = machine.wireless
     if wireless is not None:
         _require(not wireless._pending, "wireless channel has queued requests")
-        _require(
-            wireless._active_request is None, "wireless transmission in flight"
-        )
+        _require(not wireless._active, "wireless transmission in flight")
         _require(not wireless._jammed_lines, "wireless lines still jammed")
         _require(
             wireless._arbitration_scheduled_at is None,

@@ -221,13 +221,6 @@ class WirelessDataChannel:
         )
 
     @property
-    def _active_request(self) -> Optional[TransmitRequest]:
-        """The sole occupant for single-medium MACs (compat accessor;
-        observed by the online invariant checker and the snapshot
-        quiescence gate)."""
-        return self._active[0] if self._active else None
-
-    @property
     def settle_cycles(self) -> int:
         """Worst-case cycles a granted frame may still be in the air.
 

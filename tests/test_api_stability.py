@@ -8,8 +8,10 @@ behind ``DeprecationWarning`` — then go: the 1.1 shims are gone in 1.2.
 """
 
 import inspect
+import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -182,6 +184,36 @@ class TestBehaviour:
         )
         assert again.resumed == 2 and again.digest == report.digest
 
+    def test_campaign_kind_cores_is_the_cores_sweep(self, tmp_path):
+        from repro.harness.campaign import Campaign
+
+        out = tmp_path / "cores"
+        report = api.campaign(
+            "api-cores", kind="cores", apps=("volrend",), cores=(4, 8),
+            out=out, memops=100, workers=1, cache=False,
+        )
+        assert report.ok
+        written = json.loads((out / "results.json").read_text())["results"]
+        sweep = api.sweep(
+            "cores", app="volrend", cores=(4, 8), memops=100,
+            executor=Campaign.load(out).result_source(strict=True),
+        )
+        assert sorted(written) == sorted(sweep.results) == [
+            "volrend/baseline/4c",
+            "volrend/baseline/8c",
+            "volrend/widir/4c/t3",
+            "volrend/widir/8c/t3",
+        ]
+
+    def test_campaign_rejects_unknown_kind_before_writing(self, tmp_path):
+        out = tmp_path / "typo"
+        with pytest.raises(ValueError):
+            api.campaign(
+                "api-typo", kind="protocls", apps=("volrend",), out=out,
+                cores=4, memops=100, workers=1, cache=False,
+            )
+        assert not out.exists()
+
     def test_trace_is_digest_neutral(self):
         traced = api.trace("volrend", cores=4, memops=100)
         plain = api.simulate("volrend", cores=4, memops=100, cache=False)
@@ -196,7 +228,8 @@ class TestBehaviour:
 
 
 class TestDeprecationShims:
-    """The 1.1 shims served their release of grace and are gone."""
+    """The 1.1 shims served their release of grace and are gone; the 1.3
+    deprecations (the multi-tenant store) warn until 1.4 removes them."""
 
     @pytest.mark.parametrize("name", ("run_app", "run_pair"))
     def test_removed_shim_raises_attribute_error(self, name):
@@ -211,5 +244,36 @@ class TestDeprecationShims:
         listing = dir(repro)
         assert "api" in listing and "run_app" not in listing
 
-    def test_version_is_1_2(self):
-        assert repro.__version__ == "1.2.0"
+    def test_version_is_1_3(self):
+        assert repro.__version__ == "1.3.0"
+
+    @pytest.mark.parametrize(
+        "spelling", ({"store": True}, {"tenant": "alice"},
+                     {"store": True, "tenant": "alice"}),
+        ids=("store", "tenant", "both"),
+    )
+    def test_distributed_campaign_store_warns_once(self, tmp_path, spelling):
+        kwargs = dict(spelling)
+        if kwargs.pop("store", False):
+            kwargs["store"] = tmp_path / "store"
+        with pytest.warns(DeprecationWarning) as caught:
+            with pytest.raises(ValueError):  # fails before any run starts
+                api.distributed_campaign(
+                    "d", kind="protocls", apps=("volrend",),
+                    out=tmp_path / "d", **kwargs,
+                )
+        messages = [
+            str(w.message) for w in caught
+            if issubclass(w.category, DeprecationWarning)
+        ]
+        assert len(messages) == 1
+        assert "REPRO_CACHE_DIR" in messages[0] and "1.4" in messages[0]
+
+    def test_distributed_campaign_without_store_does_not_warn(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            report = api.distributed_campaign(
+                "d", apps=("volrend",), out=tmp_path / "d", cores=4,
+                memops=50, workers=1, cache=False,
+            )
+        assert report.ok

@@ -326,6 +326,46 @@ class TestCampaignSpec:
             f"{APP}/widir/{CORES}c/t3",
         ]
 
+    # campaign.json stores the label -> run-key map in plan order, so the
+    # order of these two grids is part of the on-disk format.
+    def test_thresholds_by_macs_order_over_two_apps(self):
+        _, labels = _spec(
+            kind="thresholds", apps=("volrend", "fft"), cores=(8,),
+            thresholds=(2, 3), macs=("brs", "token"),
+        ).build()
+        assert labels == [
+            "volrend/baseline/8c",
+            "volrend/widir/8c/t2",
+            "volrend/widir/8c/t2/token",
+            "volrend/widir/8c/t3",
+            "volrend/widir/8c/t3/token",
+            "fft/baseline/8c",
+            "fft/widir/8c/t2",
+            "fft/widir/8c/t2/token",
+            "fft/widir/8c/t3",
+            "fft/widir/8c/t3/token",
+        ]
+
+    def test_all_protocols_by_three_macs_order(self):
+        from repro.coherence.backend import backend_names
+
+        _, labels = _spec(
+            apps=("volrend",), cores=(4, 8), protocols=backend_names(),
+            macs=("brs", "token", "fdma"),
+        ).build()
+        assert labels == [
+            f"volrend/{label}"
+            for cores in (4, 8)
+            for label in (
+                f"baseline/{cores}c",
+                f"hybrid_update/{cores}c/t3",
+                f"phase_priority/{cores}c",
+                f"widir/{cores}c/t3",
+                f"widir/{cores}c/t3/token",
+                f"widir/{cores}c/t3/fdma",
+            )
+        ]
+
 
 class TestCampaignLifecycle:
     def test_run_writes_all_artifacts(self, tmp_path):

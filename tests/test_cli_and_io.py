@@ -22,6 +22,24 @@ class TestCliJson:
         live = run_app("volrend", protocol_config("widir", num_cores=8, seed=42), 150)
         assert result_digest(loaded) == result_digest(live)
 
+    def test_sim_run_uses_the_api_preset_rule(self, capsys):
+        """Wired protocols ignore ``--mac``: the CLI stores the API's
+        result (same config, same digest), not a second cache entry."""
+        from repro import api
+
+        assert main(
+            ["sim", "run", "volrend", "--protocol", "baseline", "--mac",
+             "token", "--cores", "4", "--memops", "100", "--no-cache",
+             "--json"]
+        ) == 0
+        loaded = SimulationResult.from_dict(json.loads(capsys.readouterr().out))
+        assert loaded.config.mac == "brs"
+        via_api = api.simulate(
+            "volrend", protocol="baseline", mac="token", cores=4,
+            memops=100, cache=False,
+        )
+        assert result_digest(loaded) == result_digest(via_api)
+
     def test_traces_replay_json_loads_as_the_same_result(self, capsys, tmp_path):
         path = tmp_path / "radiosity.wtr"
         record_app_trace(path, "radiosity", 8, 150, trace_seed=3)
@@ -164,3 +182,37 @@ class TestTraceCli:
         ) == 0
         out = capsys.readouterr().out
         assert "latency p50/95/99" in out
+
+
+class TestDeprecatedCampaignSpellings:
+    """The multi-tenant spellings print one stderr notice until 1.4."""
+
+    def test_campaign_submit_prints_one_notice(self, capsys):
+        assert main(["campaign", "submit"]) == 2  # no DIR, no --connect
+        err = capsys.readouterr().err
+        assert err.count("deprecated") == 1
+        assert "enqueues nothing" in err and "campaign run/resume" in err
+        assert "REPRO_CACHE_DIR" in err
+
+    @pytest.mark.parametrize(
+        "flags", (["--store", "STORE"], ["--tenant", "alice"]),
+        ids=("store", "tenant"),
+    )
+    def test_campaign_serve_store_prints_one_notice(
+        self, capsys, tmp_path, flags
+    ):
+        flags = [str(tmp_path / "store") if f == "STORE" else f for f in flags]
+        # Nothing to serve in --out: the notice precedes the usage error.
+        assert main(
+            ["campaign", "serve", "--out", str(tmp_path / "none")] + flags
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count("deprecated") == 1 and "REPRO_CACHE_DIR" in err
+
+    def test_campaign_serve_without_store_prints_no_notice(
+        self, capsys, tmp_path
+    ):
+        assert main(
+            ["campaign", "serve", "--out", str(tmp_path / "none")]
+        ) == 2
+        assert "deprecated" not in capsys.readouterr().err

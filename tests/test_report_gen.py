@@ -3,12 +3,12 @@
 import pytest
 
 from repro.harness.report_gen import generate_report
-from repro.harness.sweeps import sweep_protocols
+from repro.harness.sweeps import grid, run_grid
 
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    return sweep_protocols(["volrend", "fft"], num_cores=8, memops=150)
+    return run_grid(grid("protocols", ["volrend", "fft"], (8,)), None, 150)
 
 
 class TestReport:
