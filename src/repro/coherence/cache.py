@@ -719,7 +719,7 @@ class CacheController:
         # An in-flight RMW observed an update to its line: squash and retry
         # (paper Section IV-C). The update above was applied first, so the
         # retried RMW reads the fresh value.
-        self._squash_rmw(frame.line, wireless_retry=True)
+        self._squash_rmw(frame.line)
 
     def _on_frame_upgrade(self, frame: WirelessFrame) -> None:
         line = frame.line
@@ -757,7 +757,7 @@ class CacheController:
                 {"core": self.node},
             )
             self._reissue_pending_writes(line)
-        self._squash_rmw(line, wireless_retry=False)
+        self._squash_rmw(line)
 
     def _on_frame_invalidate(self, frame: WirelessFrame) -> None:
         line = frame.line
@@ -765,7 +765,7 @@ class CacheController:
         if entry is not None and entry.state == WIRELESS:
             self.array.remove(line)
             self._reissue_pending_writes(line)
-        self._squash_rmw(line, wireless_retry=False)
+        self._squash_rmw(line)
 
     # --------------------------------------------------- wireless datapath
 
@@ -858,7 +858,7 @@ class CacheController:
         watch["request"] = self.wireless.transmit(frame, on_commit=commit)
         self._rmw_watch[line] = watch
 
-    def _squash_rmw(self, line: int, wireless_retry: bool) -> None:
+    def _squash_rmw(self, line: int) -> None:
         """Cancel an in-flight wireless RMW on this line and retry it whole."""
         watch = self._rmw_watch.get(line)
         if watch is None:
@@ -878,8 +878,6 @@ class CacheController:
         # recreates the collision storm that just resolved.
         delay = 1 + self._rng.randint(0, 31)
         self.sim.schedule(delay, lambda: self._do_rmw(address, on_done))
-        if not wireless_retry:
-            return  # line left W: the retry goes down the wired path
 
     def _self_invalidate(self, entry: CacheLine) -> None:
         """UpdateCount saturated: this core stopped using the line (III-B2)."""

@@ -200,6 +200,9 @@ class OnlineInvariantMonitor:
     event queue alive), a sweep over the touched set applies:
 
     * **SWMR** — unconditionally (window-free invariant).
+    * **Holder index** — unconditionally, on machines that keep one
+      (``Manycore.holders``): the line's bitmask names exactly the caches
+      holding it, and every cache with an RMW watch on it.
     * **Directory accuracy + value agreement** — only when the line is
       *quiet* per :meth:`line_quiet`; non-quiet lines carry to the next
       sweep.
@@ -298,6 +301,29 @@ class OnlineInvariantMonitor:
 
     # -------------------------------------------------------------- sweep
 
+    def _check_holder_index(self, line: int, entries) -> None:
+        """WirUpd delivery trusts the holder index; check it against the
+        arrays. An RMW watch arms only on a resident W line, so a watcher
+        must be in the index too."""
+        holders = self.machine.holders
+        if holders is None:
+            return
+        mask = holders.get(line, 0)
+        held = 0
+        for node, _entry in entries:
+            held |= 1 << node
+        if mask != held:
+            raise ProtocolError(
+                f"line 0x{line:x}: holder index reads {mask:#x} but the "
+                f"caches holding it are {held:#x}"
+            )
+        for cache in self.machine.caches:
+            if line in cache._rmw_watch and not mask >> cache.node & 1:
+                raise ProtocolError(
+                    f"line 0x{line:x}: cache {cache.node} has an RMW watch "
+                    "but is not in the holder index"
+                )
+
     def _sweep(self) -> None:
         self._armed = False
         self.sweeps += 1
@@ -308,6 +334,7 @@ class OnlineInvariantMonitor:
             entries = checker.line_holders(line)
             try:
                 checker.check_swmr_line(line, entries)
+                self._check_holder_index(line, entries)
                 if self.line_quiet(line):
                     home = checker.home_directory(line)
                     if home is not None:

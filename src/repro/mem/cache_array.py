@@ -55,6 +55,20 @@ class CacheArray:
         self._mask = num_sets - 1
         self._sets: list[Dict[int, CacheLine]] = [{} for _ in range(num_sets)]
         self._resident = 0
+        #: Machine-wide line -> holder bitmask this array keeps current
+        #: (see :meth:`track_holders`); None when nothing reads one.
+        self._holders: Optional[Dict[int, int]] = None
+        self._holder_bit = 0
+
+    def track_holders(self, holders: Dict[int, int], node: int) -> None:
+        """Keep bit ``node`` of ``holders[line]`` set while ``line`` is here.
+
+        :meth:`insert` and :meth:`remove` are the only ways a line enters
+        or leaves the array, so they maintain the index; a line whose last
+        holder leaves is dropped from ``holders``.
+        """
+        self._holders = holders
+        self._holder_bit = 1 << node
 
     def _set_of(self, line: int) -> Dict[int, CacheLine]:
         return self._sets[line & self._mask]
@@ -115,6 +129,9 @@ class CacheArray:
         entry = CacheLine(line, state)
         cache_set[line] = entry
         self._resident += 1
+        holders = self._holders
+        if holders is not None:
+            holders[line] = holders.get(line, 0) | self._holder_bit
         return entry
 
     def remove(self, line: int) -> CacheLine:
@@ -124,6 +141,13 @@ class CacheArray:
         if entry is None:
             raise SimulationError(f"line 0x{line:x} is not resident")
         self._resident -= 1
+        holders = self._holders
+        if holders is not None:
+            others = holders[line] & ~self._holder_bit
+            if others:
+                holders[line] = others
+            else:
+                del holders[line]
         return entry
 
     def ways_of(self, line: int) -> Iterator[CacheLine]:

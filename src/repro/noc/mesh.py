@@ -15,7 +15,7 @@ simulating individual flits.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.config.system import NocConfig
 from repro.engine.simulator import Simulator
@@ -25,6 +25,65 @@ from repro.stats.collectors import StatsRegistry
 
 #: Table V bins for hops per coherence leg.
 HOP_BINS = ((0, 2), (3, 5), (6, 8), (9, 11), (12, None))
+
+#: ``(hops, link ids, hop-histogram bin index)`` of one tile pair's XY
+#: route; the bin index is -1 for a hop count past every bin.
+Route = Tuple[int, Tuple[int, ...], int]
+
+#: (num_nodes, width) -> that mesh shape's route table, built once per
+#: process: entry ``src * num_nodes + dst`` is the pair's :data:`Route`.
+#: Dimension-ordered routes are a pure function of the shape, so every
+#: machine of a shape (a Baseline/WiDir pair, a sweep, a pool worker's
+#: runs) shares one table; it is never mutated, so sharing it couples no
+#: callers.
+_ROUTE_TABLES: Dict[Tuple[int, int], Tuple[Route, ...]] = {}
+
+
+def _link_deltas(width: int) -> Tuple[int, int, int, int]:
+    """Far-node offset per link direction (+x, -x, +y, -y)."""
+    return (1, -1, width, -width)
+
+
+def link_id(width: int, near: int, far: int) -> int:
+    """Dense id of the directed link ``near -> far``: 4 * near + direction."""
+    return 4 * near + _link_deltas(width).index(far - near)
+
+
+def link_ends(width: int, link: int) -> Tuple[int, int]:
+    """The ``(near, far)`` nodes of a directed link id (see :func:`link_id`)."""
+    near, direction = divmod(link, 4)
+    return near, near + _link_deltas(width)[direction]
+
+
+def _hop_bin(hops: int) -> int:
+    for index, (low, high) in enumerate(HOP_BINS):
+        if hops >= low and (high is None or hops <= high):
+            return index
+    return -1  # overflow, matching BinnedHistogram.record
+
+
+def route_table(topology: MeshTopology) -> Tuple[Route, ...]:
+    """The shape's route table, indexed by ``src * num_nodes + dst``.
+
+    Built whole on the first call for a shape (4,096 routes at 64 nodes).
+    A ragged mesh whose XY routes leave the occupied rows raises
+    :class:`~repro.engine.errors.ConfigurationError` here.
+    """
+    key = (topology.num_nodes, topology.width)
+    table = _ROUTE_TABLES.get(key)
+    if table is None:
+        nodes = range(topology.num_nodes)
+        width = topology.width
+        routes = []
+        for src in nodes:
+            for dst in nodes:
+                links = tuple(
+                    link_id(width, near, far)
+                    for near, far in topology.route(src, dst)
+                )
+                routes.append((len(links), links, _hop_bin(len(links))))
+        table = _ROUTE_TABLES[key] = tuple(routes)
+    return table
 
 
 class MeshNetwork:
@@ -46,23 +105,18 @@ class MeshNetwork:
         self.data_serialization_cycles = max(
             1, (line_bytes * 8) // config.link_width_bits
         )
-        #: Busy-until cycle per directed link. This map and ``_pair_order``
-        #: are keyed by the topology (links, tile pairs), so both stay
-        #: bounded.
-        self._link_busy_until: Dict[Tuple[int, int], int] = {}
-        #: Last delivery cycle per (src, dst): dimension-ordered routing means
-        #: same-pair messages share a path, so delivery is FIFO per pair. The
-        #: coherence protocol relies on this (e.g. a response sent before a
-        #: forward must arrive first).
-        self._pair_order: Dict[Tuple[int, int], int] = {}
-        #: (src, dst) -> (hops, route links, hop-histogram bin index).
-        #: Dimension-ordered routes are a pure function of the pair; the
-        #: seed recomputed them per message. The bin index is resolved once
-        #: here so ``send`` can bump the histogram with one list index
-        #: instead of re-scanning the bins per message (-1 = overflow).
-        self._route_cache: Dict[
-            Tuple[int, int], Tuple[int, List[Tuple[int, int]], int]
-        ] = {}
+        num_nodes = topology.num_nodes
+        self._num_nodes = num_nodes
+        #: Pair id (``src * num_nodes + dst``) -> that pair's :data:`Route`.
+        self._routes = route_table(topology)
+        #: Busy-until cycle per directed link id (see :func:`link_id`);
+        #: 0 = never written (every written horizon is >= 1).
+        self._link_busy_until: List[int] = [0] * (4 * num_nodes)
+        #: Last delivery cycle per pair id (0 = no delivery yet):
+        #: dimension-ordered routing means same-pair messages share a path,
+        #: so delivery is FIFO per pair. The coherence protocol relies on
+        #: this (e.g. a response sent before a forward must arrive first).
+        self._pair_order: List[int] = [0] * (num_nodes * num_nodes)
         self._handlers: Dict[int, Callable[[Message], None]] = {}
         #: Online invariant monitor hook (duck-typed: needs ``msg_sent`` and
         #: ``msg_delivered``). None — the default — costs one attribute test
@@ -77,12 +131,6 @@ class MeshNetwork:
         self._total_hops = stats.counter("noc.total_hops")
         self._queueing = stats.counter("noc.queueing_cycles")
         self._hop_histogram = stats.histogram("noc.hops_per_leg", HOP_BINS)
-        # Hot-path bound methods (send() runs per message).
-        self._messages_add = self._messages.add
-        self._data_messages_add = self._data_messages.add
-        self._total_hops_add = self._total_hops.add
-        self._queueing_add = self._queueing.add
-        self._hop_record = self._hop_histogram.record
         #: The histogram's counts list (mutated in place, never reassigned).
         self._hop_counts = self._hop_histogram.counts
         # Frozen-config constants hoisted out of the per-message path.
@@ -102,24 +150,6 @@ class MeshNetwork:
             latency += self.data_serialization_cycles
         return max(1, latency)
 
-    def _pair_info(
-        self, src: int, dst: int
-    ) -> Tuple[int, List[Tuple[int, int]], int]:
-        """Cached (hops, route, hop-bin) — routes are static per topology."""
-        pair = (src, dst)
-        info = self._route_cache.get(pair)
-        if info is None:
-            route = list(self.topology.route(src, dst))
-            hops = self.topology.hops(src, dst)
-            bin_idx = -1  # overflow sentinel, matching BinnedHistogram.record
-            for i, (low, high) in enumerate(HOP_BINS):
-                if hops >= low and (high is None or hops <= high):
-                    bin_idx = i
-                    break
-            info = (hops, route, bin_idx)
-            self._route_cache[pair] = info
-        return info
-
     def send(self, message: Message, extra_delay: int = 0) -> None:
         """Inject ``message``; it is delivered to the destination handler.
 
@@ -136,11 +166,8 @@ class MeshNetwork:
             obs.noc_send(message)
         src = message.src
         dst = message.dst
-        pair = (src, dst)
-        info = self._route_cache.get(pair)
-        if info is None:
-            info = self._pair_info(src, dst)
-        hops, route, bin_idx = info
+        pair = src * self._num_nodes + dst
+        hops, route, bin_idx = self._routes[pair]
         carries_data = message.carries_data
         self._messages.value += 1
         self._total_hops.value += hops
@@ -161,7 +188,7 @@ class MeshNetwork:
                 arrival += self.data_serialization_cycles
 
         pair_order = self._pair_order
-        arrival = max(arrival, now, pair_order.get(pair, 0) + 1)
+        arrival = max(arrival, now, pair_order[pair] + 1)
         pair_order[pair] = arrival
         self.sim.schedule_at(arrival, lambda: self._deliver(message))
 
@@ -172,7 +199,7 @@ class MeshNetwork:
         cycles_per_hop = self._cycles_per_hop
         queued = 0
         for link in route:
-            ready = busy.get(link, 0)
+            ready = busy[link]
             if ready > time:
                 queued += ready - time
                 time = ready

@@ -12,9 +12,10 @@ Link = Tuple[int, int]  # directed (from_node, to_node)
 class MeshTopology:
     """A width x height mesh; node ``n`` sits at (n % width, n // width).
 
-    The mesh may be ragged (num_nodes < width * height) to support non-square
-    core counts like 32; routing only ever visits valid node ids because XY
-    paths between valid nodes stay inside the occupied rectangle rows.
+    The mesh may be ragged (num_nodes < width * height), but an XY route
+    that runs along the short last row leaves the mesh, and :meth:`route`
+    raises for it. Machines always use a full rectangle (64 -> 8x8,
+    32 -> 8x4; see ``SystemConfig.mesh_width``).
     """
 
     def __init__(self, num_nodes: int, width: int) -> None:

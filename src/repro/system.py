@@ -9,8 +9,9 @@ The CPU cores (:mod:`repro.cpu`) attach on top of this object.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from repro.coherence import messages as mk
 from repro.coherence.backend import get_backend
 from repro.coherence.cache import CacheController  # noqa: F401 (typing)
 from repro.coherence.checker import CoherenceChecker, OnlineInvariantMonitor
@@ -102,6 +103,13 @@ class Manycore:
         #: ProtocolError as before.
         self._directory_kind_table: List[bool] = self.backend.directory_kind_table()
 
+        #: line -> bitmask of the L1 caches holding it (bit n = node n), on
+        #: machines with a wireless channel; None otherwise. Each L1 array
+        #: keeps its bit current on insert/remove. WirUpd delivery reads it
+        #: (see :meth:`_route_frame`).
+        self.holders: Optional[Dict[int, int]] = (
+            {} if self.wireless is not None else None
+        )
         self.caches: List[CacheController] = []
         self.directories: List[DirectoryController] = []
         for node in range(config.num_cores):
@@ -130,8 +138,12 @@ class Manycore:
             self.caches.append(cache)
             self.directories.append(directory)
             self.mesh.register_handler(node, self._make_wired_router(node))
-            if self.wireless is not None:
-                self.wireless.register_receiver(node, self._make_frame_router(node))
+            if self.holders is not None:
+                cache.array.track_holders(self.holders, node)
+        if self.wireless is not None:
+            # One router for the whole machine; it picks the tiles a frame
+            # concerns.
+            self.wireless.register_receiver(0, self._route_frame)
 
         self.checker = CoherenceChecker(self.caches, self.directories, self.memory)
 
@@ -166,15 +178,45 @@ class Manycore:
 
         return route
 
-    def _make_frame_router(self, node: int):
-        cache = self.caches[node]
-        directory = self.directories[node]
+    def _route_frame(self, frame: WirelessFrame) -> None:
+        """Hand a delivered frame to the controllers that act on it.
 
-        def route(frame: WirelessFrame) -> None:
-            cache.handle_frame(frame)
-            directory.handle_frame(frame)
+        A WirUpd changes only a cache that holds the line (in W, or with an
+        RMW watch, which pins a resident W line) and the line's home
+        directory, so it goes to the caches :meth:`_upd_holders` names and
+        to the home directory. Every other frame kind reaches every tile's
+        cache and directory. Order is ascending node, cache before
+        directory on one node: the order of a full fan-out, restricted to
+        the controllers that act. ``handle_frame`` is looked up per call,
+        so instance patches intercept it.
+        """
+        caches = self.caches
+        directories = self.directories
+        if frame.kind_id != mk.WIR_UPD_ID:
+            for cache, directory in zip(caches, directories):
+                cache.handle_frame(frame)
+                directory.handle_frame(frame)
+            return
+        holders = self._upd_holders(frame)
+        home_bit = 1 << self.amap.home_of(frame.line)
+        pending = holders | home_bit
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            node = bit.bit_length() - 1
+            if holders & bit:
+                caches[node].handle_frame(frame)
+            if bit == home_bit:
+                directories[node].handle_frame(frame)
 
-        return route
+    def _upd_holders(self, frame: WirelessFrame) -> int:
+        """Bitmask of the caches a WirUpd for ``frame.line`` is handed to.
+
+        A method of its own so a fault injector
+        (:mod:`repro.verify.mutations`) can alter the delivery while the
+        index stays correct.
+        """
+        return self.holders.get(frame.line, 0)
 
     # --------------------------------------------------------- conveniences
 

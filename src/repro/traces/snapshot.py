@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.harness.ioutils import atomic_write_json
-from repro.mem.cache_array import CacheLine
+from repro.noc.mesh import link_ends, link_id
 
 #: Bump on any change to the snapshot layout; loads reject other versions.
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -234,16 +234,25 @@ def _latency_out(stat) -> List:
 
 
 def _capture_mesh(mesh, now: int) -> Dict:
-    # Entries at or before ``now`` can never influence a future send: a
-    # pair-order entry only matters through ``t + 1`` (the earliest next
-    # delivery) and a link only through ``t`` (the cycle it frees up), and
-    # no message departs before ``now``. So they are left out.
+    # The mesh keeps its horizons in lists indexed by pair id and link id;
+    # 0 marks a slot never written. Entries at or before ``now`` can never
+    # influence a future send: a pair-order entry only matters through
+    # ``t + 1`` (the earliest next delivery) and a link only through ``t``
+    # (the cycle it frees up), and no message departs before ``now``. So
+    # they are left out, and so are unwritten slots. The triples name
+    # tiles, not ids, in id order.
+    num_nodes = mesh.topology.num_nodes
+    width = mesh.topology.width
     return {
         "pair_order": [
-            [src, dst, t] for (src, dst), t in mesh._pair_order.items() if t + 1 > now
+            [*divmod(pair, num_nodes), t]
+            for pair, t in enumerate(mesh._pair_order)
+            if t and t + 1 > now
         ],
         "links": [
-            [a, b, t] for (a, b), t in mesh._link_busy_until.items() if t > now
+            [*link_ends(width, link), t]
+            for link, t in enumerate(mesh._link_busy_until)
+            if t > now
         ],
     }
 
@@ -295,18 +304,15 @@ def capture_machine(machine, cores, barrier=None, progress: Optional[Dict] = Non
 def _restore_cache(cache, payload: Dict) -> None:
     cache._rng._state = payload["rng"]
     cache._request_serial = payload["serial"]
+    # Through insert, which keeps the residency count and the machine's
+    # holder index; lines go in in the saved (LRU) order.
     array = cache.array
-    resident = 0
-    for index, lines in payload["sets"]:
-        cache_set = array._sets[index]
+    for _index, lines in payload["sets"]:
         for line, state, dirty, words, update_count in lines:
-            entry = CacheLine(line, state)
+            entry = array.insert(line, state)
             entry.dirty = dirty
             entry.data = {int(w): int(v) for w, v in words}
             entry.update_count = update_count
-            cache_set[line] = entry
-            resident += 1
-    array._resident = resident
     _restore_extras(cache, payload)
 
 
@@ -440,10 +446,12 @@ def restore_machine(machine, cores, snapshot: Dict) -> None:
     ):
         mc._busy_until = busy_until
     mesh = machine.mesh
+    num_nodes = mesh.topology.num_nodes
+    width = mesh.topology.width
     for src, dst, t in snapshot["mesh"]["pair_order"]:
-        mesh._pair_order[(src, dst)] = t
+        mesh._pair_order[src * num_nodes + dst] = t
     for a, b, t in snapshot["mesh"]["links"]:
-        mesh._link_busy_until[(a, b)] = t
+        mesh._link_busy_until[link_id(width, a, b)] = t
     wireless_saved = snapshot.get("wireless")
     if (wireless_saved is None) != (machine.wireless is None):
         raise SnapshotError("snapshot wireless presence does not match config")

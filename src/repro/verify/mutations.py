@@ -67,6 +67,31 @@ def _no_home_wirupd_merge(machine: Manycore) -> None:
         directory.handle_frame = lambda frame: None  # type: ignore[method-assign]
 
 
+def _upd_skips_holder(machine: Manycore) -> None:
+    """Every third WirUpd delivery skips one sharer.
+
+    The lowest-numbered holder other than the sender is dropped from the
+    delivery mask, so its W copy keeps the old word while the other
+    copies and the LLC take the new one. The holder index itself stays
+    correct. Detected by value agreement (online "divergent shared
+    copies") or load provenance.
+    """
+    if machine.wireless is None:
+        raise ValueError("upd_skips_holder needs a WiDir machine")
+    original = machine._upd_holders
+    state = {"count": 0}
+
+    def skipping(frame) -> int:
+        holders = original(frame)
+        state["count"] += 1
+        if state["count"] % 3 == 0:
+            others = holders & ~(1 << frame.src)
+            holders ^= others & -others  # the lowest set bit, if any
+        return holders
+
+    machine._upd_holders = skipping  # type: ignore[method-assign]
+
+
 def _pp_drop_deferred(machine: Manycore) -> None:
     """Phase-priority service leaks every third deferred message.
 
@@ -184,6 +209,7 @@ MUTATIONS: Dict[str, Callable[[Manycore], None]] = {
     "no_jam_nack": _no_jam_nack,
     "lost_tone_drop": _lost_tone_drop,
     "no_home_wirupd_merge": _no_home_wirupd_merge,
+    "upd_skips_holder": _upd_skips_holder,
     "pp_drop_deferred": _pp_drop_deferred,
     "hyb_lost_upd_ack": _hyb_lost_upd_ack,
     "hyb_stale_update": _hyb_stale_update,
@@ -198,6 +224,7 @@ MUTATION_PROTOCOLS: Dict[str, Tuple[str, ...]] = {
     "no_jam_nack": ("widir",),
     "lost_tone_drop": ("widir",),
     "no_home_wirupd_merge": ("widir",),
+    "upd_skips_holder": ("widir",),
     "pp_drop_deferred": ("phase_priority",),
     "hyb_lost_upd_ack": ("hybrid_update",),
     "hyb_stale_update": ("hybrid_update",),

@@ -27,8 +27,10 @@ frame corruption through the same NACK path.
 *Serialization point* (paper Section IV-C): the moment a frame survives
 the collision-detect slot it is guaranteed to transmit. The channel
 invokes the request's ``on_commit`` callback at that cycle — this is when
-a wireless write may merge into the local cache — and delivers the
-broadcast to all receivers when the payload finishes.
+a wireless write may merge into the local cache — and passes the frame
+to every registered receiver when the payload finishes. A
+:class:`~repro.system.Manycore` registers one machine-wide router, which
+decides which tiles act on the frame.
 
 Requests are cancellable until their commit point, which the wireless-RMW
 implementation relies on.
@@ -158,10 +160,15 @@ class WirelessDataChannel:
     def register_receiver(
         self, node: int, handler: Callable[[WirelessFrame], None]
     ) -> None:
-        """Attach the tile-side receive callback for ``node``.
+        """Attach a receive callback under ``node`` (one per key).
 
-        Every successful frame is delivered to *every* registered node,
-        including the sender's own tile (whose directory slice may need it).
+        Every successful frame is passed to every registered callback in
+        registration order, the sender's callback too. A standalone
+        channel may register one per node; a
+        :class:`~repro.system.Manycore` registers a single router under
+        node 0, and that router decides which caches and directories
+        handle the frame (a WirUpd goes to the line's holders and home
+        directory only).
         """
         self._receivers[node] = handler
 

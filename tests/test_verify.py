@@ -162,9 +162,12 @@ def test_injectors_preserve_correctness():
 
 
 def test_mutations_registry_is_wired():
-    assert {"no_jam_nack", "lost_tone_drop", "no_home_wirupd_merge"} <= set(
-        MUTATIONS
-    )
+    assert {
+        "no_jam_nack",
+        "lost_tone_drop",
+        "no_home_wirupd_merge",
+        "upd_skips_holder",
+    } <= set(MUTATIONS)
     machine = Manycore(SystemConfig(num_cores=4, protocol="widir"))
     with pytest.raises(KeyError):
         apply_mutation(machine, "definitely_not_a_mutation")
@@ -214,6 +217,25 @@ def test_mutation_no_jam_nack_caught_with_shrunk_replayable_artifact(tmp_path):
     assert not replay.ok
     # And the replay is itself deterministic:
     assert execute_trial(loaded.spec).failure == replay.failure
+
+
+def test_mutation_upd_skips_holder_fails_only_widir_trials():
+    """Targeted WirUpd delivery has teeth: a holder skipped by every
+    third update diverges from the other copies, and the smoke campaign
+    catches it on each WiDir trial and on no other backend's."""
+    protocols = {}
+
+    def on_trial(index, spec, trial):
+        protocols[index] = spec.config["protocol"]
+
+    result = run_campaign(
+        "smoke", seed=0, mutation="upd_skips_holder", on_trial=on_trial
+    )
+    assert not result.ok
+    failed = {index for index, _why in result.failures}
+    widir = {index for index, protocol in protocols.items() if protocol == "widir"}
+    assert failed == widir
+    assert all("divergent shared copies" in why for _i, why in result.failures)
 
 
 def test_mutation_lost_tone_drop_deadlocks():
