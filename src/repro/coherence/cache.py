@@ -100,16 +100,18 @@ class CacheController:
         self._hit_latency = config.l1.round_trip_cycles
         self._update_threshold = config.directory.update_count_threshold
         # Permission sets come from the protocol backend — a backend must
-        # opt in to W-state readability rather than inherit WiDir's.
+        # opt in to W-state readability rather than inherit WiDir's. They
+        # are public, with ``array``: the core's issue loop does L1 hits
+        # against them itself (:meth:`Core._step <repro.cpu.core.Core._step>`).
         from repro.coherence.backend import get_backend
 
         backend = get_backend(config.protocol)
-        self._readable = backend.readable_states
-        self._writable = backend.writable_states
-        # Address decomposition constants, hoisted from ``amap``: the CPU
-        # entry points below run once per memory reference and the two
-        # method calls per access were measurable. The arithmetic is
-        # identical to AddressMap.line_of / word_of.
+        self.readable_states = backend.readable_states
+        self.writable_states = backend.writable_states
+        # Address decomposition constants, hoisted from ``amap``: the access
+        # engine below runs once per miss and retry, and the two method
+        # calls per access were measurable. The arithmetic is identical to
+        # AddressMap.line_of / word_of.
         self._line_shift = amap.line_bytes.bit_length() - 1
         self._offset_mask = amap.line_bytes - 1
         self._word_shift = AddressMap.WORD_BYTES.bit_length() - 1
@@ -136,7 +138,9 @@ class CacheController:
         s = stats
         # The three CPU entry-point counters are kept as Counter *objects*
         # and bumped with a direct ``.value += 1`` (cheaper still than the
-        # bound-method adders used for the colder counters below).
+        # bound-method adders used for the colder counters below). A core
+        # counts its own loads and stores and folds them into the same
+        # counters (:meth:`Core._fold <repro.cpu.core.Core._fold>`).
         self._loads_counter = s.counter(f"l1.{node}.loads")
         self._stores_counter = s.counter(f"l1.{node}.stores")
         self._rmws_counter = s.counter(f"l1.{node}.rmws")
@@ -159,33 +163,12 @@ class CacheController:
         self._accesses_counter.value += 1
         self._do_load(address, on_done)
 
-    def load_probe(self, address: int) -> bool:
-        """Counter-bumping L1 read-hit probe for the core's issue loop.
-
-        Its only caller is :meth:`Core._step <repro.cpu.core.Core._step>`.
-        Bumps the load and access counters and looks the line up, which
-        makes a resident line MRU whatever its state. On a read hit it
-        applies the rest of :meth:`_do_load`'s hit side effects (a W line's
-        update count is reset) and returns True, without reading the word
-        or scheduling a completion: the core only needs to know that the
-        load hit, and schedules its own wake-up at the L1 round trip.
-        Returns False on a miss, in which case the caller must follow with
-        :meth:`load_miss` (the counters are already bumped).
-
-        The probe used to return the word, or None on a miss, so a word of
-        ``0`` meant a hit; it now returns a bool.
-        """
-        self._loads_counter.value += 1
-        self._accesses_counter.value += 1
-        entry = self.array.lookup(address >> self._line_shift)
-        if entry is not None and entry.state in self._readable:
-            if entry.state == WIRELESS:
-                entry.update_count = 0
-            return True
-        return False
-
     def load_miss(self, address: int, on_done: Callable[[int], None]) -> None:
-        """Miss leg of the :meth:`load_probe` pair (counters already bumped)."""
+        """A load the core's inline hit check missed.
+
+        Its only caller is :meth:`Core._step <repro.cpu.core.Core._step>`,
+        which has already counted the load and touched a resident line.
+        """
         line = address >> self._line_shift
         self._miss(line, False, False, lambda: self._do_load(address, on_done))
 
@@ -195,31 +178,12 @@ class CacheController:
         self._accesses_counter.value += 1
         self._do_store(address, value, on_done)
 
-    def store_probe(self, address: int, value: int) -> bool:
-        """Counter-bumping M/E write-hit probe for the core's issue loop.
-
-        On an M/E hit the store is performed immediately (state to M, dirty
-        set, word written — exactly what the head of :meth:`_do_store`
-        does) and True is returned; the core schedules its own completion
-        at the L1 round trip. Returns False on any other state, in which
-        case the caller must follow with :meth:`store_miss`.
-        """
-        self._stores_counter.value += 1
-        self._accesses_counter.value += 1
-        entry = self.array.lookup(address >> self._line_shift)
-        if entry is not None and entry.state in self._writable:
-            entry.state = MODIFIED
-            entry.dirty = True
-            entry.data[(address & self._offset_mask) >> self._word_shift] = value
-            return True
-        return False
-
     def store_miss(
         self, address: int, value: int, on_done: Callable[[], None]
     ) -> None:
-        """Non-M/E leg of the :meth:`store_probe` pair (W, S, and miss
-        paths; counters already bumped). Re-enters :meth:`_do_store`, whose
-        M/E head cannot match — the probe just ruled it out this cycle."""
+        """A store the core's inline hit check did not perform (W, S and
+        miss paths; already counted). Re-enters :meth:`_do_store`, whose
+        M/E head cannot match: the core just ruled it out this cycle."""
         self._do_store(address, value, on_done)
 
     def rmw(self, address: int, on_done: Callable[[int], None]) -> None:
@@ -238,7 +202,7 @@ class CacheController:
     def _do_load(self, address: int, on_done: Callable[[int], None]) -> None:
         line = address >> self._line_shift
         entry = self.array.lookup(line)
-        if entry is not None and entry.state in self._readable:
+        if entry is not None and entry.state in self.readable_states:
             if entry.state == WIRELESS:
                 entry.update_count = 0
             word = (address & self._offset_mask) >> self._word_shift
@@ -252,7 +216,7 @@ class CacheController:
         word = (address & self._offset_mask) >> self._word_shift
         entry = self.array.lookup(line)
         if entry is not None:
-            if entry.state in self._writable:
+            if entry.state in self.writable_states:
                 entry.state = MODIFIED
                 entry.dirty = True
                 entry.data[word] = value
@@ -273,7 +237,7 @@ class CacheController:
         word = (address & self._offset_mask) >> self._word_shift
         entry = self.array.lookup(line)
         if entry is not None:
-            if entry.state in self._writable:
+            if entry.state in self.writable_states:
                 old = entry.data.get(word, 0)
                 entry.state = MODIFIED
                 entry.dirty = True

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.coherence.states import MODIFIED, WIRELESS
 from repro.config.system import SystemConfig
 from repro.cpu.sync import PhaseBarrier
 from repro.cpu.trace import (
@@ -34,6 +35,7 @@ from repro.cpu.trace import (
     TraceChunk,
 )
 from repro.engine.simulator import Simulator
+from repro.mem.address import AddressMap
 from repro.stats.collectors import Histogram, LatencyStat, StatsRegistry
 
 
@@ -69,7 +71,14 @@ class CoreResult:
 
 
 class Core:
-    """Executes one trace against one tile's cache controller."""
+    """Executes one trace against one tile's cache controller.
+
+    ``cache`` is the tile's L1. Besides the miss entry points
+    (``load_miss``, ``store_miss``, ``rmw``) it publishes its tag array
+    (``array``, a :class:`~repro.mem.cache_array.CacheArray`) and its
+    protocol backend's permission sets (``readable_states``,
+    ``writable_states``): :meth:`_step` does every L1 hit itself.
+    """
 
     def __init__(
         self,
@@ -86,11 +95,15 @@ class Core:
         self.config = config
         self.barrier = barrier
         self._result = CoreResult(node)
-        #: L1 hits retired since the last fold into ``_result`` (see
-        #: :attr:`result`): a hit's latency is the constant
-        #: ``_hit_latency``, so counting it is enough.
+        #: Tallies since the last :meth:`_fold`. Each load and store counts
+        #: once, as a hit or a miss; ``_instructions`` holds think
+        #: instructions and RMWs. :meth:`_fold` adds them to the result and
+        #: to the registry counters whenever either is read.
         self._load_hits = 0
+        self._load_misses = 0
         self._store_hits = 0
+        self._store_misses = 0
+        self._instructions = 0
         self._issue_width = config.core.issue_width
         self._max_loads = config.core.max_outstanding_misses
         self._wb_capacity = config.core.write_buffer_entries
@@ -112,29 +125,44 @@ class Core:
         self._wakeup: Optional[Callable[[], bool]] = None
         self._on_finish: Optional[Callable[["Core"], None]] = None
         self._finished = False
-        # Counter objects bumped via direct ``.value +=``: instructions are
-        # counted once per trace op and even the bound ``Counter.add`` call
-        # was visible in profiles.
+        # The counters the tallies fold into: the core's instruction
+        # counters and the L1's reference counters.
         self._instr = stats.counter(f"core.{node}.instructions")
         self._instr_total = stats.counter("core.total.instructions")
+        self._l1_loads = stats.counter(f"l1.{node}.loads")
+        self._l1_stores = stats.counter(f"l1.{node}.stores")
+        self._l1_accesses = stats.counter("l1.total.accesses")
+        self._stats = stats
         # More hot-path bindings: one attribute hop instead of two or three
         # in the per-operation issue/complete closures.
-        self._schedule = sim.schedule
         self._load_record = self._result.load_latency.record
         self._store_record = self._result.store_latency.record
         self._hist_record = self._result.latency_hist.record
         #: L1 hit round trip — the constant latency of the hit branches
         #: in :meth:`_step`.
         self._hit_latency = config.l1.round_trip_cycles
+        # The L1 the hit branches work on, and the address split of
+        # AddressMap.line_of / word_of.
+        self._l1_sets = cache.array.sets
+        self._l1_set_mask = cache.array.set_mask
+        self._readable = cache.readable_states
+        self._writable = cache.writable_states
+        line_bytes = config.l1.line_bytes
+        self._line_shift = line_bytes.bit_length() - 1
+        self._offset_mask = line_bytes - 1
+        self._word_shift = AddressMap.WORD_BYTES.bit_length() - 1
+        # The event queue's append interface (see repro.engine.batch):
+        # hit and think wake-ups go straight into its ring.
+        self._queue = sim.queue
+        self._buckets = sim.queue.buckets
+        self._ring_mask = sim.queue.mask
         # The callbacks every hit and think schedules, bound once instead
-        # of creating a bound method per ``schedule`` call.
+        # of creating a bound method per wake-up.
         self._step_cb = self._step
         self._nb_hit_done_cb = self._nb_hit_done
         self._st_hit_done_cb = self._st_hit_done
-        # Probe/miss entry points, bound once.
-        self._load_probe = cache.load_probe
+        # Miss entry points, bound once.
         self._load_miss = cache.load_miss
-        self._store_probe = cache.store_probe
         self._store_miss = cache.store_miss
 
     # --------------------------------------------------------------- control
@@ -158,6 +186,10 @@ class Core:
         """
         if not isinstance(trace, TraceChunk):
             trace = TraceChunk.from_ops(trace)
+        # From the first trace on, every counter read folds this core's
+        # tallies. Not before: a machine's cores are built one after
+        # another, and each counter lookup would fold every earlier core.
+        self._stats.add_flush(self._fold)
         self._chunk_source = chunk_source
         self._bind_chunk(trace)
         self._finished = False
@@ -180,25 +212,41 @@ class Core:
 
     @property
     def result(self) -> CoreResult:
-        """This core's accumulators, with every L1 hit so far folded in.
-
-        The hit fast paths only count hits; reading the result through
-        this property folds the counts into the latency collectors first,
-        so the finish path, snapshot capture and every harvest see exactly
-        the values per-hit recording would have produced.
-        """
-        if self._load_hits or self._store_hits:
-            self._fold_hits()
+        """This core's accumulators, with every tally so far folded in."""
+        self._fold()
         return self._result
 
-    def _fold_hits(self) -> None:
-        latency = self._hit_latency
+    def _fold(self) -> None:
+        """Add the tallies to the result and the registry counters.
+
+        :attr:`result` and :meth:`StatsRegistry.flush
+        <repro.stats.collectors.StatsRegistry.flush>` call this before
+        every read, so a reader sees exactly the values that counting and
+        recording each reference at issue would give: a hit's latency is
+        the constant L1 round trip, and latency records are order-free
+        sums.
+        """
+        load_hits = self._load_hits
+        store_hits = self._store_hits
+        loads = load_hits + self._load_misses
+        stores = store_hits + self._store_misses
+        instructions = self._instructions + loads + stores
+        if not instructions:
+            return
+        self._load_hits = self._load_misses = 0
+        self._store_hits = self._store_misses = 0
+        self._instructions = 0
         result = self._result
-        result.load_latency.record_many(latency, self._load_hits)
-        result.store_latency.record_many(latency, self._store_hits)
-        result.latency_hist.record_many(latency, self._load_hits + self._store_hits)
-        self._load_hits = 0
-        self._store_hits = 0
+        result.instructions += instructions
+        self._instr.value += instructions
+        self._instr_total.value += instructions
+        self._l1_loads.value += loads
+        self._l1_stores.value += stores
+        self._l1_accesses.value += loads + stores
+        latency = self._hit_latency
+        result.load_latency.record_many(latency, load_hits)
+        result.store_latency.record_many(latency, store_hits)
+        result.latency_hist.record_many(latency, load_hits + store_hits)
 
     # ------------------------------------------------------------ execution
 
@@ -206,12 +254,15 @@ class Core:
         """Advance through trace ops until blocked or done.
 
         This runs once per wake-up across every core, and almost every
-        reference is an L1 hit, so the load and store branches do the
-        issue work themselves: a hit costs one probe call and one
-        ``schedule`` call, and only a miss leaves the loop
-        (:meth:`_issue_load_miss`, :meth:`_issue_store_miss`). A hit's
-        wake-up takes the ``(time, seq)`` slot its completion closure
-        would have, so the event order is the general path's.
+        reference is an L1 hit, so an L1 hit makes no Python call. The
+        load and store branches look the line up in the L1's tag array
+        and, on a hit, do what the L1 would: the LRU touch, the W update
+        count reset of a load, the M/dirty/word write of a store. A hit
+        or think op only bumps a tally (see :meth:`_fold`) and appends its
+        wake-up to the event queue's ring under the append rule of
+        :mod:`repro.engine.batch`, which gives it the ``(time, seq)`` slot
+        a ``Simulator.schedule`` call would. Only a miss leaves the loop
+        (:meth:`_issue_load_miss`, :meth:`_issue_store_miss`).
 
         The trace *columns* (struct-of-arrays, see
         :class:`~repro.cpu.trace.TraceChunk`), their length and the
@@ -228,16 +279,20 @@ class Core:
         while True:
             while pc < trace_len:
                 kind = kinds[pc]
+                # Each branch either leaves the op to a helper (and
+                # continues or returns), or sets the wake-up to append:
+                # ``delay``, ``wake``, and ``parked`` when the core waits
+                # for it.
                 if kind == OP_THINK:
                     arg = self._args[pc]
-                    self._pc = pc + 1
-                    self._result.instructions += arg
-                    self._instr.value += arg
-                    self._instr_total.value += arg
-                    cycles = -(-arg // self._issue_width)
-                    self._schedule(cycles if cycles > 0 else 1, self._step_cb)
-                    return
-                if kind == OP_LOAD:
+                    pc += 1
+                    self._instructions += arg
+                    delay = -(-arg // self._issue_width)
+                    if delay <= 0:
+                        delay = 1
+                    wake = self._step_cb
+                    parked = True
+                elif kind == OP_LOAD:
                     if self._outstanding_loads >= self._max_loads:
                         self._pc = pc
                         self._block(
@@ -247,33 +302,34 @@ class Core:
                     address = addresses[pc]
                     blocking = self._blocking[pc]
                     pc += 1
-                    self._result.instructions += 1
-                    self._instr.value += 1
-                    self._instr_total.value += 1
-                    if self._load_probe(address):
-                        # L1 read hit: the latency is the constant L1 round
-                        # trip and the wake-up target is known now, so count
-                        # the hit at issue (latency records are order-free
-                        # sums; :attr:`result` folds the count in) and
-                        # schedule the wake directly — no completion closure.
-                        self._load_hits += 1
-                        if blocking:
-                            # The general path blocks with ``grace == hit
-                            # latency`` and so charges no stall for a hit;
-                            # skipping the block/wake bookkeeping is
-                            # equivalent.
-                            self._pc = pc
-                            self._schedule(self._hit_latency, self._step_cb)
+                    line = address >> self._line_shift
+                    cache_set = self._l1_sets[line & self._l1_set_mask]
+                    entry = cache_set.get(line)
+                    if entry is not None:
+                        # LRU touch, as CacheArray.lookup makes it.
+                        del cache_set[line]
+                        cache_set[line] = entry
+                    if entry is None or entry.state not in self._readable:
+                        self._pc = pc
+                        if not self._issue_load_miss(address, blocking):
                             return
-                        self._outstanding_loads += 1
-                        self._schedule(self._hit_latency, self._nb_hit_done_cb)
+                        pc = self._pc
                         continue
-                    self._pc = pc
-                    if not self._issue_load_miss(address, blocking):
-                        return
-                    pc = self._pc
-                    continue
-                if kind == OP_STORE:
+                    if entry.state == WIRELESS:
+                        entry.update_count = 0
+                    self._load_hits += 1
+                    delay = self._hit_latency
+                    if blocking:
+                        # The general path blocks with ``grace == hit
+                        # latency`` and so charges no stall for a hit;
+                        # skipping the block/wake bookkeeping is equivalent.
+                        wake = self._step_cb
+                        parked = True
+                    else:
+                        self._outstanding_loads += 1
+                        wake = self._nb_hit_done_cb
+                        parked = False
+                elif kind == OP_STORE:
                     if self._wb_occupancy >= self._wb_capacity:
                         self._pc = pc
                         self._block(
@@ -283,32 +339,51 @@ class Core:
                     address = addresses[pc]
                     value = self._values[pc]
                     pc += 1
-                    self._result.instructions += 1
-                    self._instr.value += 1
-                    self._instr_total.value += 1
                     self._wb_occupancy += 1
-                    if self._store_probe(address, value):
-                        # M/E write hit: the same count-at-issue and direct
-                        # wake-up as a load hit.
-                        self._store_hits += 1
-                        self._schedule(self._hit_latency, self._st_hit_done_cb)
+                    line = address >> self._line_shift
+                    cache_set = self._l1_sets[line & self._l1_set_mask]
+                    entry = cache_set.get(line)
+                    if entry is not None:
+                        del cache_set[line]
+                        cache_set[line] = entry
+                    if entry is None or entry.state not in self._writable:
+                        self._pc = pc
+                        self._issue_store_miss(address, value)
+                        pc = self._pc
                         continue
-                    self._pc = pc
-                    self._issue_store_miss(address, value)
-                    pc = self._pc
-                    continue
-                if kind == OP_RMW:
+                    # M/E write hit: performed now, as the L1 would.
+                    entry.state = MODIFIED
+                    entry.dirty = True
+                    entry.data[(address & self._offset_mask) >> self._word_shift] = value
+                    self._store_hits += 1
+                    delay = self._hit_latency
+                    wake = self._st_hit_done_cb
+                    parked = False
+                elif kind == OP_RMW:
                     self._pc = pc
                     if not self._issue_rmw(addresses[pc]):
                         return
                     pc = self._pc
                     continue
-                if kind == OP_BARRIER:
+                elif kind == OP_BARRIER:
                     self._pc = pc
                     if not self._issue_barrier(self._args[pc]):
                         return
                     pc = self._pc
                     continue
+                else:
+                    raise ValueError(f"unknown trace op kind {kind!r}")
+                # Append the wake-up (the rule of repro.engine.batch).
+                time = self.sim.now + delay
+                queue = self._queue
+                if time < queue.horizon:
+                    self._buckets[time & self._ring_mask].append(wake)
+                    queue.ring_live += 1
+                else:
+                    self.sim.schedule_at(time, wake)
+                if parked:
+                    self._pc = pc
+                    return
             self._pc = pc
             # Chunk drained: synchronously pull the next one if streaming.
             # Rebinding inside the wake-up keeps the event stream identical
@@ -334,7 +409,7 @@ class Core:
         if self._finished:
             return
         self._finished = True
-        self.result.finish_cycle = self.sim.now  # folds the pending hits
+        self.result.finish_cycle = self.sim.now  # folds the tallies
         if self._on_finish is not None:
             self._on_finish(self)
 
@@ -376,11 +451,12 @@ class Core:
     # ------------------------------------------------------------- load path
 
     def _issue_load_miss(self, address: int, blocking: bool) -> bool:
-        """Send a load the probe missed (already counted and past ``pc``).
+        """Send a load the hit check missed (already past ``pc``).
 
         Returns False when the core must wait for it: a blocking load whose
         data has not arrived.
         """
+        self._load_misses += 1
         self._outstanding_loads += 1
         issued = self.sim.now
         completed = [False]  # one-slot cell: cheaper than a dict in this hot path
@@ -401,7 +477,7 @@ class Core:
         return True
 
     def _nb_hit_done(self) -> None:
-        """Completion of a non-blocking L1 hit load (the hit was counted
+        """Completion of a non-blocking L1 hit load (the hit was tallied
         at issue): release the MLP slot and re-check any stall condition."""
         self._outstanding_loads -= 1
         if self._wakeup is not None:
@@ -410,8 +486,9 @@ class Core:
     # ------------------------------------------------------------ store path
 
     def _issue_store_miss(self, address: int, value: int) -> None:
-        """Send a store the probe did not perform (already counted, past
-        ``pc`` and holding its write-buffer slot)."""
+        """Send a store the hit check did not perform (already past ``pc``
+        and holding its write-buffer slot)."""
+        self._store_misses += 1
         issued = self.sim.now
 
         def on_done() -> None:
@@ -424,7 +501,7 @@ class Core:
         self._store_miss(address, value, on_done)
 
     def _st_hit_done(self) -> None:
-        """Completion of an M/E store hit (the hit was counted at issue):
+        """Completion of an M/E store hit (the hit was tallied at issue):
         drain the write-buffer slot and re-check any stall condition."""
         self._wb_occupancy -= 1
         if self._wakeup is not None:
@@ -439,9 +516,7 @@ class Core:
             self._block("memory", self._no_outstanding)
             return False
         self._pc += 1
-        self._result.instructions += 1
-        self._instr.value += 1
-        self._instr_total.value += 1
+        self._instructions += 1
         issued = self.sim.now
         completed = [False]
 

@@ -29,6 +29,23 @@ The ring base never passes the simulator's clock, so every schedulable
 cycle in ``[base, base + window)`` owns a distinct bucket.
 :meth:`Simulator.run <repro.engine.simulator.Simulator.run>` walks the
 buckets directly; this class holds the storage and the window advance.
+
+**Appending** is the queue's interface, and it is public so a hot caller
+can inline it instead of calling :meth:`Simulator.schedule
+<repro.engine.simulator.Simulator.schedule>`. A callback for cycle
+``time`` (``time >= sim.now``) goes into the ring only when
+``time < queue.horizon``::
+
+    queue.buckets[time & queue.mask].append(callback)
+    queue.ring_live += 1
+
+Any other cycle goes through ``sim.schedule_at(time, callback)``, which
+spills it with the next spill sequence number. The horizon test is what
+keeps the crossover argument above true: a callback appended past the
+horizon would land in the bucket of an earlier cycle, and one appended
+for a cycle that already holds spilled callbacks would run before them.
+``Simulator.schedule``/``schedule_at`` and the hit and think wake-ups of
+:meth:`Core._step <repro.cpu.core.Core._step>` are the appenders.
 """
 
 from __future__ import annotations
@@ -49,37 +66,37 @@ class CohortQueue:
     """Cycle-bucketed callback storage: a ring of cohorts plus a spill heap."""
 
     __slots__ = (
-        "_buckets",
-        "_mask",
+        "buckets",
+        "mask",
         "_window",
         "_spill",
         "_seq",
-        "_ring_live",
+        "ring_live",
         "_base",
-        "_horizon",
+        "horizon",
     )
 
     def __init__(self, window: int = COHORT_WINDOW) -> None:
         if window <= 0 or window & (window - 1):
             raise SimulationError(f"cohort window must be a power of two, got {window}")
         self._window = window
-        self._mask = window - 1
-        self._buckets: List[List[Callable[[], None]]] = [[] for _ in range(window)]
-        #: Callbacks whose cycle lies at or beyond ``_horizon``.
+        self.mask = window - 1
+        self.buckets: List[List[Callable[[], None]]] = [[] for _ in range(window)]
+        #: Callbacks whose cycle lies at or beyond ``horizon``.
         self._spill: List[Tuple[int, int, Callable[[], None]]] = []
         #: Spill tie-break: the next spilled callback's sequence number.
         self._seq = 0
         #: Callbacks currently resident in the ring (excludes spill).
-        self._ring_live = 0
+        self.ring_live = 0
         #: Smallest cycle the ring can currently represent. Advanced by the
         #: simulator's drain loop, never past its clock (never rewound).
         self._base = 0
-        #: ``_base + _window``, maintained as one field so the schedule hot
-        #: path tests a single attribute.
-        self._horizon = window
+        #: ``_base + _window``, maintained as one field so an append tests
+        #: a single attribute.
+        self.horizon = window
 
     def __len__(self) -> int:
-        return self._ring_live + len(self._spill)
+        return self.ring_live + len(self._spill)
 
     def advance_base(self, base: int) -> None:
         """Move the ring window to ``[base, base + window)``.
@@ -91,15 +108,15 @@ class CohortQueue:
         """
         self._base = base
         horizon = base + self._window
-        self._horizon = horizon
+        self.horizon = horizon
         spill = self._spill
         if not spill:
             return
-        buckets = self._buckets
-        mask = self._mask
+        buckets = self.buckets
+        mask = self.mask
         pulled = 0
         while spill and spill[0][0] < horizon:
             time, _, callback = heapq.heappop(spill)
             buckets[time & mask].append(callback)
             pulled += 1
-        self._ring_live += pulled
+        self.ring_live += pulled

@@ -65,17 +65,17 @@ class Simulator:
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` cycles from now (delay >= 0).
 
-        The queue insert is inlined (no helper call): scheduling is the
-        most-called operation in the kernel and the extra call frame was
-        measurable.
+        The queue insert is the append rule of :mod:`repro.engine.batch`,
+        inlined (no helper call): scheduling is the most-called operation
+        in the kernel and the extra call frame was measurable.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         queue = self.queue
-        if time < queue._horizon:
-            queue._buckets[time & queue._mask].append(callback)
-            queue._ring_live += 1
+        if time < queue.horizon:
+            queue.buckets[time & queue.mask].append(callback)
+            queue.ring_live += 1
         else:
             seq = queue._seq
             queue._seq = seq + 1
@@ -91,9 +91,9 @@ class Simulator:
                 f"cannot schedule at cycle {time}, already at cycle {self.now}"
             )
         queue = self.queue
-        if time < queue._horizon:
-            queue._buckets[time & queue._mask].append(callback)
-            queue._ring_live += 1
+        if time < queue.horizon:
+            queue.buckets[time & queue.mask].append(callback)
+            queue.ring_live += 1
         else:
             seq = queue._seq
             queue._seq = seq + 1
@@ -128,16 +128,16 @@ class Simulator:
             )
         remaining = max_events
         queue = self.queue
-        buckets = queue._buckets
-        mask = queue._mask
+        buckets = queue.buckets
+        mask = queue.mask
         spill = queue._spill
         cycle = self.now
         half_window = queue._window >> 1
         adv_at = queue._base + half_window
         while True:
             # ---- locate the next cycle holding a queued callback.
-            if queue._ring_live:
-                limit = queue._horizon
+            if queue.ring_live:
+                limit = queue.horizon
                 while cycle < limit and not buckets[cycle & mask]:
                     cycle += 1
                 if cycle >= limit:  # pragma: no cover - ring_live guards this
@@ -185,7 +185,7 @@ class Simulator:
             finally:
                 # A raising callback leaves the count at those that returned.
                 self._events_executed += ran
-            queue._ring_live -= ran
+            queue.ring_live -= ran
             if len(bucket) > ran:  # the budget ran out mid-cohort
                 del bucket[:ran]
                 raise SimulationError(

@@ -43,6 +43,12 @@ class CacheArray:
     re-inserts the key, which moves it to the end — the same ordering an
     ``OrderedDict.move_to_end`` gives, without the heavier per-set object).
     ``Pinned`` lines (RMW in flight) are skipped when choosing a victim.
+
+    The tag array is public: ``sets[line & set_mask]`` is the set ``line``
+    maps to. The core's issue loop (:meth:`Core._step
+    <repro.cpu.core.Core._step>`) does an L1 hit against it directly: a
+    ``get``, then the LRU touch :meth:`lookup` makes. Only
+    :meth:`insert` and :meth:`remove` may add or drop a line.
     """
 
     def __init__(self, num_sets: int, associativity: int) -> None:
@@ -52,8 +58,8 @@ class CacheArray:
             raise SimulationError("associativity must be >= 1")
         self.num_sets = num_sets
         self.associativity = associativity
-        self._mask = num_sets - 1
-        self._sets: list[Dict[int, CacheLine]] = [{} for _ in range(num_sets)]
+        self.set_mask = num_sets - 1
+        self.sets: list[Dict[int, CacheLine]] = [{} for _ in range(num_sets)]
         self._resident = 0
         #: Machine-wide line -> holder bitmask this array keeps current
         #: (see :meth:`track_holders`); None when nothing reads one.
@@ -71,7 +77,7 @@ class CacheArray:
         self._holder_bit = 1 << node
 
     def _set_of(self, line: int) -> Dict[int, CacheLine]:
-        return self._sets[line & self._mask]
+        return self.sets[line & self.set_mask]
 
     def __len__(self) -> int:
         return self._resident
@@ -83,10 +89,12 @@ class CacheArray:
     def lookup(self, line: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line, updating LRU order unless ``touch=False``.
 
-        ``_set_of`` is inlined: this is the single most-called method of the
-        array (every load, store, and protocol message resolves tags here).
+        The controllers resolve tags here: every protocol message, miss
+        and retry. An L1 hit does not call it; the core makes the same
+        ``get`` and touch inline (see the class docstring). ``_set_of`` is
+        inlined all the same.
         """
-        cache_set = self._sets[line & self._mask]
+        cache_set = self.sets[line & self.set_mask]
         entry = cache_set.get(line)
         if entry is None:
             return None
@@ -156,7 +164,7 @@ class CacheArray:
 
     def lines(self) -> Iterator[CacheLine]:
         """Iterate over every resident line (tests and invariant checkers)."""
-        for cache_set in self._sets:
+        for cache_set in self.sets:
             yield from cache_set.values()
 
     def set_occupancy(self, line: int) -> int:

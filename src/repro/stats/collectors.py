@@ -7,7 +7,7 @@ attribute increments are faster than array indexing at this scale.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -309,6 +309,11 @@ class StatsRegistry:
     Components call :meth:`counter` / :meth:`latency` / :meth:`histogram`
     once at construction; the same object is returned on repeat calls so the
     harness can look stats up by name after a run.
+
+    Counter values are read through the registry (:meth:`counter`,
+    :meth:`counters`, :meth:`get_counter`): each read runs :meth:`flush`
+    first, so counters that a component tallies on its hot path and adds
+    in later read as if every event had bumped them.
     """
 
     def __init__(self, name: str = "stats") -> None:
@@ -317,8 +322,25 @@ class StatsRegistry:
         self._latencies: Dict[str, LatencyStat] = {}
         self._binned: Dict[str, BinnedHistogram] = {}
         self._exact: Dict[str, ExactHistogram] = {}
+        #: Insertion-ordered set of flush callbacks.
+        self._flushes: Dict[Callable[[], None], None] = {}
+
+    def add_flush(self, flush: Callable[[], None]) -> None:
+        """Run ``flush`` before every counter read (adding it again is a
+        no-op).
+
+        A core adds :meth:`Core._fold <repro.cpu.core.Core._fold>`, which
+        adds its reference and instruction tallies to its counters.
+        """
+        self._flushes[flush] = None
+
+    def flush(self) -> None:
+        """Bring every tallied counter up to date (see :meth:`add_flush`)."""
+        for flush in self._flushes:
+            flush()
 
     def counter(self, name: str) -> Counter:
+        self.flush()
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
@@ -353,9 +375,11 @@ class StatsRegistry:
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of all counter values (for assertions and reports)."""
+        self.flush()
         return {n: c.value for n, c in self._counters.items()}
 
     def get_counter(self, name: str) -> int:
         """Value of a counter, 0 if it was never created."""
+        self.flush()
         counter = self._counters.get(name)
         return counter.value if counter else 0

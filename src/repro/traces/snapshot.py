@@ -142,7 +142,7 @@ def _extras_out(component) -> Dict[str, int]:
 
 def _capture_cache(cache) -> Dict:
     sets_out = []
-    for index, cache_set in enumerate(cache.array._sets):
+    for index, cache_set in enumerate(cache.array.sets):
         if not cache_set:
             continue
         sets_out.append(
@@ -200,7 +200,9 @@ def _capture_directory(directory) -> Dict:
 
 def _capture_stats(stats) -> Dict:
     return {
-        "counters": [[name, c.value] for name, c in stats._counters.items()],
+        # Read through counters(), which folds every core's pending
+        # reference and instruction tallies in first.
+        "counters": [[name, value] for name, value in stats.counters().items()],
         "latencies": [
             [name, s.count, s.total, s.min, s.max]
             for name, s in stats._latencies.items()

@@ -17,9 +17,15 @@ import heapq
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coherence.states import MODIFIED, READABLE_STATES, WRITABLE_STATES
+from repro.config import paper_config
+from repro.cpu import trace as t
+from repro.cpu.core import Core
 from repro.engine.batch import COHORT_WINDOW, CohortQueue
 from repro.engine.errors import SimulationError
 from repro.engine.simulator import Simulator
+from repro.mem.cache_array import CacheArray
+from repro.stats.collectors import StatsRegistry
 
 W = COHORT_WINDOW
 
@@ -231,6 +237,64 @@ class TestBatchedSimulatorParity:
         fired, end = self._run_both(populate)
         assert fired == [i * hop for i in range(11)]
         assert end == 10 * hop
+
+
+class _HitL1:
+    """An L1 holding line 0 in M: every reference to it hits."""
+
+    readable_states = READABLE_STATES
+    writable_states = WRITABLE_STATES
+
+    def __init__(self):
+        self.array = CacheArray(num_sets=1, associativity=1)
+        self.array.insert(0, MODIFIED)
+
+    def load_miss(self, *args):
+        raise AssertionError("a reference to line 0 missed")
+
+    store_miss = rmw = load_miss
+
+
+class TestInlineAppends:
+    """The core appends its hit and think wake-ups to the ring itself,
+    under the append rule of :mod:`repro.engine.batch`.
+
+    Inside ``run`` the horizon lies more than half a window ahead of the
+    clock, so only a think longer than that can reach the spill path.
+    After ``run(until=)`` stops short of a spilled callback, though, the
+    ring still ends where it was: these tests step a core right there,
+    from outside ``run``.
+    """
+
+    def _stopped_at_9000(self, fired):
+        sim = Simulator()
+        sim.schedule_at(10_000, lambda: fired.append(("spilled", sim.now)))
+        assert sim.run(until=9_000) == 9_000
+        assert sim.queue.horizon == W == 4_096
+        return sim
+
+    def _step_core(self, sim, ops, fired):
+        core = Core(sim, 0, _HitL1(), paper_config(num_cores=4), StatsRegistry())
+        core._bind_chunk(t.TraceChunk.from_ops(ops))
+        core._on_finish = lambda _core: fired.append(("core", sim.now))
+        core._step()
+        return core
+
+    def test_think_wake_beyond_the_horizon_spills(self):
+        fired = []
+        sim = self._stopped_at_9000(fired)
+        self._step_core(sim, [t.think(20_000)], fired)  # 5,000 cycles, 4-wide
+        sim.run()
+        assert fired == [("spilled", 10_000), ("core", 14_000)]
+
+    def test_hit_wake_runs_after_an_earlier_spill_for_its_cycle(self):
+        fired = []
+        sim = self._stopped_at_9000(fired)
+        sim.schedule(2, lambda: fired.append(("scheduled", sim.now)))
+        core = self._step_core(sim, [t.load(0)], fired)  # 2-cycle hit
+        assert core.result.load_latency.count == 1
+        sim.run()
+        assert fired == [("scheduled", 9_002), ("core", 9_002), ("spilled", 10_000)]
 
 
 # ------------------------------------------------- random differential

@@ -5,6 +5,8 @@ import pytest
 from repro.coherence import messages as mk
 from repro.coherence.backend import get_backend
 from repro.config import baseline_config, widir_config
+from repro.cpu import trace as t
+from repro.cpu.core import Core
 from repro.engine.errors import ProtocolError
 from repro.noc.message import Message
 from repro.system import Manycore
@@ -244,6 +246,8 @@ def probed_machine(protocol, state):
 
 
 def counts(machine, kind):
+    """``l1.<PROBE_CORE>.<kind>`` and ``l1.total.accesses``, read through
+    the registry (which folds the core's tallies in first)."""
     stats = machine.stats
     return (
         stats.counter(f"l1.{PROBE_CORE}.{kind}").value,
@@ -251,16 +255,37 @@ def counts(machine, kind):
     )
 
 
+def issue_one(machine, op):
+    """Issue ``op`` on a core bound to PROBE_CORE's L1 and run it out.
+
+    The L1's miss legs are replaced by recorders before the core binds
+    them, so only the core's hit check acts on the line. Returns the core
+    and the addresses that took a miss leg.
+    """
+    cache = machine.caches[PROBE_CORE]
+    missed = []
+    cache.load_miss = lambda address, on_done: missed.append(address)
+    cache.store_miss = lambda address, value, on_done: missed.append(address)
+    core = Core(machine.sim, PROBE_CORE, cache, machine.config, machine.stats)
+    core.run_trace([op])
+    machine.run(max_events=1_000)
+    return core, missed
+
+
 class TestProbes:
-    """Side effects of the probes the core's issue loop calls per access."""
+    """The L1 hit check the core's issue loop makes per access
+    (:meth:`Core._step <repro.cpu.core.Core._step>`), one reference at a
+    time over a real L1."""
 
     @pytest.mark.parametrize("protocol,state", PROBE_CASES)
     def test_load_probe(self, protocol, state):
         machine, cache, line, entry = probed_machine(protocol, state)
         readable = get_backend(machine.config.protocol).readable_states
         loads, accesses = counts(machine, "loads")
-        hit = cache.load_probe(ADDR + 8)
+        core, missed = issue_one(machine, t.load(ADDR + 8))
+        hit = not missed
         assert hit is (state in readable)
+        assert core.finished is hit
         assert counts(machine, "loads") == (loads + 1, accesses + 1)
         if entry is None:
             assert cache.array.lookup(line, touch=False) is None
@@ -275,8 +300,10 @@ class TestProbes:
         writable = get_backend(machine.config.protocol).writable_states
         stores, accesses = counts(machine, "stores")
         before = dict(entry.data) if entry is not None else None
-        hit = cache.store_probe(ADDR + 8, 77)
+        core, missed = issue_one(machine, t.store(ADDR + 8, 77))
+        hit = not missed
         assert hit is (state in writable)
+        assert core.finished is hit
         assert counts(machine, "stores") == (stores + 1, accesses + 1)
         if entry is None:
             assert cache.array.lookup(line, touch=False) is None

@@ -1,22 +1,39 @@
-"""Tests for the trace-driven core model against a mock cache."""
+"""Tests for the trace-driven core model against mock caches, and of its
+counter reads on a real machine."""
 
 from typing import Callable, Dict, List
 
 import pytest
 
-from repro.config import paper_config
+from repro.coherence.states import MODIFIED, READABLE_STATES, WRITABLE_STATES
+from repro.config import paper_config, widir_config
 from repro.cpu.core import Core
 from repro.cpu.sync import PhaseBarrier
 from repro.cpu import trace as t
 from repro.engine.simulator import Simulator
+from repro.harness.runner import build_machine
+from repro.mem.cache_array import CacheArray
 from repro.stats.collectors import StatsRegistry
+from repro.workloads import build_traces, resolve_profile
+
+
+def l1_array(resident=()) -> CacheArray:
+    """A real L1 tag array (the core does its hits against it) holding
+    ``resident`` lines in M, which is readable and writable."""
+    array = CacheArray(num_sets=64, associativity=8)
+    for line in resident:
+        array.insert(line, MODIFIED)
+    return array
 
 
 class MockCache:
     """Deterministic cache stub with a programmable per-line latency.
 
-    Its probes always miss, so every load and store takes the miss leg.
+    Its tag array holds no line, so every load and store takes the miss leg.
     """
+
+    readable_states = READABLE_STATES
+    writable_states = WRITABLE_STATES
 
     def __init__(self, sim: Simulator, latency: int = 2) -> None:
         self.sim = sim
@@ -24,18 +41,13 @@ class MockCache:
         self.latency_of: Dict[int, int] = {}
         self.values: Dict[int, int] = {}
         self.calls: List[str] = []
+        self.array = l1_array()
 
     def _delay(self, address: int) -> int:
         return self.latency_of.get(address >> 6, self.latency)
 
-    def load_probe(self, address: int) -> bool:
-        return False
-
     def load_miss(self, address: int, on_done: Callable[[int], None]) -> None:
         self.load(address, on_done)
-
-    def store_probe(self, address: int, value: int) -> bool:
-        return False
 
     def store_miss(self, address: int, value: int, on_done: Callable[[], None]) -> None:
         self.store(address, value, on_done)
@@ -58,31 +70,25 @@ class MockCache:
 
 
 class ProbeCache:
-    """Cache stub with the probe API the real controller offers.
+    """Cache stub with the hit surface the real controller publishes.
 
-    The probes follow its bool contract: True means the access hit and
-    was performed. Lines in ``resident`` hit; every other load or store
-    misses and completes ``MISS_LATENCY`` cycles later, as does every RMW.
+    Lines in ``resident`` sit in its tag array in M, so the core hits them
+    without a call; every other load or store misses and completes
+    ``MISS_LATENCY`` cycles later, as does every RMW.
     """
 
     MISS_LATENCY = 20
+    readable_states = READABLE_STATES
+    writable_states = WRITABLE_STATES
 
     def __init__(self, sim: Simulator, resident=()) -> None:
         self.sim = sim
-        self.resident = set(resident)
+        self.array = l1_array(resident)
         self.calls: List[str] = []
-
-    def load_probe(self, address: int) -> bool:
-        self.calls.append("load_probe")
-        return address >> 6 in self.resident
 
     def load_miss(self, address: int, on_done: Callable[[int], None]) -> None:
         self.calls.append("load_miss")
         self.sim.schedule(self.MISS_LATENCY, lambda: on_done(0))
-
-    def store_probe(self, address: int, value: int) -> bool:
-        self.calls.append("store_probe")
-        return address >> 6 in self.resident
 
     def store_miss(self, address: int, value: int, on_done: Callable[[], None]) -> None:
         self.calls.append("store_miss")
@@ -189,7 +195,7 @@ def run_probe_core(trace):
 
 
 class TestHitPath:
-    """The core's own hit branches, driven through a probing cache."""
+    """The core's own hit branches, driven over a cache's tag array."""
 
     def test_config_under_test(self):
         config = paper_config(num_cores=4)
@@ -208,7 +214,7 @@ class TestHitPath:
         assert result.load_latency.total == 18
         assert result.instructions == 9
         assert sim.events_executed == 10
-        assert cache.calls == ["load_probe"] * 9
+        assert cache.calls == []
 
     def test_store_hits_wait_for_a_free_write_buffer_slot(self):
         trace = [t.store(HIT + 8 * (i % 8), i) for i in range(65)]
@@ -218,7 +224,7 @@ class TestHitPath:
         assert result.memory_stall_cycles == 4
         assert result.store_latency.count == 65
         assert result.load_latency.count == 0
-        assert cache.calls == ["store_probe"] * 65
+        assert cache.calls == []
 
     def test_blocking_load_hits_resume_without_stall(self):
         core, _, _ = run_probe_core([t.load(HIT), t.load(HIT + 8), t.think(8)])
@@ -245,9 +251,7 @@ class TestHitPath:
         assert result.instructions == 7
         assert (result.load_latency.count, result.load_latency.total) == (2, 22)
         assert (result.store_latency.count, result.store_latency.total) == (2, 22)
-        assert cache.calls == [
-            "load_probe", "load_probe", "load_miss", "store_probe", "rmw",
-        ]
+        assert cache.calls == ["load_miss", "rmw"]
 
     def test_kind_equal_to_a_constant_but_not_interned_runs(self):
         kind = "".join(["lo", "ad"])
@@ -255,7 +259,71 @@ class TestHitPath:
         core, cache, _ = run_probe_core([t.TraceOp(kind, address=HIT)])
         assert core.result.finish_cycle == 2
         assert core.result.load_latency.count == 1
-        assert cache.calls == ["load_probe"]
+        assert cache.calls == []
+
+
+def prefix_totals(trace, pc):
+    """(instructions, loads, stores, rmws) of ``trace``'s first ``pc`` ops:
+    what counting every op at issue gives once the core is past them."""
+    kinds = trace.kinds[:pc]
+    think = sum(arg for kind, arg in zip(kinds, trace.args) if kind == t.OP_THINK)
+    loads = kinds.count(t.OP_LOAD)
+    stores = kinds.count(t.OP_STORE)
+    rmws = kinds.count(t.OP_RMW)
+    return think + loads + stores + rmws, loads, stores, rmws
+
+
+#: The ways to read a registry counter; each must fold the cores' tallies.
+COUNTER_READERS = {
+    "get_counter": lambda stats, name: stats.get_counter(name),
+    "counters": lambda stats, name: stats.counters()[name],
+    "counter": lambda stats, name: stats.counter(name).value,
+}
+
+
+class TestCounterReads:
+    """Cores tally references and instructions and fold them in on read;
+    every read must return what per-op counting would, at every cycle."""
+
+    CORES = 16
+    #: ``run(until=)`` stops (None runs to the end), each with the reader
+    #: that goes first there: its own fold must bring the counters up to
+    #: date. "result" reads ``Core.result`` before the registry.
+    STOPS = (
+        (500, "get_counter"),
+        (1_500, "counters"),
+        (2_500, "counter"),
+        (4_000, "result"),
+        (None, "get_counter"),
+    )
+
+    def test_reads_match_the_trace_prefix_at_every_stop(self):
+        machine, cores, _ = build_machine(widir_config(num_cores=self.CORES, seed=42))
+        traces = build_traces(resolve_profile("radiosity"), self.CORES, 600, 0)
+        for core, trace in zip(cores, traces):
+            core.run_trace(trace)
+        stats = machine.stats
+        for stop, first in self.STOPS:
+            machine.run(until=stop)
+            if stop is not None:
+                assert machine.sim.now == stop
+            totals = [prefix_totals(trace, core._pc) for core, trace in zip(cores, traces)]
+            instructions = [total[0] for total in totals]
+            if first == "result":
+                assert [core.result.instructions for core in cores] == instructions
+            for name in sorted(COUNTER_READERS, key=lambda name: name != first):
+                read = COUNTER_READERS[name]
+                for node, (_, loads, stores, _) in enumerate(totals):
+                    assert read(stats, f"core.{node}.instructions") == instructions[node]
+                    assert read(stats, f"l1.{node}.loads") == loads
+                    assert read(stats, f"l1.{node}.stores") == stores
+                assert read(stats, "core.total.instructions") == sum(instructions)
+                assert read(stats, "l1.total.accesses") == sum(
+                    loads + stores + rmws for _, loads, stores, rmws in totals
+                )
+            assert [core.result.instructions for core in cores] == instructions
+        assert all(core.finished for core in cores)
+        assert machine.sim.now > 4_000
 
 
 class TestBarriers:
