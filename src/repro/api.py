@@ -20,8 +20,9 @@ Stability contract (see docs/API.md):
 * every name in ``__all__`` keeps its signature and result type across
   minor releases; additions are keyword-only with defaults;
 * replaced entry points keep working for one release behind
-  ``DeprecationWarning`` shims, then go (the 1.1 shims went in 1.2;
-  ``distributed_campaign(store=, tenant=)`` warns in 1.3, goes in 1.4);
+  ``DeprecationWarning`` shims, then go (the 1.1 shims went in 1.2, the
+  result-store keywords of ``distributed_campaign`` deprecated in 1.3
+  went in 1.4);
 * importing this module stays cheap: nothing beyond what
   ``repro.harness`` already loads — verification, observability export,
   and campaign machinery are imported lazily inside the functions that
@@ -480,8 +481,6 @@ def distributed_campaign(
     host: str = "127.0.0.1",
     port: int = 0,
     cache: bool = True,
-    store: Optional[Union[str, Path]] = None,
-    tenant: str = "default",
     retries: int = 3,
     backoff_seed: int = 0,
     lease_timeout: float = 120.0,
@@ -505,29 +504,12 @@ def distributed_campaign(
     budget, ``timeout`` the whole campaign's.
     ``trace_path=``/``trace_shards=`` fan a recorded trace's barrier-safe
     shard windows across the workers (trace-sharded campaigns; each
-    window replays cold on whichever worker leases it).
-
-    Deprecated in 1.3, removed in 1.4: ``store=`` (a directory) dedupes
-    runs through the content-addressed multi-tenant result store and
-    publishes this campaign's manifest under ``tenant``. Both emit a
-    :class:`DeprecationWarning`; the executor's result cache
-    (``REPRO_CACHE_DIR``) already dedupes runs across campaigns.
+    window replays cold on whichever worker leases it). With
+    ``cache=True``, a run already in the executor's result cache
+    (``REPRO_CACHE_DIR``) completes without reaching a worker.
     """
     from repro.harness.campaign import run_campaign
-    from repro.harness.resultstore import ResultStore
     from repro.harness.supervisor import RetryPolicy
-
-    if store is not None or tenant != "default":
-        import warnings
-
-        warnings.warn(
-            "distributed_campaign(store=, tenant=) is deprecated and will "
-            "be removed in 1.4; the executor's result cache "
-            "(REPRO_CACHE_DIR), which campaign run/resume use, already "
-            "dedupes runs across campaigns",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
     spec = _campaign_spec(
         name, kind, apps, cores, thresholds, memops, seed, trace_seed,
@@ -541,8 +523,6 @@ def distributed_campaign(
         host=host,
         port=port,
         executor=_executor(1, cache),
-        store=ResultStore(store) if store is not None else None,
-        tenant=tenant,
         retry=RetryPolicy(max_attempts=retries, seed=backoff_seed),
         lease_timeout=lease_timeout,
         timeout=timeout,

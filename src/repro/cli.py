@@ -28,7 +28,6 @@ campaign render     render a figure from a campaign's (possibly partial)
 campaign serve      drive a campaign over distributed workers (local
                     forks and/or remote ``campaign worker`` agents)
 campaign worker     join a running coordinator and execute leases
-campaign submit     deprecated in 1.3, removed in 1.4 (enqueues nothing)
 ==================  ======================================================
 
 The ``trace`` noun is the *observability* layer (captures, timelines);
@@ -140,7 +139,6 @@ CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("campaign", "render"),
     ("campaign", "serve"),
     ("campaign", "worker"),
-    ("campaign", "submit"),
 )
 
 
@@ -555,15 +553,6 @@ def _configure_campaign_serve(parser: argparse.ArgumentParser) -> None:
         help="seconds before an unacknowledged lease is requeued",
     )
     group.add_argument(
-        "--store",
-        default=None,
-        help="content-addressed result-store directory (multi-tenant "
-        "cross-campaign dedup)",
-    )
-    group.add_argument(
-        "--tenant", default="default", help="result-store tenant name"
-    )
-    group.add_argument(
         "--runner",
         choices=("sim", "sleep"),
         default="sim",
@@ -615,35 +604,6 @@ def _configure_campaign_worker(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--name", default="", help="worker name shown in status/telemetry"
-    )
-
-
-def _configure_campaign_submit(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "dir",
-        nargs="?",
-        default=None,
-        help="campaign directory whose advertised coordinator to use "
-        "(optional with --connect)",
-    )
-    parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="coordinator endpoint to submit to",
-    )
-    parser.add_argument(
-        "--keys",
-        default=None,
-        help="comma-separated run keys to enqueue (default: every pending "
-        "run in the plan)",
-    )
-    parser.add_argument(
-        "--wait",
-        type=float,
-        default=10.0,
-        help="seconds to keep retrying while the coordinator throttles "
-        "submissions (429)",
     )
 
 
@@ -876,11 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="join a running coordinator and execute leased runs",
     )
     _configure_campaign_worker(campaign_worker)
-    campaign_submit = campaign_verbs.add_parser(
-        "submit",
-        help="push pending runs into a running coordinator (rate-limited)",
-    )
-    _configure_campaign_submit(campaign_submit)
 
     return parser
 
@@ -1515,7 +1470,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
     from repro.harness.campaign import CampaignError, run_campaign
     from repro.harness.distributed import DistributedError
-    from repro.harness.resultstore import ResultStore
     from repro.harness.supervisor import RetryPolicy, SeededFaults
     from repro.obs.campaign import CampaignTelemetry
 
@@ -1538,21 +1492,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     executor = _executor_from(args)
     engine = dict(executor=executor, telemetry=telemetry)
     if args.verb == "serve":
-        if args.store or args.tenant != "default":
-            print(
-                "campaign serve --store/--tenant is deprecated and will be "
-                "removed in 1.4; the executor's result cache "
-                "(REPRO_CACHE_DIR), which campaign run/resume use, already "
-                "dedupes runs across campaigns",
-                file=sys.stderr,
-            )
         engine.update(
             workers=args.workers,  # 0: remote agents only
             shards=args.shards,
             host=args.host,
             port=args.port,
-            store=ResultStore(Path(args.store)) if args.store else None,
-            tenant=args.tenant,
             retry=RetryPolicy(
                 max_attempts=args.retries, seed=args.backoff_seed
             ),
@@ -1667,98 +1611,6 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign_submit(args: argparse.Namespace) -> int:
-    """``campaign submit`` — ask a live coordinator to enqueue pending
-    runs, respecting its token-bucket rate limit (retries on 429).
-
-    Deprecated in 1.3, removed in 1.4: the coordinator queues every
-    pending run before it serves any request, so a submit finds nothing
-    left to enqueue.
-    """
-    import time as _time
-    from pathlib import Path
-
-    from repro.harness.distributed import coordinator_endpoint
-    from repro.harness.protocol import (
-        ERR_THROTTLED,
-        ProtocolError,
-        RpcClient,
-        RpcError,
-        parse_endpoint,
-    )
-
-    print(
-        "campaign submit is deprecated and will be removed in 1.4: a "
-        "running coordinator already queues every pending run, so submit "
-        "enqueues nothing; use campaign run/resume, which reuse runs from "
-        "the executor's result cache (REPRO_CACHE_DIR)",
-        file=sys.stderr,
-    )
-
-    if args.connect:
-        try:
-            endpoint = parse_endpoint(args.connect)
-        except ValueError as error:
-            print(f"campaign submit: {error}", file=sys.stderr)
-            return 2
-    elif args.dir is not None:
-        endpoint = coordinator_endpoint(Path(args.dir))
-        if endpoint is None:
-            print(
-                f"no coordinator advertised in {args.dir} (is `campaign "
-                "serve` running?)",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        print(
-            "campaign submit requires DIR or --connect HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
-
-    keys = (
-        [key.strip() for key in args.keys.split(",") if key.strip()]
-        if args.keys
-        else None
-    )
-    deadline = _time.monotonic() + max(0.0, args.wait)
-    throttled = 0
-    try:
-        with RpcClient(*endpoint) as client:
-            while True:
-                try:
-                    result = client.call("submit", keys=keys)
-                    break
-                except RpcError as error:
-                    if error.code != ERR_THROTTLED:
-                        raise
-                    throttled += 1
-                    if _time.monotonic() >= deadline:
-                        print(
-                            f"submit still throttled after {args.wait:.1f}s "
-                            f"({throttled} attempts): {error}",
-                            file=sys.stderr,
-                        )
-                        return 1
-                    _time.sleep(0.2)
-    except (OSError, ProtocolError, RpcError) as error:
-        print(
-            f"coordinator at {endpoint[0]}:{endpoint[1]} unreachable: "
-            f"{error}",
-            file=sys.stderr,
-        )
-        return 2
-    print(
-        f"submitted: {result.get('accepted', 0)} queued, "
-        f"{result.get('cache_hits', 0)} cache hits, "
-        f"{result.get('store_hits', 0)} store hits, "
-        f"{result.get('queued', 0)} now pending"
-        + (f" ({throttled} throttled retries)" if throttled else "")
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _parse_args(argv)
@@ -1784,7 +1636,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("campaign", "render"): _cmd_campaign,
         ("campaign", "serve"): _cmd_campaign_run,
         ("campaign", "worker"): _cmd_campaign_worker,
-        ("campaign", "submit"): _cmd_campaign_submit,
     }
     try:
         return handlers[(args.command, args.verb)](args)

@@ -54,13 +54,10 @@ _LAZY = {
     "run_campaign": ("repro.harness.campaign", "run_campaign"),
     "Coordinator": ("repro.harness.distributed", "Coordinator"),
     "DistributedError": ("repro.harness.distributed", "DistributedError"),
-    "TokenBucket": ("repro.harness.distributed", "TokenBucket"),
     "WorkerAgent": ("repro.harness.distributed", "WorkerAgent"),
     "RpcClient": ("repro.harness.protocol", "RpcClient"),
     "RpcError": ("repro.harness.protocol", "RpcError"),
     "ProtocolError": ("repro.harness.protocol", "ProtocolError"),
-    "ResultStore": ("repro.harness.resultstore", "ResultStore"),
-    "ResultStoreError": ("repro.harness.resultstore", "ResultStoreError"),
     "RetryPolicy": ("repro.harness.supervisor", "RetryPolicy"),
     "ScriptedFaults": ("repro.harness.supervisor", "ScriptedFaults"),
     "SeededFaults": ("repro.harness.supervisor", "SeededFaults"),
@@ -78,8 +75,6 @@ __all__ = [
     "Executor",
     "ExperimentPlan",
     "ProtocolError",
-    "ResultStore",
-    "ResultStoreError",
     "RetryPolicy",
     "RpcClient",
     "RpcError",
@@ -87,7 +82,6 @@ __all__ = [
     "ScriptedFaults",
     "SeededFaults",
     "SimulationResult",
-    "TokenBucket",
     "WorkerAgent",
     "default_executor",
     "run_campaign",

@@ -282,7 +282,6 @@ class CampaignReport:
     failed: List[Dict] = field(default_factory=list)
     resumed: int = 0
     cache_hits: int = 0
-    store_hits: int = 0
     executed: int = 0
     retries: int = 0
     digest: str = ""
@@ -302,8 +301,8 @@ class CampaignReport:
         lines = [
             f"campaign {self.name}: {self.completed}/{self.total} runs "
             f"complete ({self.resumed} resumed, {self.cache_hits} cache "
-            f"hits, {self.store_hits} store hits, {self.executed} simulated, "
-            f"{self.retries} retries) across {self.workers} workers / "
+            f"hits, {self.executed} simulated, {self.retries} retries) "
+            f"across {self.workers} workers / "
             f"{self.shards} shards ({self.stolen} stolen) in "
             f"{self.wall_seconds:.2f}s",
             f"  digest : {self.digest}",
@@ -826,7 +825,7 @@ def run_campaign(
     campaign (:class:`~repro.harness.distributed.DistributedError` past
     it). ``engine`` goes to the coordinator: notably ``lease_timeout``
     (the per-run budget, ``None`` = unlimited), ``retry``, ``faults``,
-    ``executor``, ``store``, ``telemetry`` and ``on_event``.
+    ``executor``, ``telemetry`` and ``on_event``.
     """
     from repro.harness.distributed import Coordinator  # imports this module
 
@@ -872,7 +871,6 @@ def run_campaign(
         ],
         resumed=coordinator.resumed,
         cache_hits=counters["runs.cache_hits"],
-        store_hits=counters["runs.store_hits"],
         executed=coordinator.accepted_results,
         retries=counters["retries.total"],
         digest=coordinator.digest,

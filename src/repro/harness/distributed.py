@@ -35,21 +35,17 @@ or remote processes speaking the length-prefixed JSON-RPC protocol of
    (:class:`~repro.harness.supervisor.ScriptedFaults` /
    :class:`~repro.harness.supervisor.SeededFaults`) are drawn at grant
    time and acted out by the agent.
-4. **Backpressure.** Lease grants are capped per worker. The ``submit``
-   RPC (deprecated in 1.3, removed in 1.4) is token-bucket rate limited
-   (429, which clients absorb by backing off); its ``max_queue``
-   high-water check is off unless a caller sets it, and none does.
-   :meth:`Coordinator.run` queues every pending key before it serves any
-   request, so a submit finds nothing left to enqueue.
+4. **Backpressure.** Each worker holds at most one lease
+   (:data:`MAX_INFLIGHT_PER_WORKER`); a ``lease`` or ``steal`` past that
+   is answered 429, which clients absorb by backing off.
 
-Cache layers: before enqueueing a key the coordinator consults the
-executor memo cache and, when configured, the content-addressed
-multi-tenant :class:`~repro.harness.resultstore.ResultStore` (deprecated
-in 1.3, removed in 1.4) — a run any tenant already computed completes
-instantly as a ``store`` hit and never reaches a worker.
+Cache layer: before queueing a key the coordinator consults the
+executor memo cache (``REPRO_CACHE_DIR``); a run some earlier campaign
+already computed completes at once as a ``cache`` hit and never reaches
+a worker.
 
 Wire protocol methods (shapes in docs/API.md): ``serve`` ``lease``
-``steal`` ``result`` ``fail`` ``heartbeat`` ``status`` ``submit`` ``bye``.
+``steal`` ``result`` ``fail`` ``heartbeat`` ``status`` ``bye``.
 """
 
 from __future__ import annotations
@@ -84,7 +80,6 @@ from repro.harness.protocol import (
     result_response,
     write_frame_async,
 )
-from repro.harness.resultstore import ResultStore
 from repro.harness.supervisor import (
     CRASH_EXIT_CODE,
     RetryPolicy,
@@ -105,54 +100,14 @@ SUMMARY_NAME = "distributed.json"
 #: docs/PERFORMANCE.md).
 RUNNER_MODES = ("sim", "sleep")
 
+#: Leases one worker may hold at once (``lease``/``steal`` past it: 429).
+#: :class:`WorkerAgent` runs one lease at a time.
+MAX_INFLIGHT_PER_WORKER = 1
+
 
 class DistributedError(RuntimeError):
     """Raised for coordinator misconfiguration or a blown campaign budget
     (never for worker faults: those retry, then degrade)."""
-
-
-# ------------------------------------------------------------- token bucket
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/s, burst up to ``capacity``.
-
-    Gates the ``submit`` RPC; the injected clock keeps tests deterministic.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        capacity: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if rate <= 0 or capacity <= 0:
-            raise ValueError("rate and capacity must be positive")
-        self.rate = float(rate)
-        self.capacity = float(capacity)
-        self._clock = clock
-        self._tokens = float(capacity)
-        self._stamp = clock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        self._tokens = min(
-            self.capacity, self._tokens + (now - self._stamp) * self.rate
-        )
-        self._stamp = now
-
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available; never blocks."""
-        self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
-
-    @property
-    def available(self) -> float:
-        self._refill()
-        return self._tokens
 
 
 # ------------------------------------------------------------ bookkeeping
@@ -224,17 +179,11 @@ class Coordinator:
         shards: Optional[int] = None,
         expected_workers: int = 2,
         executor: Optional[Executor] = None,
-        store: Optional[ResultStore] = None,
-        tenant: str = "default",
         retry: Optional[RetryPolicy] = None,
         faults: Optional[Callable[[str, int], Optional[str]]] = None,
         lease_timeout: Optional[float] = None,
         heartbeat_interval: float = 0.25,
         heartbeat_grace: float = 40.0,
-        max_inflight_per_worker: int = 1,
-        submit_rate: float = 16.0,
-        submit_burst: float = 8.0,
-        max_queue: Optional[int] = None,
         runner: str = "sim",
         runner_seconds: float = 0.0,
         chaos_kill_after: Optional[int] = None,
@@ -255,16 +204,11 @@ class Coordinator:
             else max(2, 2 * max(1, expected_workers))
         )
         self.executor = executor if executor is not None else Executor(workers=1)
-        self.store = store
-        self.tenant = tenant
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
         self.lease_timeout = lease_timeout
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_grace = heartbeat_grace
-        self.max_inflight = max(1, int(max_inflight_per_worker))
-        self.bucket = TokenBucket(submit_rate, submit_burst)
-        self.max_queue = max_queue
         self.runner = runner
         self.runner_seconds = runner_seconds
         self.chaos_kill_after = chaos_kill_after
@@ -330,7 +274,8 @@ class Coordinator:
     # ----------------------------------------------------------- lifecycle
 
     async def start(self) -> Tuple[str, int]:
-        """Bind, replay journals, advertise the endpoint; returns it."""
+        """Bind, replay journals, advertise the endpoint and queue every
+        pending key; returns the endpoint."""
         self.started_at = time.monotonic()
         payloads = self.campaign.completed_payloads()
         self.payloads.update(payloads)
@@ -360,7 +305,7 @@ class Coordinator:
             },
         )
         self._watchdog = asyncio.ensure_future(self._watch())
-        self._maybe_finish()
+        self.enqueue_pending()  # cache hits may finish it here
         return self.host, self.port
 
     async def stop(self) -> None:
@@ -406,21 +351,14 @@ class Coordinator:
 
     # ------------------------------------------------------------- filling
 
-    def enqueue_pending(self) -> Dict[str, int]:
-        """Queue every non-terminal key (cache/store hits complete now).
-
-        The coordinator's own submission path — ``submit`` RPC calls land
-        here too, after rate limiting. Returns accounting for the caller.
-        """
-        accepted = 0
-        cache_hits = 0
-        store_hits = 0
+    def enqueue_pending(self) -> None:
+        """Queue every non-terminal key; cache hits complete now."""
         for key in self.requests:
             if key in self.payloads or key in self.queued or key in self.leases:
                 continue
             if key in self.failed:
                 continue
-            # Cache/store payloads are real simulation results; a sleep-mode
+            # Cache payloads are real simulation results; a sleep-mode
             # campaign neither reads nor writes them (its synthetic payloads
             # must not masquerade as — or be poisoned by — sim results).
             cached = (
@@ -428,34 +366,15 @@ class Coordinator:
                 if self.runner == "sim"
                 else None
             )
-            source = "cache"
-            if (
-                cached is None
-                and self.store is not None
-                and self.runner == "sim"
-            ):
-                cached = self.store.get(key)
-                source = "store"
             if cached is not None:
-                self._complete(key, cached, source, attempts=0)
-                if source == "store":
-                    store_hits += 1
-                    self._emit({"event": "store-hit", "key": key})
-                else:
-                    cache_hits += 1
-                    self._emit({"event": "cache-hit", "key": key})
+                self._complete(key, cached, "cache", attempts=0)
+                self._emit({"event": "cache-hit", "key": key})
                 continue
             entry = _Entry(key=key, shard=self.home_shard[key])
             self.queued[key] = entry
             self.shards[entry.shard].append(entry)
-            accepted += 1
         self._emit({"event": "queue-depth", "depth": len(self.queued)})
         self._maybe_finish()
-        return {
-            "accepted": accepted,
-            "cache_hits": cache_hits,
-            "store_hits": store_hits,
-        }
 
     # ---------------------------------------------------------- completion
 
@@ -467,8 +386,6 @@ class Coordinator:
             key, payload, source, attempts, shard=shard
         )
         if self.runner == "sim":
-            if self.store is not None:
-                self.store.put(key, payload)
             self.executor._cache_store(key, payload)
         self.payloads[key] = payload
         self.shard_stats[shard].done += 1
@@ -505,13 +422,6 @@ class Coordinator:
         self.digest = self.campaign.finalize(
             self.payloads, list(self.failed.values())
         )
-        if self.store is not None and self.runner == "sim":
-            self.store.publish(
-                self.tenant,
-                self.campaign.spec.name,
-                self.campaign.key_for_label,
-                self.digest,
-            )
         self._write_summary()
         self._done.set()
 
@@ -660,7 +570,6 @@ class Coordinator:
 
         async def main() -> bool:
             await self.start()
-            self.enqueue_pending()  # cache/store hits may finish it here
             self.local_target = local_workers
             self._respawn_local_workers()
             finished = await self.wait_done(timeout)
@@ -907,11 +816,11 @@ class Coordinator:
     def _rpc_lease(self, params: Dict) -> Dict:
         worker = self._worker_or_400(params)
         worker.last_beat = time.monotonic()
-        if len(worker.inflight) >= self.max_inflight:
+        if len(worker.inflight) >= MAX_INFLIGHT_PER_WORKER:
             raise RpcError(
                 ERR_THROTTLED,
                 f"worker holds {len(worker.inflight)} leases "
-                f"(max {self.max_inflight})",
+                f"(max {MAX_INFLIGHT_PER_WORKER})",
             )
         entry = self._pop_ready(worker.shard)
         if entry is None:
@@ -921,11 +830,11 @@ class Coordinator:
     def _rpc_steal(self, params: Dict) -> Dict:
         worker = self._worker_or_400(params)
         worker.last_beat = time.monotonic()
-        if len(worker.inflight) >= self.max_inflight:
+        if len(worker.inflight) >= MAX_INFLIGHT_PER_WORKER:
             raise RpcError(
                 ERR_THROTTLED,
                 f"worker holds {len(worker.inflight)} leases "
-                f"(max {self.max_inflight})",
+                f"(max {MAX_INFLIGHT_PER_WORKER})",
             )
         # Deepest foreign shard first; fall back to any shard (including
         # the worker's own — a backoff there may have matured).
@@ -984,9 +893,14 @@ class Coordinator:
         worker = self._worker_or_400(params)
         worker.last_beat = time.monotonic()
         key = str(params.get("key", ""))
-        lease = worker.inflight.get(key) or self.leases.get(key)
+        if key not in self.requests:
+            raise RpcError(ERR_BAD_REQUEST, f"unknown key {key!r}")
+        lease = worker.inflight.get(key)
         if lease is None:
-            raise RpcError(ERR_BAD_REQUEST, f"no lease for key {key!r}")
+            # A stale report: this worker's lease timed out or was requeued,
+            # and the key may already be another worker's lease. Act only
+            # on the reporter's own lease.
+            return {"requeued": False, "giveup": False}
         detail = str(params.get("detail", ""))
         terminal = lease.entry.attempt >= self.retry.max_attempts
         self._requeue(lease, "error", detail)
@@ -1046,48 +960,6 @@ class Coordinator:
             ],
             "counters": dict(self.telemetry.counters),
         }
-
-    def _rpc_submit(self, params: Dict) -> Dict:
-        if not self.bucket.try_acquire():
-            self._emit({"event": "submit-throttled"})
-            raise RpcError(ERR_THROTTLED, "submission rate limit exceeded")
-        if (
-            self.max_queue is not None
-            and len(self.queued) >= self.max_queue
-        ):
-            self._emit({"event": "submit-throttled"})
-            raise RpcError(
-                ERR_THROTTLED,
-                f"queue high-water mark reached ({len(self.queued)} "
-                f">= {self.max_queue})",
-            )
-        keys = params.get("keys")
-        if keys is not None and not isinstance(keys, list):
-            raise RpcError(ERR_BAD_REQUEST, "keys must be a list")
-        if keys is None:
-            accounting = self.enqueue_pending()
-        else:
-            unknown = [key for key in keys if key not in self.requests]
-            if unknown:
-                raise RpcError(
-                    ERR_BAD_REQUEST,
-                    f"{len(unknown)} submitted keys are not in this "
-                    f"campaign's plan (first: {unknown[0][:16]}...)",
-                )
-            accounting = {"accepted": 0, "cache_hits": 0, "store_hits": 0}
-            wanted = set(keys)
-            # Reuse the full fill path, then report only the wanted subset
-            # as accepted; per-key submission exists for tests and partial
-            # refills, and over-accepting idempotent keys is harmless.
-            before = set(self.queued)
-            full = self.enqueue_pending()
-            accounting["cache_hits"] = full["cache_hits"]
-            accounting["store_hits"] = full["store_hits"]
-            accounting["accepted"] = len(
-                (set(self.queued) - before) & wanted
-            )
-        self._emit({"event": "submit", "accepted": accounting["accepted"]})
-        return dict(accounting, done=self.done, queued=len(self.queued))
 
     def _rpc_bye(self, params: Dict) -> Dict:
         worker = self._worker_or_400(params)
@@ -1357,9 +1229,9 @@ __all__ = [
     "COORDINATOR_NAME",
     "Coordinator",
     "DistributedError",
+    "MAX_INFLIGHT_PER_WORKER",
     "RUNNER_MODES",
     "SUMMARY_NAME",
-    "TokenBucket",
     "WorkerAgent",
     "coordinator_endpoint",
     "live_status",

@@ -14,18 +14,19 @@ Wire format::
 
 Request / response shape (a strict subset of JSON-RPC)::
 
-    -> {"id": 7, "method": "lease", "params": {"worker": "w0"}}
+    -> {"id": 7, "method": "lease", "params": {"worker_id": "w0"}}
     <- {"id": 7, "result": {"kind": "run", ...}}
-    <- {"id": 7, "error": {"code": 429, "message": "submission throttled"}}
+    <- {"id": 7, "error": {"code": 429,
+                           "message": "worker holds 1 leases (max 1)"}}
 
 Methods the coordinator serves (see docs/API.md for the full schemas):
 ``serve`` (worker registration), ``lease``, ``steal``, ``result``,
-``fail``, ``heartbeat``, ``status``, ``submit``, ``bye``.
+``fail``, ``heartbeat``, ``status``, ``bye``.
 
 Two transports share the framing:
 
 * :func:`send_frame` / :func:`recv_frame` — blocking sockets (workers,
-  the CLI status/submit clients);
+  the CLI status client);
 * :func:`read_frame_async` / :func:`write_frame_async` — asyncio streams
   (the coordinator).
 

@@ -99,7 +99,7 @@ class SimulationResult:
         floats survive JSON via ``repr`` round-tripping) — the contract the
         experiment executor's on-disk memoization relies on. It is also the
         one JSON form results leave the process in: the executor cache,
-        campaign journals, the result store and the CLI's ``--json``.
+        campaign journals and the CLI's ``--json``.
         """
         return {
             "app": self.app,

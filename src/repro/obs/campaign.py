@@ -13,8 +13,8 @@ in the exact tooling docs/OBSERVABILITY.md already documents.
 Wiring: the campaign engine
 (:class:`~repro.harness.distributed.Coordinator`) feeds every attempt
 event (``lease`` / ``ok`` / ``retry`` / ``giveup``), its journal-level
-events (``cache-hit`` / ``store-hit`` / ``resume-skip``) and its fleet
-events (``requeue`` / ``worker-*`` / ``submit*`` / ``queue-depth``) into
+events (``cache-hit`` / ``resume-skip``) and its fleet events
+(``requeue`` / ``worker-*`` / ``queue-depth``) into
 :meth:`CampaignTelemetry.on_event`.
 """
 
@@ -35,7 +35,6 @@ COUNTERS = (
     "runs.completed",
     "runs.failed",
     "runs.cache_hits",
-    "runs.store_hits",
     "runs.resumed",
     "attempts.ok",
     "retries.total",
@@ -49,8 +48,6 @@ COUNTERS = (
     "requeues.total",
     "workers.joined",
     "workers.lost",
-    "submits.accepted",
-    "submits.throttled",
 )
 
 
@@ -114,10 +111,6 @@ class CampaignTelemetry:
             self._bump("runs.cache_hits")
             self._bump("runs.completed")
             self._progress.append((now, self.counters["runs.completed"]))
-        elif kind == "store-hit":
-            self._bump("runs.store_hits")
-            self._bump("runs.completed")
-            self._progress.append((now, self.counters["runs.completed"]))
         elif kind == "resume-skip":
             self._bump("runs.resumed")
             self._bump("runs.completed")
@@ -144,10 +137,6 @@ class CampaignTelemetry:
             self._bump("workers.joined")
         elif kind == "worker-lost":
             self._bump("workers.lost")
-        elif kind == "submit":
-            self._bump("submits.accepted", int(event.get("accepted", 0)))
-        elif kind == "submit-throttled":
-            self._bump("submits.throttled")
         elif kind == "queue-depth":
             self._queue_depth.append((now, int(event.get("depth", 0))))
 

@@ -4,11 +4,13 @@ The contract (docs/API.md): every name in ``repro.api.__all__`` keeps its
 signature across minor releases, results are typed objects, importing the
 facade stays cheap (no verification/observability/campaign machinery at
 module load), and replaced entry points keep working for one release
-behind ``DeprecationWarning`` — then go: the 1.1 shims are gone in 1.2.
+behind ``DeprecationWarning`` — then go: the 1.1 shims are gone in 1.2,
+the 1.3 result-store keywords in 1.4. docs/API.md names what runs.
 """
 
 import inspect
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -21,6 +23,7 @@ import repro.api as api
 from repro.harness.runner import SimulationResult
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+API_DOC = REPO_SRC.parent / "docs" / "API.md"
 
 #: The frozen surface: name -> exact parameter tuple. Additions must be
 #: keyword-only with defaults, which shows up here as a deliberate diff.
@@ -48,8 +51,8 @@ EXPECTED_SIGNATURES = {
     "distributed_campaign": (
         "name", "apps", "out", "kind", "cores", "thresholds", "memops",
         "seed", "trace_seed", "workers", "shards", "host", "port", "cache",
-        "store", "tenant", "retries", "backoff_seed", "lease_timeout",
-        "timeout", "protocols", "trace_path", "trace_shards", "macs",
+        "retries", "backoff_seed", "lease_timeout", "timeout", "protocols",
+        "trace_path", "trace_shards", "macs",
     ),
     "verify": (
         "campaign", "seed", "trials", "litmus", "litmus_schedules",
@@ -122,7 +125,6 @@ class TestSurface:
             "heavy = [m for m in ('repro.verify.fuzz', 'repro.verify.litmus', "
             "'repro.harness.campaign', 'repro.harness.supervisor', "
             "'repro.harness.distributed', 'repro.harness.protocol', "
-            "'repro.harness.resultstore', "
             "'repro.obs.export') if m in sys.modules]; "
             "assert not heavy, heavy"
         )
@@ -244,8 +246,8 @@ class TestBehaviour:
 
 
 class TestDeprecationShims:
-    """The 1.1 shims served their release of grace and are gone; the 1.3
-    deprecations (the multi-tenant store) warn until 1.4 removes them."""
+    """Deprecated spellings served their release of grace and are gone:
+    the 1.1 shims in 1.2, the 1.3 result-store keywords in 1.4."""
 
     @pytest.mark.parametrize("name", ("run_app", "run_pair"))
     def test_removed_shim_raises_attribute_error(self, name):
@@ -260,30 +262,19 @@ class TestDeprecationShims:
         listing = dir(repro)
         assert "api" in listing and "run_app" not in listing
 
-    def test_version_is_1_3(self):
-        assert repro.__version__ == "1.3.0"
+    def test_version_is_1_4(self):
+        assert repro.__version__ == "1.4.0"
 
-    @pytest.mark.parametrize(
-        "spelling", ({"store": True}, {"tenant": "alice"},
-                     {"store": True, "tenant": "alice"}),
-        ids=("store", "tenant", "both"),
-    )
-    def test_distributed_campaign_store_warns_once(self, tmp_path, spelling):
-        kwargs = dict(spelling)
-        if kwargs.pop("store", False):
-            kwargs["store"] = tmp_path / "store"
-        with pytest.warns(DeprecationWarning) as caught:
-            with pytest.raises(ValueError):  # fails before any run starts
-                api.distributed_campaign(
-                    "d", kind="protocls", apps=("volrend",),
-                    out=tmp_path / "d", **kwargs,
-                )
-        messages = [
-            str(w.message) for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(messages) == 1
-        assert "REPRO_CACHE_DIR" in messages[0] and "1.4" in messages[0]
+    @pytest.mark.parametrize("keyword", ("store", "tenant"))
+    def test_distributed_campaign_rejects_removed_keywords(
+        self, tmp_path, keyword
+    ):
+        with pytest.raises(TypeError):
+            api.distributed_campaign(
+                "d", apps=("volrend",), out=tmp_path / "d",
+                **{keyword: "x"},
+            )
+        assert not (tmp_path / "d").exists()
 
     def test_distributed_campaign_without_store_does_not_warn(self, tmp_path):
         with warnings.catch_warnings():
@@ -293,3 +284,39 @@ class TestDeprecationShims:
                 memops=50, workers=1, cache=False,
             )
         assert report.ok
+
+
+def _doc_section(heading):
+    """The body of ``heading`` in docs/API.md, up to the next heading."""
+    text = API_DOC.read_text(encoding="utf-8")
+    body = text.split(f"\n{heading}\n", 1)[1]
+    return re.split(r"\n#+ ", body, maxsplit=1)[0]
+
+
+class TestApiDoc:
+    """docs/API.md names exactly what the code serves."""
+
+    def test_wire_protocol_table_lists_the_served_methods(self):
+        from repro.harness.distributed import Coordinator
+
+        section = _doc_section(
+            "### Wire protocol (`repro.harness.protocol`, version 1)"
+        )
+        documented = set()
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+        served = {n[5:] for n in vars(Coordinator) if n.startswith("_rpc_")}
+        assert documented == served
+
+    def test_cli_grammar_block_lists_every_command(self):
+        from repro.cli import CLI_COMMANDS
+
+        block = _doc_section("## CLI grammar").split("```")[1]
+        documented = set()
+        for line in block.splitlines():
+            if not line or line[0].isspace():
+                continue  # a description continued from the line above
+            noun, verbs = re.split(r"\s{2,}", line)[0].split(" ", 1)
+            documented.update((noun, v.strip()) for v in verbs.split("|"))
+        assert documented == set(CLI_COMMANDS)

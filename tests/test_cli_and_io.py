@@ -185,29 +185,8 @@ class TestTraceCli:
 
 
 class TestDeprecatedCampaignSpellings:
-    """The multi-tenant spellings print one stderr notice until 1.4."""
-
-    def test_campaign_submit_prints_one_notice(self, capsys):
-        assert main(["campaign", "submit"]) == 2  # no DIR, no --connect
-        err = capsys.readouterr().err
-        assert err.count("deprecated") == 1
-        assert "enqueues nothing" in err and "campaign run/resume" in err
-        assert "REPRO_CACHE_DIR" in err
-
-    @pytest.mark.parametrize(
-        "flags", (["--store", "STORE"], ["--tenant", "alice"]),
-        ids=("store", "tenant"),
-    )
-    def test_campaign_serve_store_prints_one_notice(
-        self, capsys, tmp_path, flags
-    ):
-        flags = [str(tmp_path / "store") if f == "STORE" else f for f in flags]
-        # Nothing to serve in --out: the notice precedes the usage error.
-        assert main(
-            ["campaign", "serve", "--out", str(tmp_path / "none")] + flags
-        ) == 2
-        err = capsys.readouterr().err
-        assert err.count("deprecated") == 1 and "REPRO_CACHE_DIR" in err
+    """The 1.3 result-store spellings are gone in 1.4 (their exit 2 is
+    pinned in ``test_cli_contract.REMOVED_SPELLINGS``)."""
 
     def test_campaign_serve_without_store_prints_no_notice(
         self, capsys, tmp_path

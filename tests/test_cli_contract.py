@@ -25,7 +25,8 @@ REGEN = os.environ.get("REPRO_REGEN_CLI_SNAPSHOTS") == "1"
 #: One snapshot per command path; () is the root parser.
 COMMAND_PATHS = ((),) + tuple(CLI_COMMANDS)
 
-#: Spellings deprecated in 1.1 and removed in 1.2, by test id.
+#: Removed spellings, by test id: those deprecated in 1.1 (removed in
+#: 1.2) and the 1.3 result-store spellings (removed in 1.4).
 REMOVED_SPELLINGS = {
     "run": ["run", "fft"],
     "compare": ["compare", "fft"],
@@ -39,6 +40,9 @@ REMOVED_SPELLINGS = {
     "trace-validate": ["trace", "validate", "x.wtr"],
     "trace-replay": ["trace", "replay", "x.wtr"],
     "profile-output": ["sim", "profile", "fft", "--output", "r.txt"],
+    "campaign-submit": ["campaign", "submit"],
+    "serve-store": ["campaign", "serve", "--out", "x", "--store", "s"],
+    "serve-tenant": ["campaign", "serve", "--out", "x", "--tenant", "t"],
 }
 
 

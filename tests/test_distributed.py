@@ -5,8 +5,8 @@ workers — local forks or remote TCP agents speaking the length-prefixed
 JSON-RPC protocol — converges to an aggregate ``results.json`` /
 ``digest.txt`` that is byte-identical to :meth:`Campaign.finalize` over
 the same spec's payloads simulated in-process, while worker deaths,
-duplicate or late reports, throttled submissions, and cross-tenant store
-dedupe all degrade gracefully instead of corrupting the merge.
+duplicate, late or stale reports and greedy workers all degrade
+gracefully instead of corrupting the merge.
 """
 
 import asyncio
@@ -24,7 +24,6 @@ from repro.harness.distributed import (
     COORDINATOR_NAME,
     Coordinator,
     DistributedError,
-    TokenBucket,
     coordinator_endpoint,
     live_status,
     render_live_status,
@@ -46,7 +45,6 @@ from repro.harness.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.harness.resultstore import ResultStore, ResultStoreError
 from repro.harness.supervisor import RetryPolicy
 from repro.obs.campaign import CampaignTelemetry
 
@@ -55,7 +53,6 @@ CORES = 4
 MEMOPS = 120
 
 KEY_A = "a" * 64
-KEY_B = "b" * 64
 
 
 def _spec(name="dist", **overrides):
@@ -146,109 +143,6 @@ class TestProtocolFraming:
                 parse_endpoint(bad)
 
 
-# ----------------------------------------------------------- token bucket
-
-
-class TestTokenBucket:
-    def test_burst_then_empty(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=1.0, capacity=2.0, clock=lambda: clock[0])
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refills_at_rate(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=2.0, capacity=2.0, clock=lambda: clock[0])
-        bucket.try_acquire()
-        bucket.try_acquire()
-        assert not bucket.try_acquire()
-        clock[0] = 0.5  # 2 tokens/s * 0.5s = 1 token back
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_capacity_caps_the_refill(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=100.0, capacity=1.0, clock=lambda: clock[0])
-        clock[0] = 60.0
-        assert bucket.available <= 1.0
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-
-# ----------------------------------------------------------- result store
-
-
-class TestResultStore:
-    def test_put_get_round_trip_with_fanout(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.put(KEY_A, {"cycles": 7}) is True
-        assert store.get(KEY_A) == {"cycles": 7}
-        assert store.object_path(KEY_A).parent.name == "aa"
-        assert store.stats["puts"] == 1 and store.stats["hits"] == 1
-
-    def test_put_is_idempotent_and_never_rewrites(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(KEY_A, {"cycles": 7})
-        before = store.object_path(KEY_A).read_bytes()
-        assert store.put(KEY_A, {"cycles": 999}) is False
-        assert store.object_path(KEY_A).read_bytes() == before
-        assert store.stats["put_dedup"] == 1
-
-    def test_invalid_keys_are_rejected(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for bad in ("", "abc", "Z" * 64, "../" + "a" * 61):
-            with pytest.raises(ResultStoreError):
-                store.object_path(bad)
-
-    def test_corrupt_object_is_quarantined_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(KEY_A, {"cycles": 7})
-        store.object_path(KEY_A).write_text("{torn")
-        assert store.get(KEY_A) is None
-        assert store.stats["quarantined"] == 1
-        assert not store.has(KEY_A)
-
-    def test_publish_and_referenced_keys(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(KEY_A, {"x": 1})
-        store.put(KEY_B, {"x": 2})
-        store.publish("alice", "sweep", {"l1": KEY_A}, digest="d1")
-        store.publish("bob", "sweep", {"l1": KEY_A, "l2": KEY_B})
-        assert store.tenants() == ["alice", "bob"]
-        assert store.campaigns("alice") == ["sweep"]
-        assert store.manifest("alice", "sweep")["digest"] == "d1"
-        assert store.referenced_keys() == {KEY_A, KEY_B}
-
-    def test_manifest_names_cannot_escape_the_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for tenant in ("", "..", "a/b", ".hidden"):
-            with pytest.raises(ResultStoreError):
-                store.publish(tenant, "c", {})
-        with pytest.raises(ResultStoreError):
-            store.publish("ok", "../escape", {})
-
-    def test_gc_keeps_referenced_objects_only(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(KEY_A, {"x": 1})
-        store.put(KEY_B, {"x": 2})
-        store.publish("alice", "sweep", {"l1": KEY_A})
-        (tmp_path / "objects" / "zz.json.tmp.1").parent.mkdir(
-            parents=True, exist_ok=True
-        )
-        (tmp_path / "objects" / "zz.json.tmp.1").write_text("junk")
-        removed = store.gc()
-        assert removed == 2  # KEY_B + the tmp debris
-        assert store.has(KEY_A) and not store.has(KEY_B)
-
-    def test_describe_shape(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(KEY_A, {"x": 1})
-        description = store.describe()
-        assert description["objects"] == 1
-        assert set(description["stats"]) >= {"hits", "misses", "puts"}
-
-
 # ----------------------------------------------------- coordinator RPC
 
 
@@ -300,6 +194,34 @@ def _serve(client, name="t"):
     )
 
 
+def _expiring_harness(tmp_path):
+    """Leases expire after 0.3 s; a retry is leasable at once."""
+    campaign = Campaign.create(tmp_path / "camp", _spec())
+    return _CoordinatorHarness(
+        campaign,
+        executor=_executor(tmp_path),
+        runner="sleep",
+        expected_workers=1,
+        retry=RetryPolicy(max_attempts=3, unit=0.0),
+        lease_timeout=0.3,
+        poll_interval=0.05,
+    )
+
+
+def _wait_until_nothing_leased(client):
+    deadline = time.monotonic() + 5.0
+    while client.call("status")["leased"]:
+        assert time.monotonic() < deadline, "lease never expired"
+        time.sleep(0.05)
+
+
+def _journal_bytes(directory):
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(directory.glob("journal*.jsonl"))
+    }
+
+
 class TestCoordinatorRpc:
     def test_serve_handshake(self, harness):
         with _client(harness) as client:
@@ -315,10 +237,12 @@ class TestCoordinatorRpc:
         assert excinfo.value.code == ERR_BAD_REQUEST
 
     def test_unknown_method_is_404(self, harness):
+        # ``submit`` was removed in 1.4: it answers like any unknown method.
         with _client(harness) as client:
-            with pytest.raises(RpcError) as excinfo:
-                client.call("frobnicate")
-        assert excinfo.value.code == ERR_UNKNOWN_METHOD
+            for method in ("frobnicate", "submit"):
+                with pytest.raises(RpcError) as excinfo:
+                    client.call(method)
+                assert excinfo.value.code == ERR_UNKNOWN_METHOD, method
 
     def test_unregistered_worker_cannot_lease(self, harness):
         with _client(harness) as client:
@@ -329,7 +253,6 @@ class TestCoordinatorRpc:
     def test_lease_steal_result_drains_the_campaign(self, harness):
         with _client(harness) as client:
             worker = _serve(client)["worker_id"]
-            client.call("submit", worker_id=worker)
             # Own shard first, then a steal from the foreign shard: 2 runs
             # over 2 shards with 1 worker means exactly one steal.
             first = client.call("lease", worker_id=worker)
@@ -354,7 +277,6 @@ class TestCoordinatorRpc:
     def test_lease_cap_throttles_greedy_workers(self, harness):
         with _client(harness) as client:
             worker = _serve(client)["worker_id"]
-            client.call("submit", worker_id=worker)
             grant = client.call("lease", worker_id=worker)
             assert grant["kind"] == "run"
             with pytest.raises(RpcError) as excinfo:
@@ -364,7 +286,6 @@ class TestCoordinatorRpc:
     def test_duplicate_result_is_idempotent(self, harness):
         with _client(harness) as client:
             worker = _serve(client)["worker_id"]
-            client.call("submit", worker_id=worker)
             grant = client.call("lease", worker_id=worker)
             payload = {"mode": "sleep", "key": grant["key"]}
             first = client.call(
@@ -379,7 +300,6 @@ class TestCoordinatorRpc:
     def test_fail_requeues_then_gives_up(self, harness):
         with _client(harness) as client:
             worker = _serve(client)["worker_id"]
-            client.call("submit", worker_id=worker)
             grant = client.call("lease", worker_id=worker)
             reply = client.call(
                 "fail", worker_id=worker, key=grant["key"], detail="boom"
@@ -412,47 +332,59 @@ class TestCoordinatorRpc:
         assert counters["requeues.total"] == 1
         assert counters["giveups.total"] == 1
 
-    def test_submit_is_rate_limited(self, tmp_path):
-        campaign = Campaign.create(tmp_path / "camp", _spec())
-        harness = _CoordinatorHarness(
-            campaign,
-            executor=_executor(tmp_path),
-            runner="sleep",
-            submit_rate=0.001,  # refills a token every ~17 minutes
-            submit_burst=1.0,
-        )
+    def test_stale_fail_leaves_the_next_holders_lease(self, tmp_path):
+        """A's lease expires and B re-leases the key: A's late ``fail``
+        must not requeue B's lease."""
+        harness = _expiring_harness(tmp_path)
         try:
-            with RpcClient(harness.host, harness.port, timeout=5.0) as client:
-                client.call("submit")
-                with pytest.raises(RpcError) as excinfo:
-                    client.call("submit")
-            assert excinfo.value.code == ERR_THROTTLED
-            counters = harness.coordinator.telemetry.counters
-            assert counters["submits.throttled"] == 1
+            with _client(harness) as a, _client(harness) as b:
+                worker_a = _serve(a, "a")["worker_id"]
+                worker_b = _serve(b, "b")["worker_id"]
+                grant = a.call("lease", worker_id=worker_a)
+                _wait_until_nothing_leased(a)
+                harness.coordinator.lease_timeout = None  # B's lease stays
+                # B's own shard holds the other run, so a steal takes A's
+                # expired key from A's shard.
+                again = b.call("steal", worker_id=worker_b)
+                assert (again["key"], again["attempt"]) == (grant["key"], 2)
+                journals = _journal_bytes(tmp_path / "camp")
+                reply = a.call(
+                    "fail", worker_id=worker_a, key=grant["key"], detail="late"
+                )
+                # Read before B's connection closes: that requeues its lease.
+                status = a.call("status")
+                assert _journal_bytes(tmp_path / "camp") == journals
         finally:
             harness.close()
+        assert reply == {"requeued": False, "giveup": False}
+        assert (status["leased"], status["pending"]) == (1, 1)
+        assert status["counters"]["retries.total"] == 1
 
-    def test_submit_respects_the_queue_high_water_mark(self, tmp_path):
-        campaign = Campaign.create(tmp_path / "camp", _spec())
-        harness = _CoordinatorHarness(
-            campaign,
-            executor=_executor(tmp_path),
-            runner="sleep",
-            max_queue=1,
-        )
+    def test_stale_fail_of_an_unleased_key_is_ignored(self, tmp_path):
+        """A's lease expires and nobody holds the key yet: A's late
+        ``fail`` gets the usual reply, not a 400 that would end a remote
+        worker. A key outside the plan still gets a 400."""
+        harness = _expiring_harness(tmp_path)
         try:
-            with RpcClient(harness.host, harness.port, timeout=5.0) as client:
-                client.call("submit")  # queues 2 runs: now over high water
+            with _client(harness) as client:
+                worker = _serve(client)["worker_id"]
+                grant = client.call("lease", worker_id=worker)
+                _wait_until_nothing_leased(client)
+                journals = _journal_bytes(tmp_path / "camp")
+                reply = client.call(
+                    "fail", worker_id=worker, key=grant["key"], detail="late"
+                )
+                status = client.call("status")
+                assert _journal_bytes(tmp_path / "camp") == journals
                 with pytest.raises(RpcError) as excinfo:
-                    client.call("submit")
-            assert excinfo.value.code == ERR_THROTTLED
+                    client.call("fail", worker_id=worker, key=KEY_A)
         finally:
             harness.close()
-
-    def test_submit_rejects_keys_outside_the_plan(self, harness):
-        with _client(harness) as client:
-            with pytest.raises(RpcError) as excinfo:
-                client.call("submit", keys=[KEY_A])
+        assert reply == {"requeued": False, "giveup": False}
+        assert (status["leased"], status["pending"], status["failed"]) == (
+            0, 2, 0,
+        )
+        assert status["counters"]["retries.total"] == 1
         assert excinfo.value.code == ERR_BAD_REQUEST
 
     def test_live_status_helpers(self, harness, tmp_path):
@@ -481,7 +413,6 @@ class TestCoordinatorRpc:
         try:
             with RpcClient(harness.host, harness.port, timeout=5.0) as client:
                 worker = _serve(client)["worker_id"]
-                client.call("submit")
                 grant = client.call("lease", worker_id=worker)
                 deadline = time.monotonic() + 5.0
                 while client.call("status")["failed"] == 0:
@@ -570,37 +501,23 @@ class TestDistributedEndToEnd:
         assert digests[0] == digests[1]
         assert list((tmp_path / "cache").glob("*.json")) == []
 
-    def test_store_dedupe_across_tenants(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+    def test_checkpoint_with_1_3_store_hits_resumes(self, tmp_path):
+        """Version 1.3 journaled a result-store hit as a run record with
+        ``source: "store"``; such a directory still resumes as complete."""
         spec = _spec()
-        first = run_campaign(
-            tmp_path / "alice", spec,
+        reference = _in_process_digest(tmp_path / "reference", spec)
+        campaign = Campaign.create(tmp_path / "old", spec)
+        for key, request in zip(campaign.keys, campaign.plan.requests):
+            campaign.record_completion(key, _simulate(request)[0], "store", 0)
+        report = run_campaign(
+            tmp_path / "old", None,
             workers=1,
-            executor=_executor(tmp_path, "cache-alice"),
-            store=store,
-            tenant="alice",
+            executor=_executor(tmp_path),
             timeout=120,
         )
-        assert first.ok and first.store_hits == 0
-        assert store.manifest("alice", "dist")["digest"] == first.digest
-
-        # Same matrix, different tenant, cold private cache: completes
-        # entirely from the objects plane — no worker ever runs.
-        second = run_campaign(
-            tmp_path / "bob", spec,
-            workers=1,
-            executor=_executor(tmp_path, "cache-bob"),
-            store=store,
-            tenant="bob",
-            timeout=120,
-        )
-        assert second.ok
-        assert second.store_hits == second.completed == first.completed
-        assert second.digest == first.digest
-        assert store.tenants() == ["alice", "bob"]
-        assert len(store) == first.completed
-        # Both manifests pin every object: gc removes nothing.
-        assert store.gc() == 0
+        assert report.resumed == report.total == 2
+        assert report.executed == 0
+        assert report.digest == reference
 
     def test_chaos_worker_kill_recovers_and_digest_holds(self, tmp_path):
         # 4 runs over 2 workers: the first grant after the first result
