@@ -7,8 +7,8 @@ least **3.5x**.
 
 Workload choice: the scaling lanes run the ``sleep`` runner (every run is
 a fixed ``time.sleep``), NOT real simulations. This is deliberate: the
-quantity under test is the *orchestration layer* — shard scheduling, RPC
-round-trips, work stealing, journal writes — and a sleep workload makes
+quantity under test is the *orchestration layer* — queue scheduling, RPC
+round-trips, journal writes — and a sleep workload makes
 per-run cost exactly known and machine-independent, so the measured
 speedup isolates coordinator overhead instead of re-measuring how many
 CPU cores the benchmark box happens to have (CI runners and the dev box
@@ -57,7 +57,6 @@ def test_bench_distributed_scaling(tmp_path, distributed_metrics):
     spec_apps = _SCALING_APPS
     digests = {}
     bars = {}
-    stolen = {}
     for workers in _WORKER_COUNTS:
         report = run_campaign(
             tmp_path / f"w{workers}",
@@ -75,7 +74,6 @@ def test_bench_distributed_scaling(tmp_path, distributed_metrics):
         assert report.completed == len(spec_apps) * 2
         digests[workers] = report.digest
         bars[workers] = report.wall_seconds
-        stolen[workers] = report.stolen
 
     # Merge order provably does not leak into results: every worker count
     # converges to the same digest.
@@ -89,7 +87,7 @@ def test_bench_distributed_scaling(tmp_path, distributed_metrics):
     for workers in _WORKER_COUNTS:
         print(
             f"  workers={workers}: {bars[workers]:6.2f}s  "
-            f"({bars[1] / bars[workers]:4.2f}x, {stolen[workers]} stolen)"
+            f"({bars[1] / bars[workers]:4.2f}x)"
         )
     assert speedup_4x >= _SPEEDUP_FLOOR, (
         f"4-worker sweep only {speedup_4x:.2f}x vs 1 worker "
@@ -106,7 +104,6 @@ def test_bench_distributed_scaling(tmp_path, distributed_metrics):
             "workers_4_seconds": round(bars[4], 3),
             "speedup_2x": round(bars[1] / bars[2], 2),
             "speedup_4x": round(speedup_4x, 2),
-            "stolen_4x": stolen[4],
             "digest_identical": True,
         }
     )

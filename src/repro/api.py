@@ -22,7 +22,7 @@ Stability contract (see docs/API.md):
 * replaced entry points keep working for one release behind
   ``DeprecationWarning`` shims, then go (the 1.1 shims went in 1.2, the
   result-store keywords of ``distributed_campaign`` deprecated in 1.3
-  went in 1.4);
+  went in 1.4; its ``shards=``, a no-op since 1.5, goes in 1.6);
 * importing this module stays cheap: nothing beyond what
   ``repro.harness`` already loads — verification, observability export,
   and campaign machinery are imported lazily inside the functions that
@@ -494,12 +494,12 @@ def distributed_campaign(
     returns a :class:`~repro.harness.campaign.CampaignReport`.
 
     The same engine as :func:`campaign`, serving remote agents too: an
-    asyncio coordinator shards the run matrix, worker agents
-    lease/steal/execute over the RPC protocol, and completions land in
-    per-shard crash-safe journals. The merged ``results.json`` sha256 is
+    asyncio coordinator queues the run matrix in plan order, worker
+    agents lease/execute/report over the RPC protocol, and completions
+    land in the crash-safe journal. The ``results.json`` sha256 is
     byte-identical to :func:`campaign` on the same plan — the
-    resume-identity contract extends across worker counts, steals, and
-    kills. ``workers=0`` serves remote agents only (pair with
+    resume-identity contract extends across worker counts and kills.
+    ``workers=0`` serves remote agents only (pair with
     ``repro campaign worker --connect``). ``lease_timeout`` is the per-run
     budget, ``timeout`` the whole campaign's.
     ``trace_path=``/``trace_shards=`` fan a recorded trace's barrier-safe
@@ -507,10 +507,23 @@ def distributed_campaign(
     window replays cold on whichever worker leases it). With
     ``cache=True``, a run already in the executor's result cache
     (``REPRO_CACHE_DIR``) completes without reaching a worker.
+
+    Deprecated in 1.5, removed in 1.6: ``shards=`` has no effect (the
+    coordinator keeps one run queue) and emits a
+    :class:`DeprecationWarning`.
     """
     from repro.harness.campaign import run_campaign
     from repro.harness.supervisor import RetryPolicy
 
+    if shards is not None:
+        import warnings
+
+        warnings.warn(
+            "distributed_campaign(shards=) has no effect since 1.5 (the "
+            "coordinator keeps one run queue) and will be removed in 1.6",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     spec = _campaign_spec(
         name, kind, apps, cores, thresholds, memops, seed, trace_seed,
         protocols, trace_path, trace_shards, macs,
@@ -519,7 +532,6 @@ def distributed_campaign(
         Path(out),
         spec,
         workers=workers,
-        shards=shards,
         host=host,
         port=port,
         executor=_executor(1, cache),

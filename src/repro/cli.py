@@ -517,7 +517,7 @@ def _configure_campaign_status(parser: argparse.ArgumentParser) -> None:
         "--connect",
         default=None,
         metavar="HOST:PORT",
-        help="query a running coordinator for live per-shard progress",
+        help="query a running coordinator for live per-worker progress",
     )
     parser.add_argument(
         "--live",
@@ -544,7 +544,7 @@ def _configure_campaign_serve(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=None,
-        help="journal shard count (default: 2x workers, so steals occur)",
+        help="deprecated: no effect since 1.5, removed in 1.6",
     )
     group.add_argument(
         "--lease-timeout",
@@ -591,7 +591,7 @@ def _configure_campaign_serve(parser: argparse.ArgumentParser) -> None:
     supervision.add_argument(
         "--trace-out",
         default=None,
-        help="write lease/steal spans as a Chrome trace JSON",
+        help="write one span per lease as a Chrome trace JSON",
     )
 
 
@@ -822,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     _configure_campaign_render(campaign_render)
     campaign_serve = campaign_verbs.add_parser(
         "serve",
-        help="drive a campaign over distributed workers (work-stealing "
+        help="drive a campaign over distributed workers (one-queue "
         "coordinator; local forks and/or remote `campaign worker` agents)",
         parents=[
             _machine_parent(),
@@ -1492,9 +1492,14 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     executor = _executor_from(args)
     engine = dict(executor=executor, telemetry=telemetry)
     if args.verb == "serve":
+        if args.shards is not None:
+            print(
+                "campaign serve --shards has no effect since 1.5 (the "
+                "coordinator keeps one run queue) and will be removed in 1.6",
+                file=sys.stderr,
+            )
         engine.update(
             workers=args.workers,  # 0: remote agents only
-            shards=args.shards,
             host=args.host,
             port=args.port,
             retry=RetryPolicy(
@@ -1589,7 +1594,7 @@ def _campaign_live_status(args: argparse.Namespace) -> Optional[int]:
 
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
-    """``campaign worker`` — join a coordinator, lease/steal/execute until
+    """``campaign worker`` — join a coordinator, lease/execute/report until
     the campaign drains, then exit."""
     from repro.harness.distributed import WorkerAgent
     from repro.harness.protocol import ProtocolError, RpcError, parse_endpoint

@@ -14,13 +14,14 @@ writes.
 On-disk layout (all writes crash-safe; see :mod:`repro.harness.ioutils`)::
 
     <dir>/campaign.json     spec + expected run keys (atomic, versioned)
-    <dir>/journal.jsonl     journal header (schema + name)
+    <dir>/journal.jsonl     append-only checkpoint journal, one writer
+                            (the coordinator): a header (schema + name),
+                            then one fsynced record per completed run,
+                            per failed attempt and per give-up; a torn
+                            final line (SIGKILL mid-append) is dropped on
+                            replay and cut before a resume appends
     <dir>/journal-shard<k>.jsonl
-                            append-only checkpoint journals, one writer
-                            (the coordinator) per shard: one fsynced
-                            record per completed run, per failed attempt
-                            and per give-up; a torn final line (SIGKILL
-                            mid-append) is dropped on replay
+                            read only: where 1.2-1.4 journalled runs
     <dir>/runs/<key>.json   canonical result payloads (atomic, written
                             *before* the journal records completion)
     <dir>/results.json      aggregate label -> payload map (atomic)
@@ -28,7 +29,7 @@ On-disk layout (all writes crash-safe; see :mod:`repro.harness.ioutils`)::
                             contract: interrupted+resumed == uninterrupted
     <dir>/provenance.json   which runs made it, which are missing and why
     <dir>/coordinator.json  endpoint of the live coordinator (while running)
-    <dir>/distributed.json  worker/shard/counter accounting (when done)
+    <dir>/distributed.json  worker/counter accounting (when done)
 
 The aggregate is a pure function of the completed payloads (sorted labels,
 canonical JSON), so *when* and *how often* a campaign was interrupted is
@@ -66,6 +67,7 @@ from repro.harness.ioutils import (
     quarantine,
     read_jsonl_many,
     remove_stale_tmp,
+    repair_jsonl_tail,
 )
 from repro.harness.runner import SimulationResult
 from repro.harness.supervisor import RetryPolicy
@@ -77,9 +79,8 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 MANIFEST_NAME = "campaign.json"
 JOURNAL_NAME = "journal.jsonl"
-#: Distributed shards journal independently (one writer per file, same
-#: record schema); replay merges ``journal.jsonl`` + every shard journal.
-SHARD_JOURNAL_PREFIX = "journal-shard"
+#: Versions 1.2-1.4 journalled runs per shard (same record schema); replay
+#: still merges these files after ``journal.jsonl``, nothing writes them.
 SHARD_JOURNAL_GLOB = "journal-shard*.jsonl"
 RUNS_DIR = "runs"
 RESULTS_NAME = "results.json"
@@ -286,10 +287,8 @@ class CampaignReport:
     retries: int = 0
     digest: str = ""
     workers: int = 0
-    shards: int = 0
-    stolen: int = 0
     wall_seconds: float = 0.0
-    #: The ``distributed.json`` accounting (per shard, per worker).
+    #: The ``distributed.json`` accounting (per worker, counters).
     summary: Dict = field(default_factory=dict)
     telemetry: Optional[Dict] = None
 
@@ -302,9 +301,7 @@ class CampaignReport:
             f"campaign {self.name}: {self.completed}/{self.total} runs "
             f"complete ({self.resumed} resumed, {self.cache_hits} cache "
             f"hits, {self.executed} simulated, {self.retries} retries) "
-            f"across {self.workers} workers / "
-            f"{self.shards} shards ({self.stolen} stolen) in "
-            f"{self.wall_seconds:.2f}s",
+            f"across {self.workers} workers in {self.wall_seconds:.2f}s",
             f"  digest : {self.digest}",
             f"  results: {self.directory / RESULTS_NAME}",
         ]
@@ -450,12 +447,9 @@ class Campaign:
     def journal_path(self) -> Path:
         return self.directory / JOURNAL_NAME
 
-    def shard_journal_path(self, shard: int) -> Path:
-        """Journal for one distributed shard (single-writer: the coordinator)."""
-        return self.directory / f"{SHARD_JOURNAL_PREFIX}{shard}.jsonl"
-
     def journal_paths(self) -> List[Path]:
-        """Every journal replay reads: the main one, then shards sorted."""
+        """Every journal replay reads: the main one, then 1.2-1.4 shard
+        journals sorted."""
         paths = [self.journal_path]
         paths.extend(sorted(self.directory.glob(SHARD_JOURNAL_GLOB)))
         return paths
@@ -467,13 +461,11 @@ class Campaign:
     def _payload_path(self, key: str) -> Path:
         return self.runs_dir / f"{key}.json"
 
-    def _journal(self, record: Dict, shard: Optional[int] = None) -> None:
-        """Append one versioned record to the main or a shard journal."""
-        path = (
-            self.journal_path if shard is None
-            else self.shard_journal_path(shard)
+    def _journal(self, record: Dict) -> None:
+        """Append one versioned record to the journal."""
+        append_jsonl(
+            self.journal_path, dict(record, schema=CHECKPOINT_SCHEMA_VERSION)
         )
-        append_jsonl(path, dict(record, schema=CHECKPOINT_SCHEMA_VERSION))
 
     # ------------------------------------------------------ create / load
 
@@ -547,10 +539,9 @@ class Campaign:
         a journal entry whose payload file is missing or corrupt is
         *demoted* back to pending, with the corrupt file quarantined).
 
-        The coordinator journals per shard; every journal (main +
-        ``journal-shard*.jsonl``) feeds one merged replay, so any shard
-        count — and directories whose completions sit in the main
-        journal — resume alike.
+        ``journal.jsonl`` and any ``journal-shard*.jsonl`` a 1.2-1.4
+        coordinator wrote feed one merged replay, so those directories
+        resume alike.
         """
         records, bad_lines = read_jsonl_many(self.journal_paths())
         payloads: Dict[str, Dict] = {}
@@ -591,9 +582,8 @@ class Campaign:
         payload: Dict,
         source: str,
         attempts: int,
-        shard: Optional[int] = None,
     ) -> None:
-        """Durably complete one run, optionally into a shard journal.
+        """Durably complete one run.
 
         Order is the crash-safety contract: the payload lands atomically
         in ``runs/`` *before* the journal says "ok", so a kill between the
@@ -608,8 +598,7 @@ class Campaign:
                 "status": "ok",
                 "source": source,
                 "attempts": attempts,
-            },
-            shard,
+            }
         )
 
     def record_attempt(
@@ -619,7 +608,6 @@ class Campaign:
         status: str,
         detail: str,
         backoff: float = 0.0,
-        shard: Optional[int] = None,
     ) -> None:
         """Journal one failed attempt (a retry, or the last before give-up).
 
@@ -634,17 +622,10 @@ class Campaign:
                 "status": status,
                 "detail": detail,
                 "backoff": backoff,
-            },
-            shard,
+            }
         )
 
-    def record_failure(
-        self,
-        key: str,
-        detail: str,
-        attempts: int,
-        shard: Optional[int] = None,
-    ) -> None:
+    def record_failure(self, key: str, detail: str, attempts: int) -> None:
         """Journal terminal retry exhaustion for one run."""
         self._journal(
             {
@@ -653,8 +634,7 @@ class Campaign:
                 "status": "failed",
                 "attempts": attempts,
                 "detail": detail,
-            },
-            shard,
+            }
         )
 
     # ----------------------------------------------------------- aggregate
@@ -845,6 +825,9 @@ def run_campaign(
         # A writer killed between its temp write and the rename leaves the
         # temp file behind; nothing reads it, so the resume collects it.
         remove_stale_tmp(directory)
+        # One killed mid-append leaves a final line without its newline,
+        # which the next record would fuse with: end the journal cleanly.
+        repair_jsonl_tail(campaign.journal_path)
     else:
         if spec is None:
             raise CampaignError(
@@ -854,9 +837,7 @@ def run_campaign(
         campaign = Campaign.create(directory, spec)
 
     workers = _default_workers() if workers is None else max(0, int(workers))
-    coordinator = Coordinator(
-        campaign, expected_workers=max(1, workers), **engine
-    )
+    coordinator = Coordinator(campaign, **engine)
     wall_seconds = coordinator.run(workers, timeout)
     counters = coordinator.telemetry.counters
     return CampaignReport(
@@ -875,8 +856,6 @@ def run_campaign(
         retries=counters["retries.total"],
         digest=coordinator.digest,
         workers=max(workers, len(coordinator.workers)),
-        shards=coordinator.num_shards,
-        stolen=sum(stats.stolen for stats in coordinator.shard_stats),
         wall_seconds=wall_seconds,
         summary=coordinator.summary,
         telemetry=coordinator.telemetry.snapshot(),

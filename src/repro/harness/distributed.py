@@ -1,7 +1,7 @@
-"""The campaign engine: a sharding coordinator and its worker agents.
+"""The campaign engine: a coordinator with one run queue, and its workers.
 
-One asyncio **coordinator** owns a campaign directory and shards its
-pending run keys across N **worker agents** — local forked subprocesses
+One asyncio **coordinator** owns a campaign directory and hands its
+pending run keys to N **worker agents** — local forked subprocesses
 or remote processes speaking the length-prefixed JSON-RPC protocol of
 :mod:`repro.harness.protocol` over TCP. Every campaign runs here:
 ``campaign run``/``resume`` (local agents only), ``campaign serve``
@@ -11,17 +11,16 @@ or remote processes speaking the length-prefixed JSON-RPC protocol of
 
 1. **Resume identity.** Every completion lands through the campaign
    discipline — payload written atomically in ``runs/`` *before* a
-   journal record says "ok" — into per-shard journals
-   (``journal-shard<k>.jsonl``, single-writer: the coordinator). The
-   final aggregate is :meth:`Campaign.finalize`, a pure function of the
-   payloads, so the merged ``results.json`` sha256 is bit-for-bit the
-   digest of the same payloads simulated in-process, no matter how many
-   workers, steals, kills, or resumes happened in between.
-2. **Work stealing.** Keys are round-robined across more shards than
-   workers (default ``2×``); each worker drains its affinity shard via
-   ``lease`` and, when dry, calls ``steal`` to pull from the deepest
-   foreign shard — fast workers finish slow shards' tails instead of
-   idling.
+   journal record says "ok" — into ``journal.jsonl`` (single writer:
+   the coordinator). The final aggregate is :meth:`Campaign.finalize`,
+   a pure function of the payloads, so the merged ``results.json``
+   sha256 is bit-for-bit the digest of the same payloads simulated
+   in-process, no matter how many workers, kills, or resumes happened
+   in between.
+2. **One queue.** Pending keys wait in one ready queue in plan order;
+   ``lease`` grants the oldest run that is ready. A retry rejoins at the
+   rear and is not granted before its backoff ends, so it never blocks
+   the runs queued behind it.
 3. **Fault tolerance.** A worker's registration connection dropping
    (SIGKILL, OOM) immediately requeues its leases as *crashed*; the
    watchdog requeues the leases of a heartbeat-stale worker as *hung*
@@ -36,8 +35,8 @@ or remote processes speaking the length-prefixed JSON-RPC protocol of
    :class:`~repro.harness.supervisor.SeededFaults`) are drawn at grant
    time and acted out by the agent.
 4. **Backpressure.** Each worker holds at most one lease
-   (:data:`MAX_INFLIGHT_PER_WORKER`); a ``lease`` or ``steal`` past that
-   is answered 429, which clients absorb by backing off.
+   (:data:`MAX_INFLIGHT_PER_WORKER`); a ``lease`` past that is answered
+   429, which clients absorb by backing off.
 
 Cache layer: before queueing a key the coordinator consults the
 executor memo cache (``REPRO_CACHE_DIR``); a run some earlier campaign
@@ -45,7 +44,7 @@ already computed completes at once as a ``cache`` hit and never reaches
 a worker.
 
 Wire protocol methods (shapes in docs/API.md): ``serve`` ``lease``
-``steal`` ``result`` ``fail`` ``heartbeat`` ``status`` ``bye``.
+``result`` ``fail`` ``heartbeat`` ``status`` ``bye``.
 """
 
 from __future__ import annotations
@@ -57,10 +56,9 @@ import os
 import signal
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.config.system import SystemConfig
 from repro.harness.campaign import CHECKPOINT_SCHEMA_VERSION, Campaign
@@ -90,7 +88,7 @@ from repro.obs.campaign import CampaignTelemetry
 
 #: Endpoint advertisement the coordinator drops in the campaign dir.
 COORDINATOR_NAME = "coordinator.json"
-#: Post-run summary (worker/shard/counter accounting + digest).
+#: Post-run summary (worker/counter accounting + digest).
 SUMMARY_NAME = "distributed.json"
 
 #: Worker-side runner modes the ``serve`` handshake can assign. ``sim``
@@ -100,7 +98,7 @@ SUMMARY_NAME = "distributed.json"
 #: docs/PERFORMANCE.md).
 RUNNER_MODES = ("sim", "sleep")
 
-#: Leases one worker may hold at once (``lease``/``steal`` past it: 429).
+#: Leases one worker may hold at once (a ``lease`` past it: 429).
 #: :class:`WorkerAgent` runs one lease at a time.
 MAX_INFLIGHT_PER_WORKER = 1
 
@@ -115,10 +113,9 @@ class DistributedError(RuntimeError):
 
 @dataclass
 class _Entry:
-    """One queued run: where it lives and how many attempts it has eaten."""
+    """One queued run and how many attempts it has eaten."""
 
     key: str
-    shard: int  #: home shard (journal + steal accounting)
     attempt: int = 1
     ready_at: float = 0.0  #: monotonic not-before (retry backoff)
 
@@ -128,41 +125,29 @@ class _Lease:
     entry: _Entry
     worker_id: str
     since: float
-    stolen: bool = False
 
 
 @dataclass
 class _WorkerState:
     worker_id: str
     pid: int = 0
-    shard: int = 0  #: affinity shard
     joined_at: float = 0.0
     last_beat: float = 0.0
     inflight: Dict[str, _Lease] = field(default_factory=dict)
     leases: int = 0
-    steals: int = 0
     completed: int = 0
     alive: bool = True
     departed: bool = False  #: said ``bye`` (clean) vs lost (requeue)
-
-
-@dataclass
-class _ShardStats:
-    total: int = 0
-    done: int = 0
-    failed: int = 0
-    stolen: int = 0
-    retried: int = 0
 
 
 # -------------------------------------------------------------- coordinator
 
 
 class Coordinator:
-    """Asyncio RPC server sharding one campaign across worker agents.
+    """Asyncio RPC server handing one campaign's runs to worker agents.
 
     All state lives on the event loop thread; handlers are the only
-    mutators. Durable writes (payloads, shard journals) are synchronous
+    mutators. Durable writes (payloads, journal records) are synchronous
     inside handlers — they are small fsynced files, and ordering them
     inside the handler *is* the crash-safety contract.
 
@@ -176,8 +161,6 @@ class Coordinator:
         campaign: Campaign,
         host: str = "127.0.0.1",
         port: int = 0,
-        shards: Optional[int] = None,
-        expected_workers: int = 2,
         executor: Optional[Executor] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[Callable[[str, int], Optional[str]]] = None,
@@ -198,11 +181,6 @@ class Coordinator:
         self.campaign = campaign
         self.host = host
         self.port = port
-        self.num_shards = (
-            max(1, int(shards))
-            if shards is not None
-            else max(2, 2 * max(1, expected_workers))
-        )
         self.executor = executor if executor is not None else Executor(workers=1)
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
@@ -224,20 +202,6 @@ class Coordinator:
             campaign.keys, campaign.plan.requests
         ):
             self.requests.setdefault(key, request)
-        #: key -> home shard, round-robin in plan order (deterministic).
-        self.home_shard: Dict[str, int] = {
-            key: index % self.num_shards
-            for index, key in enumerate(self.requests)
-        }
-
-        self.shards: List[Deque[_Entry]] = [
-            deque() for _ in range(self.num_shards)
-        ]
-        self.shard_stats: List[_ShardStats] = [
-            _ShardStats() for _ in range(self.num_shards)
-        ]
-        for key, shard in self.home_shard.items():
-            self.shard_stats[shard].total += 1
 
         self.payloads: Dict[str, Dict] = {}
         #: key -> terminal failure (``key``, ``reason``, ``attempts``);
@@ -245,6 +209,8 @@ class Coordinator:
         self.failed: Dict[str, Dict] = {}
         #: key -> attempt number of its latest grant.
         self.attempts: Dict[str, int] = {}
+        #: The run queue, in insertion order: the plan's order, and a retry
+        #: rejoins at the rear (a key is queued or leased, never both).
         self.queued: Dict[str, _Entry] = {}
         self.leases: Dict[str, _Lease] = {}
         self.workers: Dict[str, _WorkerState] = {}
@@ -283,12 +249,6 @@ class Coordinator:
         self._emit({"event": "plan", "total": len(self.campaign.labels)})
         for _ in range(len(payloads)):
             self._emit({"event": "resume-skip"})
-        for shard, stats in enumerate(self.shard_stats):
-            stats.done = sum(
-                1
-                for key in self.payloads
-                if self.home_shard.get(key) == shard
-            )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -370,9 +330,7 @@ class Coordinator:
                 self._complete(key, cached, "cache", attempts=0)
                 self._emit({"event": "cache-hit", "key": key})
                 continue
-            entry = _Entry(key=key, shard=self.home_shard[key])
-            self.queued[key] = entry
-            self.shards[entry.shard].append(entry)
+            self.queued[key] = _Entry(key=key)
         self._emit({"event": "queue-depth", "depth": len(self.queued)})
         self._maybe_finish()
 
@@ -381,25 +339,19 @@ class Coordinator:
     def _complete(
         self, key: str, payload: Dict, source: str, attempts: int
     ) -> None:
-        shard = self.home_shard[key]
-        self.campaign.record_completion(
-            key, payload, source, attempts, shard=shard
-        )
+        self.campaign.record_completion(key, payload, source, attempts)
         if self.runner == "sim":
             self.executor._cache_store(key, payload)
         self.payloads[key] = payload
-        self.shard_stats[shard].done += 1
         self._maybe_finish()
 
     def _fail_terminal(
         self, key: str, status: str, detail: str, attempts: int
     ) -> None:
-        shard = self.home_shard[key]
         reason = f"{status}: {detail}" if detail else status
-        self.campaign.record_attempt(key, attempts, status, detail, shard=shard)
-        self.campaign.record_failure(key, reason, attempts, shard=shard)
+        self.campaign.record_attempt(key, attempts, status, detail)
+        self.campaign.record_failure(key, reason, attempts)
         self.failed[key] = {"key": key, "reason": reason, "attempts": attempts}
-        self.shard_stats[shard].failed += 1
         self._emit(
             {
                 "event": "giveup",
@@ -431,21 +383,9 @@ class Coordinator:
             "name": self.campaign.spec.name,
             "digest": self.digest,
             "runner": self.runner,
-            "shards": [
-                {
-                    "shard": index,
-                    "total": stats.total,
-                    "done": stats.done,
-                    "failed": stats.failed,
-                    "stolen": stats.stolen,
-                    "retried": stats.retried,
-                }
-                for index, stats in enumerate(self.shard_stats)
-            ],
             "workers": {
                 state.worker_id: {
                     "leases": state.leases,
-                    "steals": state.steals,
                     "completed": state.completed,
                     "lost": not state.departed and not state.alive,
                 }
@@ -459,7 +399,7 @@ class Coordinator:
     # ------------------------------------------------------------- requeue
 
     def _requeue(self, lease: _Lease, status: str, detail: str) -> None:
-        """One failed/killed/expired attempt back onto its home shard."""
+        """One failed/killed/expired attempt back to the rear of the queue."""
         key = lease.entry.key
         self.leases.pop(key, None)
         worker = self.workers.get(lease.worker_id)
@@ -470,19 +410,10 @@ class Coordinator:
             self._fail_terminal(key, status, detail, attempt)
             return
         delay = self.retry.delay_seconds(key, attempt)
-        self.campaign.record_attempt(
-            key, attempt, status, detail, backoff=delay,
-            shard=lease.entry.shard,
+        self.campaign.record_attempt(key, attempt, status, detail, backoff=delay)
+        self.queued[key] = _Entry(
+            key=key, attempt=attempt + 1, ready_at=time.monotonic() + delay
         )
-        entry = _Entry(
-            key=key,
-            shard=lease.entry.shard,
-            attempt=attempt + 1,
-            ready_at=time.monotonic() + delay,
-        )
-        self.queued[key] = entry
-        self.shards[entry.shard].append(entry)
-        self.shard_stats[entry.shard].retried += 1
         self._emit(
             {
                 "event": "retry",
@@ -718,7 +649,6 @@ class Coordinator:
         state = _WorkerState(
             worker_id=worker_id,
             pid=int(params.get("pid", 0)),
-            shard=(self._next_worker - 1) % self.num_shards,
             joined_at=now,
             last_beat=now,
         )
@@ -729,49 +659,35 @@ class Coordinator:
             runner["seconds"] = self.runner_seconds
         return {
             "worker_id": worker_id,
-            "shard": state.shard,
             "heartbeat_interval": self.heartbeat_interval,
             "campaign": self.campaign.spec.name,
             "runner": runner,
         }
 
-    def _pop_ready(self, shard: int) -> Optional[_Entry]:
-        queue = self.shards[shard]
+    def _pop_ready(self) -> Optional[_Entry]:
+        """The oldest queued entry whose backoff is over, if any."""
         now = time.monotonic()
-        for _ in range(len(queue)):
-            entry = queue.popleft()
+        for entry in self.queued.values():
             if entry.ready_at <= now:
-                return entry
-            queue.append(entry)  # rotate the backing-off entry to the rear
+                return self.queued.pop(entry.key)
         return None
 
-    def _grant(
-        self, worker: _WorkerState, entry: _Entry, stolen: bool
-    ) -> Dict:
-        self.queued.pop(entry.key, None)
+    def _grant(self, worker: _WorkerState, entry: _Entry) -> Dict:
         self.attempts[entry.key] = entry.attempt
         fault = self.faults(entry.key, entry.attempt) if self.faults else None
         lease = _Lease(
-            entry=entry,
-            worker_id=worker.worker_id,
-            since=time.monotonic(),
-            stolen=stolen,
+            entry=entry, worker_id=worker.worker_id, since=time.monotonic()
         )
         self.leases[entry.key] = lease
         worker.inflight[entry.key] = lease
         worker.leases += 1
-        if stolen:
-            worker.steals += 1
-            self.shard_stats[entry.shard].stolen += 1
         request = self.requests[entry.key]
         self._emit(
             {
                 "event": "lease",
                 "key": entry.key,
                 "worker": worker.worker_id,
-                "shard": entry.shard,
                 "attempt": entry.attempt,
-                "stolen": stolen,
                 "fault": fault,
             }
         )
@@ -795,9 +711,7 @@ class Coordinator:
         grant = {
             "kind": "run",
             "key": entry.key,
-            "shard": entry.shard,
             "attempt": entry.attempt,
-            "stolen": stolen,
             "request": spec,
         }
         if fault is not None:
@@ -822,33 +736,10 @@ class Coordinator:
                 f"worker holds {len(worker.inflight)} leases "
                 f"(max {MAX_INFLIGHT_PER_WORKER})",
             )
-        entry = self._pop_ready(worker.shard)
+        entry = self._pop_ready()
         if entry is None:
             return self._empty()
-        return self._grant(worker, entry, stolen=False)
-
-    def _rpc_steal(self, params: Dict) -> Dict:
-        worker = self._worker_or_400(params)
-        worker.last_beat = time.monotonic()
-        if len(worker.inflight) >= MAX_INFLIGHT_PER_WORKER:
-            raise RpcError(
-                ERR_THROTTLED,
-                f"worker holds {len(worker.inflight)} leases "
-                f"(max {MAX_INFLIGHT_PER_WORKER})",
-            )
-        # Deepest foreign shard first; fall back to any shard (including
-        # the worker's own — a backoff there may have matured).
-        order = sorted(
-            range(self.num_shards),
-            key=lambda s: (s == worker.shard, -len(self.shards[s])),
-        )
-        for shard in order:
-            entry = self._pop_ready(shard)
-            if entry is not None:
-                return self._grant(
-                    worker, entry, stolen=shard != worker.shard
-                )
-        return self._empty()
+        return self._grant(worker, entry)
 
     def _rpc_result(self, params: Dict) -> Dict:
         worker = self._worker_or_400(params)
@@ -869,11 +760,8 @@ class Coordinator:
             return {"accepted": False, "done": self.done}
         # A late valid result heals the key: it leaves the terminal
         # failures and any queued retry, so it is terminal exactly once.
-        if self.failed.pop(key, None) is not None:
-            self.shard_stats[self.home_shard[key]].failed -= 1
-        retry = self.queued.pop(key, None)
-        if retry is not None:
-            self.shards[retry.shard].remove(retry)
+        self.failed.pop(key, None)
+        self.queued.pop(key, None)
         attempt = self.attempts.get(key, 1)
         self._complete(key, payload, "simulated", attempt)
         worker.completed += 1
@@ -913,16 +801,6 @@ class Coordinator:
 
     def _rpc_status(self, params: Dict) -> Dict:
         now = time.monotonic()
-        leased_by_shard: Dict[int, int] = {}
-        for lease in self.leases.values():
-            leased_by_shard[lease.entry.shard] = (
-                leased_by_shard.get(lease.entry.shard, 0) + 1
-            )
-        pending_by_shard: Dict[int, int] = {}
-        for entry in self.queued.values():
-            pending_by_shard[entry.shard] = (
-                pending_by_shard.get(entry.shard, 0) + 1
-            )
         return {
             "campaign": self.campaign.spec.name,
             "done": self.done,
@@ -932,27 +810,12 @@ class Coordinator:
             "failed": len(self.failed),
             "pending": len(self.queued),
             "leased": len(self.leases),
-            "shards": [
-                {
-                    "shard": index,
-                    "total": stats.total,
-                    "pending": pending_by_shard.get(index, 0),
-                    "leased": leased_by_shard.get(index, 0),
-                    "done": stats.done,
-                    "failed": stats.failed,
-                    "stolen": stats.stolen,
-                    "retried": stats.retried,
-                }
-                for index, stats in enumerate(self.shard_stats)
-            ],
             "workers": [
                 {
                     "worker": state.worker_id,
-                    "shard": state.shard,
                     "alive": state.alive,
                     "inflight": len(state.inflight),
                     "leases": state.leases,
-                    "steals": state.steals,
                     "completed": state.completed,
                     "beat_age": round(now - state.last_beat, 3),
                 }
@@ -1027,7 +890,6 @@ class WorkerAgent:
         self.name = name
         self.worker_id = ""
         self.completed = 0
-        self.stolen = 0
 
     # -- runner ----------------------------------------------------------
 
@@ -1114,13 +976,8 @@ class WorkerAgent:
                 if grant.get("kind") == "empty":
                     if grant.get("done"):
                         break
-                    grant = client.call("steal", worker_id=self.worker_id)
-                    if grant.get("kind") == "empty":
-                        if grant.get("done"):
-                            break
-                        time.sleep(float(grant.get("retry_after", 0.05)))
-                        continue
-                    self.stolen += int(bool(grant.get("stolen")))
+                    time.sleep(float(grant.get("retry_after", 0.05)))
+                    continue
                 key = grant["key"]
                 if grant.get("fault"):
                     client.call(
@@ -1206,18 +1063,11 @@ def render_live_status(status: Dict) -> str:
         f"{status.get('failed')} failed, {status.get('pending')} queued, "
         f"{status.get('leased')} leased",
     ]
-    for shard in status.get("shards", []):
-        lines.append(
-            f"  shard {shard['shard']}: {shard['done']}/{shard['total']} done"
-            f", {shard['leased']} leased, {shard['pending']} pending, "
-            f"{shard['stolen']} stolen, {shard['retried']} retried"
-            + (f", {shard['failed']} failed" if shard.get("failed") else "")
-        )
     for worker in status.get("workers", []):
         lines.append(
             f"  worker {worker['worker']}"
             f" [{'alive' if worker['alive'] else 'gone'}]"
-            f": {worker['completed']} done, {worker['steals']} steals, "
+            f": {worker['completed']} done, "
             f"{worker['inflight']} inflight, beat {worker['beat_age']:.2f}s ago"
         )
     if status.get("digest"):

@@ -16,7 +16,8 @@ of two disciplines:
     record. Appends are not atomic across a crash, so the reader treats a
     torn or non-JSON *final* line as "the record that died with the
     writer" and drops it; torn lines anywhere else are reported so real
-    corruption is not silently eaten.
+    corruption is not silently eaten. :func:`repair_jsonl_tail` ends a
+    journal at a record boundary before a resumed writer appends to it.
 
 ``quarantine``
     Move an unreadable file aside (``<name>.corrupt.<pid>``) instead of
@@ -87,6 +88,37 @@ def append_jsonl(path: Union[str, Path], record: Dict) -> None:
         os.fsync(handle.fileno())
 
 
+def repair_jsonl_tail(path: Union[str, Path]) -> None:
+    """End a journal at a record boundary before anything appends to it.
+
+    A writer killed mid-append leaves a final line without its newline.
+    The next :func:`append_jsonl` would fuse its record onto that line
+    and both would be lost, so a torn fragment is cut off (replay drops
+    it anyway), and a complete record that lacks only its newline gets
+    one and is kept.
+    """
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return
+    if not raw or raw.endswith(b"\n"):
+        return
+    start = raw.rfind(b"\n") + 1
+    try:
+        complete = isinstance(json.loads(raw[start:]), dict)
+    except ValueError:  # also UnicodeDecodeError
+        complete = False
+    with open(path, "r+b") as handle:
+        if complete:
+            handle.seek(0, os.SEEK_END)
+            handle.write(b"\n")
+        else:
+            handle.truncate(start)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def read_jsonl(path: Union[str, Path]) -> Tuple[List[Dict], List[int]]:
     """Read a journal written by :func:`append_jsonl`.
 
@@ -125,12 +157,11 @@ def read_jsonl(path: Union[str, Path]) -> Tuple[List[Dict], List[int]]:
 def read_jsonl_many(
     paths: Iterator[Union[str, Path]],
 ) -> Tuple[List[Dict], List[int]]:
-    """Concatenated replay of several journals (main + shard journals).
+    """Concatenated replay of several journals (a campaign's main
+    journal, then the per-shard journals 1.2-1.4 wrote).
 
     Records keep per-file order, files keep the order given; bad line
-    numbers are aggregated across files. Missing files read as empty, so
-    a single-box campaign (no shard journals) and a distributed one share
-    one replay path.
+    numbers are aggregated across files. Missing files read as empty.
     """
     records: List[Dict] = []
     bad: List[int] = []

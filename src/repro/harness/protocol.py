@@ -20,8 +20,8 @@ Request / response shape (a strict subset of JSON-RPC)::
                            "message": "worker holds 1 leases (max 1)"}}
 
 Methods the coordinator serves (see docs/API.md for the full schemas):
-``serve`` (worker registration), ``lease``, ``steal``, ``result``,
-``fail``, ``heartbeat``, ``status``, ``bye``.
+``serve`` (worker registration), ``lease``, ``result``, ``fail``,
+``heartbeat``, ``status``, ``bye``.
 
 Two transports share the framing:
 
@@ -43,8 +43,9 @@ import struct
 from typing import Any, Dict, Optional, Tuple
 
 #: Protocol schema version, carried in the ``serve`` handshake. Bump on
-#: any incompatible change to method names or message shapes.
-PROTOCOL_VERSION = 1
+#: any incompatible change to method names or message shapes (2, since
+#: 1.5: one method left, so a 1.4 worker is refused at ``serve``).
+PROTOCOL_VERSION = 2
 
 #: Hard cap on one frame; a peer announcing more is corrupt or hostile.
 MAX_FRAME_BYTES = 32 * 1024 * 1024

@@ -44,7 +44,6 @@ COUNTERS = (
     "retries.error",
     "giveups.total",
     "leases.granted",
-    "leases.stolen",
     "requeues.total",
     "workers.joined",
     "workers.lost",
@@ -120,14 +119,10 @@ class CampaignTelemetry:
             # Opens the attempt span, attributed to the granted worker so
             # the chrome export renders one lane per worker.
             self._bump("leases.granted")
-            if event.get("stolen"):
-                self._bump("leases.stolen")
             self._open[event["key"]] = {
                 "key": event["key"],
                 "attempt": event.get("attempt", 1),
                 "worker": event.get("worker"),
-                "shard": event.get("shard"),
-                "stolen": bool(event.get("stolen")),
                 "fault": event.get("fault"),
                 "t0": now,
             }
@@ -206,8 +201,6 @@ class CampaignTelemetry:
                 "fault": span.get("fault"),
                 "detail": span.get("detail", ""),
                 "worker": span["worker"],
-                "shard": span.get("shard"),
-                "stolen": span.get("stolen", False),
             }
             events.append(
                 {

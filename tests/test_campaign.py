@@ -147,6 +147,34 @@ class TestIoutils:
     def test_missing_journal_reads_empty(self, tmp_path):
         assert read_jsonl(tmp_path / "nope.jsonl") == ([], [])
 
+    @pytest.mark.parametrize(
+        "tail, kept",
+        [
+            ('{"n": 2, "torn', [1, 3]),  # torn fragment: cut off
+            ('{"n": 2}', [1, 2, 3]),  # complete but for its newline: kept
+            ("", [1, 3]),  # already ends at a boundary: untouched
+        ],
+        ids=["torn", "complete", "clean"],
+    )
+    def test_repair_tail_lets_the_next_append_stand(self, tmp_path, tail, kept):
+        from repro.harness.ioutils import repair_jsonl_tail
+
+        journal = tmp_path / "j.jsonl"
+        append_jsonl(journal, {"n": 1})
+        with open(journal, "a") as handle:
+            handle.write(tail)
+        repair_jsonl_tail(journal)
+        append_jsonl(journal, {"n": 3})
+        records, bad = read_jsonl(journal)
+        assert [r["n"] for r in records] == kept
+        assert bad == []
+
+    def test_repair_tail_of_a_missing_journal_is_a_no_op(self, tmp_path):
+        from repro.harness.ioutils import repair_jsonl_tail
+
+        repair_jsonl_tail(tmp_path / "nope.jsonl")
+        assert not (tmp_path / "nope.jsonl").exists()
+
 
 # ----------------------------------------------------------- retry policy
 
@@ -451,14 +479,60 @@ class TestResumeIdentity:
         directory = tmp_path / "camp"
         _run(directory, _spec())
         digest = (directory / "digest.txt").read_bytes()
-        journal = sorted(directory.glob("journal-shard*.jsonl"))[-1]
-        with open(journal, "a") as handle:
+        with open(directory / "journal.jsonl", "a") as handle:
             handle.write('{"type": "run", "torn')  # simulated SIGKILL
         status = Campaign.load(directory).status()
         assert status.done and status.journal_bad_lines == []
         report = _run(directory, None)
         assert report.resumed == report.total
         assert (directory / "digest.txt").read_bytes() == digest
+
+    @staticmethod
+    def _tear_last_record(directory, keep):
+        """Cut the final run record of the journal that ends with one down
+        to ``keep(line)`` with no newline, as a SIGKILL mid-append would;
+        returns its key. Searches every ``journal*.jsonl``, wherever the
+        engine journals runs."""
+        for journal in sorted(directory.glob("journal*.jsonl")):
+            *head, last = journal.read_text().splitlines(keepends=True)
+            record = json.loads(last)
+            if record.get("type") == "run" and record["status"] == "ok":
+                journal.write_text("".join(head) + keep(last.rstrip("\n")))
+                return record["key"]
+        raise AssertionError("no journal ends with a run record")
+
+    def _assert_resumes_clean(self, directory, digest, executed):
+        report = _run(directory, None)
+        assert report.executed == executed
+        status = Campaign.load(directory).status()
+        assert status.done and status.journal_bad_lines == []
+        again = _run(directory, None)
+        assert again.resumed == again.total and again.executed == 0
+        assert (directory / "digest.txt").read_bytes() == digest
+
+    def test_resume_cuts_a_torn_record_before_appending(self, tmp_path):
+        """A run record torn mid-append loses only that run: the resume
+        re-runs it, and its new record must not fuse with the fragment
+        into one invalid line that drops it again."""
+        directory = tmp_path / "camp"
+        _run(directory, _spec())
+        digest = (directory / "digest.txt").read_bytes()
+        self._tear_last_record(directory, lambda line: line[: len(line) // 2])
+        self._assert_resumes_clean(directory, digest, executed=1)
+
+    def test_resume_keeps_a_complete_record_missing_its_newline(
+        self, tmp_path
+    ):
+        """A record that lost only its newline is complete: it is kept,
+        and the record of the run that does re-execute (its payload is
+        gone) lands on a line of its own."""
+        directory = tmp_path / "camp"
+        _run(directory, _spec())
+        digest = (directory / "digest.txt").read_bytes()
+        kept = self._tear_last_record(directory, lambda line: line)
+        (rerun,) = set(Campaign.load(directory).keys) - {kept}
+        (directory / "runs" / f"{rerun}.json").unlink()
+        self._assert_resumes_clean(directory, digest, executed=1)
 
     def test_missing_payload_is_demoted_and_rerun(self, tmp_path):
         directory = tmp_path / "camp"
@@ -723,7 +797,7 @@ class TestKillResumeProperty:
         self, tmp_path
     ):
         """SIGKILL a worker (chaos drill) *and* the coordinator mid-flight;
-        a distributed resume must merge the shard journals into the exact
+        a distributed resume must replay the journal into the exact
         single-box digest."""
         reference = tmp_path / "reference"
         proc = self._run_cli(*self.SPEC_ARGS, "--out", str(reference))
@@ -765,7 +839,7 @@ class TestKillResumeProperty:
             reference / "results.json"
         ).read_bytes()
         assert list(iter_stale_tmp(directory)) == []
-        # `campaign status` reads the merged shard journals.
+        # `campaign status` replays the same journal.
         status = self._run_cli("campaign", "status", str(directory))
         assert status.returncode == 0, status.stdout
         assert "[complete]" in status.stdout

@@ -1,8 +1,8 @@
 """Distributed campaign execution tests.
 
-The contract under test: a campaign sharded across N work-stealing
-workers — local forks or remote TCP agents speaking the length-prefixed
-JSON-RPC protocol — converges to an aggregate ``results.json`` /
+The contract under test: a campaign queued across N workers — local
+forks or remote TCP agents speaking the length-prefixed JSON-RPC
+protocol — converges to an aggregate ``results.json`` /
 ``digest.txt`` that is byte-identical to :meth:`Campaign.finalize` over
 the same spec's payloads simulated in-process, while worker deaths,
 duplicate, late or stale reports and greedy workers all degrade
@@ -12,6 +12,7 @@ gracefully instead of corrupting the merge.
 import asyncio
 import json
 import os
+import shutil
 import socket
 import struct
 import threading
@@ -177,7 +178,6 @@ def harness(tmp_path):
         campaign,
         executor=_executor(tmp_path),
         runner="sleep",
-        expected_workers=1,
         retry=RetryPolicy(max_attempts=2, unit=0.0),
     )
     yield instance
@@ -201,7 +201,6 @@ def _expiring_harness(tmp_path):
         campaign,
         executor=_executor(tmp_path),
         runner="sleep",
-        expected_workers=1,
         retry=RetryPolicy(max_attempts=3, unit=0.0),
         lease_timeout=0.3,
         poll_interval=0.05,
@@ -213,6 +212,24 @@ def _wait_until_nothing_leased(client):
     while client.call("status")["leased"]:
         assert time.monotonic() < deadline, "lease never expired"
         time.sleep(0.05)
+
+
+def _sleep_result(client, worker, key):
+    return client.call(
+        "result", worker_id=worker, key=key,
+        payload={"mode": "sleep", "key": key},
+    )
+
+
+class _SlowRetryOf(RetryPolicy):
+    """Backs off ``seconds`` on ``key``'s retries, not at all on others'."""
+
+    def __init__(self, key, seconds):
+        super().__init__(max_attempts=3, unit=0.0)
+        self.key, self.seconds = key, seconds
+
+    def delay_seconds(self, key, attempt):
+        return self.seconds if key == self.key else 0.0
 
 
 def _journal_bytes(directory):
@@ -236,10 +253,20 @@ class TestCoordinatorRpc:
                 client.call("serve", protocol=PROTOCOL_VERSION + 1)
         assert excinfo.value.code == ERR_BAD_REQUEST
 
-    def test_unknown_method_is_404(self, harness):
-        # ``submit`` was removed in 1.4: it answers like any unknown method.
+    def test_protocol_1_worker_is_refused_at_the_handshake(self, harness):
+        """A 1.4 worker would call ``steal``: it fails at ``serve`` with a
+        400, not mid-campaign with a 404."""
+        assert PROTOCOL_VERSION == 2
         with _client(harness) as client:
-            for method in ("frobnicate", "submit"):
+            with pytest.raises(RpcError) as excinfo:
+                client.call("serve", pid=os.getpid(), protocol=1)
+        assert excinfo.value.code == ERR_BAD_REQUEST
+
+    def test_unknown_method_is_404(self, harness):
+        # ``submit`` was removed in 1.4 and ``steal`` in 1.5: they answer
+        # like any unknown method.
+        with _client(harness) as client:
+            for method in ("frobnicate", "submit", "steal"):
                 with pytest.raises(RpcError) as excinfo:
                     client.call(method)
                 assert excinfo.value.code == ERR_UNKNOWN_METHOD, method
@@ -250,29 +277,73 @@ class TestCoordinatorRpc:
                 client.call("lease", worker_id="nope")
         assert excinfo.value.code == ERR_BAD_REQUEST
 
-    def test_lease_steal_result_drains_the_campaign(self, harness):
+    def test_lease_result_drains_the_campaign(self, harness):
         with _client(harness) as client:
             worker = _serve(client)["worker_id"]
-            # Own shard first, then a steal from the foreign shard: 2 runs
-            # over 2 shards with 1 worker means exactly one steal.
             first = client.call("lease", worker_id=worker)
-            assert first["kind"] == "run" and first["stolen"] is False
-            client.call(
-                "result", worker_id=worker, key=first["key"],
-                payload={"mode": "sleep", "key": first["key"]},
-            )
-            assert client.call("lease", worker_id=worker)["kind"] == "empty"
-            second = client.call("steal", worker_id=worker)
-            assert second["kind"] == "run" and second["stolen"] is True
-            reply = client.call(
-                "result", worker_id=worker, key=second["key"],
-                payload={"mode": "sleep", "key": second["key"]},
-            )
+            assert first["kind"] == "run"
+            _sleep_result(client, worker, first["key"])
+            second = client.call("lease", worker_id=worker)
+            assert second["kind"] == "run"
+            reply = _sleep_result(client, worker, second["key"])
             assert reply == {"accepted": True, "done": True}
             status = client.call("status", worker_id=worker)
         assert status["done"] is True
         assert status["digest"]
-        assert sum(s["stolen"] for s in status["shards"]) == 1
+        assert [w["completed"] for w in status["workers"]] == [2]
+
+    def test_one_worker_leases_the_whole_plan_in_order(self, tmp_path):
+        campaign = Campaign.create(tmp_path / "camp", _spec(apps=(APP, "fft")))
+        harness = _CoordinatorHarness(
+            campaign, executor=_executor(tmp_path), runner="sleep"
+        )
+        granted = []
+        try:
+            with _client(harness) as client:
+                worker = _serve(client)["worker_id"]
+                for _ in campaign.keys:
+                    grant = client.call("lease", worker_id=worker)
+                    assert grant["kind"] == "run", granted
+                    granted.append(grant["key"])
+                    _sleep_result(client, worker, grant["key"])
+                status = client.call("status")
+        finally:
+            harness.close()
+        assert granted == campaign.keys
+        assert status["done"] is True
+
+    def test_backing_off_retry_does_not_block_the_queue(self, tmp_path):
+        """A's retry waits out its backoff at the head of the queue while
+        B's retry, queued behind it and due at once, is granted."""
+        campaign = Campaign.create(tmp_path / "camp", _spec())
+        first, second = campaign.keys
+        harness = _CoordinatorHarness(
+            campaign,
+            executor=_executor(tmp_path),
+            runner="sleep",
+            retry=_SlowRetryOf(first, 1.0),
+        )
+        try:
+            with _client(harness) as a, _client(harness) as b:
+                worker_a = _serve(a, "a")["worker_id"]
+                worker_b = _serve(b, "b")["worker_id"]
+                assert a.call("lease", worker_id=worker_a)["key"] == first
+                assert b.call("lease", worker_id=worker_b)["key"] == second
+                a.call("fail", worker_id=worker_a, key=first, detail="x")
+                b.call("fail", worker_id=worker_b, key=second, detail="x")
+                retry = b.call("lease", worker_id=worker_b)
+                assert (retry["key"], retry["attempt"]) == (second, 2)
+                assert a.call("lease", worker_id=worker_a)["kind"] == "empty"
+                deadline = time.monotonic() + 5.0
+                while True:
+                    due = a.call("lease", worker_id=worker_a)
+                    if due["kind"] == "run":
+                        break
+                    assert time.monotonic() < deadline, "retry never granted"
+                    time.sleep(0.05)
+        finally:
+            harness.close()
+        assert (due["key"], due["attempt"]) == (first, 2)
 
     def test_lease_cap_throttles_greedy_workers(self, harness):
         with _client(harness) as client:
@@ -306,18 +377,15 @@ class TestCoordinatorRpc:
             )
             assert reply == {"requeued": True, "giveup": False}
             # max_attempts=2, unit=0: the retry is immediately leasable.
-            # Steal prefers foreign shards, so drain the other queued run
-            # first if it is granted ahead of the retried one.
+            # It rejoined at the rear, so drain the other queued run first
+            # if it is granted ahead of the retried one.
             deadline = time.monotonic() + 5.0
             while True:
-                again = client.call("steal", worker_id=worker)
+                again = client.call("lease", worker_id=worker)
                 if again["kind"] == "run":
                     if again["key"] == grant["key"]:
                         break
-                    client.call(
-                        "result", worker_id=worker, key=again["key"],
-                        payload={"mode": "sleep", "key": again["key"]},
-                    )
+                    _sleep_result(client, worker, again["key"])
                     continue
                 assert time.monotonic() < deadline, "retry never re-leased"
                 time.sleep(0.05)
@@ -343,9 +411,12 @@ class TestCoordinatorRpc:
                 grant = a.call("lease", worker_id=worker_a)
                 _wait_until_nothing_leased(a)
                 harness.coordinator.lease_timeout = None  # B's lease stays
-                # B's own shard holds the other run, so a steal takes A's
-                # expired key from A's shard.
-                again = b.call("steal", worker_id=worker_b)
+                # A's expired key rejoined behind the other run: B
+                # completes that one, then re-leases A's key.
+                other = b.call("lease", worker_id=worker_b)
+                assert other["key"] != grant["key"]
+                _sleep_result(b, worker_b, other["key"])
+                again = b.call("lease", worker_id=worker_b)
                 assert (again["key"], again["attempt"]) == (grant["key"], 2)
                 journals = _journal_bytes(tmp_path / "camp")
                 reply = a.call(
@@ -357,7 +428,7 @@ class TestCoordinatorRpc:
         finally:
             harness.close()
         assert reply == {"requeued": False, "giveup": False}
-        assert (status["leased"], status["pending"]) == (1, 1)
+        assert (status["leased"], status["pending"]) == (1, 0)
         assert status["counters"]["retries.total"] == 1
 
     def test_stale_fail_of_an_unleased_key_is_ignored(self, tmp_path):
@@ -394,7 +465,6 @@ class TestCoordinatorRpc:
         status = live_status(harness.host, harness.port)
         text = render_live_status(status)
         assert "campaign dist [live, running]" in text
-        assert "shard 0" in text
 
     def test_late_result_after_terminal_failure_heals(self, tmp_path):
         """Lease A, let the lease expire into a terminal failure, report A
@@ -405,7 +475,6 @@ class TestCoordinatorRpc:
             campaign,
             executor=_executor(tmp_path),
             runner="sleep",
-            expected_workers=1,
             retry=RetryPolicy(max_attempts=1, unit=0.0),
             lease_timeout=0.3,
             poll_interval=0.05,
@@ -460,15 +529,15 @@ class TestDistributedEndToEnd:
         assert (tmp_path / "dist" / "digest.txt").read_bytes() == (
             tmp_path / "single" / "digest.txt"
         ).read_bytes()
-        # Distributed bookkeeping happened: shard journals, worker joins,
+        # Distributed bookkeeping happened: one journal, worker joins,
         # no crash-unsafe debris, endpoint withdrawn after completion.
-        assert list((tmp_path / "dist").glob("journal-shard*.jsonl"))
+        assert list((tmp_path / "dist").glob("journal-shard*.jsonl")) == []
         assert telemetry.counters["workers.joined"] >= 1
         assert list(iter_stale_tmp(tmp_path / "dist")) == []
         assert not (tmp_path / "dist" / COORDINATOR_NAME).exists()
 
-        # A resume reads the merged shard journals and agrees the
-        # campaign is already finished (nothing re-executes).
+        # A resume reads the journal and agrees the campaign is already
+        # finished (nothing re-executes).
         resumed = run_campaign(
             tmp_path / "dist", None,
             workers=1,
@@ -518,6 +587,47 @@ class TestDistributedEndToEnd:
         assert report.resumed == report.total == 2
         assert report.executed == 0
         assert report.digest == reference
+
+    def test_checkpoint_with_1_4_shard_journals_resumes(self, tmp_path):
+        """Versions 1.2-1.4 journalled each run in ``journal-shard<k>``.
+        Such a directory resumes: only the run whose records were lost
+        executes, its record lands in ``journal.jsonl``, and nothing
+        writes the shard journals."""
+        spec = _spec("old", apps=(APP, "fft"))
+        reference = tmp_path / "reference"
+        run_campaign(
+            reference, spec, workers=1,
+            executor=Executor(workers=1, use_cache=False), timeout=120,
+        )
+        directory = tmp_path / "old"
+        shutil.copytree(reference, directory)
+        journal = directory / "journal.jsonl"
+        header, *runs = journal.read_text().splitlines(keepends=True)
+        assert [json.loads(line)["type"] for line in runs] == ["run"] * 4
+        journal.write_text(header)
+        for shard, line in enumerate(runs):
+            (directory / f"journal-shard{shard}.jsonl").write_text(line)
+        (directory / "journal-shard2.jsonl").write_text("")
+        lost = json.loads(runs[2])["key"]
+        shards = _journal_bytes(directory)
+        del shards["journal.jsonl"]
+
+        report = run_campaign(
+            directory, None, workers=1,
+            executor=Executor(workers=1, use_cache=False), timeout=120,
+        )
+        assert (report.resumed, report.executed) == (3, 1)
+        for name in ("results.json", "digest.txt"):
+            assert (directory / name).read_bytes() == (
+                reference / name
+            ).read_bytes()
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [(r["type"], r.get("key")) for r in records] == [
+            ("header", None), ("run", lost),
+        ]
+        after = _journal_bytes(directory)
+        del after["journal.jsonl"]
+        assert after == shards
 
     def test_chaos_worker_kill_recovers_and_digest_holds(self, tmp_path):
         # 4 runs over 2 workers: the first grant after the first result
