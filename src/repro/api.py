@@ -647,8 +647,9 @@ def record_trace(
     """Record ``app``'s synthetic reference stream into the canonical
     chunked/compressed trace format at ``out``.
 
-    Cores are synthesized and flushed one at a time, so peak memory is
-    O(one chunk) regardless of trace size. The returned
+    Cores are synthesized and written one at a time, so peak memory is
+    one core's synthesized trace, O(trace ÷ cores), plus a chunk buffer
+    per core. The returned
     :class:`TraceFileInfo` carries the content ``trace_id`` the replay
     and caching layers verify against.
     """

@@ -286,6 +286,7 @@ class CampaignReport:
     executed: int = 0
     retries: int = 0
     digest: str = ""
+    #: The most agents alive at once (the requested count if none joined).
     workers: int = 0
     wall_seconds: float = 0.0
     #: The ``distributed.json`` accounting (per worker, counters).
@@ -855,7 +856,7 @@ def run_campaign(
         executed=coordinator.accepted_results,
         retries=counters["retries.total"],
         digest=coordinator.digest,
-        workers=max(workers, len(coordinator.workers)),
+        workers=coordinator.peak_workers or workers,
         wall_seconds=wall_seconds,
         summary=coordinator.summary,
         telemetry=coordinator.telemetry.snapshot(),

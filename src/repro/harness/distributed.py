@@ -214,6 +214,9 @@ class Coordinator:
         self.queued: Dict[str, _Entry] = {}
         self.leases: Dict[str, _Lease] = {}
         self.workers: Dict[str, _WorkerState] = {}
+        #: The most agents alive at once, counted at each ``serve``: a
+        #: respawned agent replaces a lost one rather than adding to it.
+        self.peak_workers = 0
         #: pid -> Process handle of every live local agent.
         self.local_workers: Dict[int, object] = {}
         self.local_target = 0
@@ -653,6 +656,8 @@ class Coordinator:
             last_beat=now,
         )
         self.workers[worker_id] = state
+        alive = sum(worker.alive for worker in self.workers.values())
+        self.peak_workers = max(self.peak_workers, alive)
         self._emit({"event": "worker-join", "worker": worker_id})
         runner: Dict[str, object] = {"mode": self.runner}
         if self.runner == "sleep":

@@ -8,13 +8,14 @@ transient artifact of the synthetic generators:
     The versioned, chunked, compressed canonical trace-file format
     (``.wtr``): magic + JSON header, fixed-width numpy record chunks with
     per-chunk CRCs, a footer index carrying per-chunk barrier counts, and
-    a content-digest ``trace_id``. Reading and writing are both bounded
-    memory — O(one chunk), never O(trace).
+    a content-digest ``trace_id``. A reader holds one chunk at a time,
+    never O(trace); a writer holds one chunk buffer per core.
 
 :mod:`repro.traces.record`
     Converters into the canonical format: record any synthetic
-    application profile (``repro traces record``) or import the simple
-    external CSV/text format (``repro traces convert``).
+    application profile (``repro traces record``; holds one core's
+    synthesized columns at a time, O(trace ÷ cores)) or import the
+    simple external CSV/text format (``repro traces convert``).
 
 :mod:`repro.traces.snapshot`
     Versioned, atomic machine-state snapshots taken at quiescent points,

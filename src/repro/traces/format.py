@@ -1,5 +1,5 @@
 """The canonical on-disk trace format (``.wtr``): chunked, compressed,
-CRC-protected, and streamable in O(one chunk) memory.
+CRC-protected, and read in O(one chunk) memory.
 
 Layout (all integers little-endian)::
 
@@ -37,6 +37,7 @@ Reading the trailer requires a seekable file; everything else streams.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
@@ -68,6 +69,8 @@ RECORD_FIELDS = (
     ("arg", "<i8"),
 )
 RECORD_BYTES = 1 + 1 + 8 + 8 + 8
+
+_BARRIER_CODE = KIND_CODES[OP_BARRIER]
 
 
 class TraceFormatError(RuntimeError):
@@ -143,21 +146,52 @@ def _decompress(codec: str, data: bytes) -> bytes:
 # ------------------------------------------------------------ record codec
 
 
-def chunk_to_records(chunk: TraceChunk) -> bytes:
-    """Serialize a chunk's columns as fixed-width records (numpy)."""
+@functools.lru_cache(maxsize=None)
+def _record_dtype():
+    import numpy as np
+
+    return np.dtype([(name, spec) for name, spec in RECORD_FIELDS])
+
+
+def pack_records(kinds, addresses, values, args, blocking, out=None):
+    """Pack five equal-length columns into records of the
+    :data:`RECORD_FIELDS` layout.
+
+    ``kinds`` holds the uint8 codes of :data:`~repro.cpu.trace.KIND_CODES`
+    and ``blocking`` bools (or 0/1). The records go into ``out`` (a record
+    array of the columns' length) when given, else into a new array;
+    either way that array is returned.
+    """
+    import numpy as np
+
+    if out is None:
+        out = np.empty(len(kinds), dtype=_record_dtype())
+    out["kind"] = kinds
+    out["blocking"] = blocking
+    out["address"] = addresses
+    out["value"] = values
+    out["arg"] = args
+    return out
+
+
+def chunk_columns(chunk: TraceChunk):
+    """A :class:`TraceChunk`'s five columns as numpy arrays, in
+    :func:`pack_records` order, with kinds as their uint8 codes."""
     import numpy as np
 
     n = len(chunk.kinds)
-    records = np.empty(n, dtype=_record_dtype())
-    codes = KIND_CODES
-    records["kind"] = np.fromiter(
-        (codes[k] for k in chunk.kinds), dtype=np.uint8, count=n
+    return (
+        np.fromiter(map(KIND_CODES.__getitem__, chunk.kinds), dtype=np.uint8, count=n),
+        np.asarray(chunk.addresses, dtype=np.int64),
+        np.asarray(chunk.values, dtype=np.int64),
+        np.asarray(chunk.args, dtype=np.int64),
+        np.asarray(chunk.blocking, dtype=np.uint8),
     )
-    records["blocking"] = np.asarray(chunk.blocking, dtype=np.uint8)
-    records["address"] = np.asarray(chunk.addresses, dtype=np.int64)
-    records["value"] = np.asarray(chunk.values, dtype=np.int64)
-    records["arg"] = np.asarray(chunk.args, dtype=np.int64)
-    return records.tobytes()
+
+
+def chunk_to_records(chunk: TraceChunk) -> bytes:
+    """Serialize a chunk's columns as fixed-width record bytes."""
+    return pack_records(*chunk_columns(chunk)).tobytes()
 
 
 def records_to_chunk(data: bytes) -> TraceChunk:
@@ -188,28 +222,21 @@ def records_to_chunk(data: bytes) -> TraceChunk:
     return chunk
 
 
-def _record_dtype():
-    import numpy as np
-
-    return np.dtype([(name, spec) for name, spec in RECORD_FIELDS])
-
-
-def _barrier_count(chunk: TraceChunk) -> int:
-    kinds = chunk.kinds
-    return sum(1 for k in kinds if k is OP_BARRIER or k == OP_BARRIER)
-
-
 # ----------------------------------------------------------------- writer
 
 
 class TraceWriter:
     """Streaming trace writer: feed per-core ops, get a canonical file.
 
-    Appends buffer per core and flush to disk every ``chunk_records``
-    records, so memory stays O(num_cores × chunk) regardless of trace
-    length. The file is assembled at a temporary path and atomically
-    renamed into place on :meth:`close` — a killed writer never leaves a
-    half-written file where a reader would look.
+    Each core's appends fill a record buffer of up to ``chunk_records``
+    records; a full buffer is compressed and written as a frame at once,
+    and every core's partial last buffer at :meth:`close`, in core order.
+    The writer holds one buffer per core, so memory stays
+    O(num_cores × chunk) whatever the trace length. The file is assembled
+    at a temporary path and atomically renamed into place on
+    :meth:`close` — a killed writer never leaves a half-written file
+    where a reader would look, and a failed close or an exception inside
+    ``with`` removes the temporary file.
 
     Use as a context manager::
 
@@ -244,7 +271,10 @@ class TraceWriter:
         self._tmp_path = self.path.with_name(
             f"{self.path.name}.tmp.{os.getpid()}"
         )
-        self._pending: List[TraceChunk] = [TraceChunk() for _ in range(num_cores)]
+        #: Each core's partly filled record buffer (None: none yet), and
+        #: how many of its records are filled.
+        self._buffers: List = [None] * num_cores
+        self._filled = [0] * num_cores
         self._chunk_counts = [0] * num_cores
         self._record_counts = [0] * num_cores
         self._index: List[List[int]] = []
@@ -271,20 +301,32 @@ class TraceWriter:
 
     # ------------------------------------------------------------- appends
 
+    def append_columns(
+        self, core: int, kinds, addresses, values, args, blocking
+    ) -> None:
+        """Append ops for ``core`` given as five numpy columns, in
+        :func:`pack_records` order (kinds as uint8 codes); any length."""
+        self._check_core(core)
+        total = len(kinds)
+        start = 0
+        while start < total:
+            filled = self._filled[core]
+            stop = min(total, start + self.chunk_records - filled)
+            end = filled + stop - start
+            pack_records(
+                kinds[start:stop],
+                addresses[start:stop],
+                values[start:stop],
+                args[start:stop],
+                blocking[start:stop],
+                out=self._buffer(core, end)[filled:end],
+            )
+            self._fill(core, end)
+            start = stop
+
     def append_chunk(self, core: int, chunk: TraceChunk) -> None:
         """Append a chunk of ops for ``core`` (any length; re-chunked)."""
-        if self._closed:
-            raise TraceFormatError("writer is closed")
-        if not 0 <= core < self.num_cores:
-            raise ValueError(f"core {core} out of range [0, {self.num_cores})")
-        pending = self._pending[core]
-        pending.kinds.extend(chunk.kinds)
-        pending.addresses.extend(chunk.addresses)
-        pending.values.extend(chunk.values)
-        pending.args.extend(chunk.args)
-        pending.blocking.extend(chunk.blocking)
-        while len(pending.kinds) >= self.chunk_records:
-            self._flush_chunk(core, self.chunk_records)
+        self.append_columns(core, *chunk_columns(chunk))
 
     def append_op(
         self,
@@ -296,70 +338,97 @@ class TraceWriter:
         blocking: bool = True,
     ) -> None:
         """Append one op (the converter's entry point)."""
-        if kind not in KIND_CODES:
+        code = KIND_CODES.get(kind)
+        if code is None:
             raise TraceFormatError(f"unknown trace op kind {kind!r}")
-        single = TraceChunk()
-        single.kinds.append(kind)
-        single.addresses.append(int(address))
-        single.values.append(int(value))
-        single.args.append(int(arg))
-        single.blocking.append(bool(blocking))
-        self.append_chunk(core, single)
+        self._check_core(core)
+        filled = self._filled[core]
+        # One record, its fields in RECORD_FIELDS order.
+        self._buffer(core, filled + 1)[filled] = (
+            code, bool(blocking), int(address), int(value), int(arg)
+        )
+        self._fill(core, filled + 1)
 
-    def _flush_chunk(self, core: int, take: int) -> None:
-        pending = self._pending[core]
-        piece = TraceChunk()
-        piece.kinds = pending.kinds[:take]
-        piece.addresses = pending.addresses[:take]
-        piece.values = pending.values[:take]
-        piece.args = pending.args[:take]
-        piece.blocking = pending.blocking[:take]
-        del pending.kinds[:take]
-        del pending.addresses[:take]
-        del pending.values[:take]
-        del pending.args[:take]
-        del pending.blocking[:take]
+    # -------------------------------------------------------------- frames
 
-        raw = chunk_to_records(piece)
-        crc = zlib.crc32(raw) & 0xFFFFFFFF
-        payload = _compress(self.codec, raw)
+    def _check_core(self, core: int) -> None:
+        if self._closed:
+            raise TraceFormatError("writer is closed")
+        if not 0 <= core < self.num_cores:
+            raise ValueError(f"core {core} out of range [0, {self.num_cores})")
+
+    def _buffer(self, core: int, end: int):
+        """``core``'s record buffer, grown to hold ``end`` records."""
+        import numpy as np
+
+        buffer = self._buffers[core]
+        if buffer is None:
+            # Only as large as this append needs, so a core's partial
+            # last chunk holds just its records until close().
+            buffer = np.empty(end, dtype=_record_dtype())
+        elif len(buffer) < end:
+            filled = self._filled[core]
+            buffer = np.empty(self.chunk_records, dtype=_record_dtype())
+            buffer[:filled] = self._buffers[core][:filled]
+        self._buffers[core] = buffer
+        return buffer
+
+    def _fill(self, core: int, end: int) -> None:
+        """Mark ``end`` records of ``core``'s buffer filled; a full
+        buffer is written as a frame and dropped."""
+        if end == self.chunk_records:
+            self._write_frame(core, self._buffers[core])
+            self._buffers[core] = None
+            end = 0
+        self._filled[core] = end
+
+    def _write_frame(self, core: int, records) -> None:
+        """Write ``records`` (a record array) as ``core``'s next chunk."""
+        import numpy as np
+
         index = self._chunk_counts[core]
+        n_records = len(records)
+        crc = zlib.crc32(records) & 0xFFFFFFFF
+        payload = _compress(self.codec, records)
+        barriers = int(np.count_nonzero(records["kind"] == _BARRIER_CODE))
         offset = self._file.tell()
         self._file.write(
-            _CHUNK_HEADER.pack(core, index, len(piece.kinds), len(payload), crc)
+            _CHUNK_HEADER.pack(core, index, n_records, len(payload), crc)
         )
         self._file.write(payload)
         self._index.append(
-            [
-                core,
-                index,
-                len(piece.kinds),
-                offset,
-                len(payload),
-                crc,
-                _barrier_count(piece),
-            ]
+            [core, index, n_records, offset, len(payload), crc, barriers]
         )
-        self._digest.update(
-            struct.pack("<IIII", core, index, len(piece.kinds), crc)
-        )
+        self._digest.update(struct.pack("<IIII", core, index, n_records, crc))
         self._chunk_counts[core] = index + 1
-        self._record_counts[core] += len(piece.kinds)
+        self._record_counts[core] += n_records
 
     # --------------------------------------------------------------- close
 
     def close(self) -> str:
         """Flush residues, write the index, atomically land the file.
 
-        Returns the ``trace_id`` content digest.
+        Returns the ``trace_id`` content digest. If closing fails, the
+        writer aborts (the temporary file is removed) and the error is
+        raised.
         """
-        import os
-
         if self._closed:
             return self.trace_id or ""
+        try:
+            self._land()
+        except BaseException:
+            self.abort()
+            raise
+        self._closed = True
+        return self.trace_id
+
+    def _land(self) -> None:
+        import os
+
         for core in range(self.num_cores):
-            if self._pending[core].kinds:
-                self._flush_chunk(core, len(self._pending[core].kinds))
+            filled = self._filled[core]
+            if filled:
+                self._write_frame(core, self._buffers[core][:filled])
         self.trace_id = self._digest.hexdigest()
         index_blob = json.dumps(
             {
@@ -382,8 +451,6 @@ class TraceWriter:
         os.fsync(self._file.fileno())
         self._file.close()
         os.replace(self._tmp_path, self.path)
-        self._closed = True
-        return self.trace_id
 
     def abort(self) -> None:
         """Discard the partial file (error paths)."""

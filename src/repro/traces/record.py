@@ -1,11 +1,12 @@
 """Converters *into* the canonical trace format.
 
 ``record_app_trace`` freezes any synthetic application profile into a
-trace file: it consumes the generator's chunk-emission seam
-(:func:`repro.workloads.generator.iter_core_trace_chunks`), so the
-recorded stream is op-for-op identical to what a live ``run_app`` of the
-same (profile, cores, memops, seed) would execute — the property the
-replay golden-digest tests lock for every protocol backend.
+trace file: it writes the numpy columns of the generator's recording
+seam (:func:`repro.workloads.generator.synthesize_columns`) straight
+into trace frames, so the recorded stream is op-for-op identical to what
+a live ``run_app`` of the same (profile, cores, memops, seed) would
+execute — the property the replay golden-digest tests lock for every
+protocol backend.
 
 ``convert_csv`` imports the simple external text format, one op per
 line::
@@ -45,13 +46,14 @@ def record_app_trace(
 ) -> Dict:
     """Record a synthetic application's reference stream to ``path``.
 
-    Cores are synthesized and written one at a time, so peak memory is
-    O(one core's trace) — independent of ``num_cores`` — and the writer
-    flushes to disk every ``chunk_records`` records. Returns the
+    Cores are synthesized one at a time, and each core's numpy columns
+    are packed straight into the writer's chunk buffers, so peak memory
+    is one core's synthesized columns — O(trace ÷ cores) — plus the
+    writer's O(num_cores × chunk) buffers. Returns the
     :func:`~repro.traces.format.trace_info` summary of the written file
     (including its ``trace_id``).
     """
-    from repro.workloads.generator import iter_core_trace_chunks
+    from repro.workloads.generator import synthesize_columns
 
     profile = resolve_profile(app)
     meta = {
@@ -69,15 +71,12 @@ def record_app_trace(
         metadata=meta,
     ) as writer:
         for core in range(num_cores):
-            for chunk in iter_core_trace_chunks(
-                profile,
+            writer.append_columns(
                 core,
-                num_cores,
-                memops_per_core,
-                trace_seed,
-                chunk_records=chunk_records,
-            ):
-                writer.append_chunk(core, chunk)
+                *synthesize_columns(
+                    profile, core, num_cores, memops_per_core, trace_seed
+                ),
+            )
     return trace_info(path)
 
 

@@ -452,8 +452,19 @@ def _fill(draws: _Draws, walk: _Walk, core: int, num_cores: int):
     return kinds, addresses, values, args, blocking
 
 
-def _synthesize(profile: AppProfile, core: int, num_cores: int, memops: int, seed: int):
-    """One core's five trace columns, as numpy arrays."""
+def synthesize_columns(
+    profile: AppProfile, core: int, num_cores: int, memops: int, seed: int = 0
+):
+    """One core's trace as five numpy columns: kinds (uint8
+    :data:`~repro.cpu.trace.KIND_CODES`), addresses, values, args (int64)
+    and blocking (bool).
+
+    This is the recording seam: :func:`~repro.traces.record.record_app_trace`
+    writes these arrays straight into trace frames, and
+    :func:`build_core_trace` turns the same arrays into a core's
+    :class:`~repro.cpu.trace.TraceChunk`, so a recorded trace is
+    op-for-op what the live generator runs.
+    """
     shape = _Shape(profile, num_cores)
     per_phase = max(1, memops // shape.phases)
     rng = DeterministicRng(seed).split(f"{profile.name}-core{core}")
@@ -478,7 +489,7 @@ def build_core_trace(
     """
     # The lists are built once every synthesis temporary is freed, so they
     # take its memory instead of fragmenting the heap around it.
-    kinds, addresses, values, args, blocking = _synthesize(
+    kinds, addresses, values, args, blocking = synthesize_columns(
         profile, core, num_cores, memops, seed
     )
     chunk = TraceChunk()
@@ -488,32 +499,6 @@ def build_core_trace(
     chunk.args = args.tolist()
     chunk.blocking = blocking.tolist()
     return chunk
-
-
-def iter_core_trace_chunks(
-    profile: AppProfile,
-    core: int,
-    num_cores: int,
-    memops: int,
-    seed: int = 0,
-    chunk_records: int = 8192,
-):
-    """Yield one core's trace as successive chunks of ``chunk_records`` ops.
-
-    This is the recording seam: the trace recorder consumes these slices
-    and the replay frontend streams them back through
-    ``Core.run_trace(chunk_source=...)``. The underlying stream is the
-    *same* :func:`build_core_trace` output — sliced, not re-generated —
-    so a recorded trace is op-for-op identical to the live generator on
-    every protocol backend (the replay golden-digest tests lock this). Memory here is O(one core's trace); the written
-    file is then replayable in O(chunk).
-    """
-    chunk = build_core_trace(profile, core, num_cores, memops, seed)
-    total = len(chunk.kinds)
-    for start in range(0, total, chunk_records):
-        yield chunk.slice(start, min(start + chunk_records, total))
-    if total == 0:
-        yield TraceChunk()
 
 
 #: Memoized machine traces. ``build_traces`` is pure and the harness calls

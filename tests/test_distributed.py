@@ -458,6 +458,27 @@ class TestCoordinatorRpc:
         assert status["counters"]["retries.total"] == 1
         assert excinfo.value.code == ERR_BAD_REQUEST
 
+    def test_peak_workers_counts_agents_alive_at_once(self, harness):
+        """A replacement that joins after its predecessor was lost does
+        not count as extra concurrency: three handshakes, at most two
+        agents alive at once."""
+        first, second, third = (_client(harness) for _ in range(3))
+        try:
+            assert _serve(first)["worker_id"] == "w0"
+            _serve(second)
+            assert harness.coordinator.peak_workers == 2
+            first.close()  # EOF on a registered connection: w0 is lost
+            deadline = time.monotonic() + 10
+            while harness.coordinator.workers["w0"].alive:
+                assert time.monotonic() < deadline, "w0 was never marked lost"
+                time.sleep(0.01)
+            assert _serve(third)["worker_id"] == "w2"
+        finally:
+            for client in (first, second, third):
+                client.close()
+        assert len(harness.coordinator.workers) == 3
+        assert harness.coordinator.peak_workers == 2
+
     def test_live_status_helpers(self, harness, tmp_path):
         assert coordinator_endpoint(tmp_path / "camp") == (
             harness.host, harness.port,
@@ -646,6 +667,7 @@ class TestDistributedEndToEnd:
         )
         assert report.ok
         assert report.digest == reference
+        assert report.workers == 2  # the respawned agent is not a third
         assert telemetry.counters["workers.lost"] >= 1
         assert telemetry.counters["retries.crashed"] >= 1
         assert list(iter_stale_tmp(tmp_path / "chaos")) == []

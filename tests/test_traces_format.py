@@ -11,12 +11,14 @@ wrong records.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.traces.format as trace_format
 from repro.cpu.trace import (
     OP_BARRIER,
     OP_LOAD,
@@ -33,6 +35,7 @@ from repro.traces.format import (
     TraceReader,
     TraceWriter,
     available_codec,
+    chunk_columns,
     chunk_to_records,
     records_to_chunk,
     trace_info,
@@ -295,3 +298,85 @@ def test_convert_csv_rejects_bad_rows(tmp_path):
     with pytest.raises(TraceFormatError):
         convert_csv(bad_int, out)
     assert not out.exists()  # converter aborts, no partial file
+
+
+# ------------------------------------------------------------ writer errors
+
+
+def _broken_compress(codec, data):
+    raise RuntimeError("compressor failed")
+
+
+def _broken_fsync(fd):
+    raise OSError(28, "No space left on device")
+
+
+class TestWriterErrors:
+    """A writer that fails, in its appends or in its close, raises the
+    error and leaves neither the final file nor its temporary file."""
+
+    def test_compression_error_in_an_append_inside_with(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_format, "_compress", _broken_compress)
+        with pytest.raises(RuntimeError, match="compressor failed"):
+            with TraceWriter(tmp_path / "t.wtr", num_cores=1, chunk_records=4) as writer:
+                for i in range(10):
+                    writer.append_op(0, OP_LOAD, 64 * i)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("use_with", [True, False])
+    @pytest.mark.parametrize("failure", ["compress", "fsync"])
+    def test_failing_close_aborts(self, tmp_path, monkeypatch, failure, use_with):
+        """Only partial chunks, so the first frame is compressed in
+        ``close()``; ``__exit__`` calls ``close()`` on the success path."""
+        if failure == "compress":
+            monkeypatch.setattr(trace_format, "_compress", _broken_compress)
+        else:
+            monkeypatch.setattr(os, "fsync", _broken_fsync)
+        path = tmp_path / "t.wtr"
+        with pytest.raises((RuntimeError, OSError)):
+            if use_with:
+                with TraceWriter(path, num_cores=2, chunk_records=4) as writer:
+                    writer.append_op(1, OP_STORE, 64, 1)
+            else:
+                writer = TraceWriter(path, num_cores=2, chunk_records=4)
+                writer.append_op(1, OP_STORE, 64, 1)
+                writer.close()
+        assert not list(tmp_path.iterdir())
+        assert writer._file.closed
+        with pytest.raises(TraceFormatError):
+            writer.append_op(0, OP_LOAD)  # the failed writer is closed
+
+
+def test_column_and_op_appends_write_the_same_file(tmp_path):
+    """However a core's ops are split across calls, the frames are the
+    same: columns in uneven pieces (one empty, some spanning a chunk
+    boundary) give the file that one op at a time gives."""
+    streams = [
+        [(KINDS[(i * c) % 5], 64 * i, i, i % 3, bool(i % 2)) for i in range(n)]
+        for c, n in enumerate((11, 0, 7, 25))
+    ]
+    one_by_one = _write_streams(tmp_path / "ops.wtr", streams, chunk_records=4)
+    columns = []
+    for ops in streams:
+        chunk = TraceChunk()
+        for kind, address, value, arg, blocking in ops:
+            chunk.kinds.append(kind)
+            chunk.addresses.append(address)
+            chunk.values.append(value)
+            chunk.args.append(arg)
+            chunk.blocking.append(blocking)
+        columns.append(chunk_columns(chunk))
+    with TraceWriter(tmp_path / "cols.wtr", num_cores=4, chunk_records=4) as writer:
+        for core, cols in enumerate(columns):
+            for start, stop in ((0, 3), (3, 3), (3, 9), (9, None)):
+                writer.append_columns(core, *(col[start:stop] for col in cols))
+    assert writer.trace_id == one_by_one.trace_id
+    assert (tmp_path / "cols.wtr").read_bytes() == (tmp_path / "ops.wtr").read_bytes()
+    # Ops and columns mixed on one core: a one-op buffer grows to a chunk.
+    with TraceWriter(tmp_path / "mixed.wtr", num_cores=4, chunk_records=4) as writer:
+        for core, (ops, cols) in enumerate(zip(streams, columns)):
+            for kind, address, value, arg, blocking in ops[:1]:
+                writer.append_op(core, kind, address, value, arg, blocking)
+            for start, stop in ((1, 2), (2, 6), (6, None)):
+                writer.append_columns(core, *(col[start:stop] for col in cols))
+    assert (tmp_path / "mixed.wtr").read_bytes() == (tmp_path / "ops.wtr").read_bytes()
