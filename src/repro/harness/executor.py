@@ -22,11 +22,15 @@ waste:
 ``Executor``
     Deduplicates a plan by :func:`run_key`, satisfies requests from an
     on-disk JSON cache (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), fans
-    the remaining unique runs out over a ``multiprocessing`` pool
-    (``$REPRO_WORKERS`` / ``--workers``; ``workers=1`` is a deterministic
-    in-process serial fallback), and returns results in plan order.
+    the remaining unique runs out (``$REPRO_WORKERS`` / ``--workers``):
+    with two, such as one Baseline/WiDir pair, it runs the second in one
+    forked child beside this process, as the runner's ``run_pair`` does;
+    with more, over a ``multiprocessing`` pool. ``workers=1``, or a
+    process the runner's ``fork_allowed`` refuses, runs them in-process
+    in plan order (the deterministic serial fallback). Results come back
+    in plan order.
 
-Every result — fresh, pooled, or cached — is canonicalized through
+Every result — in-process, forked, or cached — is canonicalized through
 ``SimulationResult.to_dict()``/``from_dict()`` so parallel, serial, and
 warm-cache execution are *byte-identical*, which the determinism tests
 assert.
@@ -46,7 +50,15 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.config.presets import baseline_config, widir_config
 from repro.config.system import SystemConfig
 from repro.harness.ioutils import atomic_write_json, quarantine
-from repro.harness.runner import DEFAULT_MEMOPS, SimulationResult, run_app
+from repro.harness.runner import (
+    DEFAULT_MEMOPS,
+    SimulationResult,
+    fork_allowed,
+    run_app,
+    run_beside,
+)
+from repro.workloads.generator import build_traces
+from repro.workloads.profiles import resolve_profile
 
 log = logging.getLogger("repro.harness.executor")
 
@@ -253,6 +265,29 @@ def _simulate(request: RunRequest) -> Tuple[Dict, float]:
     return result.to_dict(), time.perf_counter() - started
 
 
+def _simulate_beside(here: RunRequest, there: RunRequest) -> List[Tuple[Dict, float]]:
+    """Run ``there`` in one forked child while this process runs ``here``.
+
+    ``here``'s traces are synthesized before the fork, so when the two
+    share a reference stream (a Baseline/WiDir pair) the child inherits
+    them, where a pool of two would synthesize them in each worker.
+    """
+    if not here.trace_path:
+        build_traces(
+            resolve_profile(here.app),
+            here.config.num_cores,
+            here.memops,
+            here.trace_seed,
+        )
+    return list(
+        run_beside(
+            lambda: _simulate(here),
+            lambda: _simulate(there),
+            f"{there.app} run on {there.config.protocol}",
+        )
+    )
+
+
 # --------------------------------------------------------------- executor
 
 
@@ -309,9 +344,11 @@ class Executor:
     ----------
     workers:
         Process count for the fan-out pool. ``None`` reads ``REPRO_WORKERS``
-        and falls back to ``os.cpu_count()``. ``1`` never creates a pool:
-        runs execute in-process, in plan order (the deterministic serial
+        and falls back to ``os.cpu_count()``. ``1`` never forks: runs
+        execute in-process, in plan order (the deterministic serial
         fallback — bit-identical to the parallel path by construction).
+        Neither does a process that :func:`fork_allowed` refuses (one
+        CPU, a second thread, a tracer or profiler attached).
     cache_dir:
         Where memoized results live, one ``<run_key>.json`` per unique run.
         ``None`` reads ``REPRO_CACHE_DIR`` and falls back to
@@ -392,7 +429,12 @@ class Executor:
         payloads: Dict[str, Dict] = {}
         if not todo:
             return payloads
-        if self.workers > 1 and len(todo) > 1:
+        requests = [request for _, request in todo]
+        if self.workers == 1 or len(requests) == 1 or not fork_allowed():
+            outputs = [_simulate(request) for request in requests]
+        elif len(requests) == 2:
+            outputs = _simulate_beside(*requests)
+        else:
             import multiprocessing
             import sys
 
@@ -400,13 +442,11 @@ class Executor:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 context = multiprocessing.get_context()
-            processes = min(self.workers, len(todo))
+            processes = min(self.workers, len(requests))
             with context.Pool(
                 processes, initializer=_pool_init, initargs=(list(sys.path),)
             ) as pool:
-                outputs = pool.map(_simulate, [request for _, request in todo])
-        else:
-            outputs = [_simulate(request) for _, request in todo]
+                outputs = pool.map(_simulate, requests)
         for (key, _), (payload, elapsed) in zip(todo, outputs):
             payloads[key] = payload
             self.stats.executed += 1
@@ -418,7 +458,7 @@ class Executor:
         """Execute a plan; returns results aligned with ``plan.requests``.
 
         Requests are deduplicated by :func:`run_key`; unique misses are
-        simulated (pooled if ``workers > 1``); everything is canonicalized
+        simulated (forked if ``workers > 1``); everything is canonicalized
         through ``SimulationResult.from_dict`` so the output is independent
         of *how* each run was satisfied.
         """

@@ -1,8 +1,20 @@
 """Tests for the experiment harness (runner, figures, motivation probe)."""
 
+import cProfile
+import json
+import os
+import sys
+import threading
+import time
+import types
+
 import pytest
 
+from repro import api
 from repro.config import baseline_config, widir_config
+from repro.engine.errors import SimulationError
+from repro.harness import executor, runner
+from repro.harness.executor import Executor, ExperimentPlan
 from repro.harness.figures import (
     figure5_sharer_histogram,
     figure6_mpki,
@@ -66,6 +78,239 @@ class TestRunner:
             == result.load_latency_total + result.store_latency_total
         )
         assert 0.0 <= result.memory_stall_fraction <= 1.0
+
+
+def _canonical(result):
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Let ``run_pair`` and the executor fork, whatever the host or an
+    attached coverage tracer; lists the child pids forked."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(runner, "fork_allowed", lambda: True)
+    monkeypatch.setattr(executor, "fork_allowed", lambda: True)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _fail_on(monkeypatch, protocol, fail):
+    """Make ``run_app`` call ``fail()`` instead of running ``protocol``."""
+    real_run_app = runner.run_app
+
+    def run_app(app, config, *args, **kwargs):
+        if config.protocol == protocol:
+            fail()
+        return real_run_app(app, config, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_app", run_app)
+
+
+class TestForkedPair:
+    @pytest.mark.parametrize("app", APPS)
+    def test_forked_pair_equals_two_serial_runs(self, forks, app):
+        base, widir = run_pair(app, num_cores=8, **FAST)
+        assert len(forks) == 1
+        _assert_no_child()
+        assert _canonical(base) == _canonical(
+            run_app(app, baseline_config(num_cores=8, seed=42), 200)
+        )
+        assert _canonical(widir) == _canonical(
+            run_app(app, widir_config(num_cores=8, max_wired_sharers=3, seed=42), 200)
+        )
+
+    def test_child_error_is_reraised(self, forks, monkeypatch):
+        def fail():
+            raise SimulationError("widir run failed on purpose")
+
+        _fail_on(monkeypatch, "widir", fail)
+        with pytest.raises(
+            SimulationError, match="^widir run failed on purpose$"
+        ) as raised:
+            run_pair("radiosity", num_cores=8, **FAST)
+        assert len(forks) == 1
+        _assert_no_child()
+        # The child's own frames come along as the cause.
+        cause = raised.value.__cause__
+        assert isinstance(cause, SimulationError)
+        assert "in fail\n" in str(cause)
+        assert "SimulationError: widir run failed on purpose" in str(cause)
+
+    def test_unpicklable_child_error_carries_its_traceback(self, forks, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        def fail():
+            raise LocalError("cannot cross a pipe")
+
+        _fail_on(monkeypatch, "widir", fail)
+        with pytest.raises(SimulationError, match="LocalError: cannot cross a pipe"):
+            run_pair("radiosity", num_cores=8, **FAST)
+        _assert_no_child()
+
+    def test_child_death_without_payload(self, forks, monkeypatch):
+        _fail_on(monkeypatch, "widir", lambda: os._exit(3))
+        with pytest.raises(SimulationError, match="radiosity.*wait status 768"):
+            run_pair("radiosity", num_cores=8, **FAST)
+        _assert_no_child()
+
+    def test_baseline_failure_reaps_the_child(self, forks, monkeypatch):
+        def fail():
+            raise ValueError("baseline run failed on purpose")
+
+        # A WiDir run that outlasts the test unless the parent stops it.
+        _fail_on(monkeypatch, "widir", lambda: time.sleep(60))
+        _fail_on(monkeypatch, "baseline", fail)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="baseline run failed on purpose"):
+            run_pair("radiosity", num_cores=8, **FAST)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_unknown_app_raises_before_forking(self, forks):
+        with pytest.raises(KeyError):
+            run_pair("doom", num_cores=8, **FAST)
+        with pytest.raises(KeyError):
+            Executor(workers=2, use_cache=False).run_pair("doom", num_cores=8)
+        assert forks == []
+        _assert_no_child()
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_compare_takes_the_same_fork(self, forks, app):
+        """``api.compare`` (the executor's two-run plan) forks one child,
+        as ``run_pair`` does, and equals the serial executor."""
+        comparison = api.compare(app, cores=8, memops=200, workers=2, cache=False)
+        assert len(forks) == 1
+        _assert_no_child()
+        serial = Executor(workers=1, use_cache=False)
+        base, widir = serial.run_pair(app, num_cores=8, memops_per_core=200)
+        assert _canonical(comparison.baseline) == _canonical(base)
+        assert _canonical(comparison.widir) == _canonical(widir)
+
+    def test_executor_counts_both_runs(self, forks):
+        exe = Executor(workers=2, use_cache=False)
+        exe.run_pair("radiosity", num_cores=8, memops_per_core=200)
+        assert len(forks) == 1
+        assert exe.stats.executed == 2
+        assert exe.stats.sim_seconds > 0
+
+
+class TestPairSelection:
+    """What makes ``run_pair`` and the executor fork: each rule alone
+    keeps both serial."""
+
+    @staticmethod
+    def _quiet(monkeypatch, *keep):
+        """Give every rule not in ``keep`` a value that allows a fork, so
+        the host's CPUs, a coverage tracer or the runner's threads decide
+        nothing; forking itself raises."""
+        pinned = {
+            "affinity": (os, "sched_getaffinity", lambda pid: {0, 1}),
+            "threads": (threading, "active_count", lambda: 1),
+            "trace": (sys, "gettrace", lambda: None),
+            "profile": (sys, "getprofile", lambda: None),
+        }
+        for rule, (owner, name, value) in pinned.items():
+            if rule not in keep:
+                monkeypatch.setattr(owner, name, value)
+        if "monitoring" not in keep:  # Python 3.12+ only
+            monkeypatch.delattr(sys, "monitoring", raising=False)
+
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+
+    def _serial_pair(self):
+        base, widir = run_pair("radiosity", num_cores=8, memops_per_core=100)
+        assert base.config.protocol == "baseline"
+        assert widir.config.protocol == "widir"
+        # The executor asks the same rule for a pair and for a pool.
+        exe = Executor(workers=4, use_cache=False)
+        plan = ExperimentPlan()
+        plan.add_pair("radiosity", num_cores=8, memops=100)
+        exe.map_runs(plan)
+        plan.add("fft", widir_config(num_cores=8), 100)
+        exe.map_runs(plan)
+        assert exe.stats.executed == 5
+
+    def test_a_quiet_process_forks(self, monkeypatch):
+        self._quiet(monkeypatch)
+        assert runner.fork_allowed()
+        with pytest.raises(AssertionError, match="^forked$"):
+            run_pair("radiosity", num_cores=8, memops_per_core=100)
+        with pytest.raises(AssertionError, match="^forked$"):
+            Executor(workers=2, use_cache=False).run_pair(
+                "radiosity", num_cores=8, memops_per_core=100
+            )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc"
+    )
+    def test_a_failed_fork_closes_its_pipe(self, monkeypatch):
+        self._quiet(monkeypatch)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(AssertionError, match="^forked$"):
+            runner.run_beside(dict, dict, "nothing")
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_one_cpu_is_serial(self, monkeypatch):
+        self._quiet(monkeypatch, "affinity")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self._serial_pair()
+
+    def test_an_active_profiler_is_serial(self, monkeypatch):
+        # Since Python 3.12 cProfile attaches through sys.monitoring.
+        self._quiet(monkeypatch, "profile", "monitoring")
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            self._serial_pair()
+        finally:
+            profiler.disable()
+
+    def test_a_tracer_is_serial(self, monkeypatch):
+        self._quiet(monkeypatch, "trace")
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: None)
+        try:
+            self._serial_pair()
+        finally:
+            sys.settrace(previous)
+
+    def test_a_second_thread_is_serial(self, monkeypatch):
+        self._quiet(monkeypatch, "threads")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            self._serial_pair()
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_a_monitoring_tool_is_serial(self, monkeypatch):
+        self._quiet(monkeypatch)
+        monitor = types.SimpleNamespace(
+            get_tool=lambda tool: "profiler" if tool == 2 else None
+        )
+        monkeypatch.setattr(sys, "monitoring", monitor, raising=False)
+        self._serial_pair()
 
 
 class TestFigures:
