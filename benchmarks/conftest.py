@@ -20,9 +20,11 @@ DESIGN.md.
 
 Perf telemetry: the session emits ``BENCH_harness.json`` (override the path
 with ``REPRO_BENCH_PATH``; set it empty to disable) recording wall-clock per
-benchmark, the executor's serial-equivalent simulation seconds vs. its
-actual wall seconds, worker count, and the memo-cache hit rate — the
-numbers that track the harness's perf trajectory across PRs.
+benchmark, the session's scale and worker count, and the sections below
+that e2ebench does not measure (the fig10 pair's simulated cycles, the
+observability overhead bars, distributed scaling, trace replay and the
+MAC comparison). The harness's end-to-end timings (the fig10 pair, a cold
+figure suite, trace replay) are e2ebench's (``e2ebench/BENCHMARK.md``).
 """
 
 import json
@@ -116,13 +118,6 @@ _OBS_METRICS = {}
 #: speedup, digest identity) from benchmarks/test_bench_distributed.py;
 #: lands under ``"distributed"`` and is drift-gated in CI.
 _DISTRIBUTED_METRICS = {}
-#: Cold-cache executor metrics (cold vs warm wall seconds over a private
-#: cache dir) from benchmarks/test_bench_executor.py; lands under
-#: ``"executor_cold"``. The session-wide ``executor`` section above runs
-#: hot against the developer's persistent cache (hit rate ~1.0, executed
-#: 0), which told us nothing about execution cost — this section is the
-#: cold round that fills that blind spot.
-_EXECUTOR_COLD_METRICS = {}
 #: Streaming trace-replay metrics (record/scan/replay refs/s, bounded-
 #: memory peaks, cold-live-over-replay ratio) from
 #: benchmarks/test_bench_trace_replay.py; lands under ``"trace_replay"``
@@ -152,13 +147,6 @@ def distributed_metrics():
     """Mutable dict the distributed-scaling benchmark fills; emitted as
     ``distributed`` (CI drift-gates ``speedup_4x``)."""
     return _DISTRIBUTED_METRICS
-
-
-@pytest.fixture(scope="session")
-def executor_cold_metrics():
-    """Mutable dict the cold-cache executor benchmark fills; emitted as
-    ``executor_cold``."""
-    return _EXECUTOR_COLD_METRICS
 
 
 @pytest.fixture(scope="session")
@@ -198,10 +186,6 @@ def pytest_sessionfinish(session, exitstatus):
         return
     from repro.harness.executor import default_executor
 
-    stats = default_executor().stats
-    # sim_seconds is the summed cost of every simulation actually executed
-    # (what a one-core serial harness would have paid for the *unique* runs);
-    # wall_seconds is what the executor actually spent dispatching them.
     payload = {
         "schema": 1,
         "generated_unix": round(time.time(), 2),
@@ -215,11 +199,6 @@ def pytest_sessionfinish(session, exitstatus):
             "cache_enabled": default_executor().use_cache,
         },
         "figures": dict(sorted(_BENCH_TIMINGS.items())),
-        "executor": {
-            **stats.as_dict(),
-            "serial_equivalent_seconds": round(stats.sim_seconds, 3),
-            "parallel_wall_seconds": round(stats.wall_seconds, 3),
-        },
     }
     if _KERNEL_METRICS:
         payload["kernel"] = dict(sorted(_KERNEL_METRICS.items()))
@@ -227,8 +206,6 @@ def pytest_sessionfinish(session, exitstatus):
         payload["obs"] = dict(sorted(_OBS_METRICS.items()))
     if _DISTRIBUTED_METRICS:
         payload["distributed"] = dict(sorted(_DISTRIBUTED_METRICS.items()))
-    if _EXECUTOR_COLD_METRICS:
-        payload["executor_cold"] = dict(sorted(_EXECUTOR_COLD_METRICS.items()))
     if _TRACE_REPLAY_METRICS:
         payload["trace_replay"] = dict(sorted(_TRACE_REPLAY_METRICS.items()))
     if _MAC_METRICS:

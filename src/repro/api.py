@@ -22,7 +22,7 @@ Stability contract (see docs/API.md):
 * replaced entry points keep working for one release behind
   ``DeprecationWarning`` shims, then go (the 1.1 shims went in 1.2, the
   result-store keywords of ``distributed_campaign`` deprecated in 1.3
-  went in 1.4; its ``shards=``, a no-op since 1.5, goes in 1.6);
+  went in 1.4; its ``shards=``, a no-op in 1.5, went in 1.6);
 * importing this module stays cheap: nothing beyond what
   ``repro.harness`` already loads — verification, observability export,
   and campaign machinery are imported lazily inside the functions that
@@ -477,7 +477,6 @@ def distributed_campaign(
     seed: int = 42,
     trace_seed: int = 0,
     workers: int = 2,
-    shards: Optional[int] = None,
     host: str = "127.0.0.1",
     port: int = 0,
     cache: bool = True,
@@ -507,23 +506,10 @@ def distributed_campaign(
     window replays cold on whichever worker leases it). With
     ``cache=True``, a run already in the executor's result cache
     (``REPRO_CACHE_DIR``) completes without reaching a worker.
-
-    Deprecated in 1.5, removed in 1.6: ``shards=`` has no effect (the
-    coordinator keeps one run queue) and emits a
-    :class:`DeprecationWarning`.
     """
     from repro.harness.campaign import run_campaign
     from repro.harness.supervisor import RetryPolicy
 
-    if shards is not None:
-        import warnings
-
-        warnings.warn(
-            "distributed_campaign(shards=) has no effect since 1.5 (the "
-            "coordinator keeps one run queue) and will be removed in 1.6",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     spec = _campaign_spec(
         name, kind, apps, cores, thresholds, memops, seed, trace_seed,
         protocols, trace_path, trace_shards, macs,

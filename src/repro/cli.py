@@ -541,12 +541,6 @@ def _configure_campaign_serve(parser: argparse.ArgumentParser) -> None:
         help="coordinator TCP port (0 picks a free port)",
     )
     group.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="deprecated: no effect since 1.5, removed in 1.6",
-    )
-    group.add_argument(
         "--lease-timeout",
         type=float,
         default=120.0,
@@ -1492,12 +1486,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     executor = _executor_from(args)
     engine = dict(executor=executor, telemetry=telemetry)
     if args.verb == "serve":
-        if args.shards is not None:
-            print(
-                "campaign serve --shards has no effect since 1.5 (the "
-                "coordinator keeps one run queue) and will be removed in 1.6",
-                file=sys.stderr,
-            )
         engine.update(
             workers=args.workers,  # 0: remote agents only
             host=args.host,

@@ -121,7 +121,6 @@ class DirectoryController:
         self._bcast_invs = s.adder("dir.total.broadcast_invalidations")
         self._inv_sent = s.adder("dir.total.invalidations_sent")
         self._sharers_per_update = s.histogram("widir.sharers_per_update", SHARER_BINS)
-        self._sharers_exact = s.exact_histogram("widir.sharers_per_update_exact")
 
     # ----------------------------------------------------------- helpers
 
@@ -908,9 +907,7 @@ class DirectoryController:
         # how the line's data stays authoritative for later joins/downgrades.
         entry.data[frame.word] = frame.value
         entry.dirty = True
-        updated = max(0, entry.sharer_count - 1)
-        self._sharers_per_update.record(updated)
-        self._sharers_exact.record(updated)
+        self._sharers_per_update.record(max(0, entry.sharer_count - 1))
 
     # ----------------------------------------------------- dispatch tables
 

@@ -575,7 +575,6 @@ class HybridDirectoryController(DirectoryController):
         targets = sorted(entry.sharers - {writer})
         self._hyb_writes()
         self._sharers_per_update.record(len(targets))
-        self._sharers_exact.record(len(targets))
         entry.busy = True
         entry.transaction = {
             "type": "hyb_write",

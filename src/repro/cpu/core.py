@@ -107,7 +107,6 @@ class Core:
         self._issue_width = config.core.issue_width
         self._max_loads = config.core.max_outstanding_misses
         self._wb_capacity = config.core.write_buffer_entries
-        self._trace: TraceChunk = TraceChunk()
         # Column bindings (re-bound by ``run_trace``): _step walks these.
         self._kinds: List[str] = []
         self._addresses: List[int] = []
@@ -197,7 +196,6 @@ class Core:
         self.sim.schedule(0, self._step_cb)
 
     def _bind_chunk(self, trace: TraceChunk) -> None:
-        self._trace = trace
         self._kinds = trace.kinds
         self._addresses = trace.addresses
         self._values = trace.values

@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.config.system import SystemConfig
 from repro.harness.campaign import CHECKPOINT_SCHEMA_VERSION, Campaign
 from repro.harness.executor import Executor, RunRequest, _simulate, run_key
 from repro.harness.ioutils import atomic_write_json
@@ -697,27 +696,11 @@ class Coordinator:
             }
         )
         self._emit({"event": "queue-depth", "depth": len(self.queued)})
-        spec: Dict[str, object] = {
-            "app": request.app,
-            "config": request.config.to_dict(),
-            "memops": request.memops,
-            "trace_seed": request.trace_seed,
-        }
-        # Trace-replay fields ride along only when set, so grants from
-        # generator-driven campaigns are byte-identical to pre-trace peers
-        # (older workers reject trace grants via the run-key cross-check).
-        if request.trace_path:
-            spec["trace_path"] = request.trace_path
-            spec["trace_id"] = request.trace_id
-            if request.trace_window is not None:
-                spec["trace_window"] = [
-                    list(span) for span in request.trace_window
-                ]
         grant = {
             "kind": "run",
             "key": entry.key,
             "attempt": entry.attempt,
-            "request": spec,
+            "request": request.to_dict(),
         }
         if fault is not None:
             grant["fault"] = fault
@@ -915,21 +898,7 @@ class WorkerAgent:
                 },
                 seconds,
             )
-        spec = grant["request"]
-        window = spec.get("trace_window")
-        request = RunRequest(
-            app=spec["app"],
-            config=SystemConfig.from_dict(spec["config"]),
-            memops=int(spec["memops"]),
-            trace_seed=int(spec.get("trace_seed", 0)),
-            trace_path=str(spec.get("trace_path", "")),
-            trace_id=str(spec.get("trace_id", "")),
-            trace_window=(
-                tuple((int(a), int(b)) for a, b in window)
-                if window is not None
-                else None
-            ),
-        )
+        request = RunRequest.from_dict(grant["request"])
         expected = run_key(request)
         if expected != grant["key"]:
             raise DistributedError(

@@ -22,13 +22,17 @@ waste:
 ``Executor``
     Deduplicates a plan by :func:`run_key`, satisfies requests from an
     on-disk JSON cache (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), fans
-    the remaining unique runs out (``$REPRO_WORKERS`` / ``--workers``):
-    with two, such as one Baseline/WiDir pair, it runs the second in one
-    forked child beside this process, as the runner's ``run_pair`` does;
-    with more, over a ``multiprocessing`` pool. ``workers=1``, or a
-    process the runner's ``fork_allowed`` refuses, runs them in-process
-    in plan order (the deterministic serial fallback). Results come back
-    in plan order.
+    the remaining unique runs out (``$REPRO_WORKERS`` / ``--workers``,
+    by default the CPUs this process may use): with two, such as one
+    Baseline/WiDir pair (``run_pair``, ``api.compare``), it runs the
+    second in one forked child beside this process (:func:`run_beside`);
+    with more, over a fork pool. ``workers=1``, or a process that
+    :func:`fork_allowed` refuses, runs them in-process in plan order (the
+    deterministic serial fallback). Results come back in plan order.
+
+This module alone forks simulations: the runner's ``run_pair`` is
+:meth:`Executor.run_pair`, and campaigns size their local agents with
+the same CPU count.
 
 Every result — in-process, forked, or cached — is canonicalized through
 ``SimulationResult.to_dict()``/``from_dict()`` so parallel, serial, and
@@ -42,21 +46,18 @@ import hashlib
 import json
 import logging
 import os
+import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.config.presets import baseline_config, widir_config
 from repro.config.system import SystemConfig
+from repro.engine.errors import SimulationError
 from repro.harness.ioutils import atomic_write_json, quarantine
-from repro.harness.runner import (
-    DEFAULT_MEMOPS,
-    SimulationResult,
-    fork_allowed,
-    run_app,
-    run_beside,
-)
+from repro.harness.runner import DEFAULT_MEMOPS, SimulationResult, run_app
 from repro.workloads.generator import build_traces
 from repro.workloads.profiles import resolve_profile
 
@@ -98,27 +99,55 @@ class RunRequest:
     trace_id: str = ""
     trace_window: Optional[Tuple[Tuple[int, int], ...]] = None
 
-    def canonical(self) -> Dict:
-        """JSON-stable description; the hash input for :func:`run_key`.
+    def to_dict(self) -> Dict:
+        """The request's one wire form: what a campaign grant carries and
+        what :meth:`from_dict` rebuilds.
 
-        Trace fields are included only when set, so the keys (and the
-        on-disk cache entries) of every pre-existing generator-driven
-        request are byte-identical to before trace replay existed. The
-        key covers ``trace_id`` — the content digest — not the file
-        path: the same reference stream is the same run wherever the
-        file lives.
+        Trace fields ride along only when set, so generator-driven
+        requests carry exactly the fields they had before trace replay
+        existed.
         """
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
+        payload: Dict[str, Any] = {
             "app": self.app,
             "config": self.config.to_dict(),
             "memops": self.memops,
             "trace_seed": self.trace_seed,
         }
         if self.trace_path:
+            payload["trace_path"] = self.trace_path
             payload["trace_id"] = self.trace_id
             if self.trace_window is not None:
                 payload["trace_window"] = [list(span) for span in self.trace_window]
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: Dict) -> "RunRequest":
+        """Rebuild a request sent by :meth:`to_dict`."""
+        window = payload.get("trace_window")
+        return cls(
+            app=payload["app"],
+            config=SystemConfig.from_dict(payload["config"]),
+            memops=int(payload["memops"]),
+            trace_seed=int(payload.get("trace_seed", 0)),
+            trace_path=str(payload.get("trace_path", "")),
+            trace_id=str(payload.get("trace_id", "")),
+            trace_window=(
+                tuple((int(a), int(b)) for a, b in window)
+                if window is not None
+                else None
+            ),
+        )
+
+    def canonical(self) -> Dict:
+        """JSON-stable description; the hash input for :func:`run_key`.
+
+        :meth:`to_dict` plus the cache schema, without the file path: the
+        key covers ``trace_id``, the content digest, so the same
+        reference stream is the same run wherever the file lives.
+        """
+        payload = self.to_dict()
+        payload.pop("trace_path", None)
+        payload["schema"] = CACHE_SCHEMA_VERSION
         return payload
 
 
@@ -221,17 +250,135 @@ class ExperimentPlan:
         return len(self.requests) - 1
 
 
+# ------------------------------------------------------------------ forking
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    keeps one (Linux), every CPU elsewhere (macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fork_allowed() -> bool:
+    """Whether the harness may run simulations in forked children.
+
+    The executor asks this before it forks anything, a pair or a pool.
+    Yes only when the process can fork, may run on at least two CPUs
+    (:func:`_usable_cpus`), has no other thread (a fork copies every
+    lock, including one another thread holds), and has no tracer or
+    profiler attached: a profiler, debugger or coverage tracer sees only
+    its own process, so under one every run stays in it.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return False
+    if threading.active_count() != 1:
+        return False
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return False
+    # Since Python 3.12 cProfile and coverage can attach through
+    # sys.monitoring, which neither hook above shows.
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is None or all(
+        monitoring.get_tool(tool) is None for tool in range(6)
+    )
+
+
+def run_beside(
+    here: Callable[[], Any], there: Callable[[], Any], what: str
+) -> Tuple[Any, Any]:
+    """Run ``there()`` in one forked child while this process runs ``here()``.
+
+    Returns ``(here(), there())``. ``there``'s value comes back pickled
+    over a pipe, so it should be a canonical payload, not a live machine.
+    Call this only when :func:`fork_allowed` says yes. The child is reaped
+    before this returns or raises, and killed first if ``here`` raises or
+    is interrupted. The child's error is raised here, with the child's
+    traceback in a :class:`SimulationError` as its cause; a child that
+    ends without a result raises :class:`SimulationError` naming ``what``
+    and the wait status.
+    """
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # pragma: no cover - runs in the forked child
+        # os._exit skips atexit handlers and stdio flushes, which belong
+        # to the parent, and keeps any error from unwinding into the
+        # caller's stack in a second copy of the process.
+        status = 1
+        try:
+            os.close(read_fd)
+            _send_outcome(write_fd, there)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            value = here()
+            payload = pipe.read()
+        except BaseException:
+            # ``here`` failed or was interrupted: stop the child's run too.
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    return value, _child_value(payload, status, what)
+
+
+def _send_outcome(
+    write_fd: int, run: Callable[[], Any]
+) -> None:  # pragma: no cover - runs in the forked child
+    """Pickle ``run()``'s outcome into ``write_fd``.
+
+    The outcome is ``("ok", value, "")`` or ``("error", pickled exception
+    or None, formatted traceback)``.
+    """
+    import pickle
+    import traceback
+
+    try:
+        outcome = ("ok", run(), "")
+    except BaseException as error:
+        try:
+            pickled = pickle.dumps(error)
+        except Exception:
+            pickled = None
+        outcome = ("error", pickled, traceback.format_exc())
+    with open(write_fd, "wb") as pipe:
+        pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+
+
+def _child_value(payload: bytes, status: int, what: str):
+    """The value a child sent, or its error raised here."""
+    import pickle
+
+    if status != 0 or not payload:
+        raise SimulationError(
+            f"{what}: its forked child ended without a result "
+            f"(wait status {status})"
+        )
+    kind, body, text = pickle.loads(payload)
+    if kind == "ok":
+        return body
+    cause = SimulationError(f"{what} failed in its forked child:\n{text}")
+    try:
+        error = pickle.loads(body) if body is not None else None
+    except Exception:  # its class cannot be rebuilt here
+        error = None
+    if error is None:
+        raise cause
+    raise error from cause
+
+
 # ------------------------------------------------------------- worker side
-
-#: ``sys.path`` entries the pool initializer replays in workers, so spawned
-#: children can import ``repro`` even when the repo is used uninstalled via
-#: ``PYTHONPATH=src`` (fork inherits the path; spawn does not).
-def _pool_init(paths: List[str]) -> None:  # pragma: no cover - worker side
-    import sys
-
-    for entry in reversed(paths):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
 
 
 def _simulate(request: RunRequest) -> Tuple[Dict, float]:
@@ -323,7 +470,7 @@ def _default_workers() -> int:
     raw = os.environ.get(_ENV_WORKERS, "").strip()
     if raw:
         return max(1, int(raw))
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _default_cache_dir() -> Path:
@@ -344,7 +491,8 @@ class Executor:
     ----------
     workers:
         Process count for the fan-out pool. ``None`` reads ``REPRO_WORKERS``
-        and falls back to ``os.cpu_count()``. ``1`` never forks: runs
+        and falls back to the CPUs this process may run on (its affinity
+        set where the platform keeps one). ``1`` never forks: runs
         execute in-process, in plan order (the deterministic serial
         fallback — bit-identical to the parallel path by construction).
         Neither does a process that :func:`fork_allowed` refuses (one
@@ -436,16 +584,9 @@ class Executor:
             outputs = _simulate_beside(*requests)
         else:
             import multiprocessing
-            import sys
 
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context()
             processes = min(self.workers, len(requests))
-            with context.Pool(
-                processes, initializer=_pool_init, initargs=(list(sys.path),)
-            ) as pool:
+            with multiprocessing.get_context("fork").Pool(processes) as pool:
                 outputs = pool.map(_simulate, requests)
         for (key, _), (payload, elapsed) in zip(todo, outputs):
             payloads[key] = payload
@@ -511,7 +652,10 @@ class Executor:
         max_wired_sharers: int = 3,
         seed: int = 42,
     ) -> Tuple[SimulationResult, SimulationResult]:
-        """``run_pair`` through the executor; returns (baseline, widir)."""
+        """Baseline and WiDir on the same traces; returns (baseline, widir).
+
+        The runner's ``run_pair`` is this with two workers and no cache.
+        """
         plan = ExperimentPlan()
         base, widir = plan.add_pair(
             app,

@@ -7,24 +7,18 @@ completion under one event budget, the coherence invariants are validated,
 and :func:`harvest` folds the statistics into a :class:`SimulationResult`.
 A live run and a replay differ only in their per-core sources: ``run_app``
 synthesizes the application's traces, :mod:`repro.traces.replay` streams
-them from a trace file. ``run_pair`` runs the same traces on the Baseline
-and the WiDir machine so normalized comparisons share a reference stream.
-It synthesizes the traces once, then runs WiDir in one forked child while
-this process runs Baseline (:func:`run_beside`), unless forking is unsafe
-or would hide a run from an attached tracer (:func:`fork_allowed`); then
-it runs the two one after the other. The executor asks the same
-:func:`fork_allowed` and runs a plan's two runs the same way.
+them from a trace file. ``run_pair``, the same traces on the Baseline and
+the WiDir machine so normalized comparisons share a reference stream, is
+the executor's pair (:mod:`repro.harness.executor`, which alone decides
+whether and how to fork).
 """
 
 from __future__ import annotations
 
 import os
-import sys
-import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.coherence.dir_controller import SHARER_BINS
-from repro.config.presets import baseline_config, widir_config
 from repro.config.system import SystemConfig
 from repro.cpu.core import Core
 from repro.cpu.sync import PhaseBarrier
@@ -335,123 +329,6 @@ def run_app(
     )
 
 
-def fork_allowed() -> bool:
-    """Whether the harness may run simulations in forked children.
-
-    :func:`run_pair` and the executor both ask this before they fork. Yes
-    only when the process can fork, may run on at least two CPUs, has no
-    other thread (a fork copies every lock, including one another thread
-    holds), and has no tracer or profiler attached: a profiler, debugger
-    or coverage tracer sees only its own process, so under one every run
-    stays in it.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return False
-    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1:
-        return False
-    if sys.gettrace() is not None or sys.getprofile() is not None:
-        return False
-    # Since Python 3.12 cProfile and coverage can attach through
-    # sys.monitoring, which neither hook above shows.
-    monitoring = getattr(sys, "monitoring", None)
-    return monitoring is None or all(
-        monitoring.get_tool(tool) is None for tool in range(6)
-    )
-
-
-def run_beside(
-    here: Callable[[], Any], there: Callable[[], Any], what: str
-) -> Tuple[Any, Any]:
-    """Run ``there()`` in one forked child while this process runs ``here()``.
-
-    Returns ``(here(), there())``. ``there``'s value comes back pickled
-    over a pipe, so it should be a canonical payload, not a live machine.
-    Call this only when :func:`fork_allowed` says yes. The child is reaped
-    before this returns or raises, and killed first if ``here`` raises or
-    is interrupted. The child's error is raised here, with the child's
-    traceback in a :class:`SimulationError` as its cause; a child that
-    ends without a result raises :class:`SimulationError` naming ``what``
-    and the wait status.
-    """
-    import signal
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # pragma: no cover - runs in the forked child
-        # os._exit skips atexit handlers and stdio flushes, which belong
-        # to the parent, and keeps any error from unwinding into the
-        # caller's stack in a second copy of the process.
-        status = 1
-        try:
-            os.close(read_fd)
-            _send_outcome(write_fd, there)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-        try:
-            value = here()
-            payload = pipe.read()
-        except BaseException:
-            # ``here`` failed or was interrupted: stop the child's run too.
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-    return value, _child_value(payload, status, what)
-
-
-def _send_outcome(
-    write_fd: int, run: Callable[[], Any]
-) -> None:  # pragma: no cover - runs in the forked child
-    """Pickle ``run()``'s outcome into ``write_fd``.
-
-    The outcome is ``("ok", value, "")`` or ``("error", pickled exception
-    or None, formatted traceback)``.
-    """
-    import pickle
-    import traceback
-
-    try:
-        outcome = ("ok", run(), "")
-    except BaseException as error:
-        try:
-            pickled = pickle.dumps(error)
-        except Exception:
-            pickled = None
-        outcome = ("error", pickled, traceback.format_exc())
-    with open(write_fd, "wb") as pipe:
-        pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-
-
-def _child_value(payload: bytes, status: int, what: str):
-    """The value a child sent, or its error raised here."""
-    import pickle
-
-    if status != 0 or not payload:
-        raise SimulationError(
-            f"{what}: its forked child ended without a result "
-            f"(wait status {status})"
-        )
-    kind, body, text = pickle.loads(payload)
-    if kind == "ok":
-        return body
-    cause = SimulationError(f"{what} failed in its forked child:\n{text}")
-    try:
-        error = pickle.loads(body) if body is not None else None
-    except Exception:  # its class cannot be rebuilt here
-        error = None
-    if error is None:
-        raise cause
-    raise error from cause
-
-
 def run_pair(
     app,
     num_cores: int = 64,
@@ -462,28 +339,25 @@ def run_pair(
 ) -> Tuple[SimulationResult, SimulationResult]:
     """Run the same traces on Baseline and WiDir; returns (baseline, widir).
 
-    When :func:`fork_allowed` says yes, this process synthesizes the
-    traces, then runs WiDir on them in a forked child (:func:`run_beside`)
-    and Baseline meanwhile. The child sends back its result's canonical
-    ``to_dict()`` payload, so ``result_digest`` is the same as in-process.
-    An unknown ``app`` raises ``KeyError`` before any fork. Otherwise both
-    machines run here, Baseline first.
+    This is the executor's pair, the one ``api.compare`` runs, with two
+    workers and no result cache (``REPRO_WORKERS`` is not read): WiDir
+    in one forked child while this process runs Baseline when the
+    executor may fork, both here one after the other otherwise. ``app``
+    is what :meth:`ExperimentPlan.add_pair` takes, a registered
+    application's name (or its registered profile); an unknown name, or
+    a profile that differs from the registered one of its name, raises
+    ``KeyError`` before any fork.
     """
-    base_cfg = baseline_config(num_cores=num_cores, seed=seed)
-    widir_cfg = widir_config(
-        num_cores=num_cores, max_wired_sharers=max_wired_sharers, seed=seed
-    )
-    if not fork_allowed():
-        base = run_app(app, base_cfg, memops_per_core, trace_seed)
-        widir = run_app(app, widir_cfg, memops_per_core, trace_seed)
-        return base, widir
+    from repro.harness.executor import Executor  # it imports this module
+
     profile = resolve_profile(app)
-    memops = memops_per_core if memops_per_core is not None else DEFAULT_MEMOPS
-    # The child inherits the memoized traces.
-    build_traces(profile, num_cores, memops, trace_seed)
-    base, widir = run_beside(
-        lambda: run_app(profile, base_cfg, memops, trace_seed),
-        lambda: run_app(profile, widir_cfg, memops, trace_seed).to_dict(),
-        f"{profile.name} WiDir run",
+    if resolve_profile(profile.name) != profile:
+        raise KeyError(f"{profile.name!r} differs from the registered profile")
+    return Executor(workers=2, use_cache=False).run_pair(
+        profile.name,
+        num_cores=num_cores,
+        memops_per_core=memops_per_core,
+        trace_seed=trace_seed,
+        max_wired_sharers=max_wired_sharers,
+        seed=seed,
     )
-    return base, SimulationResult.from_dict(widir)

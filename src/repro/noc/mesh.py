@@ -157,7 +157,6 @@ class MeshNetwork:
         message reaches the network interface.
         """
         now = self.sim.now
-        message.sent_at = now
         monitor = self.monitor
         if monitor is not None:
             monitor.msg_sent(message.line)

@@ -64,7 +64,6 @@ class Message:
         "dst",
         "line",
         "payload",
-        "sent_at",
         "carries_data",
     )
 
@@ -82,7 +81,6 @@ class Message:
         self.dst = dst
         self.line = line
         self.payload = payload if payload is not None else {}
-        self.sent_at: Optional[int] = None
         self.carries_data = _carries_data(kid)
 
     # --------------------------------------------------------------- views

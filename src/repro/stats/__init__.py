@@ -1,16 +1,15 @@
 """Statistics collection and report formatting.
 
 Every measurable quantity in the simulator flows through one of the small
-collector classes here (:class:`Counter`, :class:`BinnedHistogram`,
-:class:`LatencyStat`), which are grouped per component in a
-:class:`StatsRegistry`. The harness then renders registries into the same
+collector classes here: :class:`Counter` and :class:`BinnedHistogram`,
+grouped per component in a :class:`StatsRegistry`, and each core's
+:class:`LatencyStat`. The harness then renders registries into the same
 rows/series the paper's tables and figures report, via :mod:`repro.stats.report`.
 """
 
 from repro.stats.collectors import (
     BinnedHistogram,
     Counter,
-    ExactHistogram,
     LatencyStat,
     StatsRegistry,
 )
@@ -19,7 +18,6 @@ from repro.stats.report import format_table, normalize
 __all__ = [
     "BinnedHistogram",
     "Counter",
-    "ExactHistogram",
     "LatencyStat",
     "StatsRegistry",
     "format_table",

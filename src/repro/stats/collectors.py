@@ -7,7 +7,7 @@ attribute increments are faster than array indexing at this scale.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -273,40 +273,10 @@ class BinnedHistogram:
         self.overflow += other.overflow
 
 
-class ExactHistogram:
-    """Exact value -> count map, for distributions whose support is unknown."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.counts: Dict[int, int] = {}
-
-    def record(self, value: int, weight: int = 1) -> None:
-        self.counts[value] = self.counts.get(value, 0) + weight
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def mean(self) -> float:
-        total = self.total
-        if total == 0:
-            return 0.0
-        return sum(v * c for v, c in self.counts.items()) / total
-
-    def items(self) -> Iterable[Tuple[int, int]]:
-        return sorted(self.counts.items())
-
-    def merge(self, other: "ExactHistogram") -> None:
-        """Fold another exact histogram into this one."""
-        counts = self.counts
-        for value, count in other.counts.items():
-            counts[value] = counts.get(value, 0) + count
-
-
 class StatsRegistry:
     """A named group of collectors, one per component instance.
 
-    Components call :meth:`counter` / :meth:`latency` / :meth:`histogram`
+    Components call :meth:`counter` / :meth:`histogram`
     once at construction; the same object is returned on repeat calls so the
     harness can look stats up by name after a run.
 
@@ -319,9 +289,7 @@ class StatsRegistry:
     def __init__(self, name: str = "stats") -> None:
         self.name = name
         self._counters: Dict[str, Counter] = {}
-        self._latencies: Dict[str, LatencyStat] = {}
         self._binned: Dict[str, BinnedHistogram] = {}
-        self._exact: Dict[str, ExactHistogram] = {}
         #: Insertion-ordered set of flush callbacks.
         self._flushes: Dict[Callable[[], None], None] = {}
 
@@ -356,22 +324,12 @@ class StatsRegistry:
         """
         return self.counter(name).add
 
-    def latency(self, name: str) -> LatencyStat:
-        if name not in self._latencies:
-            self._latencies[name] = LatencyStat(name)
-        return self._latencies[name]
-
     def histogram(
         self, name: str, bins: Sequence[Tuple[int, Optional[int]]]
     ) -> BinnedHistogram:
         if name not in self._binned:
             self._binned[name] = BinnedHistogram(name, bins)
         return self._binned[name]
-
-    def exact_histogram(self, name: str) -> ExactHistogram:
-        if name not in self._exact:
-            self._exact[name] = ExactHistogram(name)
-        return self._exact[name]
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of all counter values (for assertions and reports)."""

@@ -29,7 +29,7 @@ What *is* captured, exhaustively:
 * mesh link/pair-ordering horizons still relevant to the future (past
   horizons cannot affect a later send, so they are left out);
 * wireless channel busy horizon and per-node backoff RNG states;
-* the stats registry — counters/latencies/binned/exact in insertion
+* the stats registry — counters and binned histograms in insertion
   order, so a restored registry reports in the same order it would have
   live (result serialization preserves dict order);
 * per-core :class:`~repro.cpu.core.CoreResult` accumulators;
@@ -203,17 +203,9 @@ def _capture_stats(stats) -> Dict:
         # Read through counters(), which folds every core's pending
         # reference and instruction tallies in first.
         "counters": [[name, value] for name, value in stats.counters().items()],
-        "latencies": [
-            [name, s.count, s.total, s.min, s.max]
-            for name, s in stats._latencies.items()
-        ],
         "binned": [
             [name, [list(b) for b in h.bins], list(h.counts), h.overflow]
             for name, h in stats._binned.items()
-        ],
-        "exact": [
-            [name, [[int(v), int(c)] for v, c in h.counts.items()]]
-            for name, h in stats._exact.items()
         ],
     }
 
@@ -370,9 +362,6 @@ def _restore_stats(stats, payload: Dict) -> None:
     # result serialization preserves — therefore matches the live run.
     for name, value in payload["counters"]:
         stats.counter(name).value = value
-    for name, count, total, lo, hi in payload["latencies"]:
-        stat = stats.latency(name)
-        stat.count, stat.total, stat.min, stat.max = count, total, lo, hi
     for name, bins, counts, overflow in payload["binned"]:
         hist = stats.histogram(name, [tuple(b) for b in bins])
         if len(hist.counts) != len(counts):
@@ -381,11 +370,6 @@ def _restore_stats(stats, payload: Dict) -> None:
         # _hop_counts), so rebinding would orphan their writes.
         hist.counts[:] = counts
         hist.overflow = overflow
-    for name, items in payload["exact"]:
-        hist = stats.exact_histogram(name)
-        hist.counts.clear()
-        for value, count in items:
-            hist.counts[value] = count
 
 
 def _restore_core(core, payload: Dict) -> None:

@@ -6,7 +6,7 @@ facade stays cheap (no verification/observability/campaign machinery at
 module load), and replaced entry points keep working for one release
 behind ``DeprecationWarning`` — then go: the 1.1 shims are gone in 1.2,
 the 1.3 result-store keywords in 1.4, and ``distributed_campaign(shards=)``
-(a no-op since 1.5) goes in 1.6. docs/API.md names what runs.
+(a no-op in 1.5) in 1.6. docs/API.md names what runs.
 """
 
 import inspect
@@ -51,7 +51,7 @@ EXPECTED_SIGNATURES = {
     ),
     "distributed_campaign": (
         "name", "apps", "out", "kind", "cores", "thresholds", "memops",
-        "seed", "trace_seed", "workers", "shards", "host", "port", "cache",
+        "seed", "trace_seed", "workers", "host", "port", "cache",
         "retries", "backoff_seed", "lease_timeout", "timeout", "protocols",
         "trace_path", "trace_shards", "macs",
     ),
@@ -248,8 +248,8 @@ class TestBehaviour:
 
 class TestDeprecationShims:
     """Deprecated spellings served their release of grace and are gone:
-    the 1.1 shims in 1.2, the 1.3 result-store keywords in 1.4. The
-    ``shards=`` keyword, a no-op since 1.5, warns until 1.6."""
+    the 1.1 shims in 1.2, the 1.3 result-store keywords in 1.4 and the
+    ``shards=`` keyword, a no-op in 1.5, in 1.6."""
 
     @pytest.mark.parametrize("name", ("run_app", "run_pair"))
     def test_removed_shim_raises_attribute_error(self, name):
@@ -264,10 +264,10 @@ class TestDeprecationShims:
         listing = dir(repro)
         assert "api" in listing and "run_app" not in listing
 
-    def test_version_is_1_5(self):
-        assert repro.__version__ == "1.5.0"
+    def test_version_is_1_6(self):
+        assert repro.__version__ == "1.6.0"
 
-    @pytest.mark.parametrize("keyword", ("store", "tenant"))
+    @pytest.mark.parametrize("keyword", ("store", "tenant", "shards"))
     def test_distributed_campaign_rejects_removed_keywords(
         self, tmp_path, keyword
     ):
@@ -277,25 +277,6 @@ class TestDeprecationShims:
                 **{keyword: "x"},
             )
         assert not (tmp_path / "d").exists()
-
-    def test_distributed_campaign_shards_warns_once_and_changes_nothing(
-        self, tmp_path
-    ):
-        run = dict(
-            apps=("volrend",), cores=4, memops=50, workers=1, cache=False
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sharded = api.distributed_campaign(
-                "d", out=tmp_path / "sharded", shards=4, **run
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "1.6" in str(deprecations[0].message)
-        plain = api.distributed_campaign("d", out=tmp_path / "plain", **run)
-        assert sharded.ok and sharded.digest == plain.digest
 
     def test_distributed_campaign_without_store_does_not_warn(self, tmp_path):
         with warnings.catch_warnings():

@@ -185,20 +185,9 @@ class TestTraceCli:
 
 
 class TestDeprecatedCampaignSpellings:
-    """The 1.3 result-store spellings are gone in 1.4 (their exit 2 is
-    pinned in ``test_cli_contract.REMOVED_SPELLINGS``); ``serve --shards``
-    is a no-op that prints a notice until 1.6."""
-
-    def test_campaign_serve_shards_prints_one_notice(self, capsys, tmp_path):
-        assert main(
-            ["campaign", "serve", "--name", "d", "--apps", "volrend",
-             "--cores", "4", "--memops", "50", "--workers", "1",
-             "--runner", "sleep", "--shards", "4",
-             "--out", str(tmp_path / "d")]
-        ) == 0
-        err = capsys.readouterr().err
-        assert err.count("--shards") == 1 and "1.6" in err
-        assert list(tmp_path.glob("d/journal-shard*.jsonl")) == []
+    """The 1.3 result-store spellings are gone in 1.4 and ``serve
+    --shards`` in 1.6 (their exit 2 is pinned in
+    ``test_cli_contract.REMOVED_SPELLINGS``)."""
 
     def test_campaign_serve_without_store_prints_no_notice(
         self, capsys, tmp_path

@@ -26,7 +26,8 @@ REGEN = os.environ.get("REPRO_REGEN_CLI_SNAPSHOTS") == "1"
 COMMAND_PATHS = ((),) + tuple(CLI_COMMANDS)
 
 #: Removed spellings, by test id: those deprecated in 1.1 (removed in
-#: 1.2) and the 1.3 result-store spellings (removed in 1.4).
+#: 1.2), the 1.3 result-store spellings (removed in 1.4) and the 1.5
+#: ``serve --shards`` no-op (removed in 1.6).
 REMOVED_SPELLINGS = {
     "run": ["run", "fft"],
     "compare": ["compare", "fft"],
@@ -43,6 +44,7 @@ REMOVED_SPELLINGS = {
     "campaign-submit": ["campaign", "submit"],
     "serve-store": ["campaign", "serve", "--out", "x", "--store", "s"],
     "serve-tenant": ["campaign", "serve", "--out", "x", "--tenant", "t"],
+    "serve-shards": ["campaign", "serve", "--out", "x", "--shards", "4"],
 }
 
 

@@ -60,6 +60,40 @@ class TestRunKey:
         request = RunRequest("fft", widir_config(num_cores=8), 200, 0)
         assert request.canonical()["schema"] == CACHE_SCHEMA_VERSION
 
+    @pytest.mark.parametrize(
+        "request_, key",
+        [
+            (
+                RunRequest("radiosity", widir_config(num_cores=16, seed=7), 400, 3),
+                "9db2cf8739a1ea942ede4a1608a6d248e44e74696efc1bc055daa51371e30015",
+            ),
+            (
+                RunRequest(
+                    "volrend", baseline_config(num_cores=8), 0, 0,
+                    trace_path="recorded/volrend.wtr", trace_id="ab" * 32,
+                ),
+                "33dac6270db6b10d9ce55b39bcd15b69c5721ec8cb19f0890a97c1644b701d87",
+            ),
+            (
+                RunRequest(
+                    "volrend", widir_config(num_cores=8), 0, 0,
+                    trace_path="traces/volrend.wtr", trace_id="cd" * 32,
+                    trace_window=((0, 4), (2, 6)),
+                ),
+                "3de82754fe2bf28d631288cabd1211d0875c9a9c9485fa7e20db38ba394695c9",
+            ),
+        ],
+        ids=["synthesized", "whole-trace", "windowed"],
+    )
+    def test_wire_form_round_trips_and_keeps_the_key(self, request_, key):
+        """A request crosses to a campaign worker as ``to_dict()`` JSON and
+        comes back equal; its key is the one earlier releases computed, so
+        caches and campaign manifests still hit."""
+        wire = json.loads(json.dumps(request_.to_dict()))
+        assert RunRequest.from_dict(wire) == request_
+        assert run_key(request_) == key
+        assert run_key(RunRequest.from_dict(wire)) == key
+
 
 class TestDeterminism:
     def test_parallel_matches_serial_byte_identically(self, tmp_path):

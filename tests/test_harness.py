@@ -1,6 +1,7 @@
 """Tests for the experiment harness (runner, figures, motivation probe)."""
 
 import cProfile
+import dataclasses
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ import pytest
 from repro import api
 from repro.config import baseline_config, widir_config
 from repro.engine.errors import SimulationError
-from repro.harness import executor, runner
+from repro.harness import executor
 from repro.harness.executor import Executor, ExperimentPlan
 from repro.harness.figures import (
     figure5_sharer_histogram,
@@ -23,6 +24,7 @@ from repro.harness.figures import (
 )
 from repro.harness.motivation import section2c_sharing_probe
 from repro.harness.runner import SimulationResult, run_app, run_pair
+from repro.workloads.profiles import resolve_profile
 
 FAST = dict(memops_per_core=200)
 APPS = ("radiosity", "blackscholes")
@@ -101,22 +103,22 @@ def forks(monkeypatch):
         pids.append(pid)
         return pid
 
-    monkeypatch.setattr(runner, "fork_allowed", lambda: True)
     monkeypatch.setattr(executor, "fork_allowed", lambda: True)
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
 
 
 def _fail_on(monkeypatch, protocol, fail):
-    """Make ``run_app`` call ``fail()`` instead of running ``protocol``."""
-    real_run_app = runner.run_app
+    """Make the executor's ``run_app`` call ``fail()`` instead of running
+    ``protocol``."""
+    real_run_app = executor.run_app
 
     def run_app(app, config, *args, **kwargs):
         if config.protocol == protocol:
             fail()
         return real_run_app(app, config, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "run_app", run_app)
+    monkeypatch.setattr(executor, "run_app", run_app)
 
 
 class TestForkedPair:
@@ -184,6 +186,14 @@ class TestForkedPair:
     def test_unknown_app_raises_before_forking(self, forks):
         with pytest.raises(KeyError):
             run_pair("doom", num_cores=8, **FAST)
+        # A profile runs only as the registered application of its name.
+        radiosity = resolve_profile("radiosity")
+        for profile in (
+            dataclasses.replace(radiosity, name="doom"),
+            dataclasses.replace(radiosity, phases=2),
+        ):
+            with pytest.raises(KeyError):
+                run_pair(profile, num_cores=8, **FAST)
         with pytest.raises(KeyError):
             Executor(workers=2, use_cache=False).run_pair("doom", num_cores=8)
         assert forks == []
@@ -250,7 +260,7 @@ class TestPairSelection:
 
     def test_a_quiet_process_forks(self, monkeypatch):
         self._quiet(monkeypatch)
-        assert runner.fork_allowed()
+        assert executor.fork_allowed()
         with pytest.raises(AssertionError, match="^forked$"):
             run_pair("radiosity", num_cores=8, memops_per_core=100)
         with pytest.raises(AssertionError, match="^forked$"):
@@ -265,13 +275,47 @@ class TestPairSelection:
         self._quiet(monkeypatch)
         before = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(AssertionError, match="^forked$"):
-            runner.run_beside(dict, dict, "nothing")
+            executor.run_beside(dict, dict, "nothing")
         assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_one_cpu_is_serial(self, monkeypatch):
         self._quiet(monkeypatch, "affinity")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         self._serial_pair()
+
+    def test_without_an_affinity_set_every_cpu_counts(self, monkeypatch):
+        """A platform with no ``sched_getaffinity`` (macOS) counts its
+        CPUs, so two or more let the pair fork."""
+        real_fork = os.fork
+        self._quiet(monkeypatch, "affinity")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert executor.fork_allowed()
+        pids = []
+
+        def recording_fork():
+            pids.append(real_fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        base, widir = run_pair("radiosity", num_cores=8, memops_per_core=100)
+        assert len(pids) == 1
+        _assert_no_child()
+        assert (base.config.protocol, widir.config.protocol) == ("baseline", "widir")
+
+    def test_one_cpu_without_an_affinity_set_is_serial(self, monkeypatch):
+        self._quiet(monkeypatch, "affinity")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self._serial_pair()
+
+    def test_default_workers_are_the_affinity_set(self, monkeypatch):
+        """The pool and the campaign's local agents size themselves by the
+        CPUs the process may run on, not by every CPU of the host."""
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert Executor().workers == 2
 
     def test_an_active_profiler_is_serial(self, monkeypatch):
         # Since Python 3.12 cProfile attaches through sys.monitoring.

@@ -7,7 +7,6 @@ import pytest
 from repro.stats.collectors import (
     BinnedHistogram,
     Counter,
-    ExactHistogram,
     Histogram,
     LatencyStat,
     StatsRegistry,
@@ -239,35 +238,10 @@ class TestHistogram:
         assert bulk.to_dict() == single.to_dict()
 
 
-class TestExactHistogram:
-    def test_mean(self):
-        hist = ExactHistogram("h")
-        hist.record(2, weight=3)
-        hist.record(8)
-        assert hist.total == 4
-        assert hist.mean() == (2 * 3 + 8) / 4
-
-    def test_items_sorted(self):
-        hist = ExactHistogram("h")
-        for value in (5, 1, 9, 1):
-            hist.record(value)
-        assert list(hist.items()) == [(1, 2), (5, 1), (9, 1)]
-
-    def test_merge(self):
-        a, b = ExactHistogram("a"), ExactHistogram("b")
-        a.record(1, weight=2)
-        b.record(1)
-        b.record(4)
-        a.merge(b)
-        assert list(a.items()) == [(1, 3), (4, 1)]
-        assert a.total == 4
-
-
 class TestStatsRegistry:
     def test_same_name_returns_same_collector(self):
         registry = StatsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.latency("l") is registry.latency("l")
 
     def test_get_counter_default_zero(self):
         registry = StatsRegistry()

@@ -28,6 +28,7 @@ that moved either would show here.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -205,18 +206,9 @@ def test_segmented_replay_matches_golden(trace_path, protocol):
     assert digest == GOLDEN_SEGMENTED_DIGESTS[protocol]
 
 
-def test_resume_from_durable_snapshot_matches_uninterrupted(
-    trace_path, tmp_path, monkeypatch
-):
-    """In-process kill: die right after persisting a snapshot, resume."""
+def _die_after_second_snapshot(trace_path, config, snap, monkeypatch):
+    """Replay with durable snapshots and die right after persisting one."""
     import repro.traces.replay as replay_mod
-
-    config = _config("widir")
-    uninterrupted = result_digest(
-        replay_trace(trace_path, config, snapshot_every=2)
-    )
-
-    snap = tmp_path / "resume.snap"
 
     class Killed(BaseException):
         pass
@@ -232,13 +224,44 @@ def test_resume_from_durable_snapshot_matches_uninterrupted(
     with pytest.raises(Killed):
         replay_trace(trace_path, config, snapshot_every=2, snapshot_path=snap)
     monkeypatch.setattr(replay_mod, "save_snapshot", original)
-
     assert snap.exists()
+
+
+def test_resume_from_durable_snapshot_matches_uninterrupted(
+    trace_path, tmp_path, monkeypatch
+):
+    """In-process kill: die right after persisting a snapshot, resume."""
+    config = _config("widir")
+    uninterrupted = result_digest(
+        replay_trace(trace_path, config, snapshot_every=2)
+    )
+    snap = tmp_path / "resume.snap"
+    _die_after_second_snapshot(trace_path, config, snap, monkeypatch)
     resumed = replay_trace(
         trace_path, config, snapshot_every=2, snapshot_path=snap
     )
     assert result_digest(resumed) == uninterrupted
     assert not snap.exists()  # completed runs clean up their snapshot
+
+
+def test_resume_from_a_snapshot_with_pre_1_6_stats_sections(
+    trace_path, tmp_path, monkeypatch
+):
+    """A snapshot written before 1.6 also carries the registry's latency
+    and exact-histogram sections, which nothing read; it still resumes."""
+    config = _config("widir")
+    snap = tmp_path / "resume.snap"
+    _die_after_second_snapshot(trace_path, config, snap, monkeypatch)
+    legacy = json.loads(snap.read_text())
+    legacy["stats"]["latencies"] = []
+    legacy["stats"]["exact"] = [["widir.sharers_per_update_exact", [[2, 5]]]]
+    snap.write_text(json.dumps(legacy))
+    resumed = replay_trace(
+        trace_path, config, snapshot_every=2, snapshot_path=snap
+    )
+    assert result_digest(resumed) == result_digest(
+        replay_trace(trace_path, config, snapshot_every=2)
+    )
 
 
 def test_snapshot_rejects_mismatched_trace_or_interval(
