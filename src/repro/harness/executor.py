@@ -67,7 +67,9 @@ log = logging.getLogger("repro.harness.executor")
 #: shape (protocol semantics, stats counters, energy constants, trace
 #: synthesis, ...). Stale cache entries from earlier schemas are simply
 #: never looked up again; ``Executor.prune_cache`` garbage-collects them.
-CACHE_SCHEMA_VERSION = 2  # v2: SimulationResult grew latency_histogram
+#: v2: SimulationResult grew latency_histogram. v3: the wireless channel
+#: runs at most one contention round per cycle.
+CACHE_SCHEMA_VERSION = 3
 
 _ENV_WORKERS = "REPRO_WORKERS"
 _ENV_CACHE_DIR = "REPRO_CACHE_DIR"

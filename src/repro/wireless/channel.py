@@ -32,12 +32,24 @@ to every registered receiver when the payload finishes. A
 :class:`~repro.system.Manycore` registers one machine-wide router, which
 decides which tiles act on the frame.
 
+*One contention round per cycle.* BRS resolves one round per cycle among
+the nodes that start transmitting in it, and so does every MAC here. The
+channel keeps exactly one live arbitration event, queued for the earliest
+cycle the channel or its MAC asked for through
+:meth:`WirelessDataChannel._schedule_arbitration`, and never for a cycle
+whose round has already run. An event superseded by a request for an
+earlier cycle does nothing when it fires, so who contends depends on the
+MAC's rule, not on how many stale events happen to sit in a cycle. A
+transmit queued in a cycle after that cycle's round has run contends in
+the next cycle.
+
 Requests are cancellable until their commit point, which the wireless-RMW
 implementation relies on.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.config.system import WirelessConfig
@@ -134,7 +146,14 @@ class WirelessDataChannel:
         #: per sub-channel.
         self._active: List[TransmitRequest] = []
         self._busy_until = 0
+        #: The one live arbitration: the cycle it is queued for (None when
+        #: none is queued) and its token. A queued event whose token is no
+        #: longer current was superseded and does nothing when it fires.
         self._arbitration_scheduled_at: Optional[int] = None
+        self._arbitration_token = 0
+        #: Cycle of the last contention round (the MAC's ``arbitrate``);
+        #: no arbitration is queued for that cycle again.
+        self._last_round = -1
         #: Observability hook (set by Observability.install(); None — the
         #: default — costs one attribute test per channel operation and
         #: nothing else; see repro.obs.hooks).
@@ -285,9 +304,9 @@ class WirelessDataChannel:
         transmission start to delivery. The commit (serialization point)
         fires after the header, the broadcast fan-out at the end.
 
-        The request leaves the pending list *now* — a stale arbitration
-        event firing at the end-of-frame cycle (before the finish event)
-        must not see it as a contender and transmit it twice.
+        The request leaves the pending list *now*: the next arbitration
+        may run in the end-of-frame cycle before the finish event, and it
+        must not see the request as a contender and transmit it twice.
         """
         self._remove_pending(request)
         self._active.append(request)
@@ -304,15 +323,30 @@ class WirelessDataChannel:
     # ----------------------------------------------------------- internals
 
     def _schedule_arbitration(self, at: int) -> None:
-        at = self._mac.clamp_arbitration(max(at, self.sim.now))
-        if self._arbitration_scheduled_at is not None and (
-            self._arbitration_scheduled_at <= at
-        ):
+        """Ask for an arbitration no later than cycle ``at``.
+
+        The single owner of arbitration timing; the channel and every MAC
+        call it freely. The channel keeps exactly one live arbitration,
+        queued for the earliest cycle any caller asked for, after the
+        cycle of the last contention round and never before the MAC's
+        ``clamp_arbitration``. Asking for a later cycle than the live one
+        is a no-op; asking for an earlier one queues a new event and
+        supersedes the old, which does nothing when it fires. So a cycle
+        runs at most one contention round.
+        """
+        at = self._mac.clamp_arbitration(
+            max(at, self.sim.now, self._last_round + 1)
+        )
+        live = self._arbitration_scheduled_at
+        if live is not None and live <= at:
             return
         self._arbitration_scheduled_at = at
-        self.sim.schedule_at(at, self._arbitrate)
+        self._arbitration_token += 1
+        self.sim.schedule_at(at, partial(self._arbitrate, self._arbitration_token))
 
-    def _arbitrate(self) -> None:
+    def _arbitrate(self, token: int) -> None:
+        if token != self._arbitration_token:
+            return  # superseded by an earlier arbitration
         self._arbitration_scheduled_at = None
         now = self.sim.now
         defer_until = self._mac.busy_defer(now)
@@ -338,6 +372,7 @@ class WirelessDataChannel:
         if not contenders:
             self._schedule_arbitration(min(r.ready_time for r in self._pending))
             return
+        self._last_round = now
         self._mac.arbitrate(now, contenders)
 
     def _commit(self, request: TransmitRequest) -> None:

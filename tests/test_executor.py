@@ -65,14 +65,14 @@ class TestRunKey:
         [
             (
                 RunRequest("radiosity", widir_config(num_cores=16, seed=7), 400, 3),
-                "9db2cf8739a1ea942ede4a1608a6d248e44e74696efc1bc055daa51371e30015",
+                "5d9148c025b5efe66618f3276953fa9b9f7c277e3341a72bd76689a89c0030ab",
             ),
             (
                 RunRequest(
                     "volrend", baseline_config(num_cores=8), 0, 0,
                     trace_path="recorded/volrend.wtr", trace_id="ab" * 32,
                 ),
-                "33dac6270db6b10d9ce55b39bcd15b69c5721ec8cb19f0890a97c1644b701d87",
+                "7595bebc721d8d45879300d9a6231e72afe29695fdf5a10f0cee46573fb4d358",
             ),
             (
                 RunRequest(
@@ -80,7 +80,7 @@ class TestRunKey:
                     trace_path="traces/volrend.wtr", trace_id="cd" * 32,
                     trace_window=((0, 4), (2, 6)),
                 ),
-                "3de82754fe2bf28d631288cabd1211d0875c9a9c9485fa7e20db38ba394695c9",
+                "9045315e6bd15290a967fe68634be64a1ca829f25507e54d85f00262188cd859",
             ),
         ],
         ids=["synthesized", "whole-trace", "windowed"],

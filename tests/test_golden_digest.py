@@ -3,10 +3,12 @@
 These tests lock the *simulated behaviour* of the machine: a fixed-seed
 Baseline (MESI) run and a fixed-seed WiDir run must produce exactly the
 same statistics — every counter, cycle count, histogram bin, and latency
-accumulator — as the tree they were recorded on. The digests below were
-computed on the pre-fast-path tree (PR 1 seed state) and hardcoded, so any
-perf work that changes simulated behaviour (rather than just wall-clock)
-fails here first.
+accumulator — as the tree they were recorded on. The Baseline digest was
+computed on the pre-fast-path tree (PR 1 seed state); the WiDir digests
+were re-recorded when the wireless channel came to run at most one
+contention round per cycle. They are hardcoded, so any perf work that
+changes simulated behaviour (rather than just wall-clock) fails here
+first.
 
 The digest covers the full sorted ``StatsRegistry`` counter map plus the
 headline result fields, serialized canonically and hashed with sha256.
@@ -40,7 +42,7 @@ GOLDEN_BASELINE_DIGEST = (
     "e48bcd643073a68d41eaad7f6323077efddd30a5cb4e93b156b2288a3823f5b1"
 )
 GOLDEN_WIDIR_DIGEST = (
-    "172da0cc5342cf0995c04ab5cef03a973943545b0bae3536611a26399f90a944"
+    "95ba9400b2019180b2c6264779ba7addbc3c25b248562d5607661e7efa9824bd"
 )
 
 #: Threshold sweep: the same WiDir workload with ``MaxWiredSharers`` forced
@@ -50,8 +52,8 @@ GOLDEN_WIDIR_DIGEST = (
 #: locks the S->W re-entry path explicitly and catches accidental drift of
 #: the preset default itself.
 GOLDEN_WIDIR_THRESHOLD_DIGESTS = {
-    1: "982dccb18afcf69b770e42649e1d110064d4cf36708e7a360dc8dceea67564a4",
-    3: "172da0cc5342cf0995c04ab5cef03a973943545b0bae3536611a26399f90a944",
+    1: "7495f50b5654821b18e1223751e44f1abc9cfe5d434a762157462d381564b9d6",
+    3: "95ba9400b2019180b2c6264779ba7addbc3c25b248562d5607661e7efa9824bd",
 }
 
 

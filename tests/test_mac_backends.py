@@ -59,12 +59,12 @@ OPS_PER_CORE = 40
 #: an unexplained diff is a semantic regression.
 GOLDEN_MAC_DIGESTS = {
     "brs": "98f33512bec98f78",
-    "csma_slotted": "ffce035d8e91edcf",
+    "csma_slotted": "a6783066046a0463",
     "fdma": "ff5e78ea0b793dd4",
     "token": "1fd9d97e5834cb36",
     "brs+err": "c277dcd6a6028991",
-    "csma_slotted+err": "d3a04597c6d30378",
-    "fdma+err": "19e353dad3c87f56",
+    "csma_slotted+err": "27bd33e3219b337f",
+    "fdma+err": "17b7f08b1e6afe1a",
     "token+err": "6a1fbd6b160a0f44",
 }
 

@@ -299,6 +299,9 @@ def test_cli_verify_replay_roundtrip(tmp_path, capsys):
     from repro.cli import main
 
     artifact_dir = tmp_path / "artifacts"
+    # Three trials, not one: whether a single smoke trial happens to
+    # exercise a jam on a contended line depends on the channel's event
+    # timing, but three trials catch ``no_jam_nack`` at every seed 0-5.
     code = main(
         [
             "verify",
@@ -308,7 +311,7 @@ def test_cli_verify_replay_roundtrip(tmp_path, capsys):
             "--seed",
             "0",
             "--trials",
-            "1",
+            "3",
             "--skip-litmus",
             "--mutate",
             "no_jam_nack",

@@ -1,14 +1,27 @@
 """Tests for the BRS wireless data channel: arbitration, collisions,
 backoff, jamming, cancellation, and the serialization-point contract."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro.config.presets import widir_config
 from repro.config.system import WirelessConfig
 from repro.engine.rng import DeterministicRng
 from repro.engine.simulator import Simulator
+from repro.harness.runner import run_app
 from repro.stats.collectors import StatsRegistry
 from repro.wireless.channel import WirelessDataChannel
 from repro.wireless.frames import WirelessFrame
+from repro.wireless.mac import get_mac, mac_names
+from tests.test_golden_digest import (
+    GOLDEN_APP,
+    GOLDEN_CORES,
+    GOLDEN_MEMOPS,
+    GOLDEN_SEED,
+    GOLDEN_TRACE_SEED,
+)
 
 
 def make_channel(num_nodes=4, **config_kwargs):
@@ -214,3 +227,70 @@ class TestLiveness:
         sim.run(max_events=100_000)
         assert sorted(delivered) == list(range(20))
         assert len(delivered) == len(set(delivered))
+
+
+class TestOneArbitrationPerCycle:
+    """The channel keeps one live arbitration and runs at most one
+    contention round per cycle, however often it and its MAC ask."""
+
+    def test_stale_arbitration_does_not_split_a_cycles_round(self):
+        """Two transmits ready in one cycle contend in one BRS round, even
+        when the second comes after a superseded arbitration event that
+        was queued for that cycle."""
+        sim, channel, stats = make_channel()
+        channel.register_receiver(0, lambda f: None)
+        rounds = []
+        arbitrate = channel._mac.arbitrate
+
+        def record(now, contenders):
+            rounds.append((now, sorted(r.frame.src for r in contenders)))
+            arbitrate(now, contenders)
+
+        channel._mac.arbitrate = record
+        # Cycle 20's bucket, in order: the first transmit, an arbitration
+        # that an earlier request supersedes, the second transmit.
+        sim.schedule_at(20, lambda: channel.transmit(upd(0)))
+        channel._schedule_arbitration(20)
+        sim.schedule_at(20, lambda: channel.transmit(upd(1)))
+        channel._schedule_arbitration(5)
+        sim.run()
+        assert rounds[0] == (20, [0, 1])
+        assert stats.get_counter("wnoc.collisions") == 2
+        assert stats.get_counter("wnoc.frames") == 2
+
+    @pytest.mark.parametrize("mac", mac_names())
+    def test_golden_run_arbitrates_once_per_cycle(self, mac, monkeypatch):
+        """On the golden WiDir workload every MAC sees at most one round
+        per cycle, and no more than two arbitration events fire per
+        round (stale events included)."""
+        state_class = get_mac(mac).state_factory
+        rounds = Counter()
+        fired = []
+        mac_arbitrate = state_class.arbitrate
+        channel_arbitrate = WirelessDataChannel._arbitrate
+
+        def count_round(self, now, contenders):
+            rounds[now] += 1
+            return mac_arbitrate(self, now, contenders)
+
+        def count_event(self, *args):
+            fired.append(self.sim.now)
+            return channel_arbitrate(self, *args)
+
+        monkeypatch.setattr(state_class, "arbitrate", count_round)
+        monkeypatch.setattr(WirelessDataChannel, "_arbitrate", count_event)
+        config = replace(
+            widir_config(num_cores=GOLDEN_CORES, seed=GOLDEN_SEED), mac=mac
+        )
+        run_app(
+            GOLDEN_APP, config, memops_per_core=GOLDEN_MEMOPS,
+            trace_seed=GOLDEN_TRACE_SEED,
+        )
+        assert rounds, "the golden run never reached the MAC"
+        assert max(rounds.values()) == 1, (
+            f"{mac}: up to {max(rounds.values())} rounds in one cycle"
+        )
+        total = sum(rounds.values())
+        assert len(fired) <= 2 * total, (
+            f"{mac}: {len(fired)} arbitration events for {total} rounds"
+        )
