@@ -59,61 +59,10 @@ from typing import List, Optional, Tuple
 from repro import api
 from repro.coherence.backend import backend_names
 from repro.config.presets import protocol_config
-from repro.harness import figures as figure_functions
+from repro.harness import figures
 from repro.harness.executor import Executor
-from repro.harness.motivation import section2c_sharing_probe
 from repro.wireless.mac import mac_names
 from repro.workloads.profiles import ALL_APPS, APP_PROFILES
-
-FIGURES = {
-    "motivation": lambda **kw: section2c_sharing_probe(
-        apps=list(kw["apps"]), num_cores=kw["cores"], memops=kw["memops"]
-    ),
-    "table4": lambda **kw: figure_functions.table4_mpki_characterization(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"],
-    ),
-    "fig5": lambda **kw: figure_functions.figure5_sharer_histogram(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"],
-    ),
-    "fig6": lambda **kw: figure_functions.figure6_mpki(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"],
-    ),
-    "fig7": lambda **kw: figure_functions.figure7_memory_latency(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"],
-    ),
-    "table5": lambda **kw: figure_functions.table5_hop_distribution(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"],
-    ),
-    "fig8": lambda **kw: figure_functions.figure8_execution_time(
-        apps=kw["apps"], memops=kw["memops"], executor=kw["executor"]
-    ),
-    "fig9": lambda **kw: figure_functions.figure9_energy(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"],
-    ),
-    "fig10": lambda **kw: figure_functions.figure10_scalability(
-        apps=kw["apps"], memops=kw["memops"], executor=kw["executor"]
-    ),
-    "table6": lambda **kw: figure_functions.table6_sensitivity(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"],
-    ),
-    "protocols": lambda **kw: figure_functions.figure_protocol_comparison(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"], protocols=kw.get("protocols"),
-        seed=kw.get("seed", 42),
-    ),
-    "macs": lambda **kw: figure_functions.figure_mac_comparison(
-        apps=kw["apps"], num_cores=kw["cores"], memops=kw["memops"],
-        executor=kw["executor"], protocols=kw.get("protocols"),
-        macs=kw.get("macs"), seed=kw.get("seed", 42),
-    ),
-}
 
 #: Every canonical ``(noun, verb)`` command path; the CLI contract tests
 #: snapshot ``--help`` for each of these (plus the root parser).
@@ -248,7 +197,7 @@ def _configure_sim_profile(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_figure_render(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("name", choices=sorted(FIGURES))
+    parser.add_argument("name", choices=sorted(figures.ARTIFACTS))
     parser.add_argument(
         "--apps", default="radiosity,water-spa,blackscholes",
         help="comma-separated app list, or 'all'",
@@ -605,7 +554,9 @@ def _configure_campaign_render(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("dir", help="campaign directory to render from")
     parser.add_argument(
         "--figure",
-        choices=sorted(name for name in FIGURES if name != "motivation"),
+        choices=sorted(
+            name for name in figures.ARTIFACTS if name != "motivation"
+        ),
         required=True,
         help="paper artifact to render from the campaign's results",
     )
@@ -891,24 +842,18 @@ def _cmd_sim_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure_render(args: argparse.Namespace) -> int:
-    apps = ALL_APPS if args.apps.strip() == "all" else tuple(
-        name.strip() for name in args.apps.split(",") if name.strip()
-    )
-    unknown = [a for a in apps if a not in APP_PROFILES]
-    if unknown:
-        print(f"unknown apps: {', '.join(unknown)}", file=sys.stderr)
+    apps = _parse_apps(args.apps)
+    if apps is None:
         return 2
-    result = FIGURES[args.name](
+    for table in figures.render(
+        args.name,
         apps=apps,
-        cores=args.cores,
+        num_cores=args.cores,
         memops=args.memops,
         executor=_executor_from(args),
-    )
-    if isinstance(result, dict):  # figure8-style multi-table
-        for figure in result.values():
-            print(figure.text)
-    else:
-        print(result.text)
+        seed=args.seed,
+    ):
+        print(table.text)
     return 0
 
 
@@ -1335,6 +1280,19 @@ def _cmd_apps_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_apps(value: str) -> Optional[Tuple[str, ...]]:
+    """Parse an ``--apps`` list; 'all' means every app. Prints the
+    unknown names and returns ``None`` when there are any."""
+    if value.strip() == "all":
+        return ALL_APPS
+    apps = tuple(name.strip() for name in value.split(",") if name.strip())
+    unknown = [app for app in apps if app not in APP_PROFILES]
+    if unknown:
+        print(f"unknown apps: {', '.join(unknown)}", file=sys.stderr)
+        return None
+    return apps
+
+
 def _parse_protocols(value: str) -> Tuple[str, ...]:
     """Parse a ``--protocols`` list; 'all' means every registered backend."""
     if value.strip() == "all":
@@ -1373,16 +1331,8 @@ def _campaign_spec_from_args(args: argparse.Namespace, directory):
                 file=sys.stderr,
             )
             return None
-        apps = (
-            ALL_APPS
-            if args.apps.strip() == "all"
-            else tuple(
-                name.strip() for name in args.apps.split(",") if name.strip()
-            )
-        )
-        unknown = [a for a in apps if a not in APP_PROFILES]
-        if unknown:
-            print(f"unknown apps: {', '.join(unknown)}", file=sys.stderr)
+        apps = _parse_apps(args.apps)
+        if apps is None:
             return None
     return CampaignSpec(
         name=args.name if args.name else directory.name,
@@ -1423,28 +1373,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(Campaign.load(Path(args.dir)).status().render())
             return 0
 
-        # render
+        # render: the campaign's own grid, so every run it journalled hits
         campaign = Campaign.load(Path(args.dir))
         spec = campaign.spec
-        source = campaign.result_source(strict=args.strict)
-        result = FIGURES[args.figure](
+        tables = figures.render(
+            args.figure,
             apps=spec.apps,
-            cores=spec.cores[0],
+            num_cores=spec.cores[0],
             memops=spec.memops,
-            executor=source,
+            executor=campaign.result_source(strict=args.strict),
+            seed=spec.seed,
+            trace_seed=spec.trace_seed,
+            thresholds=spec.thresholds,
             protocols=spec.protocols,
             macs=spec.macs,
-            seed=spec.seed,
         )
-        if isinstance(result, dict):  # figure8-style multi-table
-            partial = False
-            for figure in result.values():
-                print(figure.text)
-                partial = partial or figure.partial
-        else:
-            print(result.text)
-            partial = result.partial
-        return 3 if partial else 0
+        for table in tables:
+            print(table.text)
+        return 3 if any(table.partial for table in tables) else 0
     except CampaignError as error:
         print(f"campaign error: {error}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ from repro.harness.executor import (
     default_executor,
     run_key,
 )
-from repro.harness.report_gen import generate_report
 from repro.harness.validate import validate_result
 from repro.harness.figures import (
     figure10_scalability,
@@ -86,7 +85,6 @@ __all__ = [
     "default_executor",
     "run_campaign",
     "run_key",
-    "generate_report",
     "validate_result",
     "figure10_scalability",
     "figure5_sharer_histogram",

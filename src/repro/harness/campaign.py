@@ -53,7 +53,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.coherence.backend import get_backend
-from repro.config.presets import protocol_config
 from repro.harness.executor import (
     Executor,
     ExperimentPlan,
@@ -71,7 +70,7 @@ from repro.harness.ioutils import (
 )
 from repro.harness.runner import SimulationResult
 from repro.harness.supervisor import RetryPolicy
-from repro.harness.sweeps import GridPoint, grid, label_for
+from repro.harness.sweeps import GridPoint, add_points, grid
 from repro.wireless.mac import get_mac
 
 #: Bump on any change to the journal / manifest / aggregate shapes.
@@ -207,12 +206,13 @@ class CampaignSpec:
             points = []
             for app in self.apps:
                 for cores in self.cores:
-                    base = protocol_config("baseline", cores, seed=self.seed)
-                    points.append((label_for(app, base), app, base))
+                    points += grid(
+                        "protocols", (app,), (cores,), protocols=("baseline",),
+                        seed=self.seed,
+                    )
                     points += self._grid("thresholds", (app,), (cores,))
         plan = ExperimentPlan()
-        for _, app, config in points:
-            plan.add(app, config, self.memops, self.trace_seed)
+        add_points(plan, points, self.memops, self.trace_seed)
         return plan, [label for label, _, _ in points]
 
     def _grid(self, kind: str, apps, cores) -> List[GridPoint]:

@@ -3,27 +3,36 @@
 Each function regenerates one artifact of the paper's evaluation section and
 returns a structured result plus a rendered text table (``.text``) printing
 the same rows/series the paper plots. The benchmark suite under
-``benchmarks/`` calls exactly these functions.
+``benchmarks/`` calls exactly these functions, and :data:`ARTIFACTS` names
+them for ``repro figure render`` and ``repro campaign render``
+(:func:`render`).
 
-Execution model: every figure *declares* its run matrix as an
-:class:`~repro.harness.executor.ExperimentPlan` and hands it to an
-:class:`~repro.harness.executor.Executor`, which deduplicates identical
-``(app, config, memops, trace_seed)`` requests, satisfies repeats from the
-on-disk memo cache, and fans unique simulations out over worker processes.
-Row values are computed from the executor's canonicalized results, so a
-figure renders byte-identically whether its runs were simulated serially,
-in parallel, or recalled from cache. Pass ``executor=`` to control workers
-and caching explicitly; the default is the process-wide executor
-(``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` aware).
+Execution model: every artifact *declares* its runs as
+:func:`repro.harness.sweeps.grid` points — the grid a campaign of the same
+apps, cores, seed, trace seed and thresholds journals — and turns them into
+one :class:`~repro.harness.executor.ExperimentPlan` with
+:func:`~repro.harness.sweeps.add_points`, which an
+:class:`~repro.harness.executor.Executor` deduplicates by run key, serves
+from the on-disk memo cache where it can, and fans out over worker
+processes. Row values are computed from the executor's canonicalized
+results, so an artifact renders byte-identically whether its runs were
+simulated serially, in parallel, recalled from cache, or served by a
+campaign. Pass ``executor=`` to control workers and caching explicitly;
+the default is the process-wide executor (``REPRO_WORKERS`` /
+``REPRO_CACHE_DIR`` aware).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import inspect
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
-from repro.config.presets import baseline_config, widir_config
 from repro.harness.executor import Executor, ExperimentPlan, default_executor
+from repro.harness.motivation import section2c_sharing_probe
 from repro.harness.runner import SimulationResult
+from repro.harness.sweeps import GridPoint, add_points, grid, run_grid
 from repro.stats.report import format_table
 from repro.workloads.profiles import ALL_APPS
 
@@ -35,9 +44,9 @@ DEFAULT_APPS: Tuple[str, ...] = ALL_APPS
 class FigureResult:
     """A computed figure: structured rows plus a rendered table.
 
-    ``missing`` lists the grid points that could not be rendered because
-    their runs were unavailable (a degraded campaign serving partial
-    results through a
+    ``missing`` lists, by grid label (the labels a campaign's provenance
+    manifest lists), the points whose runs were unavailable (a degraded
+    campaign serving partial results through a
     :class:`~repro.harness.campaign.CampaignResultSource`); a plain
     :class:`Executor` always simulates, so it is empty in direct use. When
     non-empty the rendered table carries an explicit partial-output note
@@ -79,10 +88,6 @@ def _apps_or_default(apps: Optional[Iterable[str]]) -> Tuple[str, ...]:
     return tuple(apps) if apps is not None else DEFAULT_APPS
 
 
-def _exe(executor: Optional[Executor]) -> Executor:
-    return executor if executor is not None else default_executor()
-
-
 def _geomean(values: List[float]) -> float:
     positives = [v for v in values if v > 0]
     if not positives:
@@ -93,32 +98,23 @@ def _geomean(values: List[float]) -> float:
     return product ** (1.0 / len(positives))
 
 
-def _pairs(
-    apps: Sequence[str],
-    num_cores: int,
-    memops: Optional[int],
-    executor: Executor,
-) -> Tuple[List[Tuple[str, SimulationResult, SimulationResult]], List[str]]:
-    """One Baseline/WiDir pair per app, declared as a single plan.
+def _missing(
+    points: Sequence[GridPoint], served: Dict[str, SimulationResult]
+) -> List[str]:
+    """Labels of the points ``served`` lacks, in grid order, each once."""
+    return list(
+        dict.fromkeys(label for label, _, _ in points if label not in served)
+    )
 
-    Returns ``(pairs, missing_apps)``: apps whose baseline or WiDir run the
-    executor could not serve (``None`` from a partial campaign source) are
-    reported rather than crashed on.
-    """
-    plan = ExperimentPlan()
-    indices = [
-        (app, plan.add_pair(app, num_cores=num_cores, memops=memops))
-        for app in apps
-    ]
-    results = executor.map_runs(plan)
-    pairs = []
-    missing = []
-    for app, (b, w) in indices:
-        if results[b] is None or results[w] is None:
-            missing.append(app)
-        else:
-            pairs.append((app, results[b], results[w]))
-    return pairs, missing
+
+def _paired(
+    points: Sequence[GridPoint], served: Dict[str, SimulationResult]
+) -> Iterator[Tuple[str, int, SimulationResult, SimulationResult]]:
+    """``(app, cores, baseline, widir)`` for each served pair of a default
+    ``"protocols"`` grid, whose points alternate Baseline and WiDir."""
+    for (base, app, config), (widir, _, _) in zip(points[::2], points[1::2]):
+        if base in served and widir in served:
+            yield app, config.num_cores, served[base], served[widir]
 
 
 # --------------------------------------------------------------- Table IV
@@ -128,23 +124,26 @@ def table4_mpki_characterization(
     num_cores: int = 64,
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> FigureResult:
     """Table IV: per-application Baseline L1 MPKI."""
-    apps = _apps_or_default(apps)
-    plan = ExperimentPlan()
-    for app in apps:
-        plan.add(app, baseline_config(num_cores=num_cores), memops)
-    results = _exe(executor).map_runs(plan)
-    missing = [app for app, result in zip(apps, results) if result is None]
+    points = grid(
+        "protocols", _apps_or_default(apps), (num_cores,),
+        protocols=("baseline",), seed=seed,
+    )
+    served = run_grid(points, executor, memops, trace_seed)
     rows = [
-        [app, result.mpki]
-        for app, result in zip(apps, results)
-        if result is not None
+        [app, served[label].mpki]
+        for label, app, _ in points
+        if label in served
     ]
     text = format_table(
         ["app", "baseline MPKI"], rows, title="Table IV: L1 MPKI in Baseline"
     )
-    return FigureResult("table4", ["app", "mpki"], rows, text, missing=missing)
+    return FigureResult(
+        "table4", ["app", "mpki"], rows, text, missing=_missing(points, served)
+    )
 
 
 # --------------------------------------------------------------- Figure 5
@@ -154,23 +153,24 @@ def figure5_sharer_histogram(
     num_cores: int = 64,
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> FigureResult:
     """Figure 5: sharers updated per wireless write, binned."""
     bins = ["0-5", "6-10", "11-25", "26-49", "50+"]
-    apps = _apps_or_default(apps)
-    plan = ExperimentPlan()
-    for app in apps:
-        plan.add(app, widir_config(num_cores=num_cores), memops)
-    results = _exe(executor).map_runs(plan)
-    missing = [app for app, result in zip(apps, results) if result is None]
+    points = grid(
+        "protocols", _apps_or_default(apps), (num_cores,),
+        protocols=("widir",), seed=seed,
+    )
+    served = run_grid(points, executor, memops, trace_seed)
     rows = []
-    for app, result in zip(apps, results):
-        if result is None:
+    for label, app, _ in points:
+        if label not in served:
             continue
-        total = sum(result.sharer_histogram.values())
+        histogram = served[label].sharer_histogram
+        total = sum(histogram.values())
         fractions = [
-            (result.sharer_histogram.get(b, 0) / total if total else 0.0)
-            for b in bins
+            (histogram.get(b, 0) / total if total else 0.0) for b in bins
         ]
         rows.append([app] + fractions)
     text = format_table(
@@ -178,7 +178,9 @@ def figure5_sharer_histogram(
         rows,
         title="Figure 5: sharers updated per wireless write (fraction of writes)",
     )
-    return FigureResult("fig5", ["app"] + bins, rows, text, missing=missing)
+    return FigureResult(
+        "fig5", ["app"] + bins, rows, text, missing=_missing(points, served)
+    )
 
 
 # --------------------------------------------------------------- Figure 6
@@ -188,14 +190,15 @@ def figure6_mpki(
     num_cores: int = 64,
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> FigureResult:
     """Figure 6: MPKI of WiDir vs Baseline, read/write split, normalized."""
     rows = []
     ratios = []
-    pairs, missing = _pairs(
-        _apps_or_default(apps), num_cores, memops, _exe(executor)
-    )
-    for app, base, widir in pairs:
+    points = grid("protocols", _apps_or_default(apps), (num_cores,), seed=seed)
+    served = run_grid(points, executor, memops, trace_seed)
+    for app, _, base, widir in _paired(points, served):
         reference = base.mpki or 1.0
         ratio = widir.mpki / reference if base.mpki else 1.0
         ratios.append(ratio)
@@ -215,7 +218,9 @@ def figure6_mpki(
         rows,
         title="Figure 6: L1 MPKI normalized to Baseline",
     )
-    return FigureResult("fig6", ["app", "ratio"], rows, text, missing=missing)
+    return FigureResult(
+        "fig6", ["app", "ratio"], rows, text, missing=_missing(points, served)
+    )
 
 
 # --------------------------------------------------------------- Figure 7
@@ -225,14 +230,15 @@ def figure7_memory_latency(
     num_cores: int = 64,
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> FigureResult:
     """Figure 7: total memory-operation latency, load/store split, normalized."""
     rows = []
     ratios = []
-    pairs, missing = _pairs(
-        _apps_or_default(apps), num_cores, memops, _exe(executor)
-    )
-    for app, base, widir in pairs:
+    points = grid("protocols", _apps_or_default(apps), (num_cores,), seed=seed)
+    served = run_grid(points, executor, memops, trace_seed)
+    for app, _, base, widir in _paired(points, served):
         reference = base.total_memory_latency or 1
         ratio = widir.total_memory_latency / reference
         ratios.append(ratio)
@@ -252,7 +258,9 @@ def figure7_memory_latency(
         rows,
         title="Figure 7: memory latency normalized to Baseline",
     )
-    return FigureResult("fig7", ["app", "ratio"], rows, text, missing=missing)
+    return FigureResult(
+        "fig7", ["app", "ratio"], rows, text, missing=_missing(points, served)
+    )
 
 
 # ---------------------------------------------------------------- Table V
@@ -262,29 +270,36 @@ def table5_hop_distribution(
     num_cores: int = 64,
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> FigureResult:
-    """Table V: wired hops per coherence leg in the 64-core Baseline."""
+    """Table V: wired hops per coherence leg in the Baseline."""
     bins = ["0-2", "3-5", "6-8", "9-11", "12+"]
-    apps = _apps_or_default(apps)
-    plan = ExperimentPlan()
-    for app in apps:
-        plan.add(app, baseline_config(num_cores=num_cores), memops)
-    results = _exe(executor).map_runs(plan)
-    missing = [app for app, result in zip(apps, results) if result is None]
+    points = grid(
+        "protocols", _apps_or_default(apps), (num_cores,),
+        protocols=("baseline",), seed=seed,
+    )
+    served = run_grid(points, executor, memops, trace_seed)
     totals = {b: 0 for b in bins}
-    for result in results:
-        if result is None:
+    for label, _, _ in points:
+        if label not in served:
             continue
         for b in bins:
-            totals[b] += result.hop_histogram.get(b, 0)
+            totals[b] += served[label].hop_histogram.get(b, 0)
     grand = sum(totals.values()) or 1
     rows = [[b, totals[b] / grand] for b in bins]
     text = format_table(
         ["hops per leg", "fraction of messages"],
         rows,
-        title="Table V: wired-mesh hop distribution (Baseline, 64 cores)",
+        title=(
+            "Table V: wired-mesh hop distribution "
+            f"(Baseline, {num_cores} cores)"
+        ),
     )
-    return FigureResult("table5", ["bin", "fraction"], rows, text, missing=missing)
+    return FigureResult(
+        "table5", ["bin", "fraction"], rows, text,
+        missing=_missing(points, served),
+    )
 
 
 # --------------------------------------------------------------- Figure 8
@@ -294,30 +309,20 @@ def figure8_execution_time(
     core_counts: Sequence[int] = (64, 32, 16),
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> Dict[int, FigureResult]:
     """Figure 8: normalized execution time with stall/rest breakdown."""
-    apps = _apps_or_default(apps)
-    exe = _exe(executor)
     # One plan spanning every machine size: repeats against fig6/fig7 (and
     # between panels) collapse in the executor instead of re-simulating.
-    plan = ExperimentPlan()
-    indices = {
-        (cores, app): plan.add_pair(app, num_cores=cores, memops=memops)
-        for cores in core_counts
-        for app in apps
-    }
-    all_results = exe.map_runs(plan)
+    points = grid("protocols", _apps_or_default(apps), core_counts, seed=seed)
+    served = run_grid(points, executor, memops, trace_seed)
+    pairs = list(_paired(points, served))
     results: Dict[int, FigureResult] = {}
     for cores in core_counts:
         rows = []
         ratios = []
-        missing = []
-        for app in apps:
-            b, w = indices[(cores, app)]
-            base, widir = all_results[b], all_results[w]
-            if base is None or widir is None:
-                missing.append(f"{app}@{cores}c")
-                continue
+        for app, _, base, widir in (p for p in pairs if p[1] == cores):
             reference = base.cycles or 1
             ratio = widir.cycles / reference
             ratios.append(ratio)
@@ -350,8 +355,10 @@ def figure8_execution_time(
             rows,
             title=f"Figure 8 ({cores} cores): execution time normalized to Baseline",
         )
+        panel = [point for point in points if point[2].num_cores == cores]
         results[cores] = FigureResult(
-            f"fig8_{cores}", ["app", "ratio"], rows, text, missing=missing
+            f"fig8_{cores}", ["app", "ratio"], rows, text,
+            missing=_missing(panel, served),
         )
     return results
 
@@ -363,15 +370,16 @@ def figure9_energy(
     num_cores: int = 64,
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> FigureResult:
     """Figure 9: energy by component, normalized to Baseline."""
     rows = []
     ratios = []
     wnoc_shares = []
-    pairs, missing = _pairs(
-        _apps_or_default(apps), num_cores, memops, _exe(executor)
-    )
-    for app, base, widir in pairs:
+    points = grid("protocols", _apps_or_default(apps), (num_cores,), seed=seed)
+    served = run_grid(points, executor, memops, trace_seed)
+    for app, _, base, widir in _paired(points, served):
         reference = base.energy.total or 1.0
         ratio = widir.energy.total / reference
         ratios.append(ratio)
@@ -399,7 +407,9 @@ def figure9_energy(
         rows,
         title="Figure 9: energy normalized to Baseline",
     )
-    result = FigureResult("fig9", ["app", "ratio"], rows, text, missing=missing)
+    result = FigureResult(
+        "fig9", ["app", "ratio"], rows, text, missing=_missing(points, served)
+    )
     result.mean_wnoc_share = (
         sum(wnoc_shares) / len(wnoc_shares) if wnoc_shares else 0.0
     )
@@ -413,8 +423,10 @@ def figure10_scalability(
     core_counts: Sequence[int] = (4, 8, 16, 32, 64),
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> FigureResult:
-    """Figure 10: speedup vs the 4-core Baseline for both protocols.
+    """Figure 10: speedup vs the smallest Baseline for both protocols.
 
     Strong scaling, as in the paper: the *total* problem size is fixed, so
     a machine with 2x the cores runs half the references per core.
@@ -431,58 +443,51 @@ def figure10_scalability(
         return max(150, base_memops * largest // cores)
 
     smallest = core_counts[0]
-    plan = ExperimentPlan()
     # The per-app reference machine is the smallest Baseline; it coincides
     # with the smallest sweep point, so the executor runs it exactly once.
-    reference_idx = {
-        app: plan.add(
-            app, baseline_config(num_cores=smallest), per_core_work(smallest)
-        )
-        for app in apps
-    }
-    pair_idx = {
-        (cores, app): plan.add_pair(app, num_cores=cores, memops=per_core_work(cores))
+    reference_points = grid(
+        "protocols", apps, (smallest,), protocols=("baseline",), seed=seed
+    )
+    panels = {
+        cores: grid("protocols", apps, (cores,), seed=seed)
         for cores in core_counts
-        for app in apps
     }
-    all_results = _exe(executor).map_runs(plan)
+    plan = ExperimentPlan()
+    add_points(plan, reference_points, per_core_work(smallest), trace_seed)
+    for cores, points in panels.items():
+        add_points(plan, points, per_core_work(cores), trace_seed)
+    every_point = reference_points + [
+        point for points in panels.values() for point in points
+    ]
+    exe = executor if executor is not None else default_executor()
+    served = {
+        label: result
+        for (label, _, _), result in zip(every_point, exe.map_runs(plan))
+        if result is not None
+    }
 
-    base_times: Dict[int, List[float]] = {c: [] for c in core_counts}
-    widir_times: Dict[int, List[float]] = {c: [] for c in core_counts}
-    missing = []
     reference = {
-        app: all_results[i].cycles
-        for app, i in reference_idx.items()
-        if all_results[i] is not None
+        app: served[label].cycles
+        for label, app, _ in reference_points
+        if label in served
     }
-    for cores in core_counts:
-        for app in apps:
-            b, w = pair_idx[(cores, app)]
-            if (
-                app not in reference
-                or all_results[b] is None
-                or all_results[w] is None
-            ):
-                missing.append(f"{app}@{cores}c")
-                continue
-            base_times[cores].append(reference[app] / max(1, all_results[b].cycles))
-            widir_times[cores].append(reference[app] / max(1, all_results[w].cycles))
     rows = []
     for cores in core_counts:
-        rows.append(
-            [
-                cores,
-                _geomean(base_times[cores]),
-                _geomean(widir_times[cores]),
-            ]
-        )
+        base_times = []
+        widir_times = []
+        for app, _, base, widir in _paired(panels[cores], served):
+            if app in reference:
+                base_times.append(reference[app] / max(1, base.cycles))
+                widir_times.append(reference[app] / max(1, widir.cycles))
+        rows.append([cores, _geomean(base_times), _geomean(widir_times)])
     text = format_table(
         ["cores", "Baseline speedup", "WiDir speedup"],
         rows,
-        title="Figure 10: average speedup over 4-core Baseline",
+        title=f"Figure 10: average speedup over {smallest}-core Baseline",
     )
     return FigureResult(
-        "fig10", ["cores", "base", "widir"], rows, text, missing=missing
+        "fig10", ["cores", "base", "widir"], rows, text,
+        missing=_missing(every_point, served),
     )
 
 
@@ -494,42 +499,39 @@ def table6_sensitivity(
     num_cores: int = 64,
     memops: Optional[int] = None,
     executor: Optional[Executor] = None,
+    seed: int = 42,
+    trace_seed: int = 0,
 ) -> FigureResult:
-    """Table VI: MaxWiredSharers sweep — speedup and collision probability."""
+    """Table VI: MaxWiredSharers sweep — speedup and collision probability.
+
+    The runs of a ``kind="thresholds"`` campaign: each app's Baseline, and
+    WiDir at every threshold.
+    """
     apps = _apps_or_default(apps)
-    plan = ExperimentPlan()
-    base_idx = {
-        app: plan.add(app, baseline_config(num_cores=num_cores), memops)
-        for app in apps
-    }
-    widir_idx = {
-        (threshold, app): plan.add(
-            app,
-            widir_config(num_cores=num_cores, max_wired_sharers=threshold),
-            memops,
-        )
-        for threshold in thresholds
-        for app in apps
-    }
-    all_results = _exe(executor).map_runs(plan)
+    base_points = grid(
+        "protocols", apps, (num_cores,), protocols=("baseline",), seed=seed
+    )
+    threshold_points = grid(
+        "thresholds", apps, (num_cores,), thresholds, seed=seed
+    )
+    points = base_points + threshold_points
+    served = run_grid(points, executor, memops, trace_seed)
     base_cycles = {
-        app: all_results[i].cycles
-        for app, i in base_idx.items()
-        if all_results[i] is not None
+        app: served[label].cycles
+        for label, app, _ in base_points
+        if label in served
     }
-    missing = [
-        app for app, i in base_idx.items() if all_results[i] is None
-    ]
+    label_of = {
+        (app, config.directory.max_wired_sharers): label
+        for label, app, config in threshold_points
+    }
     rows = []
     for threshold in thresholds:
         speedups = []
         collisions = []
         for app in apps:
-            widir = all_results[widir_idx[(threshold, app)]]
+            widir = served.get(label_of[(app, threshold)])
             if widir is None or app not in base_cycles:
-                point = f"{app}@t{threshold}"
-                if widir is None and point not in missing:
-                    missing.append(point)
                 continue
             speedups.append(base_cycles[app] / max(1, widir.cycles))
             collisions.append(widir.collision_probability)
@@ -543,11 +545,11 @@ def table6_sensitivity(
     text = format_table(
         ["MaxWiredSharers", "speedup vs Baseline", "collision prob."],
         rows,
-        title="Table VI: MaxWiredSharers sensitivity (64 cores)",
+        title=f"Table VI: MaxWiredSharers sensitivity ({num_cores} cores)",
     )
     return FigureResult(
         "table6", ["threshold", "speedup", "collisions"], rows, text,
-        missing=missing,
+        missing=_missing(points, served),
     )
 
 
@@ -560,6 +562,7 @@ def figure_protocol_comparison(
     executor: Optional[Executor] = None,
     seed: int = 42,
     protocols: Optional[Sequence[str]] = None,
+    trace_seed: int = 0,
 ) -> FigureResult:
     """Cross-protocol comparison: every registered backend on one grid.
 
@@ -570,32 +573,23 @@ def figure_protocol_comparison(
     tuple, or simulates directly.
     """
     from repro.coherence.backend import backend_names
-    from repro.harness.sweeps import grid
 
     names = tuple(protocols) if protocols else backend_names()
     apps = _apps_or_default(apps)
-    plan = ExperimentPlan()
-    indices = {
-        (app, config.protocol): plan.add(app, config, memops)
-        for _, app, config in grid(
-            "protocols", apps, (num_cores,), protocols=names, seed=seed
-        )
-    }
-    all_results = _exe(executor).map_runs(plan)
+    points = grid("protocols", apps, (num_cores,), protocols=names, seed=seed)
+    served = run_grid(points, executor, memops, trace_seed)
+    label_of = {(app, config.protocol): label for label, app, config in points}
     reference_name = names[0]
     rows = []
     ratios: Dict[str, List[float]] = {name: [] for name in names}
-    missing = []
     for app in apps:
-        reference = all_results[indices[(app, reference_name)]]
+        reference = served.get(label_of[(app, reference_name)])
         if reference is None:
-            missing.append(f"{app}/{reference_name}")
             continue
         row = [app]
         for name in names:
-            result = all_results[indices[(app, name)]]
+            result = served.get(label_of[(app, name)])
             if result is None:
-                missing.append(f"{app}/{name}")
                 row.append(float("nan"))
                 continue
             ratio = result.cycles / max(1, reference.cycles)
@@ -614,7 +608,8 @@ def figure_protocol_comparison(
         ),
     )
     return FigureResult(
-        "protocols", ["app"] + list(names), rows, text, missing=missing
+        "protocols", ["app"] + list(names), rows, text,
+        missing=_missing(points, served),
     )
 
 
@@ -628,6 +623,7 @@ def figure_mac_comparison(
     seed: int = 42,
     protocols: Optional[Sequence[str]] = None,
     macs: Optional[Sequence[str]] = None,
+    trace_seed: int = 0,
 ) -> FigureResult:
     """Cross-MAC comparison: every wireless MAC backend on one grid.
 
@@ -639,7 +635,6 @@ def figure_mac_comparison(
     directly.
     """
     from repro.coherence.backend import backend_names, get_backend
-    from repro.harness.sweeps import grid
     from repro.wireless.mac import mac_names
 
     mac_list = tuple(macs) if macs else mac_names()
@@ -651,31 +646,27 @@ def figure_mac_comparison(
     if not wireless:
         raise ValueError("no wireless protocol in the requested set")
     apps = _apps_or_default(apps)
-    plan = ExperimentPlan()
-    indices = {
-        (app, config.protocol, config.mac): plan.add(app, config, memops)
-        for _, app, config in grid(
-            "protocols", apps, (num_cores,), protocols=wireless,
-            macs=mac_list, seed=seed,
-        )
+    points = grid(
+        "protocols", apps, (num_cores,), protocols=wireless, macs=mac_list,
+        seed=seed,
+    )
+    served = run_grid(points, executor, memops, trace_seed)
+    label_of = {
+        (app, config.protocol, config.mac): label
+        for label, app, config in points
     }
-    all_results = _exe(executor).map_runs(plan)
     reference_mac = mac_list[0]
     rows = []
     ratios: Dict[str, List[float]] = {mac: [] for mac in mac_list}
-    missing = []
     for app in apps:
         for protocol in wireless:
-            label = f"{app}/{protocol}" if len(wireless) > 1 else app
-            reference = all_results[indices[(app, protocol, reference_mac)]]
+            reference = served.get(label_of[(app, protocol, reference_mac)])
             if reference is None:
-                missing.append(f"{label}/{reference_mac}")
                 continue
-            row = [label]
+            row = [f"{app}/{protocol}" if len(wireless) > 1 else app]
             for mac in mac_list:
-                result = all_results[indices[(app, protocol, mac)]]
+                result = served.get(label_of[(app, protocol, mac)])
                 if result is None:
-                    missing.append(f"{label}/{mac}")
                     row.append(float("nan"))
                     continue
                 ratio = result.cycles / max(1, reference.cycles)
@@ -692,5 +683,45 @@ def figure_mac_comparison(
         ),
     )
     return FigureResult(
-        "macs", ["app"] + list(mac_list), rows, text, missing=missing
+        "macs", ["app"] + list(mac_list), rows, text,
+        missing=_missing(points, served),
     )
+
+
+# ------------------------------------------------------- the artifact table
+
+#: Every artifact ``repro figure render`` draws, by name;
+#: ``repro campaign render`` draws all but ``motivation``, which runs no
+#: machine.
+ARTIFACTS: Dict[str, Callable] = {
+    "motivation": section2c_sharing_probe,
+    "table4": table4_mpki_characterization,
+    "fig5": figure5_sharer_histogram,
+    "fig6": figure6_mpki,
+    "fig7": figure7_memory_latency,
+    "table5": table5_hop_distribution,
+    "fig8": figure8_execution_time,
+    "fig9": figure9_energy,
+    "fig10": figure10_scalability,
+    "table6": table6_sensitivity,
+    "protocols": figure_protocol_comparison,
+    "macs": figure_mac_comparison,
+}
+
+
+def render(name: str, **settings) -> List:
+    """Artifact ``name``'s tables, in print order (Figure 8 has one per
+    core count).
+
+    ``settings`` are keyword arguments of the artifact functions
+    (``apps``, ``num_cores``, ``memops``, ``executor``, ``seed``,
+    ``trace_seed``, ``thresholds``, ``protocols``, ``macs``); each
+    artifact takes the ones its signature declares and ignores the rest,
+    so Figures 8 and 10 keep their own core-count axes.
+    """
+    function = ARTIFACTS[name]
+    accepted = inspect.signature(function).parameters
+    result = function(
+        **{key: value for key, value in settings.items() if key in accepted}
+    )
+    return list(result.values()) if isinstance(result, dict) else [result]

@@ -3,12 +3,15 @@
 The paper's evaluation is one grid: apps x {Baseline, WiDir} x core counts
 x MaxWiredSharers (Fig. 8, Fig. 10, Table VI), crossed here with the MAC
 backends. :func:`grid` expands a sweep kind into labelled
-``(label, app, config)`` points; :func:`run_grid` executes them as one
-:class:`~repro.harness.executor.ExperimentPlan` through an
+``(label, app, config)`` points; :func:`add_points` turns points into
+the runs of an :class:`~repro.harness.executor.ExperimentPlan`, and
+:func:`run_grid` executes them as one plan through an
 :class:`~repro.harness.executor.Executor`, so points run in parallel and
 repeated points are memo-cache hits. ``repro.api.sweep``, every
-:class:`~repro.harness.campaign.CampaignSpec` kind and the protocol and
-MAC comparison figures all declare their runs through :func:`grid`.
+:class:`~repro.harness.campaign.CampaignSpec` kind and every artifact of
+:mod:`repro.harness.figures` declare their runs through :func:`grid` and
+:func:`add_points`, so an artifact asks for exactly the run keys a
+campaign over the same points journals.
 """
 
 from __future__ import annotations
@@ -101,10 +104,23 @@ def grid(
     return points
 
 
+def add_points(
+    plan: ExperimentPlan,
+    points: Sequence[GridPoint],
+    memops: Optional[int],
+    trace_seed: int = 0,
+) -> None:
+    """Append each point to ``plan`` as one run, in order: ``memops``
+    references per core on trace seed ``trace_seed``."""
+    for _, app, config in points:
+        plan.add(app, config, memops, trace_seed)
+
+
 def run_grid(
     points: Sequence[GridPoint],
     executor: Optional[Executor],
     memops: Optional[int],
+    trace_seed: int = 0,
 ) -> Dict[str, SimulationResult]:
     """Execute grid points as one plan; returns label -> result.
 
@@ -117,15 +133,13 @@ def run_grid(
     direct sweeps never lose points.
     """
     plan = ExperimentPlan()
-    indices = [
-        (label, plan.add(app, config, memops)) for label, app, config in points
-    ]
+    add_points(plan, points, memops, trace_seed)
     exe = executor if executor is not None else default_executor()
     results = exe.map_runs(plan)
     return {
-        label: results[index]
-        for label, index in indices
-        if results[index] is not None
+        label: result
+        for (label, _, _), result in zip(points, results)
+        if result is not None
     }
 
 

@@ -32,7 +32,8 @@ from repro.harness.campaign import (
     run_campaign,
 )
 from repro.harness.executor import Executor, ExperimentPlan, _simulate, run_key
-from repro.harness.figures import figure6_mpki
+from repro.cli import main
+from repro.harness.figures import figure6_mpki, table6_sensitivity
 from repro.harness.ioutils import (
     append_jsonl,
     atomic_write_json,
@@ -626,6 +627,15 @@ class TestGracefulDegradation:
         assert figure.partial
         assert "PARTIAL" in figure.text
 
+    def test_partial_figures_name_the_provenance_labels(self, tmp_path):
+        directory, campaign, _ = self._degraded(tmp_path)
+        figure = figure6_mpki(
+            apps=(APP,), num_cores=CORES, memops=MEMOPS,
+            executor=campaign.result_source(),
+        )
+        provenance = json.loads((directory / "provenance.json").read_text())
+        assert figure.missing == [m["label"] for m in provenance["missing"]]
+
     def test_strict_result_source_raises(self, tmp_path):
         _, campaign, _ = self._degraded(tmp_path)
         plan, _ = campaign.spec.build()
@@ -641,6 +651,44 @@ class TestGracefulDegradation:
         assert (directory / "results.json").read_bytes() == (
             clean_dir / "results.json"
         ).read_bytes()
+
+
+class TestCampaignRender:
+    """``campaign render`` draws the campaign's own grid: its seed, trace
+    seed and thresholds, not the artifact defaults."""
+
+    @staticmethod
+    def _render(directory, figure, capsys):
+        code = main(["campaign", "render", str(directory), "--figure", figure])
+        return code, capsys.readouterr().out
+
+    def test_non_default_seeds_render_complete(self, tmp_path, capsys):
+        directory = tmp_path / "camp"
+        _run(directory, _spec(seed=7, trace_seed=3))
+        for figure in ("fig6", "table4", "protocols"):
+            code, out = self._render(directory, figure, capsys)
+            assert code == 0, out
+            assert "PARTIAL" not in out
+
+    def test_threshold_campaign_renders_its_thresholds(self, tmp_path, capsys):
+        directory = tmp_path / "camp"
+        _run(directory, _spec(kind="thresholds", thresholds=(3, 4)))
+        code, out = self._render(directory, "table6", capsys)
+        assert code == 0, out
+        lines = out.splitlines()
+        body = lines[[line[:1] for line in lines].index("-") + 1:]
+        assert [line.split()[0] for line in body] == ["3", "4"]
+
+    def test_artifact_asks_for_the_campaign_run_keys(self):
+        spec = _spec(
+            kind="thresholds", seed=7, trace_seed=3, thresholds=(3, 4)
+        )
+        source = CampaignResultSource({})  # records every key it lacks
+        table6_sensitivity(
+            apps=spec.apps, thresholds=spec.thresholds, num_cores=CORES,
+            memops=MEMOPS, executor=source, seed=7, trace_seed=3,
+        )
+        assert sorted(source.missing) == sorted(_keys(spec))
 
 
 class TestTelemetry:

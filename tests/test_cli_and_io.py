@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.config.presets import protocol_config
+from repro.harness.executor import Executor
+from repro.harness.figures import figure6_mpki
 from repro.harness.runner import SimulationResult, run_app
 from repro.traces import record_app_trace, result_digest
 
@@ -90,6 +92,24 @@ class TestCli:
              "16", "--memops", "150"]
         ) == 0
         assert "Table V" in capsys.readouterr().out
+
+    def test_figure_render_passes_the_seed(self, capsys):
+        """The machine seed moves radiosity's WiDir misses at 16 cores x
+        800 references, so ``--seed`` shows in fig6."""
+        argv = [
+            "figure", "render", "fig6", "--apps", "radiosity", "--cores",
+            "16", "--memops", "800", "--workers", "1", "--no-cache",
+        ]
+        out = {}
+        for seed in ("7", "42"):
+            assert main(argv + ["--seed", seed]) == 0
+            out[seed] = capsys.readouterr().out
+        assert out["7"] != out["42"]
+        direct = figure6_mpki(
+            apps=("radiosity",), num_cores=16, memops=800,
+            executor=Executor(workers=1, use_cache=False), seed=7,
+        )
+        assert out["7"] == direct.text + "\n"
 
     def test_figure_rejects_unknown_app(self, capsys):
         assert main(

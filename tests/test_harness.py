@@ -17,10 +17,12 @@ from repro.engine.errors import SimulationError
 from repro.harness import executor
 from repro.harness.executor import Executor, ExperimentPlan
 from repro.harness.figures import (
+    figure10_scalability,
     figure5_sharer_histogram,
     figure6_mpki,
     table4_mpki_characterization,
     table5_hop_distribution,
+    table6_sensitivity,
 )
 from repro.harness.motivation import section2c_sharing_probe
 from repro.harness.runner import SimulationResult, run_app, run_pair
@@ -379,6 +381,18 @@ class TestFigures:
     def test_table5_distribution_sums_to_one(self):
         figure = table5_hop_distribution(apps=("fft",), num_cores=16, memops=150)
         assert sum(row[1] for row in figure.rows) == pytest.approx(1.0)
+
+    def test_table_titles_state_the_core_count(self):
+        hops = table5_hop_distribution(apps=("fft",), num_cores=8, memops=150)
+        sensitivity = table6_sensitivity(
+            apps=("fft",), thresholds=(3,), num_cores=8, memops=150
+        )
+        scaling = figure10_scalability(
+            apps=("fft",), core_counts=(8, 16), memops=150
+        )
+        assert "(Baseline, 8 cores)" in hops.text
+        assert "sensitivity (8 cores)" in sensitivity.text
+        assert "over 8-core Baseline" in scaling.text
 
 
 class TestMotivationProbe:
