@@ -163,6 +163,25 @@ def mac_metrics():
     return _MAC_METRICS
 
 
+@pytest.fixture
+def core_syntheses(monkeypatch):
+    """A list that grows by one entry per ``build_core_trace`` call made
+    during the test: a bench that repeats a ``run_app`` call clears it
+    and then asserts it stayed empty, so the repeat hit the trace memo
+    and timed or traced no synthesis."""
+    from repro.workloads import generator
+
+    calls = []
+    real = generator.build_core_trace
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "build_core_trace", counted)
+    return calls
+
+
 def _bench_output_path():
     raw = os.environ.get("REPRO_BENCH_PATH")
     if raw is not None:

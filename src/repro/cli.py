@@ -864,8 +864,9 @@ def _cmd_sim_profile(args: argparse.Namespace) -> int:
     (no executor, no subprocesses, no result cache) so the profile shows
     the simulation inner loop itself. By default one warm-up run executes
     first: it populates the trace-synthesis memo so the report reflects
-    the steady-state cost a sweep pays per point, which is what
-    docs/PERFORMANCE.md tracks. Pass ``--cold`` to include synthesis.
+    the cost of a run whose trace set is already built (a pair's second
+    machine, say), which is what docs/PERFORMANCE.md tracks. Pass
+    ``--cold`` to include synthesis.
     """
     import cProfile
     import io

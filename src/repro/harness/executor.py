@@ -27,8 +27,10 @@ waste:
     Baseline/WiDir pair (``run_pair``, ``api.compare``), it runs the
     second in one forked child beside this process (:func:`run_beside`);
     with more, over a fork pool. ``workers=1``, or a process that
-    :func:`fork_allowed` refuses, runs them in-process in plan order (the
-    deterministic serial fallback). Results come back in plan order.
+    :func:`fork_allowed` refuses, runs them in-process one after the
+    other (the deterministic serial fallback). In every mode the runs
+    that share a trace set run back to back, so the synthesis memo, which
+    keeps one set, builds each set once. Results come back in plan order.
 
 This module alone forks simulations: the runner's ``run_pair`` is
 :meth:`Executor.run_pair`, and campaigns size their local agents with
@@ -437,6 +439,24 @@ def _simulate_beside(here: RunRequest, there: RunRequest) -> List[Tuple[Dict, fl
     )
 
 
+def _by_trace_set(
+    todo: List[Tuple[str, RunRequest]]
+) -> List[Tuple[str, RunRequest]]:
+    """``todo`` with the runs of each trace set back to back: sets in the
+    order they first occur, runs in plan order within a set.
+
+    A run's set is its trace file, or the arguments ``build_traces``
+    synthesizes from: app, cores, memops and trace seed.
+    """
+    groups: Dict[Tuple, List[Tuple[str, RunRequest]]] = {}
+    for key, request in todo:
+        trace_set = (request.trace_path,) if request.trace_path else (
+            request.app, request.config.num_cores, request.memops, request.trace_seed
+        )
+        groups.setdefault(trace_set, []).append((key, request))
+    return [item for group in groups.values() for item in group]
+
+
 # --------------------------------------------------------------- executor
 
 
@@ -495,7 +515,7 @@ class Executor:
         Process count for the fan-out pool. ``None`` reads ``REPRO_WORKERS``
         and falls back to the CPUs this process may run on (its affinity
         set where the platform keeps one). ``1`` never forks: runs
-        execute in-process, in plan order (the deterministic serial
+        execute in-process, one after the other (the deterministic serial
         fallback — bit-identical to the parallel path by construction).
         Neither does a process that :func:`fork_allowed` refuses (one
         CPU, a second thread, a tracer or profiler attached).
@@ -575,10 +595,18 @@ class Executor:
     def _execute_unique(
         self, todo: List[Tuple[str, RunRequest]]
     ) -> Dict[str, Dict]:
-        """Simulate the cache-missing unique runs; returns key -> payload."""
+        """Simulate the cache-missing unique runs; returns key -> payload.
+
+        Runs that share a trace set run back to back, in whichever mode
+        (:func:`_by_trace_set`): ``build_traces`` keeps only the set it
+        built last, so a set whose runs were apart would be synthesized
+        once per stretch. Table VI and Fig. 10 plans list every Baseline
+        before the WiDir runs; a pair's two runs keep their order.
+        """
         payloads: Dict[str, Dict] = {}
         if not todo:
             return payloads
+        todo = _by_trace_set(todo)
         requests = [request for _, request in todo]
         if self.workers == 1 or len(requests) == 1 or not fork_allowed():
             outputs = [_simulate(request) for request in requests]

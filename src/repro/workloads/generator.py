@@ -54,8 +54,7 @@ for column and type for type, the one-draw-at-a-time loop kept in
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.cpu.trace import (
     KIND_CODES,
@@ -501,14 +500,15 @@ def build_core_trace(
     return chunk
 
 
-#: Memoized machine traces. ``build_traces`` is pure and the harness calls
-#: it twice per experiment point (once for Baseline, once for WiDir) with
-#: identical arguments — synthesis was ~a quarter of end-to-end wall time in
-#: the seed. :class:`~repro.workloads.profiles.AppProfile` is a frozen
-#: dataclass, so the argument tuple is hashable; exotic unhashable profiles
-#: (tests constructing ad-hoc objects) skip the cache.
-_TRACE_CACHE: "OrderedDict[Tuple, List[TraceChunk]]" = OrderedDict()
-_TRACE_CACHE_CAP = 8
+#: The machine trace set built last, as ``(key, traces)``. ``build_traces``
+#: is pure, and the runs that reuse a set run next to each other: a pair's
+#: two machines, a profile's warm run, a campaign agent that leases both
+#: halves of a pair, and a plan's runs, which the executor groups by trace
+#: set. So the memo keeps one set, and a miss drops it before the next is
+#: synthesized: no process holds two. ``AppProfile`` is a frozen
+#: dataclass, so the argument tuple is hashable; exotic unhashable
+#: profiles (tests constructing ad-hoc objects) skip the memo.
+_LAST_TRACES: Optional[Tuple[Tuple, List[TraceChunk]]] = None
 
 
 def build_traces(
@@ -519,27 +519,27 @@ def build_traces(
 ) -> List[TraceChunk]:
     """Build the whole machine's traces (one chunk per core).
 
-    Results are memoized on the (pure) argument tuple. Cached hits return
-    a fresh *outer list*; the :class:`~repro.cpu.trace.TraceChunk` objects
-    themselves are shared — the cores consume them strictly read-only
-    (``blocking`` is finalized at synthesis time).
+    The set built last is memoized on the (pure) argument tuple, so a
+    repeat of the last call synthesizes nothing; any other call drops
+    that set first. Hits return a fresh *outer list*; the
+    :class:`~repro.cpu.trace.TraceChunk` objects themselves are shared —
+    the cores consume them strictly read-only (``blocking`` is finalized
+    at synthesis time).
     """
+    global _LAST_TRACES
+    key = (profile, num_cores, memops_per_core, seed)
     try:
-        key = (profile, num_cores, memops_per_core, seed)
-        cached = _TRACE_CACHE.get(key)
-    except TypeError:  # unhashable ad-hoc profile: build uncached
+        hash(key)
+    except TypeError:  # unhashable ad-hoc profile: build unmemoized
         key = None
-        cached = None
-    if cached is not None:
-        _TRACE_CACHE.move_to_end(key)
-        return list(cached)
+    if key is not None and _LAST_TRACES is not None and _LAST_TRACES[0] == key:
+        return list(_LAST_TRACES[1])
+    _LAST_TRACES = None  # free the last set before building the next
     traces = [
         build_core_trace(profile, core, num_cores, memops_per_core, seed)
         for core in range(num_cores)
     ]
-    if key is not None:
-        _TRACE_CACHE[key] = traces
-        if len(_TRACE_CACHE) > _TRACE_CACHE_CAP:
-            _TRACE_CACHE.popitem(last=False)
-        return list(traces)
-    return traces
+    if key is None:
+        return traces
+    _LAST_TRACES = (key, traces)
+    return list(traces)

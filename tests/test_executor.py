@@ -18,7 +18,11 @@ from repro.harness.executor import (
     RunRequest,
     run_key,
 )
+from repro.harness import executor as executor_module
 from repro.harness.runner import SimulationResult, run_pair
+from repro.harness.sweeps import add_points, grid
+from repro.traces import result_digest
+from repro.workloads import generator
 
 APPS = ("radiosity", "blackscholes")
 CORES = 8
@@ -164,6 +168,73 @@ class TestMemoization:
         exe.map_runs(plan)
         assert exe.prune_cache() == 4
         assert list(tmp_path.glob("*.json")) == []
+
+
+class TestTraceSets:
+    """A plan's runs that share a trace set run back to back, so the
+    synthesis memo, which keeps one set, builds each set once."""
+
+    #: Not used by any other test, so no earlier test's set is a hit.
+    TRACE_SEED = 11
+
+    def _table6_plan(self):
+        """Table VI's shape: every app's Baseline, then WiDir at each
+        threshold, app by app."""
+        plan = ExperimentPlan()
+        add_points(
+            plan,
+            grid("protocols", APPS, (CORES,), protocols=("baseline",)),
+            MEMOPS,
+            self.TRACE_SEED,
+        )
+        add_points(
+            plan, grid("thresholds", APPS, (CORES,), (2, 3)), MEMOPS, self.TRACE_SEED
+        )
+        return plan
+
+    def _serial_syntheses(self, monkeypatch, tmp_path):
+        """Run the plan on one worker; returns (core syntheses, results)."""
+        built = []
+        real = generator.build_core_trace
+
+        def counted(*args, **kwargs):
+            built.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "build_core_trace", counted)
+        monkeypatch.setattr(generator, "_LAST_TRACES", None)
+        serial = Executor(workers=1, cache_dir=tmp_path, use_cache=False)
+        results = serial.map_runs(self._table6_plan())
+        return len(built), results
+
+    def test_each_set_is_built_once(self, monkeypatch, tmp_path):
+        built, serial = self._serial_syntheses(monkeypatch, tmp_path / "s")
+        assert built == len(APPS) * CORES
+        pooled = Executor(workers=2, cache_dir=tmp_path / "p", use_cache=False)
+        parallel = pooled.map_runs(self._table6_plan())
+        assert [result_digest(r) for r in serial] == [
+            result_digest(r) for r in parallel
+        ]
+
+    def test_plan_order_would_build_each_set_twice(self, monkeypatch, tmp_path):
+        """Without the grouping the Baselines and the WiDir runs are two
+        stretches, so each set is built in both."""
+        monkeypatch.setattr(executor_module, "_by_trace_set", lambda todo: todo)
+        built, _ = self._serial_syntheses(monkeypatch, tmp_path)
+        assert built == 2 * len(APPS) * CORES
+
+    def test_groups_keep_first_occurrence_order(self):
+        config = widir_config(num_cores=CORES)
+        todo = [
+            ("k0", RunRequest("fft", config, 200, 0)),
+            ("k1", RunRequest("lu-c", config, 200, 0)),
+            ("k2", RunRequest("fft", config, 200, 1)),
+            ("k3", RunRequest("fft", baseline_config(num_cores=CORES), 200, 0)),
+            ("k4", RunRequest("lu-c", config, 300, 0)),
+            ("k5", RunRequest("lu-c", baseline_config(num_cores=CORES), 200, 0)),
+        ]
+        ordered = [key for key, _ in executor_module._by_trace_set(todo)]
+        assert ordered == ["k0", "k3", "k1", "k5", "k2", "k4"]
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 """Tests for the workload layout, profiles, and trace generator."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -187,6 +188,23 @@ class TestGenerator:
         traces = build_traces(APP_PROFILES["lu-c"], 8, 100, seed=0)
         assert len(traces) == 8
         assert all(len(trace) > 100 for trace in traces)
+
+    def test_memo_holds_only_the_last_set(self):
+        profile = APP_PROFILES["radiosity"]
+        build_traces(profile, 16, 400, seed=100)  # numpy and tables loaded
+        tracemalloc.start()
+        try:
+            last = build_traces(profile, 16, 400, seed=101)
+            one_set, _ = tracemalloc.get_traced_memory()
+            for seed in (102, 103, 104):
+                last = build_traces(profile, 16, 400, seed=seed)
+            four_builds, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert four_builds < 1.5 * one_set
+        again = build_traces(profile, 16, 400, seed=104)
+        assert again is not last
+        assert all(a is b for a, b in zip(again, last))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 1000))
