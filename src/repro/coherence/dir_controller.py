@@ -22,6 +22,9 @@ recall_e    LLC eviction of an Exclusive line (data recall from owner)
 evict_w     LLC eviction of a Wireless line (WirInv broadcast)
 =========== ===========================================================
 
+Every transaction opens in :meth:`DirectoryController._begin` and closes in
+``_unbusy``, or in ``_finish_recall`` when the entry leaves the LLC.
+
 Paper-deviation note (documented in DESIGN.md): Table II states that a
 received WirUpd "increments SharerCount". Doing so would inflate the count
 on every wireless write and the line could never return to S; the clearly
@@ -163,6 +166,16 @@ class DirectoryController:
         else:
             entry.broadcast = True
 
+    def _begin(self, entry: DirectoryEntry, transaction: Dict) -> None:
+        """Open ``transaction`` on ``entry``: the one place a directory
+        transaction starts. It closes in :meth:`_unbusy`, or in
+        :meth:`_finish_recall` when the entry leaves the LLC."""
+        entry.busy = True
+        entry.transaction = transaction
+        obs = self._obs
+        if obs is not None:
+            obs.dir_open(self.node, entry.line, transaction["type"])
+
     def _unbusy(self, entry: DirectoryEntry) -> None:
         """Close the current transaction and make forward progress."""
         obs = self._obs
@@ -290,11 +303,7 @@ class DirectoryController:
         if entry.has_data:
             self._grant_exclusive(entry, msg.src)
             return
-        entry.busy = True
-        entry.transaction = {"type": "fetch", "requester": msg.src}
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "fetch")
+        self._begin(entry, {"type": "fetch", "requester": msg.src})
         line = entry.line
 
         def on_fetched(data) -> None:
@@ -365,16 +374,15 @@ class DirectoryController:
                     {"data": dict(entry.data)}, with_llc_latency=True,
                 )
             return
-        entry.busy = True
-        entry.transaction = {
-            "type": "inv_collect",
-            "requester": requester,
-            "pending": set(targets),
-            "upgrade": is_upgrade,
-        }
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "inv_collect")
+        self._begin(
+            entry,
+            {
+                "type": "inv_collect",
+                "requester": requester,
+                "pending": set(targets),
+                "upgrade": is_upgrade,
+            },
+        )
         if entry.broadcast:
             self._bcast_invs()
         self._send_inv_fanout(targets, entry.line)
@@ -407,18 +415,11 @@ class DirectoryController:
             # a live miss waiting on this very request.
             self._send(mk.GRANT_X_ID, requester, entry.line)
             return
-        obs = self._obs
         if msg.kind_id == mk.GETS_ID:
-            entry.busy = True
-            entry.transaction = {"type": "fwd_gets", "requester": requester}
-            if obs is not None:
-                obs.dir_open(self.node, entry.line, "fwd_gets")
+            self._begin(entry, {"type": "fwd_gets", "requester": requester})
             self._send(mk.FWD_GETS_ID, owner, entry.line, {"requester": requester})
         else:
-            entry.busy = True
-            entry.transaction = {"type": "fwd_getx", "requester": requester}
-            if obs is not None:
-                obs.dir_open(self.node, entry.line, "fwd_getx")
+            self._begin(entry, {"type": "fwd_getx", "requester": requester})
             self._send(mk.FWD_GETX_ID, owner, entry.line, {"requester": requester})
 
     def _req_wireless(self, entry: DirectoryEntry, msg: Message) -> None:
@@ -440,12 +441,8 @@ class DirectoryController:
             return
         # Table II, W->W case 1: a new sharer joins over the wired network.
         self._w_joins()
-        entry.busy = True
         transaction = {"type": "w_join", "pending": {requester}, "settled": False}
-        entry.transaction = transaction
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "w_join")
+        self._begin(entry, transaction)
         if self.wireless is not None:
             self.wireless.jam(entry.line)
         # Jamming stops *new* wireless updates, but a frame already past its
@@ -492,17 +489,14 @@ class DirectoryController:
         if self.wireless is None or self.tone is None:
             raise ProtocolError("S->W transition without wireless hardware")
         self._s_to_w()
-        entry.busy = True
-        entry.transaction = {
+        transaction = {
             "type": "s_to_w",
             "requester": requester,
             "requester_left": False,
             "tone_done": False,
             "requester_acked": False,
         }
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "s_to_w")
+        self._begin(entry, transaction)
         line = entry.line
         # Jam before broadcasting: the requester may receive its WirUpgr and
         # attempt a wireless write before the BrWirUpgr even wins the channel
@@ -524,7 +518,6 @@ class DirectoryController:
                 self.sim.schedule(1, lambda m=deferred: self.handle_message(m))
 
         participants = set(range(self.config.num_cores))
-        transaction = entry.transaction
 
         def on_tone_silent() -> None:
             transaction["tone_done"] = True
@@ -573,22 +566,18 @@ class DirectoryController:
         if self.wireless is None:
             raise ProtocolError("W->S transition without wireless hardware")
         self._w_to_s()
-        entry.busy = True
         # ``pending`` = acknowledgments still expected; ``acks`` = received;
         # ``ids`` = cores that will be the Shared-state sharer pointers. A
         # core can ack and then evict its new S copy before the transition
         # closes — it leaves ``ids`` but its ack still counts.
-        entry.transaction = {
+        transaction = {
             "type": "w_to_s",
             "pending": entry.sharer_count,
             "acks": 0,
             "ids": [],
         }
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "w_to_s")
+        self._begin(entry, transaction)
         frame = WirelessFrame(mk.WIR_DWGR_ID, self.node, entry.line)
-        transaction = entry.transaction
         if entry.sharer_count == 0:
             # Every wireless sharer already left; the broadcast is only a
             # formality and the transition completes on delivery.
@@ -829,7 +818,6 @@ class DirectoryController:
         """Make room in the LLC set by recalling/invalidating ``entry``."""
         self._llc_evictions()
         line = entry.line
-        obs = self._obs
         if entry.state == DIR_INVALID:
             self._finish_recall(entry)
             return
@@ -838,20 +826,14 @@ class DirectoryController:
                 self.config.num_cores,
                 coarse_region_size=self.config.directory.coarse_region_size,
             )
-            entry.busy = True
-            entry.transaction = {"type": "recall_s", "pending": set(targets)}
-            if obs is not None:
-                obs.dir_open(self.node, line, "recall_s")
+            self._begin(entry, {"type": "recall_s", "pending": set(targets)})
             if not targets:
                 self._finish_recall(entry)
                 return
             self._send_inv_fanout(targets, line)
             return
         if entry.state == DIR_EXCLUSIVE:
-            entry.busy = True
-            entry.transaction = {"type": "recall_e"}
-            if obs is not None:
-                obs.dir_open(self.node, line, "recall_e")
+            self._begin(entry, {"type": "recall_e"})
             self._send(mk.INV_ID, entry.owner, line, {"needs_data": True})
             return
         self._start_wireless_eviction(entry)
@@ -864,11 +846,7 @@ class DirectoryController:
         override this.
         """
         self._w_evictions()
-        entry.busy = True
-        entry.transaction = {"type": "evict_w"}
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "evict_w")
+        self._begin(entry, {"type": "evict_w"})
         if self.wireless is None:
             raise ProtocolError("evicting a W line without wireless hardware")
         frame = WirelessFrame(mk.WIR_INV_ID, self.node, entry.line)

@@ -466,18 +466,12 @@ class HybridDirectoryController(DirectoryController):
     ) -> None:
         """Convert every precise sharer (and the writer) into a member."""
         self._hyb_mode_enters()
-        entry.busy = True
         pending = set(targets)
         pending.add(requester)
-        entry.transaction = {
-            "type": "hyb_enter",
-            "pending": pending,
-            "joined": set(),
-            "left": set(),
-        }
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "hyb_enter")
+        self._begin(
+            entry,
+            {"type": "hyb_enter", "pending": pending, "joined": set(), "left": set()},
+        )
         for core in sorted(pending):
             self._send_wir_upgr(entry, core)
 
@@ -510,15 +504,9 @@ class HybridDirectoryController(DirectoryController):
         """Grant one new member; no jam window — the LLC copy is always
         current because every update-mode write serializes here."""
         self._hyb_joins()
-        entry.busy = True
-        entry.transaction = {
-            "type": "hyb_join",
-            "pending": {requester},
-            "left": set(),
-        }
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "hyb_join")
+        self._begin(
+            entry, {"type": "hyb_join", "pending": {requester}, "left": set()}
+        )
         self._send_wir_upgr(entry, requester)
 
     # ------------------------------------------------------- write engine
@@ -575,20 +563,19 @@ class HybridDirectoryController(DirectoryController):
         targets = sorted(entry.sharers - {writer})
         self._hyb_writes()
         self._sharers_per_update.record(len(targets))
-        entry.busy = True
-        entry.transaction = {
-            "type": "hyb_write",
-            "writer": writer,
-            "word": word,
-            "value": value,
-            "serial": payload.get("serial"),
-            "rmw": rmw,
-            "old": old,
-            "pending": set(targets),
-        }
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "hyb_write")
+        self._begin(
+            entry,
+            {
+                "type": "hyb_write",
+                "writer": writer,
+                "word": word,
+                "value": value,
+                "serial": payload.get("serial"),
+                "rmw": rmw,
+                "old": old,
+                "pending": set(targets),
+            },
+        )
         for core in targets:
             self._send(
                 mk.kind_id(HYB_UPD), core, entry.line,
@@ -652,16 +639,11 @@ class HybridDirectoryController(DirectoryController):
 
     def _start_hyb_exit(self, entry: DirectoryEntry, invalidate: bool) -> None:
         self._hyb_mode_exits()
-        entry.busy = True
         targets = sorted(entry.sharers)
-        entry.transaction = {
-            "type": "hyb_exit",
-            "pending": set(targets),
-            "invalidate": invalidate,
-        }
-        obs = self._obs
-        if obs is not None:
-            obs.dir_open(self.node, entry.line, "hyb_exit")
+        self._begin(
+            entry,
+            {"type": "hyb_exit", "pending": set(targets), "invalidate": invalidate},
+        )
         for core in targets:
             self._send(
                 mk.kind_id(HYB_DWGR), core, entry.line,

@@ -1,10 +1,13 @@
 """Post-mortem diagnostics for stuck simulations.
 
 ``dump_stuck_state`` prints everything needed to localize a protocol
-deadlock: unfinished cores with their wait reasons, outstanding MSHRs and
-eviction buffers, busy directory entries with their transaction context and
-deferred queues, the wireless channel's pending frames and jam set, and any
-in-flight ToneAck operations.
+deadlock, the machine's inventory of open items
+(:meth:`repro.system.Manycore.in_flight`): unfinished cores with their wait
+reasons, outstanding MSHRs, eviction buffers and pinned lines, busy
+directory entries with their transaction context and deferred queues, the
+wireless channel's pending and on-air frames, jam set and queued
+arbitration, in-flight ToneAck operations and parked barrier arrivals.
+``runner.drive``'s deadlock error carries the first rows of the report.
 
 The report is built from the observability layer's state synthesizer and
 rendered through :meth:`repro.obs.recorder.FlightRecorder.render_payload`,
@@ -26,10 +29,10 @@ from repro.obs.recorder import FlightRecorder, state_payload
 HISTORY_TAIL = 64
 
 
-def dump_stuck_state(machine, cores: Iterable = ()) -> List[str]:
+def dump_stuck_state(machine, cores: Iterable = (), barrier=None) -> List[str]:
     """Return (and print) a human-readable deadlock report."""
     lines: List[str] = [f"--- stuck state at cycle {machine.sim.now} ---"]
-    lines.extend(FlightRecorder.render_payload(state_payload(machine, cores)))
+    lines.extend(FlightRecorder.render_payload(state_payload(machine, cores, barrier)))
     obs = getattr(machine, "obs", None)
     if obs is not None:
         lines.append(f"--- last {HISTORY_TAIL} recorded events ---")

@@ -173,7 +173,7 @@ class Observability:
     # ------------------------------------------------ directory-side spans
 
     def dir_open(self, home: int, line: int, txn_type: str) -> None:
-        """``entry.busy`` went True: one directory transaction begins."""
+        """``DirectoryController._begin``: one directory transaction begins."""
         now = self.sim.now
         key = (home, line)
         old = self._dir_spans.get(key)

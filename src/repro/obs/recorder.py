@@ -120,105 +120,30 @@ class FlightRecorder:
 # --------------------------------------------------------- state synthesis
 
 
-def synthesize_machine_state(machine, cores=()) -> List[Tuple[int, int, str, int, str]]:
-    """Describe a machine's *current* state as flight-recorder-style events.
+def synthesize_machine_state(
+    machine, cores=(), barrier=None
+) -> List[Tuple[int, int, str, int, str]]:
+    """Describe what a machine holds open as flight-recorder-style events.
 
-    Used by :func:`repro.harness.debug.dump_stuck_state`: the synthesized
-    "state" events render through the exact same path as recorded history,
-    so a stuck-state report and a failure-artifact timeline read the same.
-    Returns ``(cycle, node, kind, line, detail)`` rows (no seq — they are
-    a snapshot, not history).
+    The rows are :meth:`~repro.system.Manycore.in_flight`'s inventory
+    stamped with the current cycle, as ``(cycle, node, kind, line,
+    detail)`` (no seq — they are a snapshot, not history). Used by
+    :func:`repro.harness.debug.dump_stuck_state`: the synthesized "state"
+    events render through the exact same path as recorded history, so a
+    stuck-state report and a failure-artifact timeline read the same.
     """
     now = machine.sim.now
-    rows: List[Tuple[int, int, str, int, str]] = []
-    for core in cores:
-        if getattr(core, "finished", True):
-            continue
-        cache = machine.caches[core.node]
-        rows.append(
-            (
-                now,
-                core.node,
-                "state.core",
-                -1,
-                f"wait={core._stall_bucket} "
-                f"outstanding_loads={core._outstanding_loads} "
-                f"write_buffer={core._wb_occupancy}",
-            )
-        )
-        for line in cache.mshrs.outstanding_lines():
-            rows.append((now, core.node, "state.mshr", line, ""))
-        for line in cache._evicting:
-            rows.append((now, core.node, "state.evicting", line, ""))
-        for line in cache._pending_wireless:
-            rows.append(
-                (
-                    now,
-                    core.node,
-                    "state.pending_wireless",
-                    line,
-                    f"writes={len(cache._pending_wireless[line])}",
-                )
-            )
-        for line in cache._rmw_watch:
-            rows.append((now, core.node, "state.rmw_inflight", line, ""))
-    for directory in machine.directories:
-        for entry in directory.array.entries():
-            if not entry.busy:
-                continue
-            deferred = [(m.kind, m.src) for m in entry.deferred]
-            rows.append(
-                (
-                    now,
-                    directory.node,
-                    "state.dir_busy",
-                    entry.line,
-                    f"txn={entry.transaction} deferred={deferred}",
-                )
-            )
-    if machine.wireless is not None:
-        channel = machine.wireless
-        for request in channel._pending:
-            rows.append(
-                (
-                    now,
-                    GLOBAL_NODE,
-                    "state.wnoc_pending",
-                    request.frame.line,
-                    f"kind={request.frame.kind} src={request.frame.src} "
-                    f"ready={request.ready_time} failures={request.failures}",
-                )
-            )
-        rows.append(
-            (
-                now,
-                GLOBAL_NODE,
-                "state.wnoc",
-                -1,
-                f"busy_until={channel._busy_until} "
-                f"jammed={[hex(l) for l in channel._jammed_lines]}",
-            )
-        )
-    if machine.tone is not None:
-        for key, op in machine.tone._operations.items():
-            rows.append(
-                (
-                    now,
-                    GLOBAL_NODE,
-                    "state.tone_op",
-                    key,
-                    f"remaining={sorted(op.remaining)}",
-                )
-            )
-    return rows
+    return [(now, *row) for row in machine.in_flight(cores, barrier)]
 
 
-def state_payload(machine, cores=()) -> Dict:
+def state_payload(machine, cores=(), barrier=None) -> Dict:
     """A :meth:`FlightRecorder.to_payload`-shaped dump of current state."""
     return {
         "schema": TRACE_SCHEMA_VERSION,
         "depth": 0,
         "num_nodes": machine.config.num_cores,
         "dropped": 0,
-        "events": [list(row) for row in synthesize_machine_state(machine, cores)],
+        "events": [
+            list(row) for row in synthesize_machine_state(machine, cores, barrier)
+        ],
     }

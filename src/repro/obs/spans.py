@@ -6,8 +6,8 @@ cycle, and any number of timestamped *phase* marks in between:
 * a **transaction span** (``cat="txn"``) follows one coherence transaction
   from the requester's point of view — a GetS/GetX miss from MSHR
   allocation to fill, a writeback from eviction to PutAck, a directory
-  transaction from ``busy=True`` to ``_unbusy`` — with phases for NACK
-  bounces, retries, and defers;
+  transaction from ``_begin`` to ``_unbusy`` or ``_finish_recall`` — with
+  phases for NACK bounces and retries;
 * a **frame span** (``cat="frame"``) follows one wireless transmit request
   from submission through arbitration (jam/collision/backoff phases), the
   commit (serialization) point, to delivery — or to an explicit

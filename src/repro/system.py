@@ -9,7 +9,7 @@ The CPU cores (:mod:`repro.cpu`) attach on top of this object.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.coherence import messages as mk
 from repro.coherence.backend import get_backend
@@ -24,6 +24,7 @@ from repro.noc.mesh import MeshNetwork
 from repro.noc.message import Message
 from repro.noc.topology import MeshTopology
 from repro.obs.hooks import Observability
+from repro.obs.recorder import GLOBAL_NODE
 from repro.stats.collectors import StatsRegistry
 from repro.wireless.channel import WirelessDataChannel
 from repro.wireless.errors import ChannelErrorModel
@@ -230,3 +231,76 @@ class Manycore:
     def check_coherence(self, quiescent: bool = True) -> None:
         """Validate global protocol invariants (see CoherenceChecker)."""
         self.checker.check(quiescent=quiescent)
+
+    def in_flight(self, cores=(), barrier=None) -> List[Tuple[int, str, int, str]]:
+        """Everything the machine holds open, one ``(node, kind, line,
+        detail)`` row per item; empty once the machine has drained.
+
+        Rows run tile by tile: the tile's core if it is among ``cores``
+        and unfinished (its wait state and outstanding traffic), then its
+        cache and its directory. Machine-wide rows follow on node -1 (the
+        flight recorder's ``GLOBAL_NODE``): wireless frames pending and on
+        the air, jammed lines, a queued arbitration, ToneAck operations
+        and ``barrier``'s parked arrivals. A row that names no line has
+        line -1. A snapshot is refused while any row remains
+        (:func:`repro.traces.snapshot.assert_quiescent`), and the
+        stuck-state report renders the rows
+        (:func:`repro.obs.recorder.synthesize_machine_state`).
+        """
+        rows: List[Tuple[int, str, int, str]] = []
+        waiting = {core.node: core for core in cores if not core.finished}
+        for node, (cache, directory) in enumerate(zip(self.caches, self.directories)):
+            core = waiting.get(node)
+            if core is not None:
+                detail = (
+                    f"wait={core._stall_bucket} "
+                    f"outstanding_loads={core._outstanding_loads} "
+                    f"write_buffer={core._wb_occupancy}"
+                )
+                rows.append((node, "core.wait", -1, detail))
+            for line in cache.mshrs.outstanding_lines():
+                rows.append((node, "l1.mshr", line, ""))
+            for line in cache._evicting:
+                rows.append((node, "l1.evicting", line, ""))
+            for line, writes in cache._pending_wireless.items():
+                detail = f"writes={len(writes)}"
+                rows.append((node, "l1.pending_wireless", line, detail))
+            for line in cache._rmw_watch:
+                rows.append((node, "l1.rmw_watch", line, ""))
+            for held in cache.array.lines():
+                if held.pinned:
+                    rows.append((node, "l1.pinned", held.line, f"pins={held.pinned}"))
+            for entry in directory.array.entries():
+                if entry.busy or entry.deferred:
+                    kind = "dir.busy" if entry.busy else "dir.deferred"
+                    deferred = [(m.kind, m.src) for m in entry.deferred]
+                    detail = f"txn={entry.transaction} deferred={deferred}"
+                    rows.append((node, kind, entry.line, detail))
+        channel = self.wireless
+        if channel is not None:
+            for kind, requests in (
+                ("wnoc.pending", channel._pending),
+                ("wnoc.on_air", channel._active),
+            ):
+                for request in requests:
+                    frame = request.frame
+                    detail = (
+                        f"kind={frame.kind} src={frame.src} "
+                        f"ready={request.ready_time} failures={request.failures}"
+                        + (" cancelled" if request.cancelled else "")
+                    )
+                    rows.append((GLOBAL_NODE, kind, frame.line, detail))
+            for line, jams in channel._jammed_lines.items():
+                rows.append((GLOBAL_NODE, "wnoc.jammed", line, f"jams={jams}"))
+            if channel._arbitration_scheduled_at is not None:
+                at = channel._arbitration_scheduled_at
+                rows.append((GLOBAL_NODE, "wnoc.arbitration", -1, f"at={at}"))
+        if self.tone is not None:
+            for key, op in self.tone._operations.items():
+                detail = f"remaining={sorted(op.remaining)}"
+                rows.append((GLOBAL_NODE, "tone.op", key, detail))
+        if barrier is not None:
+            for phase, waiters in barrier._arrived.items():
+                detail = f"phase={phase} cores={len(waiters)}"
+                rows.append((GLOBAL_NODE, "barrier.arrived", -1, detail))
+        return rows

@@ -14,8 +14,10 @@ Snapshots are taken only at *quiescent points* — the event queue fully
 drained between segments — which keeps the captured surface small and
 exact: no in-flight messages, no MSHRs, no busy directory transactions,
 no wireless arbitration. :func:`capture_machine` asserts all of that
-(raising :class:`SnapshotError` on any violation) rather than trusting
-the caller, so a snapshot can never silently drop protocol state.
+(an empty event queue and an empty
+:meth:`~repro.system.Manycore.in_flight` inventory, raising
+:class:`SnapshotError` otherwise) rather than trusting the caller, so a
+snapshot can never silently drop protocol state.
 
 What *is* captured, exhaustively:
 
@@ -48,6 +50,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.harness.ioutils import atomic_write_json
 from repro.noc.mesh import link_ends, link_id
+from repro.obs.recorder import FlightRecorder, state_payload
 
 #: Bump on any change to the snapshot layout; loads reject other versions.
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -64,63 +67,22 @@ class SnapshotError(RuntimeError):
 # --------------------------------------------------------------- quiescence
 
 
-def _require(condition: bool, what: str) -> None:
-    if not condition:
-        raise SnapshotError(f"machine not quiescent: {what}")
-
-
 def assert_quiescent(machine, cores, barrier=None) -> None:
-    """Verify nothing is in flight anywhere; raise :class:`SnapshotError`.
+    """Refuse a machine that holds anything open: raise :class:`SnapshotError`.
 
-    A fully drained event queue implies all of this, but each structure is
-    checked independently so a protocol bug (or a future structure that
-    self-schedules) fails loudly at the capture site instead of producing
-    a snapshot that silently drops state.
+    A fully drained event queue should leave the inventory
+    (:meth:`~repro.system.Manycore.in_flight`) empty, but both are checked
+    so a protocol bug (or a future structure that self-schedules) fails
+    loudly at the capture site instead of producing a snapshot that
+    silently drops state. The error names the first open item.
     """
-    sim = machine.sim
-    _require(sim.pending_events == 0, f"{sim.pending_events} events still queued")
-    for cache in machine.caches:
-        node = cache.node
-        _require(len(cache.mshrs) == 0, f"cache {node} has live MSHRs")
-        _require(not cache._evicting, f"cache {node} has evictions in flight")
-        _require(
-            not cache._pending_wireless,
-            f"cache {node} has pending wireless writes",
-        )
-        _require(not cache._rmw_watch, f"cache {node} has RMW watches armed")
-        for line in cache.array.lines():
-            _require(
-                line.pinned == 0,
-                f"cache {node} line 0x{line.line:x} is pinned",
-            )
-    for directory in machine.directories:
-        for entry in directory.array.entries():
-            _require(
-                not entry.busy and entry.transaction is None,
-                f"directory {directory.node} entry 0x{entry.line:x} is busy",
-            )
-            _require(
-                not entry.deferred,
-                f"directory {directory.node} entry 0x{entry.line:x} has "
-                "deferred requests",
-            )
-    if machine.tone is not None:
-        _require(not machine.tone._operations, "tone channel has live operations")
-    wireless = machine.wireless
-    if wireless is not None:
-        _require(not wireless._pending, "wireless channel has queued requests")
-        _require(not wireless._active, "wireless transmission in flight")
-        _require(not wireless._jammed_lines, "wireless lines still jammed")
-        _require(
-            wireless._arbitration_scheduled_at is None,
-            "wireless arbitration scheduled",
-        )
-    if barrier is not None:
-        _require(not barrier._arrived, "cores parked at a phase barrier")
-    for core in cores:
-        _require(
-            core._outstanding_loads == 0 and core._wb_occupancy == 0,
-            f"core {core.node} has outstanding memory traffic",
+    pending = machine.sim.pending_events
+    if pending:
+        raise SnapshotError(f"machine not quiescent: {pending} events still queued")
+    report = FlightRecorder.render_payload(state_payload(machine, cores, barrier))
+    if report:
+        raise SnapshotError(
+            f"machine not quiescent: {len(report)} open items, first {report[0]}"
         )
 
 

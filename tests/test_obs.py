@@ -17,7 +17,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config.presets import baseline_config, widir_config
+from repro.coherence.backend import backend_names
+from repro.config.presets import protocol_config, widir_config
 from repro.config.system import ObsConfig
 from repro.harness.debug import dump_stuck_state
 from repro.harness.runner import run_app
@@ -170,19 +171,21 @@ class TestFlightRecorder:
 
 
 class TestDigestNeutrality:
-    @pytest.mark.parametrize("make", [baseline_config, widir_config])
-    def test_tracing_never_changes_the_simulation(self, make):
-        """The acceptance bar: cycles, instructions, and the full stats
-        dump are identical with tracing off, on, and on with non-default
-        recorder depth + sampling interval."""
-        base = make(num_cores=8, seed=42)
+    @pytest.mark.parametrize("protocol", backend_names())
+    def test_tracing_never_changes_the_simulation(self, protocol):
+        """The acceptance bar, on every backend: cycles, instructions, and
+        the full stats dump are identical with tracing off, on, and on with
+        non-default recorder depth + sampling interval; and every span a
+        traced run opens resolves by queue drain."""
+        base = protocol_config(protocol, num_cores=8, seed=42)
         digests = []
         for obs in (
             ObsConfig(enabled=False),
             ObsConfig(enabled=True),
             ObsConfig(enabled=True, flight_recorder_depth=16, sample_interval=7),
         ):
-            result = _run(replace(base, obs=obs), memops=300)
+            sink = []
+            result = _run(replace(base, obs=obs), memops=300, sink=sink)
             digests.append(
                 (
                     result.cycles,
@@ -190,6 +193,9 @@ class TestDigestNeutrality:
                     json.dumps(result.stats_counters, sort_keys=True),
                 )
             )
+            if obs.enabled:
+                assert sink[0].obs.orphans == []
+                assert sink[0].obs.tracer.audit() == []
         assert digests[0] == digests[1] == digests[2]
 
 
