@@ -299,6 +299,12 @@ class OnlineInvariantMonitor:
                 return False
         return True
 
+    def open_lines(self) -> List[int]:
+        """Lines awaiting a sweep, sorted. Once the queue has drained, these
+        are the lines the last sweep found not quiet: each holds something
+        open that nothing queued can close."""
+        return sorted(self._touched)
+
     # -------------------------------------------------------------- sweep
 
     def _check_holder_index(self, line: int, entries) -> None:
@@ -349,8 +355,8 @@ class OnlineInvariantMonitor:
                     f"[online @ cycle {self.sim.now}] {exc}"
                 ) from exc
         self._touched = carry
-        # Re-arm only while other events exist: a self-rescheduling sweep
-        # would otherwise keep Simulator.run()'s drain loop alive forever.
-        if carry and self.sim.pending_events > 0:
+        # Re-arm only while other events are queued: a stuck machine then
+        # drains, and its run is judged a deadlock at once.
+        if carry and self.sim.queued_behind(self._sweep):
             self._armed = True
             self.sim.schedule(self.interval, self._sweep)

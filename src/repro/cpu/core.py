@@ -122,7 +122,6 @@ class Core:
         self._stall_bucket: Optional[str] = None
         self._stall_grace = 0
         self._wakeup: Optional[Callable[[], bool]] = None
-        self._on_finish: Optional[Callable[["Core"], None]] = None
         self._finished = False
         # The counters the tallies fold into: the core's instruction
         # counters and the L1's reference counters.
@@ -166,8 +165,8 @@ class Core:
 
     # --------------------------------------------------------------- control
 
-    def run_trace(self, trace, on_finish=None, chunk_source=None) -> None:
-        """Begin executing ``trace``; ``on_finish(core)`` fires at completion.
+    def run_trace(self, trace, chunk_source=None) -> None:
+        """Begin executing ``trace``; :attr:`finished` turns True at completion.
 
         ``trace`` is a :class:`~repro.cpu.trace.TraceChunk` (the native
         format) or a legacy list of :class:`TraceOp`, converted once here.
@@ -192,7 +191,6 @@ class Core:
         self._chunk_source = chunk_source
         self._bind_chunk(trace)
         self._finished = False
-        self._on_finish = on_finish
         self.sim.schedule(0, self._step_cb)
 
     def _bind_chunk(self, trace: TraceChunk) -> None:
@@ -408,8 +406,6 @@ class Core:
             return
         self._finished = True
         self.result.finish_cycle = self.sim.now  # folds the tallies
-        if self._on_finish is not None:
-            self._on_finish(self)
 
     # --------------------------------------------------------------- stalls
 

@@ -54,13 +54,25 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Callbacks still queued.
+        """Callbacks queued, read outside :meth:`run`.
 
-        Periodic observers (e.g. the online invariant checker) use this to
-        decide whether to re-arm: a self-rescheduling event would otherwise
-        keep :meth:`run`'s drain loop alive forever.
+        :meth:`run` lowers the count once per cohort, after the cohort's
+        last callback, so inside a callback it also counts that callback
+        and every one its cycle ran before it. A callback that asks what is
+        still queued behind it uses :meth:`queued_behind`.
         """
         return len(self.queue)
+
+    def queued_behind(self, callback: Callable[[], None]) -> int:
+        """Callbacks still queued behind ``callback``, the one now running.
+
+        A periodic observer re-arms only while this is non-zero: a
+        self-rescheduling event would otherwise keep :meth:`run`'s drain
+        loop alive forever, and a stuck machine would never drain.
+        """
+        queue = self.queue
+        bucket = queue.buckets[self.now & queue.mask]
+        return len(queue) - 1 - bucket.index(callback)
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` cycles from now (delay >= 0).

@@ -26,7 +26,7 @@ from repro.cpu.trace import TraceChunk
 from repro.energy.models import EnergyBreakdown, EnergyModel
 from repro.engine.errors import SimulationError
 from repro.noc.mesh import HOP_BINS
-from repro.obs.recorder import FlightRecorder, state_payload
+from repro.obs.recorder import open_items
 from repro.stats.collectors import Histogram
 from repro.system import Manycore
 from repro.workloads.generator import build_traces
@@ -41,9 +41,6 @@ DEFAULT_MEMOPS = int(os.environ.get("REPRO_MEMOPS", "1500"))
 #: a zero-memop run or a short replay segment, a workable budget.
 MAX_EVENTS_PER_RECORD = 600
 _MIN_EVENT_BUDGET = 10_000
-
-#: Open items (:meth:`Manycore.in_flight` rows) a deadlock error lists.
-STUCK_ROWS_SHOWN = 8
 
 #: One core's trace as :meth:`Core.run_trace` takes it: the first chunk
 #: and a callable pulling the next one (``None`` once the stream ends),
@@ -231,30 +228,21 @@ def drive(
     ``records`` is the number of trace records the sources hold; the run
     may execute ``MAX_EVENTS_PER_RECORD`` events per record. Raises
     :class:`SimulationError` naming the cores that did not finish and the
-    first ``STUCK_ROWS_SHOWN`` items the machine still holds open.
+    first items the machine still holds open
+    (:func:`repro.obs.recorder.open_items`).
     """
-    finished = [0]
-
-    def on_finish(_core: Core) -> None:
-        finished[0] += 1
-
     for core, (first, pull) in zip(cores, sources):
-        core.run_trace(first, on_finish, chunk_source=pull)
+        core.run_trace(first, chunk_source=pull)
     budget = max(_MIN_EVENT_BUDGET, MAX_EVENTS_PER_RECORD * records)
     machine.run(max_events=budget)
-    if finished[0] != len(cores):
-        stuck = [core.node for core in cores if not core.finished]
-        report = FlightRecorder.render_payload(
-            state_payload(machine, cores, cores[0].barrier), indent="  "
-        )
-        lines = [
+    stuck = [core.node for core in cores if not core.finished]
+    if stuck:
+        header = (
             f"{label}: cores {stuck} did not finish (deadlock or lost wakeup "
-            f"at cycle {machine.sim.now}); open items:",
-            *report[:STUCK_ROWS_SHOWN],
-        ]
-        if len(report) > STUCK_ROWS_SHOWN:
-            lines.append(f"  ({len(report) - STUCK_ROWS_SHOWN} more open items)")
-        raise SimulationError("\n".join(lines))
+            f"at cycle {machine.sim.now}); open items:"
+        )
+        report = open_items(machine, cores, cores[0].barrier)
+        raise SimulationError("\n".join([header, *report]))
 
 
 def harvest(machine: Manycore, cores: Sequence[Core], app: str) -> SimulationResult:

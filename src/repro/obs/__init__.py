@@ -28,8 +28,8 @@ from repro.obs.recorder import (
     GLOBAL_NODE,
     TRACE_SCHEMA_VERSION,
     FlightRecorder,
+    open_items,
     state_payload,
-    synthesize_machine_state,
 )
 from repro.obs.spans import Span, TransactionTracer
 from repro.obs.timeline import render_text_timeline, summarize_capture
@@ -48,6 +48,6 @@ __all__ = [
     "counter_track_names",
     "render_text_timeline",
     "summarize_capture",
+    "open_items",
     "state_payload",
-    "synthesize_machine_state",
 ]

@@ -8,12 +8,10 @@ ring holds the last ``depth`` events (``collections.deque`` with
 ``maxlen``), so retention cost is O(1) per event and memory is bounded
 regardless of run length.
 
-On demand (``repro trace``), on a stuck-detection dump
-(:func:`repro.harness.debug.dump_stuck_state`), or on a verify-campaign
-failure (the ``trace`` field of a
-:class:`~repro.verify.artifacts.FailureArtifact`), the recorder merges its
-rings into one time-ordered window: "what was the machine doing just
-before this happened".
+On demand (``repro trace``) or on a verify-campaign failure (the
+``trace`` field of a :class:`~repro.verify.artifacts.FailureArtifact`),
+the recorder merges its rings into one time-ordered window: "what was the
+machine doing just before this happened".
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ class FlightRecorder:
 
         This is the single rendering path shared by ``repro trace
         summarize``, ``repro verify replay`` (artifact timelines), and
-        :func:`repro.harness.debug.dump_stuck_state`.
+        the stuck-state report (:func:`open_items`).
         """
         lines: List[str] = []
         for cycle, node, kind, line, detail in payload.get("events", []):
@@ -119,31 +117,38 @@ class FlightRecorder:
 
 # --------------------------------------------------------- state synthesis
 
-
-def synthesize_machine_state(
-    machine, cores=(), barrier=None
-) -> List[Tuple[int, int, str, int, str]]:
-    """Describe what a machine holds open as flight-recorder-style events.
-
-    The rows are :meth:`~repro.system.Manycore.in_flight`'s inventory
-    stamped with the current cycle, as ``(cycle, node, kind, line,
-    detail)`` (no seq — they are a snapshot, not history). Used by
-    :func:`repro.harness.debug.dump_stuck_state`: the synthesized "state"
-    events render through the exact same path as recorded history, so a
-    stuck-state report and a failure-artifact timeline read the same.
-    """
-    now = machine.sim.now
-    return [(now, *row) for row in machine.in_flight(cores, barrier)]
+#: Open items (:meth:`Manycore.in_flight` rows) a stuck verdict lists.
+STUCK_ROWS_SHOWN = 8
 
 
 def state_payload(machine, cores=(), barrier=None) -> Dict:
-    """A :meth:`FlightRecorder.to_payload`-shaped dump of current state."""
+    """A :meth:`FlightRecorder.to_payload`-shaped dump of current state.
+
+    Its events are :meth:`~repro.system.Manycore.in_flight`'s rows stamped
+    with the current cycle (no seq: they are a snapshot, not history), so
+    they render through the same path as recorded history.
+    """
+    now = machine.sim.now
     return {
         "schema": TRACE_SCHEMA_VERSION,
         "depth": 0,
         "num_nodes": machine.config.num_cores,
         "dropped": 0,
-        "events": [
-            list(row) for row in synthesize_machine_state(machine, cores, barrier)
-        ],
+        "events": [[now, *row] for row in machine.in_flight(cores, barrier)],
     }
+
+
+def open_items(machine, cores=(), barrier=None) -> List[str]:
+    """The stuck-state report: the first ``STUCK_ROWS_SHOWN`` rows of
+    :func:`state_payload`, rendered and indented, then how many more.
+
+    ``runner.drive``'s deadlock error and a verify run's deadlock verdict
+    (:func:`repro.verify.litmus.run_programs`) both end with it.
+    """
+    report = FlightRecorder.render_payload(
+        state_payload(machine, cores, barrier), indent="  "
+    )
+    if len(report) > STUCK_ROWS_SHOWN:
+        more = len(report) - STUCK_ROWS_SHOWN
+        report[STUCK_ROWS_SHOWN:] = [f"  ({more} more open items)"]
+    return report

@@ -244,8 +244,8 @@ class Manycore:
         and ``barrier``'s parked arrivals. A row that names no line has
         line -1. A snapshot is refused while any row remains
         (:func:`repro.traces.snapshot.assert_quiescent`), and the
-        stuck-state report renders the rows
-        (:func:`repro.obs.recorder.synthesize_machine_state`).
+        stuck-state report renders the first rows
+        (:func:`repro.obs.recorder.open_items`).
         """
         rows: List[Tuple[int, str, int, str]] = []
         waiting = {core.node: core for core in cores if not core.finished}

@@ -4,8 +4,9 @@ Three pillars (see docs/TESTING.md):
 
 * :mod:`repro.verify.litmus` — declarative litmus tests (SB, MP, CoRR,
   IRIW, 2+2W, atomicity) compiled onto :class:`~repro.system.Manycore`,
-  run against Baseline MESI and WiDir machines including variants that
-  cross the ``MaxWiredSharers`` threshold mid-test.
+  run against every backend and MAC, including variants that cross the
+  ``MaxWiredSharers`` threshold mid-test; and the one program run
+  (``run_programs``) both it and the fuzz trials judge.
 * :mod:`repro.verify.fuzz` — fault-injecting fuzz campaigns: seeded random
   multi-core programs plus perturbation knobs (jam storms, tone-hold
   jitter, mesh-latency jitter, backoff re-seeding) with online invariant

@@ -6,7 +6,11 @@ knob with its seed (:class:`TrialSpec`). The campaign driver generates
 trials from a root seed, executes each on a fresh
 :class:`~repro.system.Manycore`, and applies four oracles:
 
-* **liveness** — every program finishes within the event budget;
+* **liveness** — every program finishes and leaves nothing open: a
+  queue that drains with programs unfinished is a deadlock, one that
+  drains with the online monitor still carrying lines a transaction left
+  open, a run past the event budget a livelock
+  (:func:`~repro.verify.litmus.run_programs`);
 * **load provenance** — a load only ever observes 0 or a value some core
   actually stored to that variable (the RMW counter is bounded instead);
 * **RMW atomicity** — the counter's final value equals the total number of
@@ -46,7 +50,8 @@ from repro.engine.rng import DeterministicRng
 from repro.system import Manycore
 from repro.verify.litmus import (
     LitmusOp,
-    _ProgramDriver,
+    read_finals,
+    run_programs,
     variable_addresses,
 )
 
@@ -385,27 +390,6 @@ def execute_trial(
     ]
     install_injectors(machine, spec, race_lines)
 
-    jitter_root = DeterministicRng(spec.jitter_seed).split("schedule")
-    finished = {"count": 0}
-
-    def on_finish(_driver: _ProgramDriver) -> None:
-        finished["count"] += 1
-
-    drivers = [
-        _ProgramDriver(
-            machine,
-            node,
-            ops,
-            addresses,
-            jitter_root.split(f"core-{node}"),
-            spec.jitter_window,
-            on_finish,
-        )
-        for node, ops in enumerate(spec.programs)
-    ]
-    for driver in drivers:
-        driver.start()
-
     def fail(reason: str) -> TrialResult:
         return TrialResult(
             ok=False,
@@ -420,17 +404,16 @@ def execute_trial(
             ),
         )
 
-    try:
-        machine.run(max_events=spec.max_events)
-    except (SimulationError, ProtocolError) as exc:
-        return fail(f"{type(exc).__name__}: {exc}")
-
-    # Every driver reports on_finish (an empty program finishes at start).
-    if finished["count"] != len(drivers):
-        stuck = [d.node for d in drivers if not d.finished]
-        return fail(
-            f"deadlock: cores {stuck} unfinished at cycle {machine.sim.now}"
-        )
+    drivers, failure = run_programs(
+        machine,
+        spec.programs,
+        addresses,
+        DeterministicRng(spec.jitter_seed).split("schedule"),
+        spec.jitter_window,
+        spec.max_events,
+    )
+    if failure is not None:
+        return fail(failure)
 
     # ---- oracles on the observations -----------------------------------
     written: Dict[str, Set[int]] = {v: set() for v in variables}
@@ -467,21 +450,16 @@ def execute_trial(
 
     finals: Dict[str, int] = {}
     if total_rmws:
-        state = {"value": None}
-
-        def record(value: int) -> None:
-            state["value"] = value
-
-        machine.caches[0].load(addresses[_COUNTER_VAR], record)
-        try:
-            machine.run(max_events=spec.max_events)
-        except (SimulationError, ProtocolError) as exc:
-            return fail(f"final counter read: {type(exc).__name__}: {exc}")
-        if state["value"] != total_rmws:
+        finals, failure = read_finals(
+            machine, {_COUNTER_VAR: addresses[_COUNTER_VAR]}, spec.max_events
+        )
+        if failure is not None:
+            return fail(failure)
+        if finals[_COUNTER_VAR] != total_rmws:
             return fail(
-                f"RMW counter ended at {state['value']}, expected {total_rmws}"
+                f"RMW counter ended at {finals[_COUNTER_VAR]}, "
+                f"expected {total_rmws}"
             )
-        finals[_COUNTER_VAR] = state["value"]
 
     try:
         machine.check_coherence()
@@ -579,8 +557,9 @@ def run_campaign(
     (mutation smoke testing). ``on_trial(index, spec, result)`` is invoked
     after each trial (progress reporting / artifact capture).
     """
-    from repro.verify.mutations import mutation_macs, mutation_protocols
+    from repro.verify.mutations import get_mutation
 
+    scope = get_mutation(mutation) if mutation else None
     plan = CAMPAIGNS[campaign]
     count = trials if trials is not None else plan.trials
     result = CampaignResult(campaign=campaign, seed=seed)
@@ -601,12 +580,7 @@ def run_campaign(
             mac=mac,
             channel_errors=channel_errors,
         )
-        macs = mutation_macs(mutation) if mutation else ()
-        if (
-            mutation
-            and protocol in mutation_protocols(mutation)
-            and (not macs or mac in macs)
-        ):
+        if scope is not None and scope.applies_to(protocol, mac):
             # Record the mutation on the spec so any captured artifact
             # replays it. (Each mutation targets one backend's machinery;
             # other protocols' trials stay unmutated so they remain

@@ -26,10 +26,13 @@ Everything is pure simulation — no wall-clock, no global state — so a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config.system import SystemConfig
+from repro.engine.errors import ProtocolError, SimulationError
 from repro.engine.rng import DeterministicRng
+from repro.obs.recorder import open_items
 from repro.system import Manycore
 
 #: First line index used for litmus variables; the stride is odd so the
@@ -148,42 +151,6 @@ class LitmusTest:
     def num_cores(self) -> int:
         return len(self.programs)
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "programs": [[op.to_dict() for op in p] for p in self.programs],
-            "forbidden": [
-                {str(k): v for k, v in pat.items()} for pat in self.forbidden
-            ],
-            "allowed": sorted(list(v) for v in self.allowed)
-            if self.allowed is not None
-            else None,
-            "final_forbidden": self.final_forbidden,
-            "final": self.final,
-            "rmw_distinct": self.rmw_distinct,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "LitmusTest":
-        allowed = payload.get("allowed")
-        return cls(
-            name=payload["name"],
-            programs=[
-                [LitmusOp.from_dict(op) for op in program]
-                for program in payload["programs"]
-            ],
-            forbidden=[
-                {int(k): v for k, v in pat.items()}
-                for pat in payload.get("forbidden", [])
-            ],
-            allowed={tuple(v) for v in allowed} if allowed is not None else None,
-            final_forbidden=payload.get("final_forbidden", []),
-            final=payload.get("final", {}),
-            rmw_distinct=payload.get("rmw_distinct", False),
-            description=payload.get("description", ""),
-        )
-
 
 def variable_addresses(variables: Sequence[str], line_bytes: int) -> Dict[str, int]:
     """Map variable names to byte addresses on distinct, home-spread lines."""
@@ -207,7 +174,6 @@ class _ProgramDriver:
         addresses: Dict[str, int],
         jitter_rng: DeterministicRng,
         jitter_window: int,
-        on_finish,
     ) -> None:
         self.machine = machine
         self.node = node
@@ -216,7 +182,6 @@ class _ProgramDriver:
         self.addresses = addresses
         self.jitter_rng = jitter_rng
         self.jitter_window = jitter_window
-        self.on_finish = on_finish
         self.observations: List[int] = []
         self.rmw_observations: List[int] = []
         self.finished = False
@@ -228,7 +193,6 @@ class _ProgramDriver:
     def _issue_next(self) -> None:
         if self._index >= len(self.ops):
             self.finished = True
-            self.on_finish(self)
             return
         op = self.ops[self._index]
         self._index += 1
@@ -266,6 +230,90 @@ class _ProgramDriver:
         self._issue_next()
 
 
+# ------------------------------------------------------------------- run
+
+
+def _drain(
+    machine: Manycore, max_events: int, unfinished: Callable[[], List[int]]
+) -> Optional[str]:
+    """Run ``machine`` until its queue drains; return why it failed, or None.
+
+    An online ``ProtocolError`` or an exhausted budget is the failure,
+    ``"<error type>: <message>"``. So is a drained queue while
+    ``unfinished()`` still lists nodes (a deadlock), or while the online
+    monitor still carries lines it found not quiet (a transaction left
+    open after the programs finished). Either is named with the first
+    items the machine holds open.
+    """
+    try:
+        machine.run(max_events=max_events)
+    except (SimulationError, ProtocolError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    stuck = unfinished()
+    carried = machine.monitor.open_lines() if machine.monitor else []
+    if stuck:
+        head = f"deadlock: cores {stuck} unfinished"
+    elif carried:
+        lines = ", ".join(f"0x{line:x}" for line in carried)
+        head = f"open after drain: lines [{lines}] not quiet"
+    else:
+        return None
+    return "\n".join(
+        [f"{head} at cycle {machine.sim.now}; open items:", *open_items(machine)]
+    )
+
+
+def run_programs(
+    machine: Manycore,
+    programs: Sequence[List[LitmusOp]],
+    addresses: Dict[str, int],
+    jitter_root: DeterministicRng,
+    jitter_window: int,
+    max_events: int,
+) -> Tuple[List[_ProgramDriver], Optional[str]]:
+    """Run core ``i``'s program ``programs[i]`` until the queue drains.
+
+    Returns the drivers, whose observations the caller judges, and the
+    run's failure (see :func:`_drain`) or None.
+    """
+    drivers = [
+        _ProgramDriver(
+            machine,
+            node,
+            ops,
+            addresses,
+            jitter_root.split(f"core-{node}"),
+            jitter_window,
+        )
+        for node, ops in enumerate(programs)
+    ]
+    for driver in drivers:
+        driver.start()
+    failure = _drain(
+        machine, max_events, lambda: [d.node for d in drivers if not d.finished]
+    )
+    return drivers, failure
+
+
+def read_finals(
+    machine: Manycore, addresses: Dict[str, int], max_events: int
+) -> Tuple[Dict[str, int], Optional[str]]:
+    """Read every variable's final value *through the protocol* (core 0).
+
+    Running real loads after the programs drain doubles as a liveness probe
+    for the post-run machine and avoids a parallel inspection code path
+    that could disagree with what a core would actually observe. Returns
+    the values and the read's failure, if any.
+    """
+    values: Dict[str, int] = {}
+    for name in sorted(addresses):
+        machine.caches[0].load(addresses[name], partial(values.__setitem__, name))
+    failure = _drain(
+        machine, max_events, lambda: [0] if len(values) < len(addresses) else []
+    )
+    return values, None if failure is None else f"final read: {failure}"
+
+
 # ------------------------------------------------------------------ result
 
 
@@ -295,32 +343,6 @@ class LitmusResult:
         )
 
 
-def _read_final_values(
-    machine: Manycore,
-    addresses: Dict[str, int],
-    max_events: int,
-) -> Dict[str, int]:
-    """Read every variable's final value *through the protocol* (core 0).
-
-    Running real loads after the programs drain doubles as a liveness probe
-    for the post-run machine and avoids a parallel inspection code path
-    that could disagree with what a core would actually observe.
-    """
-    values: Dict[str, int] = {}
-    state = {"pending": len(addresses)}
-    for name in sorted(addresses):
-
-        def record(value: int, key: str = name) -> None:
-            values[key] = value
-            state["pending"] -= 1
-
-        machine.caches[0].load(addresses[name], record)
-    machine.run(max_events=max_events)
-    if state["pending"]:
-        raise AssertionError("final-value loads did not complete")
-    return values
-
-
 def run_litmus(
     test: LitmusTest,
     config: SystemConfig,
@@ -336,7 +358,8 @@ def run_litmus(
     but a distinct machine seed derived from ``seed``) and a distinct
     jitter stream, runs the programs to completion, applies the test's
     outcome predicates, and — cheap but strong — the end-of-run quiescent
-    coherence check.
+    coherence check. A run that fails (:func:`run_programs`) is the
+    schedule's one violation.
     """
     if test.num_cores > config.num_cores:
         raise ValueError(
@@ -346,39 +369,21 @@ def run_litmus(
     label = config_label or config.protocol
     result = LitmusResult(test=test.name, config_label=label, schedules=schedules)
     root = DeterministicRng(seed).split(f"litmus-{test.name}-{label}")
-    addresses_by_line = variable_addresses(test.variables, config.l1.line_bytes)
+    addresses = variable_addresses(test.variables, config.l1.line_bytes)
 
     for schedule in range(schedules):
         machine_seed = root.split(f"machine-{schedule}").randint(0, 2**31 - 1)
         machine = Manycore(replace(config, seed=machine_seed))
-        jitter_root = root.split(f"jitter-{schedule}")
-        finished = {"count": 0}
-
-        def on_finish(_driver: _ProgramDriver) -> None:
-            finished["count"] += 1
-
-        drivers = [
-            _ProgramDriver(
-                machine,
-                node,
-                ops,
-                addresses_by_line,
-                jitter_root.split(f"core-{node}"),
-                jitter_window,
-                on_finish,
-            )
-            for node, ops in enumerate(test.programs)
-        ]
-        for driver in drivers:
-            driver.start()
-        machine.run(max_events=max_events_per_schedule)
-
-        if finished["count"] != test.num_cores:
-            stuck = [d.node for d in drivers if not d.finished]
-            result.violations.append(
-                f"schedule {schedule}: cores {stuck} did not finish "
-                f"(deadlock at cycle {machine.sim.now})"
-            )
+        drivers, failure = run_programs(
+            machine,
+            test.programs,
+            addresses,
+            root.split(f"jitter-{schedule}"),
+            jitter_window,
+            max_events_per_schedule,
+        )
+        if failure is not None:
+            result.violations.append(f"schedule {schedule}: {failure}")
             continue
 
         observation = tuple(
@@ -405,9 +410,12 @@ def run_litmus(
                 )
 
         if test.final or test.final_forbidden:
-            finals = _read_final_values(
-                machine, addresses_by_line, max_events_per_schedule
+            finals, failure = read_finals(
+                machine, addresses, max_events_per_schedule
             )
+            if failure is not None:
+                result.violations.append(f"schedule {schedule}: {failure}")
+                continue
             for name, want in test.final.items():
                 if finals.get(name) != want:
                     result.violations.append(

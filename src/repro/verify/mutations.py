@@ -13,7 +13,7 @@ campaign is exactly as reproducible as a clean one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from repro.system import Manycore
 
@@ -36,8 +36,8 @@ def _lost_tone_drop(machine: Manycore) -> None:
 
     The initiating directory keeps hearing a tone that was in fact
     dropped, so the S->W / W->S transition never completes and the entry
-    stays busy forever. Detected as a deadlock (unfinished programs or an
-    exceeded event budget).
+    stays busy forever. Detected as a livelock: events keep running until
+    the event budget is exceeded.
     """
     if machine.tone is None:
         raise ValueError("lost_tone_drop needs a WiDir machine")
@@ -97,8 +97,7 @@ def _pp_drop_deferred(machine: Manycore) -> None:
 
     The priority selector returns one message but a second one silently
     falls off the queue, so the dropped requester's MSHR never completes.
-    Detected as a deadlock (unfinished programs or an exceeded event
-    budget).
+    Detected as a deadlock: the queue drains with programs unfinished.
     """
     from repro.coherence.phase_priority import PhasePriorityDirectoryController
 
@@ -122,7 +121,8 @@ def _hyb_lost_upd_ack(machine: Manycore) -> None:
     """Every third HybUpd delivery is swallowed whole: no apply, no ack.
 
     The home's locked-write transaction waits for an HybUpdAck that never
-    arrives, so the entry stays busy forever. Detected as a deadlock.
+    arrives, so the entry stays busy forever. Detected as a deadlock: the
+    queue drains with programs unfinished.
     """
     from repro.coherence.hybrid_update import HYB_UPD_ID, HybridCacheController
 
@@ -175,8 +175,7 @@ def _token_lost(machine: Manycore) -> None:
     """The token MAC loses its token: nobody is ever polled again.
 
     Contention slots tick forever without a grant, so every wireless store
-    stalls at the channel. Detected as a deadlock (unfinished programs or
-    an exceeded event budget).
+    stalls at the channel. Detected as a livelock on the event budget.
     """
     from repro.wireless.mac_token import TokenMacState
 
@@ -191,7 +190,8 @@ def _csma_always_defer(machine: Manycore) -> None:
     """The CSMA persistence gate jams shut: every slot draw fails.
 
     No node ever transmits, so the channel idles from slot to slot while
-    wireless stores queue forever. Detected as a deadlock.
+    wireless stores queue forever. Detected as a livelock on the event
+    budget.
     """
     from repro.wireless.mac_csma import CsmaSlottedMacState
 
@@ -204,67 +204,44 @@ def _csma_always_defer(machine: Manycore) -> None:
     machine.wireless._mac._persistence = -1.0
 
 
-#: name -> patcher. Names are part of the CLI surface (``--mutate``).
-MUTATIONS: Dict[str, Callable[[Manycore], None]] = {
-    "no_jam_nack": _no_jam_nack,
-    "lost_tone_drop": _lost_tone_drop,
-    "no_home_wirupd_merge": _no_home_wirupd_merge,
-    "upd_skips_holder": _upd_skips_holder,
-    "pp_drop_deferred": _pp_drop_deferred,
-    "hyb_lost_upd_ack": _hyb_lost_upd_ack,
-    "hyb_stale_update": _hyb_stale_update,
-    "token_lost": _token_lost,
-    "csma_always_defer": _csma_always_defer,
-}
+class Mutation(NamedTuple):
+    """One seeded bug: its patch and the trials a campaign applies it to."""
 
-#: name -> protocols the mutation is meaningful for. Fuzz campaigns apply
-#: a mutation only to trials whose machine runs a listed backend; other
-#: trials stay clean references.
-MUTATION_PROTOCOLS: Dict[str, Tuple[str, ...]] = {
-    "no_jam_nack": ("widir",),
-    "lost_tone_drop": ("widir",),
-    "no_home_wirupd_merge": ("widir",),
-    "upd_skips_holder": ("widir",),
-    "pp_drop_deferred": ("phase_priority",),
-    "hyb_lost_upd_ack": ("hybrid_update",),
-    "hyb_stale_update": ("hybrid_update",),
-    "token_lost": ("widir",),
-    "csma_always_defer": ("widir",),
-}
+    patch: Callable[[Manycore], None]
+    #: Backends the bug is meaningful for; other trials stay clean references.
+    protocols: Tuple[str, ...]
+    #: MAC backends a MAC bug targets; empty means any MAC.
+    macs: Tuple[str, ...] = ()
 
-#: name -> MAC backends the mutation targets. Empty/absent means the
-#: mutation is MAC-agnostic; fuzz campaigns apply MAC-scoped mutations
-#: only to trials whose machine runs a listed MAC.
-MUTATION_MACS: Dict[str, Tuple[str, ...]] = {
-    "token_lost": ("token",),
-    "csma_always_defer": ("csma_slotted",),
+    def applies_to(self, protocol: str, mac: str) -> bool:
+        """Whether a campaign mutates a trial on this backend and MAC."""
+        return protocol in self.protocols and (not self.macs or mac in self.macs)
+
+
+#: name -> mutation. Names are part of the CLI surface (``--mutate``).
+MUTATIONS: Dict[str, Mutation] = {
+    "no_jam_nack": Mutation(_no_jam_nack, ("widir",)),
+    "lost_tone_drop": Mutation(_lost_tone_drop, ("widir",)),
+    "no_home_wirupd_merge": Mutation(_no_home_wirupd_merge, ("widir",)),
+    "upd_skips_holder": Mutation(_upd_skips_holder, ("widir",)),
+    "pp_drop_deferred": Mutation(_pp_drop_deferred, ("phase_priority",)),
+    "hyb_lost_upd_ack": Mutation(_hyb_lost_upd_ack, ("hybrid_update",)),
+    "hyb_stale_update": Mutation(_hyb_stale_update, ("hybrid_update",)),
+    "token_lost": Mutation(_token_lost, ("widir",), ("token",)),
+    "csma_always_defer": Mutation(_csma_always_defer, ("widir",), ("csma_slotted",)),
 }
 
 
-def mutation_protocols(name: str) -> Tuple[str, ...]:
-    """Protocols the named mutation applies to (KeyError when unknown)."""
-    if name not in MUTATIONS:
-        raise KeyError(
-            f"unknown mutation {name!r}; available: {sorted(MUTATIONS)}"
-        )
-    return MUTATION_PROTOCOLS.get(name, ("widir",))
-
-
-def mutation_macs(name: str) -> Tuple[str, ...]:
-    """MAC backends the named mutation targets; empty means any MAC."""
-    if name not in MUTATIONS:
-        raise KeyError(
-            f"unknown mutation {name!r}; available: {sorted(MUTATIONS)}"
-        )
-    return MUTATION_MACS.get(name, ())
-
-
-def apply_mutation(machine: Manycore, name: str) -> None:
-    """Apply the named mutation to ``machine`` (raises KeyError if unknown)."""
+def get_mutation(name: str) -> Mutation:
+    """The named mutation (KeyError listing the names when unknown)."""
     try:
-        patcher = MUTATIONS[name]
+        return MUTATIONS[name]
     except KeyError:
         raise KeyError(
             f"unknown mutation {name!r}; available: {sorted(MUTATIONS)}"
         ) from None
-    patcher(machine)
+
+
+def apply_mutation(machine: Manycore, name: str) -> None:
+    """Apply the named mutation to ``machine`` (raises KeyError if unknown)."""
+    get_mutation(name).patch(machine)

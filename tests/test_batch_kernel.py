@@ -276,7 +276,13 @@ class TestInlineAppends:
     def _step_core(self, sim, ops, fired):
         core = Core(sim, 0, _HitL1(), paper_config(num_cores=4), StatsRegistry())
         core._bind_chunk(t.TraceChunk.from_ops(ops))
-        core._on_finish = lambda _core: fired.append(("core", sim.now))
+        finish = core._finish
+
+        def spy():
+            finish()
+            fired.append(("core", sim.now))
+
+        core._finish = spy
         core._step()
         return core
 

@@ -74,6 +74,24 @@ class TestSimulator:
             sim.run(until=3)
         assert sim.now == 5
 
+    def test_queued_behind_counts_only_callbacks_still_to_run(self):
+        """Inside a cohort ``pending_events`` still counts the running
+        callback and those run before it in its cycle; ``queued_behind``
+        counts what runs after it."""
+        sim = Simulator()
+        seen = []
+
+        def probe():
+            seen.append((sim.pending_events, sim.queued_behind(probe)))
+
+        sim.schedule(5, lambda: None)
+        sim.schedule(5, probe)
+        sim.schedule(5, lambda: None)
+        sim.schedule(9, lambda: None)
+        sim.schedule(9, probe)
+        sim.run()
+        assert seen == [(5, 3), (2, 0)]
+
     def test_callbacks_can_schedule_more_events(self):
         sim = Simulator()
         fired = []

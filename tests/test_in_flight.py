@@ -1,10 +1,11 @@
 """The machine's inventory of open items, ``Manycore.in_flight``.
 
-One inventory answers "what does this machine hold open?" for its three
+One inventory answers "what does this machine hold open?" for its
 readers: a snapshot is refused while it is non-empty
-(``traces.snapshot.assert_quiescent``), the stuck-state report renders it
-(``obs.recorder.state_payload`` behind ``harness.debug.dump_stuck_state``),
-and a deadlock error lists its first rows (``harness.runner.drive``).
+(``traces.snapshot.assert_quiescent``), and the stuck-state report
+(``obs.recorder.open_items``) renders its first rows, which a deadlock
+error (``harness.runner.drive``) and a verify run's deadlock verdict
+(``verify.litmus.run_programs``) list.
 """
 
 import pytest
@@ -12,9 +13,8 @@ import pytest
 from repro.coherence import messages as mk
 from repro.config.presets import protocol_config
 from repro.engine.errors import SimulationError
-from repro.harness.debug import dump_stuck_state
 from repro.harness.runner import build_machine, drive
-from repro.obs import state_payload
+from repro.obs import FlightRecorder, open_items, state_payload
 from repro.traces.snapshot import SnapshotError, capture_machine
 from repro.workloads.generator import build_traces
 from repro.workloads.profiles import resolve_profile
@@ -31,7 +31,7 @@ def _started(protocol):
     )
     traces = build_traces(resolve_profile(_APP), _CORES, _MEMOPS, 0)
     for core, trace in zip(cores, traces):
-        core.run_trace(trace, lambda _core: None)
+        core.run_trace(trace)
     return machine, cores, barrier
 
 
@@ -51,11 +51,17 @@ def test_stopped_mid_run_lists_what_is_open_then_drains(protocol):
     assert state_payload(machine)["events"] == _stamped(
         machine, [row for row in rows if row[1] != "core.wait"]
     )
-    assert len(dump_stuck_state(machine, cores, barrier)) == 1 + len(rows)
+    rendered = FlightRecorder.render_payload(payload, indent="  ")
+    assert len(rows) > 8
+    assert open_items(machine, cores, barrier) == [
+        *rendered[:8],
+        f"  ({len(rows) - 8} more open items)",
+    ]
 
     machine.run()
     assert machine.in_flight(cores, barrier) == []
     assert state_payload(machine, cores, barrier)["events"] == []
+    assert open_items(machine, cores, barrier) == []
     assert capture_machine(machine, cores, barrier)["now"] == machine.sim.now
 
 

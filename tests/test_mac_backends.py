@@ -32,11 +32,7 @@ from repro.system import Manycore
 from repro.verify.artifacts import FailureArtifact, shrink_trial
 from repro.verify.fuzz import execute_trial, generate_trial
 from repro.verify.litmus import suite_configs
-from repro.verify.mutations import (
-    MUTATION_MACS,
-    MUTATION_PROTOCOLS,
-    MUTATIONS,
-)
+from repro.verify.mutations import MUTATIONS
 from repro.wireless.channel import WirelessDataChannel
 from repro.wireless.frames import WirelessFrame
 from repro.wireless.mac import (
@@ -410,9 +406,9 @@ def test_property_fdma_aligned_addresses_spread(line, k):
 def test_mac_mutations_registered_with_applicability():
     for name in ("token_lost", "csma_always_defer"):
         assert name in MUTATIONS
-        assert MUTATION_PROTOCOLS[name] == ("widir",)
-    assert MUTATION_MACS["token_lost"] == ("token",)
-    assert MUTATION_MACS["csma_always_defer"] == ("csma_slotted",)
+        assert MUTATIONS[name].protocols == ("widir",)
+    assert MUTATIONS["token_lost"].macs == ("token",)
+    assert MUTATIONS["csma_always_defer"].macs == ("csma_slotted",)
     # MAC-scoped mutations refuse machines on the wrong MAC.
     from repro.verify.mutations import apply_mutation
 

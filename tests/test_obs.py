@@ -8,8 +8,8 @@ Covers the four contracts from docs/OBSERVABILITY.md:
   queue drain;
 * **capture/export integrity** — the capture document round-trips through
   the Perfetto exporter and passes the same schema validation CI runs;
-* **integration** — the flight recorder backs `dump_stuck_state` and the
-  verify failure artifacts.
+* **integration** — the stuck-state report renders through the recorder,
+  and the recorder backs the verify failure artifacts.
 """
 
 import json
@@ -20,7 +20,6 @@ import pytest
 from repro.coherence.backend import backend_names
 from repro.config.presets import protocol_config, widir_config
 from repro.config.system import ObsConfig
-from repro.harness.debug import dump_stuck_state
 from repro.harness.runner import run_app
 from repro.obs import (
     GLOBAL_NODE,
@@ -313,20 +312,6 @@ class TestFramePhaseOrder:
 
 
 class TestDebugDump:
-    def test_traced_machine_appends_recorded_history(self, traced):
-        machine, _capture, _result = traced
-        lines = dump_stuck_state(machine, [])
-        assert lines[0].startswith("--- stuck state at cycle")
-        assert any("recorded events" in line for line in lines)
-
-    def test_untraced_machine_renders_state_only(self):
-        cfg = widir_config(num_cores=8, seed=42)
-        sink = []
-        _run(cfg, memops=200, sink=sink)
-        lines = dump_stuck_state(sink[0], [])
-        assert lines[0].startswith("--- stuck state at cycle")
-        assert not any("recorded events" in line for line in lines)
-
     def test_state_payload_renders_through_recorder_path(self, traced):
         machine, _capture, _result = traced
         payload = state_payload(machine, [])

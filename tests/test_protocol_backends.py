@@ -45,7 +45,7 @@ from repro.system import Manycore
 from repro.verify.artifacts import FailureArtifact, shrink_trial
 from repro.verify.fuzz import execute_trial, generate_trial
 from repro.verify.litmus import suite_configs
-from repro.verify.mutations import MUTATION_PROTOCOLS, MUTATIONS
+from repro.verify.mutations import MUTATIONS
 
 NUM_CORES = 8
 STREAM_SEED = 2024
@@ -331,23 +331,24 @@ def test_hyb_update_step_counts_and_trips(count, threshold):
 def test_new_mutations_registered_with_applicability():
     for name in ("pp_drop_deferred", "hyb_lost_upd_ack", "hyb_stale_update"):
         assert name in MUTATIONS
-        assert name in MUTATION_PROTOCOLS
-    assert MUTATION_PROTOCOLS["pp_drop_deferred"] == ("phase_priority",)
-    assert MUTATION_PROTOCOLS["hyb_lost_upd_ack"] == ("hybrid_update",)
+    assert MUTATIONS["pp_drop_deferred"].protocols == ("phase_priority",)
+    assert MUTATIONS["hyb_lost_upd_ack"].protocols == ("hybrid_update",)
 
 
 def test_mutation_pp_drop_deferred_caught_and_replayable(tmp_path):
-    """A leaked deferred message deadlocks phase_priority; the failure
-    shrinks and replays from a serialized artifact."""
+    """A leaked deferred message deadlocks phase_priority: the queue
+    drains with the dropped requesters' misses open, well inside the
+    budget. The failure shrinks and replays from a serialized artifact."""
     spec = generate_trial(
         0, 3, num_cores=8, ops_per_core=30,
         protocol="phase_priority", check_interval=150,
     )
     spec.mutation = "pp_drop_deferred"
-    spec.max_events = 150_000  # bounded: the deadlock shows up fast
+    spec.max_events = 10_000
     result = execute_trial(spec)
     assert not result.ok
-    assert "max_events" in result.failure or "deadlock" in result.failure
+    assert result.failure.startswith("deadlock: cores "), result.failure
+    assert "] l1.mshr line=0x" in result.failure
 
     shrunk = shrink_trial(spec, max_checks=12)
     assert 0 < shrunk.total_ops <= spec.total_ops
@@ -388,16 +389,19 @@ def test_mutation_hyb_stale_update_caught_and_replayable(tmp_path):
 
 
 def test_mutation_hyb_lost_upd_ack_deadlocks():
+    """A swallowed HybUpd leaves its locked write open at the home: the
+    queue drains, and the verdict names the busy directory entry."""
     spec = generate_trial(
         0, 5, num_cores=8, ops_per_core=30,
         protocol="hybrid_update", check_interval=150,
         max_wired_sharers=1,
     )
     spec.mutation = "hyb_lost_upd_ack"
-    spec.max_events = 150_000
+    spec.max_events = 10_000
     result = execute_trial(spec)
     assert not result.ok
-    assert "max_events" in result.failure or "deadlock" in result.failure
+    assert result.failure.startswith("deadlock: cores "), result.failure
+    assert "] dir.busy line=0x" in result.failure
 
 
 if __name__ == "__main__":  # pragma: no cover - golden regeneration aid

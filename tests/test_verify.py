@@ -14,8 +14,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.coherence import messages as mk
 from repro.config.system import SystemConfig
 from repro.engine.errors import ProtocolError
+from repro.engine.rng import DeterministicRng
 from repro.harness.runner import run_app
 from repro.system import Manycore
 from repro.verify.artifacts import FailureArtifact, shrink_trial
@@ -28,11 +30,14 @@ from repro.verify.fuzz import (
 )
 from repro.verify.litmus import (
     LitmusTest,
+    delay,
     ld,
     litmus_suite,
     run_litmus,
+    run_programs,
     st,
     suite_configs,
+    variable_addresses,
 )
 from repro.verify.mutations import MUTATIONS, apply_mutation
 
@@ -78,12 +83,44 @@ def test_litmus_detects_a_planted_forbidden_outcome():
     assert any("forbidden outcome" in v for v in result.violations)
 
 
-def test_litmus_serialization_roundtrip():
-    for test in litmus_suite():
-        clone = LitmusTest.from_dict(json.loads(json.dumps(test.to_dict())))
-        assert clone.programs == test.programs
-        assert clone.forbidden == test.forbidden
-        assert clone.final == test.final
+def test_litmus_schedule_out_of_budget_is_one_violation():
+    """A schedule whose machine raises mid-run is judged like a fuzz
+    trial: one violation line, then the next schedule runs."""
+    sb = next(t for t in litmus_suite() if t.name == "SB")
+    config = SystemConfig(num_cores=8, protocol="widir")
+    result = run_litmus(sb, config, schedules=3, max_events_per_schedule=20)
+    assert result.violations == [
+        f"schedule {k}: SimulationError: exceeded max_events=20; "
+        "likely a livelocked protocol transaction"
+        for k in range(3)
+    ]
+
+
+def test_litmus_suite_goes_on_past_an_online_protocol_error(monkeypatch):
+    """Skewed HybUpd values on the hybrid_update-mws1 row trip the online
+    monitor mid-run: each such schedule is one violation, and the suite
+    still runs every (test, config) pair."""
+    import repro.verify.litmus as litmus
+
+    def mutated(config):
+        machine = Manycore(config)
+        if (
+            config.protocol == "hybrid_update"
+            and config.directory.max_wired_sharers == 1
+        ):
+            apply_mutation(machine, "hyb_stale_update")
+        return machine
+
+    monkeypatch.setattr(litmus, "Manycore", mutated)
+    results = litmus.run_suite(num_cores=8, schedules=2, online_interval=150)
+    assert len(results) == len(suite_configs(num_cores=8)) * len(litmus_suite())
+    failed = [r for r in results if not r.ok]
+    assert {r.config_label for r in failed} == {"hybrid_update-mws1"}
+    for result in failed:
+        schedules = [v.split(":", 1)[0] for v in result.violations]
+        assert len(schedules) == len(set(schedules)), result.violations
+        for violation in result.violations:
+            assert ": ProtocolError: [online @ cycle " in violation
 
 
 # ---------------------------------------------------------- online monitor
@@ -110,6 +147,41 @@ def test_online_monitor_flags_violation_at_cycle():
     result = execute_trial(spec)
     assert not result.ok
     assert "[online @ cycle" in result.failure
+
+
+def test_transaction_left_open_after_the_programs_finish_fails_the_run():
+    """The home drops the FwdAck closing core 1's GetX. Both programs
+    finish, but the line stays busy with nothing queued to close it: the
+    monitor still carries it when the queue drains, and the run fails."""
+    config = SystemConfig(num_cores=4, protocol="widir", check_interval=50)
+    machine = Manycore(config)
+    addresses = variable_addresses(["x"], config.l1.line_bytes)
+    line = addresses["x"] // config.l1.line_bytes
+    directory = machine.directories[machine.amap.home_of(line)]
+    handle = directory.handle_message
+    dropped = []
+
+    def drop_first_fwd_ack(msg):
+        if not dropped and msg.kind_id == mk.FWD_ACK_ID:
+            dropped.append(msg.src)
+            return
+        handle(msg)
+
+    directory.handle_message = drop_first_fwd_ack
+    drivers, failure = run_programs(
+        machine,
+        [[st("x", 1)], [delay(300), st("x", 2)]],
+        addresses,
+        DeterministicRng(0),
+        0,
+        100_000,
+    )
+    assert dropped == [1]
+    assert all(driver.finished for driver in drivers)
+    assert failure is not None
+    head, *rows = failure.splitlines()
+    assert head.startswith(f"open after drain: lines [0x{line:x}]")
+    assert f"dir.busy line=0x{line:x}" in "\n".join(rows)
 
 
 def test_monitor_does_not_wedge_drain_loop():
