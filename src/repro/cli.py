@@ -217,8 +217,8 @@ def _configure_verify_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mutate",
         default=None,
-        help="apply a seeded protocol mutation to every WiDir trial "
-        "(mutation smoke testing; the campaign must fail)",
+        help="apply a seeded protocol mutation to the trials whose protocol "
+        "and MAC it targets (mutation smoke testing; the campaign must fail)",
     )
     parser.add_argument(
         "--litmus-schedules",

@@ -11,12 +11,20 @@ them from a trace file. ``run_pair``, the same traces on the Baseline and
 the WiDir machine so normalized comparisons share a reference stream, is
 the executor's pair (:mod:`repro.harness.executor`, which alone decides
 whether and how to fork).
+
+Once the result, or the text of a failure, is formed, :func:`execute`
+releases the machine (:meth:`~repro.system.Manycore.release`): its
+reference cycles are cut, so it is freed as the call returns instead of
+waiting, with every earlier machine, for the cyclic collector. A caller
+that needs the machine afterwards passes a ``machine_sink``, which
+receives it unreleased.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.coherence.dir_controller import SHARER_BINS
 from repro.config.system import SystemConfig
@@ -216,6 +224,24 @@ def build_machine(config: SystemConfig) -> Tuple[Manycore, List[Core], PhaseBarr
     return machine, cores, barrier
 
 
+@contextmanager
+def fresh_machine(
+    config: SystemConfig, machine_sink: Optional[List] = None
+) -> Iterator[Tuple[Manycore, List[Core], PhaseBarrier]]:
+    """:func:`build_machine` for one ``with`` block, which releases the
+    machine (:meth:`Manycore.release`) however the block exits, unless
+    ``machine_sink`` takes it: the sink receives the machine at once, and
+    the caller keeps it usable."""
+    machine, cores, barrier = build_machine(config)
+    if machine_sink is not None:
+        machine_sink.append(machine)
+    try:
+        yield machine, cores, barrier
+    finally:
+        if machine_sink is None:
+            machine.release(cores)
+
+
 def drive(
     machine: Manycore,
     cores: Sequence[Core],
@@ -290,18 +316,17 @@ def execute(
 ) -> SimulationResult:
     """Run per-core ``sources`` on a fresh machine and harvest the result.
 
-    ``machine_sink``, if given, receives the :class:`Manycore` instance so
-    callers that need post-run access to live machine state (the trace CLI
-    exporting an observability capture) can retrieve it without changing
-    the return type.
+    The machine is released once the result or the failure's text is
+    formed. ``machine_sink``, if given, receives the :class:`Manycore`
+    instance instead, unreleased, so callers that need post-run access to
+    live machine state (the trace CLI exporting an observability capture)
+    can retrieve it without changing the return type.
     """
-    machine, cores, _ = build_machine(config)
-    if machine_sink is not None:
-        machine_sink.append(machine)
-    drive(machine, cores, sources, records, app)
-    if check:
-        machine.check_coherence()
-    return harvest(machine, cores, app)
+    with fresh_machine(config, machine_sink) as (machine, cores, _):
+        drive(machine, cores, sources, records, app)
+        if check:
+            machine.check_coherence()
+        return harvest(machine, cores, app)
 
 
 def run_app(

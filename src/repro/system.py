@@ -9,7 +9,7 @@ The CPU cores (:mod:`repro.cpu`) attach on top of this object.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence import messages as mk
 from repro.coherence.backend import get_backend
@@ -231,6 +231,31 @@ class Manycore:
     def check_coherence(self, quiescent: bool = True) -> None:
         """Validate global protocol invariants (see CoherenceChecker)."""
         self.checker.check(quiescent=quiescent)
+
+    def release(self, cores: Sequence = ()) -> None:
+        """Cut this machine's reference cycles, so that dropping its last
+        reference frees it at once, not at the collector's next full pass.
+
+        The mesh's routers reach the controllers, which reach the mesh;
+        the wireless receiver is a method of this machine; each core binds
+        its own wake-ups and registers its fold with the stats registry;
+        observability and the online monitor hook into every controller
+        and the kernel. Clearing the instance attributes of every
+        per-machine part, the ``cores`` built on it included, cuts them
+        all, once frames still queued for the channel are withdrawn (a
+        withdrawn request drops its callbacks). Shared objects (the
+        backend, the config, the mesh's route tables) are dropped, never
+        cleared. A released machine or core raises ``AttributeError``
+        when used.
+        """
+        channel = self.wireless
+        if channel is not None:
+            for request in (*channel._pending, *channel._active):
+                request.cancel()
+        parts = (*cores, *self.caches, *self.directories)
+        for part in (*parts, self.mesh, channel, self.tone, self.sim, self):
+            if part is not None:
+                vars(part).clear()
 
     def in_flight(self, cores=(), barrier=None) -> List[Tuple[int, str, int, str]]:
         """Everything the machine holds open, one ``(node, kind, line,

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cpu.trace import TraceChunk
-from repro.harness.runner import build_machine, drive, execute, harvest
+from repro.harness.runner import drive, execute, fresh_machine, harvest
 from repro.traces.format import TraceFormatError, TraceReader
 from repro.traces.snapshot import (
     capture_machine,
@@ -171,22 +171,28 @@ def replay_trace(
                 )
             start_segment = progress["segment"]
 
-        machine = cores = barrier = None
         previous = [0] * config.num_cores
         if start_segment > 0:
             previous = list(cuts[start_segment - 1])
         for segment in range(start_segment, len(cuts)):
-            machine, cores, barrier = build_machine(config)
-            if snap is not None:
-                restore_machine(machine, cores, snap)
-            window = [
-                (previous[node], cuts[segment][node])
-                for node in range(config.num_cores)
-            ]
-            sources, records = _sources(reader, window)
-            drive(machine, cores, sources, records, f"{app}[segment {segment}]")
-            previous = list(cuts[segment])
-            if segment < len(cuts) - 1:
+            # Each segment's machine is released once its snapshot is
+            # taken; the last one once it is harvested.
+            last = segment == len(cuts) - 1
+            sink = machine_sink if last else None
+            with fresh_machine(config, sink) as (machine, cores, barrier):
+                if snap is not None:
+                    restore_machine(machine, cores, snap)
+                window = [
+                    (previous[node], cuts[segment][node])
+                    for node in range(config.num_cores)
+                ]
+                sources, records = _sources(reader, window)
+                drive(machine, cores, sources, records, f"{app}[segment {segment}]")
+                if last:
+                    if check:
+                        machine.check_coherence()
+                    result = harvest(machine, cores, app)
+                    break
                 snap = capture_machine(
                     machine,
                     cores,
@@ -197,13 +203,9 @@ def replay_trace(
                         "snapshot_every": snapshot_every,
                     },
                 )
-                if snapshot_path is not None:
-                    save_snapshot(snapshot_path, snap)
-        if machine_sink is not None:
-            machine_sink.append(machine)
-        if check:
-            machine.check_coherence()
-        result = harvest(machine, cores, app)
+            previous = list(cuts[segment])
+            if snapshot_path is not None:
+                save_snapshot(snapshot_path, snap)
         if snapshot_path is not None:
             # The run completed; a leftover snapshot would wrongly resume
             # a future identical invocation past its final segment.

@@ -358,7 +358,9 @@ def execute_trial(
     mutation: Optional[str] = None,
     capture_trace: bool = True,
 ) -> TrialResult:
-    """Build the machine, apply injectors (and mutation), run, judge.
+    """Build the machine, apply injectors (and mutation), run, judge, and
+    release the machine (:meth:`Manycore.release`) once the verdict,
+    failure text included, is formed.
 
     ``capture_trace`` installs the observability layer on the trial machine
     so a failing trial carries its flight-recorder window (the last
@@ -367,8 +369,20 @@ def execute_trial(
     RNG, schedule events, or touch stats — so trial digests and campaign
     digests are identical with it on or off.
     """
-    config = SystemConfig.from_dict(spec.config)
-    machine = Manycore(config)
+    machine = Manycore(SystemConfig.from_dict(spec.config))
+    try:
+        return _run_trial(machine, spec, mutation or spec.mutation, capture_trace)
+    finally:
+        machine.release()
+
+
+def _run_trial(
+    machine: Manycore,
+    spec: TrialSpec,
+    mutation_name: Optional[str],
+    capture_trace: bool,
+) -> TrialResult:
+    config = machine.config
     obs = None
     if capture_trace:
         from repro.config.system import ObsConfig
@@ -377,7 +391,6 @@ def execute_trial(
         obs = Observability(machine, ObsConfig(enabled=True))
         obs.install()
         machine.obs = obs
-    mutation_name = mutation or spec.mutation
     if mutation_name:
         from repro.verify.mutations import apply_mutation
 
@@ -553,9 +566,11 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a named campaign; returns per-trial results and failures.
 
-    ``mutation`` applies a seeded protocol bug to every trial's machine
-    (mutation smoke testing). ``on_trial(index, spec, result)`` is invoked
-    after each trial (progress reporting / artifact capture).
+    ``mutation`` applies a seeded protocol bug to the machine of every
+    trial whose protocol and MAC its
+    :data:`~repro.verify.mutations.MUTATIONS` entry names (mutation smoke
+    testing). ``on_trial(index, spec, result)`` is invoked after each
+    trial (progress reporting / artifact capture).
     """
     from repro.verify.mutations import get_mutation
 

@@ -359,7 +359,8 @@ def run_litmus(
     jitter stream, runs the programs to completion, applies the test's
     outcome predicates, and — cheap but strong — the end-of-run quiescent
     coherence check. A run that fails (:func:`run_programs`) is the
-    schedule's one violation.
+    schedule's one violation. Each machine is released
+    (:meth:`Manycore.release`) once its schedule is judged.
     """
     if test.num_cores > config.num_cores:
         raise ValueError(
@@ -374,66 +375,69 @@ def run_litmus(
     for schedule in range(schedules):
         machine_seed = root.split(f"machine-{schedule}").randint(0, 2**31 - 1)
         machine = Manycore(replace(config, seed=machine_seed))
-        drivers, failure = run_programs(
-            machine,
-            test.programs,
-            addresses,
-            root.split(f"jitter-{schedule}"),
-            jitter_window,
-            max_events_per_schedule,
-        )
-        if failure is not None:
-            result.violations.append(f"schedule {schedule}: {failure}")
-            continue
-
-        observation = tuple(
-            value for driver in drivers for value in driver.observations
-        )
-        result.outcomes[observation] = result.outcomes.get(observation, 0) + 1
-
-        for pattern in test.forbidden:
-            if all(observation[reg] == want for reg, want in pattern.items()):
-                result.violations.append(
-                    f"schedule {schedule}: forbidden outcome {observation} "
-                    f"matches {pattern}"
-                )
-        if test.allowed is not None and observation not in test.allowed:
-            result.violations.append(
-                f"schedule {schedule}: outcome {observation} not in the "
-                f"allowed set"
-            )
-        if test.rmw_distinct:
-            olds = [v for d in drivers for v in d.rmw_observations]
-            if len(olds) != len(set(olds)):
-                result.violations.append(
-                    f"schedule {schedule}: duplicate RMW old values {sorted(olds)}"
-                )
-
-        if test.final or test.final_forbidden:
-            finals, failure = read_finals(
-                machine, addresses, max_events_per_schedule
+        try:
+            drivers, failure = run_programs(
+                machine,
+                test.programs,
+                addresses,
+                root.split(f"jitter-{schedule}"),
+                jitter_window,
+                max_events_per_schedule,
             )
             if failure is not None:
                 result.violations.append(f"schedule {schedule}: {failure}")
                 continue
-            for name, want in test.final.items():
-                if finals.get(name) != want:
+
+            observation = tuple(
+                value for driver in drivers for value in driver.observations
+            )
+            result.outcomes[observation] = result.outcomes.get(observation, 0) + 1
+
+            for pattern in test.forbidden:
+                if all(observation[reg] == want for reg, want in pattern.items()):
                     result.violations.append(
-                        f"schedule {schedule}: final {name}={finals.get(name)} "
-                        f"!= required {want}"
-                    )
-            for pattern in test.final_forbidden:
-                if all(finals.get(n) == v for n, v in pattern.items()):
-                    result.violations.append(
-                        f"schedule {schedule}: forbidden final state {finals} "
+                        f"schedule {schedule}: forbidden outcome {observation} "
                         f"matches {pattern}"
                     )
+            if test.allowed is not None and observation not in test.allowed:
+                result.violations.append(
+                    f"schedule {schedule}: outcome {observation} not in the "
+                    f"allowed set"
+                )
+            if test.rmw_distinct:
+                olds = [v for d in drivers for v in d.rmw_observations]
+                if len(olds) != len(set(olds)):
+                    result.violations.append(
+                        f"schedule {schedule}: duplicate RMW old values {sorted(olds)}"
+                    )
 
-        try:
-            machine.check_coherence()
-        except Exception as exc:
-            result.violations.append(f"schedule {schedule}: {exc}")
-        result.s_to_w_transitions += machine.stats.get_counter("dir.total.s_to_w")
+            if test.final or test.final_forbidden:
+                finals, failure = read_finals(
+                    machine, addresses, max_events_per_schedule
+                )
+                if failure is not None:
+                    result.violations.append(f"schedule {schedule}: {failure}")
+                    continue
+                for name, want in test.final.items():
+                    if finals.get(name) != want:
+                        result.violations.append(
+                            f"schedule {schedule}: final {name}={finals.get(name)} "
+                            f"!= required {want}"
+                        )
+                for pattern in test.final_forbidden:
+                    if all(finals.get(n) == v for n, v in pattern.items()):
+                        result.violations.append(
+                            f"schedule {schedule}: forbidden final state {finals} "
+                            f"matches {pattern}"
+                        )
+
+            try:
+                machine.check_coherence()
+            except Exception as exc:
+                result.violations.append(f"schedule {schedule}: {exc}")
+            result.s_to_w_transitions += machine.stats.get_counter("dir.total.s_to_w")
+        finally:
+            machine.release()
     return result
 
 

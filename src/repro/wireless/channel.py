@@ -100,10 +100,16 @@ class TransmitRequest:
         self.committed = False
 
     def cancel(self) -> bool:
-        """Withdraw the frame; returns False if it already committed."""
+        """Withdraw the frame; returns False if it already committed.
+
+        A withdrawn frame calls neither callback, so it drops both: a
+        callback that reaches its own request (a W-state store's pending
+        write) then holds no cycle.
+        """
         if self.committed:
             return False
         self.cancelled = True
+        self.on_commit = self.on_delivered = None
         return True
 
 
@@ -388,8 +394,12 @@ class WirelessDataChannel:
         request.committed = True
         if obs is not None:
             obs.frame_phase(request, "commit")
-        if request.on_commit is not None:
-            request.on_commit()
+        on_commit = request.on_commit
+        if on_commit is not None:
+            # Called once: dropping it cuts a callback's cycle through
+            # this request (see cancel).
+            request.on_commit = None
+            on_commit()
 
     def _finish(self, request: TransmitRequest) -> None:
         try:

@@ -95,8 +95,10 @@ def _collecting_core(sink: list):
 def _live_cores(monkeypatch, app: str, protocol: str):
     cores: list = []
     monkeypatch.setattr(runner, "Core", _collecting_core(cores))
+    # A machine_sink keeps the machine, so its cores stay readable after
+    # the run (without one, the run releases them).
     runner.run_app(app, protocol_config(protocol, num_cores=CORES, seed=SEED),
-                   MEMOPS, TRACE_SEED)
+                   MEMOPS, TRACE_SEED, machine_sink=[])
     return cores
 
 
@@ -112,8 +114,10 @@ def _replay_cores(monkeypatch, directory: Path):
         path,
         protocol_config("widir", num_cores=REPLAY_CORES, seed=SEED),
         snapshot_every=REPLAY_SNAPSHOT_EVERY,
+        machine_sink=[],
     )
-    # Every segment builds a fresh machine; the last one holds the result.
+    # Every segment builds a fresh machine; the last one holds the result
+    # (and is the one the sink keeps).
     assert len(cores) > REPLAY_CORES, "replay ran as a single segment"
     return cores[-REPLAY_CORES:]
 
