@@ -613,7 +613,9 @@ def trace(
     result = run_app(
         app, config, memops, trace_seed=trace_seed, machine_sink=sink
     )
-    capture = sink[0].obs.capture(app=app)
+    machine, run_cores = sink
+    capture = machine.obs.capture(app=app)
+    machine.release(run_cores)
     return TraceResult(result=result, capture=capture)
 
 

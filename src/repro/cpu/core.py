@@ -21,17 +21,17 @@ latencies (issue to completion) feed Figure 7.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.coherence.states import MODIFIED, WIRELESS
 from repro.config.system import SystemConfig
 from repro.cpu.sync import PhaseBarrier
 from repro.cpu.trace import (
-    OP_BARRIER,
-    OP_LOAD,
-    OP_RMW,
-    OP_STORE,
-    OP_THINK,
+    CODE_BARRIER,
+    CODE_LOAD,
+    CODE_RMW,
+    CODE_STORE,
+    CODE_THINK,
     TraceChunk,
 )
 from repro.engine.simulator import Simulator
@@ -108,13 +108,7 @@ class Core:
         self._max_loads = config.core.max_outstanding_misses
         self._wb_capacity = config.core.write_buffer_entries
         # Column bindings (re-bound by ``run_trace``): _step walks these.
-        self._kinds: List[str] = []
-        self._addresses: List[int] = []
-        self._values: List[int] = []
-        self._args: List[int] = []
-        self._blocking: List[bool] = []
-        self._trace_len = 0
-        self._pc = 0
+        self._bind_chunk(TraceChunk())
         self._chunk_source: Optional[Callable[[], Optional[TraceChunk]]] = None
         self._outstanding_loads = 0
         self._wb_occupancy = 0
@@ -171,7 +165,7 @@ class Core:
         ``trace`` is a :class:`~repro.cpu.trace.TraceChunk` (the native
         format) or a legacy list of :class:`TraceOp`, converted once here.
         The chunk's columns are bound to attributes so :meth:`_step` walks
-        flat scalar lists with no per-op object in sight.
+        flat typed buffers with no per-op object in sight.
 
         ``chunk_source``, if given, is a zero-argument callable polled when
         the bound chunk drains: it returns the next :class:`TraceChunk` or
@@ -264,9 +258,7 @@ class Core:
         :class:`~repro.cpu.trace.TraceChunk`), their length and the
         program counter are locals. ``pc`` is written back to ``self._pc``
         before every return and before every call that reads or advances
-        it, and re-read after. Kind strings are interned constants, so
-        each ``==`` below is usually a pointer compare; a kind that equals
-        a constant without being interned still matches.
+        it, and re-read after. Kinds are the small-int ``CODE_*`` codes.
         """
         kinds = self._kinds
         addresses = self._addresses
@@ -279,7 +271,7 @@ class Core:
                 # continues or returns), or sets the wake-up to append:
                 # ``delay``, ``wake``, and ``parked`` when the core waits
                 # for it.
-                if kind == OP_THINK:
+                if kind == CODE_THINK:
                     arg = self._args[pc]
                     pc += 1
                     self._instructions += arg
@@ -288,7 +280,7 @@ class Core:
                         delay = 1
                     wake = self._step_cb
                     parked = True
-                elif kind == OP_LOAD:
+                elif kind == CODE_LOAD:
                     if self._outstanding_loads >= self._max_loads:
                         self._pc = pc
                         self._block(
@@ -325,7 +317,7 @@ class Core:
                         self._outstanding_loads += 1
                         wake = self._nb_hit_done_cb
                         parked = False
-                elif kind == OP_STORE:
+                elif kind == CODE_STORE:
                     if self._wb_occupancy >= self._wb_capacity:
                         self._pc = pc
                         self._block(
@@ -355,20 +347,20 @@ class Core:
                     delay = self._hit_latency
                     wake = self._st_hit_done_cb
                     parked = False
-                elif kind == OP_RMW:
+                elif kind == CODE_RMW:
                     self._pc = pc
                     if not self._issue_rmw(addresses[pc]):
                         return
                     pc = self._pc
                     continue
-                elif kind == OP_BARRIER:
+                elif kind == CODE_BARRIER:
                     self._pc = pc
                     if not self._issue_barrier(self._args[pc]):
                         return
                     pc = self._pc
                     continue
                 else:
-                    raise ValueError(f"unknown trace op kind {kind!r}")
+                    raise ValueError(f"unknown trace op kind code {kind}")
                 # Append the wake-up (the rule of repro.engine.batch).
                 time = self.sim.now + delay
                 queue = self._queue

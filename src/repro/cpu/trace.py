@@ -2,8 +2,8 @@
 
 A trace is either a plain list of :class:`TraceOp` or a
 :class:`TraceChunk` — the same operation stream stored struct-of-arrays
-(one parallel column per field) so the core's dispatch loop indexes flat
-lists instead of walking per-op objects. Keeping traces flat value data
+(one typed column per field) so the core's dispatch loop indexes flat
+buffers instead of walking per-op objects. Keeping traces flat value data
 (rather than callbacks) lets the generators be tested in isolation and
 lets one trace drive both the Baseline and the WiDir machine, which is
 what makes normalized comparisons meaningful.
@@ -11,7 +11,8 @@ what makes normalized comparisons meaningful.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from array import array
+from typing import Iterator, List, Union
 
 OP_THINK = "think"      # arg: non-memory instruction count
 OP_LOAD = "load"        # address; ``blocking`` marks use-dependent loads
@@ -73,43 +74,71 @@ def barrier(phase: int) -> TraceOp:
 
 
 #: Stable small-integer codes of the op kinds: ``KIND_NAMES[code]`` is the
-#: kind, for the on-disk trace format and for trace synthesis, which both
-#: build kinds from codes. The entries are the interned string constants,
-#: so the core's dispatch compares stay pointer compares.
+#: kind. A :class:`TraceChunk` stores kinds as these codes, as the on-disk
+#: trace format does; :class:`TraceOp` views carry the interned string
+#: constants.
 KIND_NAMES = (OP_THINK, OP_LOAD, OP_STORE, OP_RMW, OP_BARRIER)
 KIND_CODES = {kind: code for code, kind in enumerate(KIND_NAMES)}
+CODE_THINK, CODE_LOAD, CODE_STORE, CODE_RMW, CODE_BARRIER = range(len(KIND_NAMES))
+
+#: One zero int64, repeated to size an ``array('q')`` column exactly.
+_INT64_ZERO = array("q", [0])
 
 
 class TraceChunk:
-    """A trace stored struct-of-arrays: one parallel column per op field.
+    """A trace stored struct-of-arrays: one parallel typed column per op
+    field.
 
-    The core's dispatch loop reads ``kinds[pc]`` / ``addresses[pc]`` /
-    ... directly (no per-op object, no attribute walks); tests and
-    diagnostics iterate a chunk and receive :class:`TraceOp` views built
-    on demand, so every existing trace consumer keeps working.
-
-    Columns are plain Python lists of scalars: the hot consumer is the
-    interpreter, not numpy.
+    ``kinds`` is a :class:`bytearray` of :data:`KIND_CODES`, ``blocking`` a
+    :class:`bytearray` of 0/1, and ``addresses``, ``values`` and ``args``
+    are ``array('q')``: 26 bytes an op, as in a ``.wtr`` record, with no
+    per-op object to build, to copy on write after a fork, or for the
+    cyclic collector to walk. The core's dispatch loop reads ``kinds[pc]`` / ``addresses[pc]`` / ... directly;
+    tests and diagnostics append, index and iterate :class:`TraceOp`
+    views, string-kinded, built on demand.
     """
 
     __slots__ = ("kinds", "addresses", "values", "args", "blocking")
 
     def __init__(self) -> None:
-        self.kinds: List[str] = []
-        self.addresses: List[int] = []
-        self.values: List[int] = []
-        self.args: List[int] = []
-        self.blocking: List[bool] = []
+        self.kinds = bytearray()
+        self.addresses = array("q")
+        self.values = array("q")
+        self.args = array("q")
+        self.blocking = bytearray()
 
     # -------------------------------------------------------------- builders
 
+    @classmethod
+    def from_columns(cls, kinds, addresses, values, args, blocking) -> "TraceChunk":
+        """A chunk holding five equal-length numpy columns: ``kinds`` as
+        uint8 codes, ``blocking`` as bools or 0/1 (any non-zero is 1),
+        the others as integers, converted to native int64.
+
+        Each column is copied once into a buffer of exactly its size.
+        """
+        import numpy as np
+
+        def int64s(column) -> array:
+            out = _INT64_ZERO * len(column)
+            np.frombuffer(out, dtype=np.int64)[:] = column
+            return out
+
+        chunk = cls.__new__(cls)
+        chunk.kinds = bytearray(np.ascontiguousarray(kinds, dtype=np.uint8).data)
+        chunk.addresses = int64s(addresses)
+        chunk.values = int64s(values)
+        chunk.args = int64s(args)
+        chunk.blocking = bytearray(np.ascontiguousarray(blocking, dtype=np.bool_).data)
+        return chunk
+
     def append(self, op: TraceOp) -> None:
         """Destructure one :class:`TraceOp` into the columns."""
-        self.kinds.append(op.kind)
+        self.kinds.append(KIND_CODES[op.kind])
         self.addresses.append(op.address)
         self.values.append(op.value)
         self.args.append(op.arg)
-        self.blocking.append(op.blocking)
+        self.blocking.append(1 if op.blocking else 0)
 
     @classmethod
     def from_ops(cls, ops) -> "TraceChunk":
@@ -139,11 +168,11 @@ class TraceChunk:
         """Materialize one op as a :class:`TraceOp` view (a copy: mutating
         it does not write back; mutate the columns directly instead)."""
         view = TraceOp.__new__(TraceOp)
-        view.kind = self.kinds[index]
+        view.kind = KIND_NAMES[self.kinds[index]]
         view.address = self.addresses[index]
         view.value = self.values[index]
         view.arg = self.args[index]
-        view.blocking = self.blocking[index]
+        view.blocking = bool(self.blocking[index])
         return view
 
     def __getitem__(self, index):

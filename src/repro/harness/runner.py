@@ -17,7 +17,8 @@ releases the machine (:meth:`~repro.system.Manycore.release`): its
 reference cycles are cut, so it is freed as the call returns instead of
 waiting, with every earlier machine, for the cyclic collector. A caller
 that needs the machine afterwards passes a ``machine_sink``, which
-receives it unreleased.
+receives it and its cores unreleased; ``machine.release(cores)`` frees
+them once the caller is done.
 """
 
 from __future__ import annotations
@@ -230,11 +231,11 @@ def fresh_machine(
 ) -> Iterator[Tuple[Manycore, List[Core], PhaseBarrier]]:
     """:func:`build_machine` for one ``with`` block, which releases the
     machine (:meth:`Manycore.release`) however the block exits, unless
-    ``machine_sink`` takes it: the sink receives the machine at once, and
-    the caller keeps it usable."""
+    ``machine_sink`` takes it: the sink receives the machine and then its
+    cores at once, and the caller keeps them usable."""
     machine, cores, barrier = build_machine(config)
     if machine_sink is not None:
-        machine_sink.append(machine)
+        machine_sink.extend((machine, cores))
     try:
         yield machine, cores, barrier
     finally:
@@ -318,9 +319,10 @@ def execute(
 
     The machine is released once the result or the failure's text is
     formed. ``machine_sink``, if given, receives the :class:`Manycore`
-    instance instead, unreleased, so callers that need post-run access to
-    live machine state (the trace CLI exporting an observability capture)
-    can retrieve it without changing the return type.
+    instance and its cores instead, unreleased, so callers that need
+    post-run access to live machine state (the trace CLI exporting an
+    observability capture) can retrieve it without changing the return
+    type.
     """
     with fresh_machine(config, machine_sink) as (machine, cores, _):
         drive(machine, cores, sources, records, app)

@@ -44,7 +44,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.cpu.trace import KIND_CODES, KIND_NAMES, OP_BARRIER, TraceChunk
+from repro.cpu.trace import CODE_BARRIER, KIND_CODES, KIND_NAMES, TraceChunk
 
 MAGIC = b"WDTRACE\x01"
 INDEX_MAGIC = b"WDTRIDX\x01"
@@ -69,8 +69,6 @@ RECORD_FIELDS = (
     ("arg", "<i8"),
 )
 RECORD_BYTES = 1 + 1 + 8 + 8 + 8
-
-_BARRIER_CODE = KIND_CODES[OP_BARRIER]
 
 
 class TraceFormatError(RuntimeError):
@@ -175,17 +173,16 @@ def pack_records(kinds, addresses, values, args, blocking, out=None):
 
 
 def chunk_columns(chunk: TraceChunk):
-    """A :class:`TraceChunk`'s five columns as numpy arrays, in
-    :func:`pack_records` order, with kinds as their uint8 codes."""
+    """A :class:`TraceChunk`'s five columns as numpy arrays over its
+    buffers (no copy), in :func:`pack_records` order."""
     import numpy as np
 
-    n = len(chunk.kinds)
     return (
-        np.fromiter(map(KIND_CODES.__getitem__, chunk.kinds), dtype=np.uint8, count=n),
-        np.asarray(chunk.addresses, dtype=np.int64),
-        np.asarray(chunk.values, dtype=np.int64),
-        np.asarray(chunk.args, dtype=np.int64),
-        np.asarray(chunk.blocking, dtype=np.uint8),
+        np.frombuffer(chunk.kinds, dtype=np.uint8),
+        np.frombuffer(chunk.addresses, dtype=np.int64),
+        np.frombuffer(chunk.values, dtype=np.int64),
+        np.frombuffer(chunk.args, dtype=np.int64),
+        np.frombuffer(chunk.blocking, dtype=np.uint8),
     )
 
 
@@ -197,8 +194,9 @@ def chunk_to_records(chunk: TraceChunk) -> bytes:
 def records_to_chunk(data: bytes) -> TraceChunk:
     """Rebuild a :class:`TraceChunk` from fixed-width record bytes.
 
-    Columns come back as plain Python scalars (``tolist``), and kinds as
-    the interned module constants, so a round-tripped chunk is
+    The record fields become the chunk's typed columns
+    (:meth:`TraceChunk.from_columns`, which reads the little-endian
+    fields as native int64), so a round-tripped chunk is
     indistinguishable from a generator-built one to every consumer.
     """
     import numpy as np
@@ -209,17 +207,13 @@ def records_to_chunk(data: bytes) -> TraceChunk:
             f"not a multiple of {RECORD_BYTES}"
         )
     records = np.frombuffer(data, dtype=_record_dtype())
-    kinds = KIND_NAMES
-    chunk = TraceChunk()
-    try:
-        chunk.kinds = [kinds[code] for code in records["kind"].tolist()]
-    except IndexError:
+    kinds = records["kind"]
+    if len(kinds) and kinds.max() >= len(KIND_NAMES):
         raise TraceCorruptionError("record payload contains an unknown op kind")
-    chunk.blocking = [bool(b) for b in records["blocking"].tolist()]
-    chunk.addresses = records["address"].tolist()
-    chunk.values = records["value"].tolist()
-    chunk.args = records["arg"].tolist()
-    return chunk
+    return TraceChunk.from_columns(
+        kinds, records["address"], records["value"], records["arg"],
+        records["blocking"],
+    )
 
 
 # ----------------------------------------------------------------- writer
@@ -390,7 +384,7 @@ class TraceWriter:
         n_records = len(records)
         crc = zlib.crc32(records) & 0xFFFFFFFF
         payload = _compress(self.codec, records)
-        barriers = int(np.count_nonzero(records["kind"] == _BARRIER_CODE))
+        barriers = int(np.count_nonzero(records["kind"] == CODE_BARRIER))
         offset = self._file.tell()
         self._file.write(
             _CHUNK_HEADER.pack(core, index, n_records, len(payload), crc)

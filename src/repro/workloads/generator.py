@@ -57,24 +57,16 @@ import math
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.cpu.trace import (
-    KIND_CODES,
-    KIND_NAMES,
-    OP_BARRIER,
-    OP_LOAD,
-    OP_RMW,
-    OP_STORE,
-    OP_THINK,
+    CODE_BARRIER,
+    CODE_LOAD,
+    CODE_RMW,
+    CODE_STORE,
+    CODE_THINK,
     TraceChunk,
 )
 from repro.engine.rng import DeterministicRng, draw_block
 from repro.workloads.layout import SHARED_BASE, AddressLayout
 from repro.workloads.profiles import AppProfile
-
-_THINK = KIND_CODES[OP_THINK]
-_LOAD = KIND_CODES[OP_LOAD]
-_STORE = KIND_CODES[OP_STORE]
-_RMW = KIND_CODES[OP_RMW]
-_BARRIER = KIND_CODES[OP_BARRIER]
 
 #: Slot classes.
 _HOT, _COLD, _MIGRATORY, _SHARED = 0, 1, 2, 3
@@ -359,20 +351,20 @@ def _fill(draws: _Draws, walk: _Walk, core: int, num_cores: int):
     args = np.zeros(total, dtype=np.int64)
     blocking = np.ones(total, dtype=bool)
 
-    kinds[think_at] = _THINK
+    kinds[think_at] = CODE_THINK
     args[think_at] = think_gaps(unit[starts], shape.log_keep) if shape.log_keep else 1
 
     hot = cls == _HOT
     at, o = starts[hot], first[hot]
     write = unit[at + shape.flag] < shape.write_fraction
-    kinds[o] = np.where(write, _STORE, _LOAD)
+    kinds[o] = np.where(write, CODE_STORE, CODE_LOAD)
     addresses[o] = layout.private_hot(core, _modulo(raw[at + shape.index], shape.hot_words))
     values[o[write]] = _modulo(raw[at[write] + shape.index + 1], _STORE_VALUE_SPAN)
 
     cold = cls == _COLD
     o = first[cold]
     cursor = core * 17 + np.arange(len(o))  # de-correlate the walks across cores
-    kinds[o] = _LOAD
+    kinds[o] = CODE_LOAD
     addresses[o] = layout.private_cold(core, cursor % shape.cold_region_lines)
     blocking[o] = False
 
@@ -384,8 +376,8 @@ def _fill(draws: _Draws, walk: _Walk, core: int, num_cores: int):
         address = layout.shared_word(
             2, token % 8, _modulo(raw[at + shape.index], shape.shared_words)
         )
-        kinds[o] = _LOAD
-        kinds[o + 1] = _STORE
+        kinds[o] = CODE_LOAD
+        kinds[o + 1] = CODE_STORE
         addresses[o] = address
         addresses[o + 1] = address
         values[o + 1] = token
@@ -401,10 +393,10 @@ def _fill(draws: _Draws, walk: _Walk, core: int, num_cores: int):
             _modulo(raw[index_at], shape.shared_words),
         )
         visit = o[:, None] + np.arange(shape.burst)
-        kinds[visit] = _LOAD
+        kinds[visit] = CODE_LOAD
         addresses[visit] = address[:, None]
         last = o[write] + shape.burst - 1
-        kinds[last] = _STORE
+        kinds[last] = CODE_STORE
         values[last] = _modulo(raw[index_at[write] + 2], _STORE_VALUE_SPAN)
 
     if walk.lock_slots:
@@ -412,30 +404,30 @@ def _fill(draws: _Draws, walk: _Walk, core: int, num_cores: int):
         lock_id = _modulo(raw[walk.lock_draws], shape.locks)
         lock = layout.lock(lock_id)
         spins = o[:, None] + np.arange(spin)
-        kinds[spins] = _LOAD
+        kinds[spins] = CODE_LOAD
         addresses[spins] = lock[:, None]
-        kinds[o + spin] = _RMW
+        kinds[o + spin] = CODE_RMW
         addresses[o + spin] = lock
         if critical_ops:
             flag_at = np.array(walk.critical_draws).reshape(-1, critical_ops)
             store = unit[flag_at] >= 0.5
             critical = o[:, None] + spin + 1 + np.arange(critical_ops)
-            kinds[critical] = np.where(store, _STORE, _LOAD)
+            kinds[critical] = np.where(store, CODE_STORE, CODE_LOAD)
             addresses[critical] = layout.lock_data(lock_id[:, None], np.arange(critical_ops))
             values[critical[store]] = _modulo(raw[flag_at[store] + 1], _LOCK_VALUE_SPAN)
         release = o + lock_ops - 1
-        kinds[release] = _STORE
+        kinds[release] = CODE_STORE
         addresses[release] = lock
 
     o = first[walk.phase_ends] + refs[walk.phase_ends] + lock_ops * lock_after[walk.phase_ends]
     phase = np.arange(shape.phases)
     barrier = layout.barrier_word(phase)
-    kinds[o] = _RMW
+    kinds[o] = CODE_RMW
     addresses[o] = barrier
     spins = o[:, None] + 1 + np.arange(shape.barrier_spin_reads)
-    kinds[spins] = _LOAD
+    kinds[spins] = CODE_LOAD
     addresses[spins] = barrier[:, None]
-    kinds[o + barrier_ops - 1] = _BARRIER
+    kinds[o + barrier_ops - 1] = CODE_BARRIER
     args[o + barrier_ops - 1] = phase
 
     # Shared-data, lock and barrier loads stay blocking unconditionally:
@@ -443,7 +435,7 @@ def _fill(draws: _Draws, walk: _Walk, core: int, num_cores: int):
     # flag tests), which is precisely why the paper's coherence misses sit
     # on the critical path. The profile's fraction of the private loads is
     # use-dependent, one draw each after every synthesis draw.
-    private = np.flatnonzero((kinds == _LOAD) & blocking & (addresses < SHARED_BASE))
+    private = np.flatnonzero((kinds == CODE_LOAD) & blocking & (addresses < SHARED_BASE))
     if len(private):
         _, block = draw_block(draws.rng, walk.end, len(private))
         blocking[private] = block < shape.load_block_fraction
@@ -480,24 +472,14 @@ def build_core_trace(
 ) -> TraceChunk:
     """Synthesize one core's trace with ``memops`` memory-reference slots.
 
-    Operations go straight into the columns of a struct-of-arrays
-    :class:`~repro.cpu.trace.TraceChunk`, the core's native format:
-    kinds are the interned ``OP_*`` constants, ``blocking`` holds bools
-    and the other columns hold ints. The draws, and so every column, are
-    those of the scalar reference (see the module docstring).
+    :func:`synthesize_columns`' arrays become the typed columns of a
+    struct-of-arrays :class:`~repro.cpu.trace.TraceChunk`, the core's
+    native format. The draws, and so every column, are those of the
+    scalar reference (see the module docstring).
     """
-    # The lists are built once every synthesis temporary is freed, so they
-    # take its memory instead of fragmenting the heap around it.
-    kinds, addresses, values, args, blocking = synthesize_columns(
-        profile, core, num_cores, memops, seed
+    return TraceChunk.from_columns(
+        *synthesize_columns(profile, core, num_cores, memops, seed)
     )
-    chunk = TraceChunk()
-    chunk.kinds = list(map(KIND_NAMES.__getitem__, kinds.tolist()))
-    chunk.addresses = addresses.tolist()
-    chunk.values = values.tolist()
-    chunk.args = args.tolist()
-    chunk.blocking = blocking.tolist()
-    return chunk
 
 
 #: The machine trace set built last, as ``(key, traces)``. ``build_traces``

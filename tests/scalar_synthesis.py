@@ -32,7 +32,16 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.cpu.trace import OP_LOAD, TraceChunk, barrier, load, rmw, store, think
+from repro.cpu.trace import (
+    CODE_LOAD,
+    KIND_NAMES,
+    TraceChunk,
+    barrier,
+    load,
+    rmw,
+    store,
+    think,
+)
 from repro.engine.rng import DeterministicRng
 from repro.workloads.layout import SHARED_BASE, WORD, AddressLayout
 from repro.workloads.profiles import AppProfile
@@ -282,5 +291,17 @@ def _apply_blocking_fractions(
     blocking = chunk.blocking
     rng_random = rng.random
     for i, kind in enumerate(kinds):
-        if kind == OP_LOAD and blocking[i] and addresses[i] < SHARED_BASE:
+        if kind == CODE_LOAD and blocking[i] and addresses[i] < SHARED_BASE:
             blocking[i] = rng_random() < block_fraction
+
+
+def column_lists(chunk: TraceChunk) -> List[list]:
+    """A chunk's five columns as plain lists, in the form the synthesis
+    tests compare and hash: kind names, ints and bools."""
+    return [
+        [KIND_NAMES[code] for code in chunk.kinds],
+        list(chunk.addresses),
+        list(chunk.values),
+        list(chunk.args),
+        [bool(flag) for flag in chunk.blocking],
+    ]

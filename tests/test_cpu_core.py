@@ -266,10 +266,10 @@ def prefix_totals(trace, pc):
     """(instructions, loads, stores, rmws) of ``trace``'s first ``pc`` ops:
     what counting every op at issue gives once the core is past them."""
     kinds = trace.kinds[:pc]
-    think = sum(arg for kind, arg in zip(kinds, trace.args) if kind == t.OP_THINK)
-    loads = kinds.count(t.OP_LOAD)
-    stores = kinds.count(t.OP_STORE)
-    rmws = kinds.count(t.OP_RMW)
+    think = sum(arg for kind, arg in zip(kinds, trace.args) if kind == t.CODE_THINK)
+    loads = kinds.count(t.CODE_LOAD)
+    stores = kinds.count(t.CODE_STORE)
+    rmws = kinds.count(t.CODE_RMW)
     return think + loads + stores + rmws, loads, stores, rmws
 
 

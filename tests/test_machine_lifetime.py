@@ -7,8 +7,9 @@ is formed. Release breaks every reference cycle the machine holds, so
 nothing of it is left for the cyclic collector: each run below, with the
 collector off and ``gc.DEBUG_SAVEALL`` on, leaves no object of a
 ``repro`` type in ``gc.garbage``, and a weak reference to its machine is
-dead as soon as the call returns. A run that hands its machine to a
-``machine_sink`` keeps it usable.
+dead as soon as the call returns. A run that hands its machine and
+cores to a ``machine_sink`` keeps them usable; ``api.trace``, which
+takes its capture from a sink-held machine, releases them after.
 """
 
 import gc
@@ -22,6 +23,7 @@ from repro.coherence import messages as mk
 from repro.coherence.backend import backend_names
 from repro.config.presets import protocol_config
 from repro.config.system import ObsConfig
+from repro import api
 from repro.cpu.trace import TraceChunk
 from repro.engine.errors import SimulationError
 from repro.harness import runner
@@ -196,10 +198,22 @@ def test_litmus_schedules_free_their_machines(monkeypatch):
 def test_machine_sink_keeps_the_machine_usable():
     sink = []
     result = run_app(_APP, _config(), _MEMOPS, machine_sink=sink)
-    [machine] = sink
+    machine, cores = sink
+    assert [core.node for core in cores if core.finished] == list(range(_CORES))
     machine.check_coherence()
     assert machine.in_flight() == []
     assert machine.stats.get_counter("core.total.instructions") == result.instructions
+
+
+def test_api_trace_frees_its_machine(monkeypatch):
+    """The capture is read from a sink-held machine, which is released
+    once the capture is taken."""
+    traced = _assert_freed(
+        monkeypatch, lambda: api.trace(_APP, cores=_CORES, memops=_MEMOPS)
+    )
+    again = api.trace(_APP, cores=_CORES, memops=_MEMOPS)
+    assert traced.capture == again.capture
+    assert result_digest(traced.result) == result_digest(again.result)
 
 
 def test_released_machine_fails_loudly():

@@ -20,6 +20,7 @@ import pytest
 
 from repro.workloads import APP_PROFILES
 from repro.workloads.generator import build_core_trace
+from tests.scalar_synthesis import column_lists
 
 CORES = 16
 MEMOPS = 200
@@ -113,13 +114,11 @@ GOLDEN_SYNTHESIS_DIGESTS = {
 
 
 def synthesis_digest(chunk) -> str:
-    """sha256 of a chunk's five columns as compact JSON.
-
-    JSON keeps ``true`` apart from ``1`` and ``1`` apart from ``1.0``, so
-    the digest also pins each column's element type.
+    """sha256 of a chunk's five columns as compact JSON lists of kind
+    names, ints and bools (``column_lists``); the column buffer types are
+    pinned by ``tests/test_trace_columns.py``.
     """
-    columns = [chunk.kinds, chunk.addresses, chunk.values, chunk.args, chunk.blocking]
-    blob = json.dumps(columns, separators=(",", ":")).encode("utf-8")
+    blob = json.dumps(column_lists(chunk), separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -3,9 +3,9 @@
 ``build_core_trace`` draws each core's stream in numpy blocks and fills
 the trace columns vectorized; ``tests/scalar_synthesis.py`` keeps the
 one-draw-at-a-time loop that defines the stream. Columns are compared as
-compact JSON (as ``test_synthesis_digest`` hashes them), so a ``1`` in
-place of ``True``, a float in place of an int, or a numpy scalar in place
-of a Python int fails too.
+compact JSON lists of kind names, ints and bools (as
+``test_synthesis_digest`` hashes them); ``tests/test_trace_columns.py``
+pins the column buffer types.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from repro.engine.rng import DeterministicRng, draw_block
 from repro.workloads import generator
 from repro.workloads.generator import build_core_trace, think_gaps
 from repro.workloads.profiles import ALL_APPS, APP_PROFILES, AppProfile
-from tests.scalar_synthesis import scalar_core_trace
+from tests.scalar_synthesis import column_lists, scalar_core_trace
 
 
 def _columns(chunk) -> str:
-    columns = [chunk.kinds, chunk.addresses, chunk.values, chunk.args, chunk.blocking]
-    return json.dumps(columns, separators=(",", ":"))
+    return json.dumps(column_lists(chunk), separators=(",", ":"))
 
 
 def _assert_cores_match(profile, cores, memops, seed, core_ids=None):

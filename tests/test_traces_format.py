@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 
 import repro.traces.format as trace_format
 from repro.cpu.trace import (
+    KIND_CODES,
     OP_BARRIER,
     OP_LOAD,
     OP_RMW,
     OP_STORE,
     OP_THINK,
     TraceChunk,
+    TraceOp,
 )
 from repro.traces.format import (
     MAGIC,
@@ -76,16 +78,8 @@ def _read_streams(path):
         for core in range(reader.num_cores):
             ops = []
             for chunk in reader.iter_core(core):
-                for i, kind in enumerate(chunk.kinds):
-                    ops.append(
-                        (
-                            kind,
-                            chunk.addresses[i],
-                            chunk.values[i],
-                            chunk.args[i],
-                            chunk.blocking[i],
-                        )
-                    )
+                for op in chunk:
+                    ops.append((op.kind, op.address, op.value, op.arg, op.blocking))
             streams.append(ops)
     return streams
 
@@ -104,13 +98,15 @@ def test_roundtrip_property(tmp_path_factory, streams, chunk_records):
 
 
 def test_roundtrip_reinterns_kinds(tmp_path):
-    """Round-tripped kinds are the module constants (pointer-comparable)."""
+    """Round-tripped kinds are their codes, and an op view's kind is the
+    module constant (pointer-comparable)."""
     path = tmp_path / "t.wtr"
     _write_streams(path, [[(OP_LOAD, 64, 0, 0, True), (OP_BARRIER, 0, 0, 0, True)]])
     with TraceReader(path) as reader:
         chunk = reader.read_chunk(0, 0)
-    assert chunk.kinds[0] is OP_LOAD
-    assert chunk.kinds[1] is OP_BARRIER
+    assert list(chunk.kinds) == [KIND_CODES[OP_LOAD], KIND_CODES[OP_BARRIER]]
+    assert chunk.op(0).kind is OP_LOAD
+    assert chunk.op(1).kind is OP_BARRIER
 
 
 def test_record_codec_rejects_ragged_payload():
@@ -119,12 +115,7 @@ def test_record_codec_rejects_ragged_payload():
 
 
 def test_record_codec_rejects_unknown_kind():
-    chunk = TraceChunk()
-    chunk.kinds.append(OP_LOAD)
-    chunk.addresses.append(0)
-    chunk.values.append(0)
-    chunk.args.append(0)
-    chunk.blocking.append(True)
+    chunk = TraceChunk.from_ops([TraceOp(OP_LOAD)])
     raw = bytearray(chunk_to_records(chunk))
     raw[0] = 250  # kind code far outside the table
     with pytest.raises(TraceCorruptionError):
@@ -358,13 +349,7 @@ def test_column_and_op_appends_write_the_same_file(tmp_path):
     one_by_one = _write_streams(tmp_path / "ops.wtr", streams, chunk_records=4)
     columns = []
     for ops in streams:
-        chunk = TraceChunk()
-        for kind, address, value, arg, blocking in ops:
-            chunk.kinds.append(kind)
-            chunk.addresses.append(address)
-            chunk.values.append(value)
-            chunk.args.append(arg)
-            chunk.blocking.append(blocking)
+        chunk = TraceChunk.from_ops(TraceOp(*op) for op in ops)
         columns.append(chunk_columns(chunk))
     with TraceWriter(tmp_path / "cols.wtr", num_cores=4, chunk_records=4) as writer:
         for core, cols in enumerate(columns):
